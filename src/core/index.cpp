@@ -534,7 +534,7 @@ std::vector<LightweightIndex> IndexBuilder::BuildBatch(
     BatchedDistanceField::Member mem;
     mem.source = reqs[m].query.target;
     mem.blocked = reqs[m].query.source;
-    mem.max_depth = std::min(reqs[m].query.hops, reqs[m].hop_cap);
+    mem.max_depth = reqs[m].query.hops;
     mem.cancel = member_cancel(m);
     mem.deadline = member_deadline(m);
     batch_members_.push_back(mem);
@@ -554,7 +554,7 @@ std::vector<LightweightIndex> IndexBuilder::BuildBatch(
         batch_t_.interrupted(static_cast<uint32_t>(m)) !=
                 BatchedDistanceField::Interrupt::kNone
             ? 0
-            : std::min(reqs[m].query.hops, reqs[m].hop_cap);
+            : reqs[m].query.hops;
     mem.cancel = member_cancel(m);
     mem.deadline = member_deadline(m);
     batch_members_.push_back(mem);

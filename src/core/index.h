@@ -295,13 +295,6 @@ struct BatchBuildRequest {
   /// Options::deadline.
   const std::atomic<bool>* cancel = nullptr;
   Deadline deadline = Deadline::Unlimited();
-  /// Depth ceiling on both of the member's sweeps, min'ed with the query's
-  /// hop bound. The useful setting is 0, for a query an oracle lower bound
-  /// certified unsatisfiable (dist(s,t) > k): the member rides the fused
-  /// sweeps for free and yields the empty-but-COMPLETE index such a query
-  /// truly has (not an interrupted stub), so it caches and replays like
-  /// any finished build.
-  uint32_t hop_cap = kInfDistance;
 };
 
 /// Builds LightweightIndex instances. Owns the epoch-stamped BFS buffers

@@ -2,22 +2,10 @@
 
 #include <algorithm>
 
-#include "graph/distance_oracle.h"
-#include "obs/metrics.h"
 #include "util/stats.h"
 #include "util/timer.h"
 
 namespace pathenum {
-
-namespace internal {
-
-void NoteOracleDropped() {
-  static obs::RegCounter* dropped =
-      obs::MetricRegistry::Global().GetCounter("pathenum_oracle_dropped_total");
-  dropped->Inc();
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -36,12 +24,6 @@ void Finalize(QueryStats& stats, const EnumCounters& counters,
 }
 
 }  // namespace
-
-bool PathEnumerator::OracleRejects(const Query& q) const {
-  // Safe in one direction only: the oracle's unconstrained distance lower-
-  // bounds every constrained variant, so "too far" implies no result.
-  return oracle_ != nullptr && !oracle_->Within(q.source, q.target, q.hops);
-}
 
 IndexBuilder::Options PathEnumerator::BuildOptionsFor(const Query& q,
                                                       const EnumOptions& opts) {
@@ -83,13 +65,6 @@ QueryStats PathEnumerator::Run(const Query& q, PathSink& sink,
   arena_.Reset();  // previous query's arena tables die here
   QueryStats stats;
   Timer total;
-  if (OracleRejects(q)) {
-    stats.counters.oracle_rejected = true;
-    stats.total_ms = total.ElapsedMs();
-    stats.response_ms = stats.total_ms;
-    return stats;
-  }
-
   LightweightIndex index = BuildIndex(q, BuildOptionsFor(q, opts));
   stats.bfs_ms = index.build_stats().bfs_ms;
   stats.index_ms = index.build_stats().total_ms;
@@ -194,13 +169,6 @@ QueryStats PathEnumerator::RunConstrained(const Query& q,
   arena_.Reset();
   QueryStats stats;
   Timer total;
-  if (OracleRejects(q)) {
-    stats.counters.oracle_rejected = true;
-    stats.total_ms = total.ElapsedMs();
-    stats.response_ms = stats.total_ms;
-    return stats;
-  }
-
   // Constrained queries default to the DFS enumerator (the cost model does
   // not see constraint selectivity); a forced kJoin runs the Appendix-E
   // join-side extension, which requires `init` to be an identity of

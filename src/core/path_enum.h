@@ -23,15 +23,6 @@
 
 namespace pathenum {
 
-class PrunedLandmarkIndex;
-
-namespace internal {
-/// Bumps the `pathenum_oracle_dropped_total` metric: an oracle was handed
-/// in alongside an overlay view (or failed a rebind) and was discarded
-/// instead of consulted. Defined in path_enum.cpp.
-void NoteOracleDropped();
-}  // namespace internal
-
 /// Facade over index construction, the optimizer and both enumerators.
 ///
 /// Owns every piece of per-query scratch (BFS fields, enumerator stacks and
@@ -41,60 +32,17 @@ void NoteOracleDropped();
 /// worker (see src/engine/).
 class PathEnumerator {
  public:
-  /// `oracle` (optional, not owned) is the §7.5-style offline global
-  /// index: when provided, queries with d(s,t) > k are rejected in
-  /// O(|label|) before any per-query work. It must describe the same graph
-  /// snapshot (a stale oracle may wrongly reject; never wrongly accept
-  /// results — acceptance still runs the exact pipeline). Accepts a plain
-  /// `Graph` (implicit borrowing view, version 0) or a live `GraphView`
-  /// snapshot. An oracle can only describe an overlay-free view; pairing
-  /// one with an overlay view degrades gracefully — the oracle is dropped
-  /// (every query then runs the exact pipeline) and the
-  /// `pathenum_oracle_dropped_total` metric records the mismatch.
-  explicit PathEnumerator(const GraphView& view,
-                          const PrunedLandmarkIndex* oracle = nullptr)
-      : view_(view), oracle_(oracle) {
-    if (oracle_ != nullptr && view.has_overlay()) {
-      oracle_ = nullptr;
-      internal::NoteOracleDropped();
-    }
+  /// Accepts a plain `Graph` (implicit borrowing view, version 0) or a live
+  /// `GraphView` snapshot. Unsatisfiable-query rejection (dist(s,t) > k) is
+  /// the engines' admission gate over a LiveDistanceOracle (DESIGN.md §13),
+  /// not the enumerator's: every query run here executes the exact pipeline.
+  explicit PathEnumerator(const GraphView& view) : view_(view) {
     join_.SetArena(&arena_);
   }
 
-  /// True when an oracle valid for `bound` still describes `next`: the
-  /// same base topology (by Graph::uid, not object address — a recycled
-  /// allocation must not resurrect a retired oracle) with no overlay on
-  /// top. The single source of the stale-oracle rule — every rebind path
-  /// (here and in the engine) must use it, or a stale oracle could wrongly
-  /// reject newly connected pairs.
-  static bool OracleSurvivesRebind(const GraphView& bound,
-                                   const GraphView& next) {
-    return next.base().uid() == bound.base().uid() && !next.has_overlay();
-  }
-
   /// Points the enumerator at a different snapshot. Cheap: the epoch-stamped
-  /// scratch survives (buffers resize lazily if |V| changed). The oracle is
-  /// dropped unless it survives per OracleSurvivesRebind.
-  void Rebind(const GraphView& view) {
-    if (oracle_ != nullptr && !OracleSurvivesRebind(view_, view)) {
-      oracle_ = nullptr;
-    }
-    view_ = view;
-  }
-
-  /// Rebind with an explicit oracle decision — the engine uses this to
-  /// restore an oracle when a later batch returns to the base graph the
-  /// oracle describes. `oracle` must describe exactly `view`'s topology
-  /// (hence: overlay-free), or be null; an oracle paired with an overlay
-  /// view is dropped (and counted), never consulted.
-  void Rebind(const GraphView& view, const PrunedLandmarkIndex* oracle) {
-    if (oracle != nullptr && view.has_overlay()) {
-      oracle = nullptr;
-      internal::NoteOracleDropped();
-    }
-    view_ = view;
-    oracle_ = oracle;
-  }
+  /// scratch survives (buffers resize lazily if |V| changed).
+  void Rebind(const GraphView& view) { view_ = view; }
 
   /// Runs q and streams every hop-constrained s-t path into `sink`.
   /// `opts.method` selects IDX-DFS / IDX-JOIN / cost-based auto.
@@ -128,9 +76,6 @@ class PathEnumerator {
   /// other threads. `stats.bfs_ms`/`index_ms` are 0 (nothing was built).
   QueryStats RunWithIndex(const LightweightIndex& index, PathSink& sink,
                           const EnumOptions& opts = {});
-
-  /// True iff the oracle certifies d(s,t) > k (query has no result).
-  bool OracleRejects(const Query& q) const;
 
   /// Runs q under the Appendix-E constraint extensions. Constrained queries
   /// always use the (constrained) DFS enumerator; the edge predicate is
@@ -174,7 +119,6 @@ class PathEnumerator {
                       PathSink& sink, const EnumOptions& opts, Timer& total);
 
   GraphView view_;
-  const PrunedLandmarkIndex* oracle_;
   IndexBuilder builder_;
   DfsEnumerator dfs_;
   JoinEnumerator join_;

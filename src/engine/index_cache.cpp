@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "graph/view.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
 
@@ -534,6 +535,38 @@ QueryStats ReplayCachedResult(const CachedResultSet& result, PathSink& sink,
   stats.response_ms =
       c.response_ms >= 0.0 ? c.response_ms : stats.total_ms;
   return stats;
+}
+
+BatchPublishResult PublishBatchBuild(IndexBuilder& builder,
+                                     const GraphView& view,
+                                     const std::vector<BatchBuildRequest>& reqs,
+                                     const IndexBuildOptions& opts,
+                                     uint64_t fp, IndexCache& cache) {
+  BatchPublishResult out;
+  out.published.assign(reqs.size(), 0);
+  try {
+    std::vector<LightweightIndex> built = builder.BuildBatch(view, reqs, opts);
+    bool counted_shared = false;
+    for (size_t i = 0; i < built.size(); ++i) {
+      if (built[i].build_stats().interrupted) continue;
+      const Query& q = built[i].query();
+      out.builds++;
+      out.solo_edges += built[i].build_stats().edges_scanned;
+      if (!counted_shared) {
+        // The shared count is batch-wide (identical on every member).
+        out.edges_scanned += built[i].build_stats().batch_edges_scanned;
+        counted_shared = true;
+      }
+      cache.GetOrBuild(
+          CacheKey{q.source, q.target, q.hops, fp},
+          [&built, i]() { return std::move(built[i]); },
+          /*was_hit=*/nullptr, view.version());
+      out.published[i] = 1;
+    }
+  } catch (...) {
+    // The unpublished members build solo (see the header).
+  }
+  return out;
 }
 
 }  // namespace pathenum

@@ -1,7 +1,5 @@
 #include "engine/query_context.h"
 
-#include "util/timer.h"
-
 namespace pathenum {
 
 QueryStats QueryContext::Run(const Query& q, PathSink& sink,
@@ -44,18 +42,6 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
       ++queries_run_;
       return stats;
     }
-  }
-
-  if (enumerator_.OracleRejects(q)) {
-    // The oracle check is acquire-stage work: zero paths, complete result.
-    if (span != nullptr) span->Mark(obs::SpanStage::kIndexAcquire);
-    QueryStats stats;
-    stats.counters.oracle_rejected = true;
-    Timer total;
-    stats.total_ms = total.ElapsedMs();
-    stats.response_ms = stats.total_ms;
-    ++queries_run_;
-    return stats;
   }
 
   const IndexBuilder::Options build_opts =

@@ -20,18 +20,10 @@ namespace pathenum {
 class QueryContext {
  public:
   /// Accepts a plain Graph (implicit borrowing view) or a live snapshot.
-  explicit QueryContext(const GraphView& view,
-                        const PrunedLandmarkIndex* oracle = nullptr)
-      : enumerator_(view, oracle) {}
+  explicit QueryContext(const GraphView& view) : enumerator_(view) {}
 
   /// Points the context at a different snapshot (cheap; scratch survives).
-  /// See PathEnumerator::Rebind for the oracle-dropping rule.
   void Rebind(const GraphView& view) { enumerator_.Rebind(view); }
-
-  /// Rebind with an explicit oracle (null, or describing exactly `view`).
-  void Rebind(const GraphView& view, const PrunedLandmarkIndex* oracle) {
-    enumerator_.Rebind(view, oracle);
-  }
 
   /// Runs one query through the full PathEnum pipeline with this context's
   /// pooled scratch. Every per-run limit (deadline, result limit, sink

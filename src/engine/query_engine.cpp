@@ -10,7 +10,6 @@
 
 #include "core/dfs_enumerator.h"
 #include "core/parallel_dfs.h"
-#include "graph/distance_oracle.h"
 #include "util/timer.h"
 
 namespace pathenum {
@@ -134,16 +133,11 @@ struct TaskGroup {
 
 }  // namespace
 
-QueryEngine::QueryEngine(const GraphView& view, const EngineOptions& opts,
-                         const PrunedLandmarkIndex* oracle)
-    : view_(view),
-      oracle_(oracle),
-      bound_oracle_(oracle),
-      oracle_base_uid_(view_.base().uid()),
-      pool_(opts.num_workers) {
+QueryEngine::QueryEngine(const GraphView& view, const EngineOptions& opts)
+    : view_(view), pool_(opts.num_workers) {
   contexts_.reserve(pool_.num_workers());
   for (uint32_t w = 0; w < pool_.num_workers(); ++w) {
-    contexts_.push_back(std::make_unique<QueryContext>(view_, oracle));
+    contexts_.push_back(std::make_unique<QueryContext>(view_));
   }
   if (opts.enable_cache) {
     cache_ = std::make_unique<IndexCache>(opts.cache);
@@ -186,28 +180,17 @@ void QueryEngine::InvalidateCaches() {
   if (cache_ != nullptr) cache_->Clear(view_.version());
 }
 
-void QueryEngine::RebindGraph(const Graph& g,
-                              const PrunedLandmarkIndex* oracle) {
+void QueryEngine::RebindGraph(const Graph& g) {
   view_ = GraphView(g);
-  oracle_ = oracle;
-  bound_oracle_ = oracle;
-  oracle_base_uid_ = view_.base().uid();
   // A live oracle stays attached: its epochs are keyed on snapshot version
   // AND base identity, so against an unrelated graph it simply never
   // matches (no claims) until the engine returns to the oracle's stream.
   // Contexts hold graph references (BFS fields sized to |V|); rebuild them.
   contexts_.clear();
   for (uint32_t w = 0; w < pool_.num_workers(); ++w) {
-    contexts_.push_back(std::make_unique<QueryContext>(view_, oracle));
+    contexts_.push_back(std::make_unique<QueryContext>(view_));
   }
   InvalidateCaches();
-}
-
-bool QueryEngine::OracleRejectsQuery(const Query& q) const {
-  if (oracle_ != nullptr && !oracle_->Within(q.source, q.target, q.hops)) {
-    return true;
-  }
-  return live_epoch_.Rejects(q.source, q.target, q.hops);
 }
 
 uint32_t QueryEngine::ClampedWorkers(size_t tasks) const {
@@ -234,17 +217,8 @@ BatchResult QueryEngine::RunBatch(const GraphView& view,
         view.version() <= view_.version()) {
       cache_->Clear(view.version());
     }
-    // The oracle (consulted directly by RunSplit and by every context) is
-    // only valid for the exact base topology it was bound against — keyed
-    // by uid, so a different graph at the old base's address never re-arms
-    // it — with no overlay on top; it is restored when a later batch
-    // returns to that base.
-    oracle_ = (bound_oracle_ != nullptr &&
-               view.base().uid() == oracle_base_uid_ && !view.has_overlay())
-                  ? bound_oracle_
-                  : nullptr;
     view_ = view;
-    for (const auto& ctx : contexts_) ctx->Rebind(view_, oracle_);
+    for (const auto& ctx : contexts_) ctx->Rebind(view_);
   }
   return RunBatch(queries, sinks, opts);
 }
@@ -259,14 +233,6 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   result.errors.resize(queries.size());
   result.states.resize(queries.size(), QueryState::kOk);
   batches_run_.Inc();
-  // Pin the live-oracle epoch matching the bound snapshot, re-checked per
-  // batch so the engine keeps rejecting across rebinds and publishes. The
-  // ValidFor gate (exact version + base uid) turns every mismatch into
-  // "no claims" — a racing publish can never produce a wrong rejection.
-  live_epoch_ = live_oracle_ != nullptr
-                    ? live_oracle_->ForVersion(view_.version())
-                    : LiveDistanceOracle::EpochRef();
-  if (!live_epoch_.ValidFor(view_)) live_epoch_ = LiveDistanceOracle::EpochRef();
   IndexCache* cache =
       (opts.use_cache && cache_ != nullptr) ? cache_.get() : nullptr;
   if (cache != nullptr && view_.version() > cache->version()) {
@@ -280,19 +246,48 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
       cache != nullptr ? cache->Stats() : IndexCacheStats{};
   Timer wall;
 
+  // Admission pre-pass, shared by both modes and run before grouping,
+  // prebuild and scheduling. Queries are untrusted input: an invalid one is
+  // rejected with a message and never reaches the enumerator. A query the
+  // live oracle certifies unsatisfiable gets the complete empty result with
+  // no per-query work. The epoch is pinned for exactly the bound snapshot:
+  // the ValidFor gate (exact version + base uid) turns every mismatch into
+  // "no claims", so a racing publish can never cause a wrong rejection.
+  // Each query stopped here finishes its own zero-width span, like an async
+  // ticket shed at admission.
+  LiveDistanceOracle::EpochRef epoch =
+      live_oracle_ != nullptr ? live_oracle_->ForVersion(view_.version())
+                              : LiveDistanceOracle::EpochRef();
+  if (!epoch.ValidFor(view_)) epoch = LiveDistanceOracle::EpochRef();
+  std::vector<size_t> admitted;
+  admitted.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    const Status st = CheckQuery(view_, q);
+    if (st.ok() && !epoch.Rejects(q.source, q.target, q.hops)) {
+      admitted.push_back(i);
+      continue;
+    }
+    obs::QuerySpan span;
+    span.Begin(q.source, q.target, q.hops);
+    span.Mark(obs::SpanStage::kQueueWait);
+    if (!st.ok()) {
+      result.errors[i] = std::string(st.message());
+      result.states[i] = QueryState::kRejected;
+    } else {
+      result.stats[i].counters.oracle_rejected = true;
+      result.states[i] = QueryState::kUnsatisfiable;
+      oracle_rejects_.Inc();
+      span.Mark(obs::SpanStage::kIndexAcquire);
+    }
+    span.Finish(result.states[i]);
+  }
+
   if (opts.split_branches) {
     // Intra-query mode: the pool gangs up on one query at a time.
     const uint32_t active = ClampedWorkers(pool_.num_workers());
     result.workers = active;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      // Queries are untrusted input: an invalid one is rejected with a
-      // message, it never reaches the enumerator and never aborts.
-      const Status st = CheckQuery(view_, queries[i]);
-      if (!st.ok()) {
-        result.errors[i] = std::string(st.message());
-        result.states[i] = QueryState::kRejected;
-        continue;
-      }
+    for (const size_t i : admitted) {
       try {
         result.stats[i] =
             RunSplit(queries[i], *sinks[i], opts.query, cache, active);
@@ -306,7 +301,7 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
       }
     }
   } else {
-    RunStealing(queries, sinks, opts, cache, result);
+    RunStealing(queries, sinks, admitted, opts, cache, result);
   }
   result.wall_ms = wall.ElapsedMs();
   if (cache != nullptr) result.cache = cache->Stats() - before;
@@ -351,46 +346,16 @@ void QueryEngine::PrebuildMissing(std::span<const Query> queries,
       for (size_t i = base; i < end; ++i) {
         reqs.push_back({queries[groups[members[i]].rep], nullptr,
                         Deadline::Unlimited()});
-        // Oracle lower bound > k collapses the member to an empty sweep
-        // (hop_cap 0): unsatisfiable queries previously paid a full
-        // prebuild that nothing would ever read. The empty slab is the
-        // TRUE complete index for the query at this version, so caching
-        // it is sound and future batches replay it like any other entry.
-        if (OracleRejectsQuery(reqs.back().query)) {
-          reqs.back().hop_cap = 0;
-          result.oracle_capped_builds++;
-        }
       }
-      const IndexBuilder::Options build_opts =
-          PathEnumerator::BuildOptionsFor(reqs.front().query, opts.query);
-      try {
-        std::vector<LightweightIndex> built =
-            batch_builder_.BuildBatch(view_, reqs, build_opts);
-        bool counted_shared = false;
-        for (size_t i = 0; i < built.size(); ++i) {
-          if (built[i].build_stats().interrupted) continue;  // solo retry
-          const Query& q = built[i].query();
-          result.batched_builds++;
-          result.batched_solo_edges += built[i].build_stats().edges_scanned;
-          if (!counted_shared) {
-            // The shared count is batch-wide (identical on every member).
-            result.batched_edges_scanned +=
-                built[i].build_stats().batch_edges_scanned;
-            counted_shared = true;
-          }
-          // Publish through the single-flight latch: any concurrent waiter
-          // on the key is satisfied by this slab, and the version/
-          // generation guards apply exactly as for a solo build.
-          const CacheKey ikey{q.source, q.target, q.hops, fp};
-          cache->GetOrBuild(
-              ikey, [&built, i]() { return std::move(built[i]); },
-              /*was_hit=*/nullptr, view_.version());
-          groups[members[base + i]].priority = 1;
-        }
-      } catch (...) {
-        // Fault mid-batch (e.g. injected build failure): the untouched
-        // groups simply build solo on the workers, where per-query fault
-        // isolation applies.
+      const BatchPublishResult pub = PublishBatchBuild(
+          batch_builder_, view_, reqs,
+          PathEnumerator::BuildOptionsFor(reqs.front().query, opts.query), fp,
+          *cache);
+      result.batched_builds += pub.builds;
+      result.batched_edges_scanned += pub.edges_scanned;
+      result.batched_solo_edges += pub.solo_edges;
+      for (size_t i = 0; i < reqs.size(); ++i) {
+        if (pub.published[i]) groups[members[base + i]].priority = 1;
       }
     }
   }
@@ -398,16 +363,17 @@ void QueryEngine::PrebuildMissing(std::span<const Query> queries,
 
 void QueryEngine::RunStealing(std::span<const Query> queries,
                               std::span<PathSink* const> sinks,
+                              std::span<const size_t> admitted,
                               const BatchOptions& opts, IndexCache* cache,
                               BatchResult& result) {
   // Collapse identical (s, t, k) queries into one task group each; the
   // representative runs once and fans its paths out to every duplicate.
   std::vector<TaskGroup> groups;
-  groups.reserve(queries.size());
+  groups.reserve(admitted.size());
   if (opts.dedup_identical) {
     std::unordered_map<CacheKey, size_t, CacheKeyHash> seen;
-    seen.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
+    seen.reserve(admitted.size());
+    for (const size_t i : admitted) {
       const Query& q = queries[i];
       const CacheKey key{q.source, q.target, q.hops, 0};
       const auto [it, inserted] = seen.emplace(key, groups.size());
@@ -418,7 +384,7 @@ void QueryEngine::RunStealing(std::span<const Query> queries,
       }
     }
   } else {
-    for (size_t i = 0; i < queries.size(); ++i) groups.push_back({i, {}, 2});
+    for (const size_t i : admitted) groups.push_back({i, {}, 2});
   }
 
   // Cache-aware scheduling: replayable results first, then prebuilt
@@ -469,38 +435,8 @@ void QueryEngine::RunStealing(std::span<const Query> queries,
       const size_t rep = group.rep;
       obs::QuerySpan& span = spans[task];
       span.Mark(obs::SpanStage::kQueueWait);
-      // Per-query fault isolation: a rejected or failed query reports its
-      // error/state and the worker moves on; the context re-arms every
-      // limit per run.
-      const Status st = CheckQuery(view_, queries[rep]);
-      if (!st.ok()) {
-        result.errors[rep] = std::string(st.message());
-        result.states[rep] = QueryState::kRejected;
-        for (const size_t dup : group.extra) {
-          result.errors[dup] = result.errors[rep];
-          result.states[dup] = QueryState::kRejected;
-        }
-        span.Finish(QueryState::kRejected);
-        continue;
-      }
-      // Oracle shed: dist(s,t) > k is certified, so every duplicate gets
-      // the complete empty result without an index build or sink call —
-      // with the full observability contract (terminal span, per-query
-      // state, counters) a normal run would produce.
-      if (OracleRejectsQuery(queries[rep])) {
-        QueryStats rejected;
-        rejected.counters.oracle_rejected = true;
-        result.stats[rep] = rejected;
-        result.states[rep] = QueryState::kUnsatisfiable;
-        for (const size_t dup : group.extra) {
-          result.stats[dup] = rejected;
-          result.states[dup] = QueryState::kUnsatisfiable;
-        }
-        oracle_rejects_.Inc(1 + group.extra.size());
-        span.Mark(obs::SpanStage::kIndexAcquire);
-        span.Finish(QueryState::kUnsatisfiable);
-        continue;
-      }
+      // Per-query fault isolation: a failed query reports its error/state
+      // and the worker moves on; the context re-arms every limit per run.
       try {
         if (group.extra.empty()) {
           result.stats[rep] = ctx.RunCached(queries[rep], *sinks[rep],
@@ -575,16 +511,6 @@ QueryStats QueryEngine::RunSplit(const Query& q, PathSink& sink,
   obs::QuerySpan span;
   span.Begin(q.source, q.target, q.hops);
   span.SetSplit();
-
-  if (OracleRejectsQuery(q)) {
-    stats.counters.oracle_rejected = true;
-    stats.total_ms = total.ElapsedMs();
-    stats.response_ms = stats.total_ms;
-    oracle_rejects_.Inc();
-    span.Mark(obs::SpanStage::kIndexAcquire);
-    span.Finish(stats.counters.TerminalState());
-    return stats;
-  }
 
   // Split mode builds with the same BuildOptionsFor-derived fingerprint
   // and plans with the same PlanExecution pipeline as the serial path, so

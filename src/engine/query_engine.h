@@ -13,6 +13,11 @@
 // deduplicate identical queries (one run fans its results out to every
 // duplicate's sink), cache hits are scheduled ahead of misses, and
 // concurrent workers on the same missing key build the index exactly once.
+//
+// Every batch passes one admission pre-pass before grouping, prebuild and
+// scheduling, in both modes: invalid queries are rejected, and with a live
+// oracle attached (SetLiveOracle) queries it certifies unsatisfiable
+// (dist(s,t) > k) complete as kUnsatisfiable without any per-query work.
 #ifndef PATHENUM_ENGINE_QUERY_ENGINE_H_
 #define PATHENUM_ENGINE_QUERY_ENGINE_H_
 
@@ -33,8 +38,6 @@
 #include "obs/span.h"
 
 namespace pathenum {
-
-class PrunedLandmarkIndex;
 
 /// Engine construction knobs.
 struct EngineOptions {
@@ -98,9 +101,9 @@ struct BatchOptions {
 ///    `errors[i]` says why.
 ///  - kError: the run threw; delivered paths up to that point are valid
 ///    but the set is not a guaranteed prefix of any complete enumeration.
-///  - kUnsatisfiable: an oracle certified dist(s,t) > k before any work;
-///    the complete (empty) result set was delivered without touching the
-///    sink.
+///  - kUnsatisfiable: the live oracle certified dist(s,t) > k at
+///    admission; the complete (empty) result set was delivered without
+///    touching the sink.
 struct BatchResult {
   std::vector<QueryStats> stats;
   std::vector<std::string> errors;
@@ -122,12 +125,6 @@ struct BatchResult {
   uint64_t batched_builds = 0;
   uint64_t batched_edges_scanned = 0;
   uint64_t batched_solo_edges = 0;
-
-  /// Prebuilt groups whose index build was collapsed to an empty slab
-  /// because an oracle lower bound certified the query unsatisfiable
-  /// (BatchBuildRequest::hop_cap = 0): they ride the fused sweep for free
-  /// and future batches replay the empty-but-complete index.
-  uint64_t oracle_capped_builds = 0;
 
   bool ok() const {
     for (const std::string& e : errors) {
@@ -151,15 +148,13 @@ struct BatchResult {
 };
 
 /// Thread-pooled batch query engine. One instance per graph/session; the
-/// bound graph/view (and optional oracle) must outlive it. RunBatch may be
-/// called any number of times, from one thread at a time.
+/// bound graph/view (and an attached live oracle) must outlive it. RunBatch
+/// may be called any number of times, from one thread at a time.
 class QueryEngine {
  public:
   /// Accepts a plain `Graph` (implicit borrowing view, version 0) or a live
-  /// `GraphView` snapshot. An oracle may only accompany an overlay-free
-  /// view.
-  explicit QueryEngine(const GraphView& view, const EngineOptions& opts = {},
-                       const PrunedLandmarkIndex* oracle = nullptr);
+  /// `GraphView` snapshot.
+  explicit QueryEngine(const GraphView& view, const EngineOptions& opts = {});
   ~QueryEngine();
 
   uint32_t num_workers() const { return pool_.num_workers(); }
@@ -195,16 +190,17 @@ class QueryEngine {
   BatchResult CountBatch(std::span<const Query> queries,
                          const BatchOptions& opts = {});
 
-  /// Connects the standing live oracle (borrowed; null detaches). Before
-  /// each batch the engine pins the oracle epoch matching the bound view's
-  /// exact snapshot version and base identity — matching epochs reject
-  /// unsatisfiable queries in O(|label| + |C|²) before any per-query work,
-  /// across overlay rebinds and publishes alike; any mismatch (racing
-  /// publish, re-label, unrelated rebind) degrades to "no claim", never to
-  /// a wrong rejection. Must not race RunBatch.
+  /// Connects the live oracle (borrowed; null detaches) — the engine's only
+  /// oracle. A static graph gets one by building a LiveDistanceOracle over
+  /// it and publishing no updates. Each batch's admission pre-pass pins the
+  /// epoch for the bound view, gated by EpochRef::ValidFor (exact snapshot
+  /// version and base uid), and rejects unsatisfiable queries in
+  /// O(|label| + |C|²) before any per-query work, across overlay rebinds
+  /// and publishes alike; any mismatch (racing publish, re-label, unrelated
+  /// graph) degrades to "no claim", never to a wrong rejection. Must not
+  /// race RunBatch.
   void SetLiveOracle(const LiveDistanceOracle* oracle) {
     live_oracle_ = oracle;
-    if (oracle == nullptr) live_epoch_ = LiveDistanceOracle::EpochRef();
   }
 
   /// The cross-query cache, or null when not enabled.
@@ -216,11 +212,10 @@ class QueryEngine {
 
   /// Points the engine at a different graph snapshot: recreates every
   /// worker context and invalidates the caches (a cached index describes
-  /// the old topology). Must not race RunBatch. The new graph/oracle must
-  /// outlive the engine. For incremental updates prefer
-  /// RunBatch(view, ...) + IndexCache::BeginEpoch, which keep unaffected
-  /// cache entries alive.
-  void RebindGraph(const Graph& g, const PrunedLandmarkIndex* oracle = nullptr);
+  /// the old topology). Must not race RunBatch. The new graph must outlive
+  /// the engine. For incremental updates prefer RunBatch(view, ...) +
+  /// IndexCache::BeginEpoch, which keep unaffected cache entries alive.
+  void RebindGraph(const Graph& g);
 
   /// Aggregate footprint/usage over all worker contexts.
   struct EngineStats {
@@ -230,17 +225,19 @@ class QueryEngine {
     /// Whole-query steals in RunStealing (a worker claiming a task from
     /// another worker's deque).
     uint64_t steals = 0;
-    /// Queries shed as kUnsatisfiable by an oracle (static or live) before
-    /// any per-query work, duplicates included.
+    /// Queries shed as kUnsatisfiable by the live oracle at admission,
+    /// duplicates included.
     uint64_t oracle_rejects = 0;
   };
   EngineStats Stats() const;
 
  private:
-  /// Inter-query mode: workers claim whole (deduplicated) query groups,
-  /// stealing across per-worker deques; cache hits are scheduled first.
+  /// Inter-query mode: workers claim whole (deduplicated) groups of the
+  /// `admitted` queries, stealing across per-worker deques; cache hits are
+  /// scheduled first.
   void RunStealing(std::span<const Query> queries,
-                   std::span<PathSink* const> sinks, const BatchOptions& opts,
+                   std::span<PathSink* const> sinks,
+                   std::span<const size_t> admitted, const BatchOptions& opts,
                    IndexCache* cache, BatchResult& result);
 
   /// Batched prebuild of the cache-missing tail (DESIGN.md §11): groups
@@ -273,12 +270,6 @@ class QueryEngine {
   /// min(pool, tasks, hardware cores), at least 1.
   uint32_t ClampedWorkers(size_t tasks) const;
 
-  /// True when either oracle certifies dist(s,t) > k for the bound view:
-  /// the static oracle (when armed for view_) or the pinned live epoch.
-  /// Call only on validated queries; safe from pool workers (both sources
-  /// are immutable for the duration of a batch).
-  bool OracleRejectsQuery(const Query& q) const;
-
   /// Reusable split-join scratch (DESIGN.md §8): split queries run one at
   /// a time on the RunBatch caller thread, so these grow-only buffers
   /// follow the §5 no-steady-state-allocation discipline the serial join's
@@ -292,16 +283,7 @@ class QueryEngine {
   std::vector<JoinGroup> split_groups_;
 
   GraphView view_;
-  const PrunedLandmarkIndex* oracle_;  // active for view_ (null when stale)
-  const PrunedLandmarkIndex* bound_oracle_;  // as bound at ctor/RebindGraph
-  /// Graph::uid of the base bound_oracle_ describes. Identity, not an
-  /// address: a recycled allocation at the old base's address must not
-  /// re-arm a retired oracle (and a copied Graph legitimately may).
-  uint64_t oracle_base_uid_;
   const LiveDistanceOracle* live_oracle_ = nullptr;  // see SetLiveOracle
-  /// The live-oracle epoch pinned for view_ at batch start (empty when
-  /// none matches). Immutable while a batch runs; workers read it freely.
-  LiveDistanceOracle::EpochRef live_epoch_;
   ThreadPool pool_;
   std::vector<std::unique_ptr<QueryContext>> contexts_;  // one per worker
   std::unique_ptr<IndexCache> cache_;  // null unless opts.enable_cache

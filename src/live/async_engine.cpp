@@ -147,26 +147,34 @@ void WireCancel(CancelToken& ticket_cancel, EnumOptions& opts) {
 
 QueryTicket AsyncEngine::Submit(const Query& q, PathSink& sink,
                                 const SubmitOptions& opts) {
-  auto state = std::make_shared<QueryTicket::State>();
+  return Admit(q, sink, opts, /*blocking=*/true, nullptr);
+}
+
+QueryTicket AsyncEngine::TrySubmit(const Query& q, PathSink& sink,
+                                   const SubmitOptions& opts,
+                                   double* retry_after_ms) {
+  return Admit(q, sink, opts, /*blocking=*/false, retry_after_ms);
+}
+
+QueryTicket AsyncEngine::Admit(const Query& q, PathSink& sink,
+                               const SubmitOptions& opts, bool blocking,
+                               double* retry_after_ms) {
   Submission task;
+  task.span.Begin(q.source, q.target, q.hops);
+  auto state = std::make_shared<QueryTicket::State>();
   task.query = q;
   task.sink = &sink;
   task.opts = opts.query;
   task.split = opts.split_branches;
   task.state = state;
   WireCancel(state->cancel, task.opts);
-  task.span.Begin(q.source, q.target, q.hops);
-  bool unsat = false;
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
-    if (opts_.shed_policy == AsyncEngineOptions::ShedPolicy::kCancelOldest) {
-      if (!shutdown_ && queue_.size() >= opts_.max_queue) ShedOldestLocked();
-    } else {
-      queue_not_full_.wait(lock, [&] {
-        return shutdown_ || queue_.size() < opts_.max_queue;
-      });
-    }
     if (shutdown_) {
+      if (!blocking) {
+        queue_rejects_.Inc();
+        return QueryTicket();
+      }
       Complete(*state, QueryStats{}, "engine is shut down",
                QueryState::kRejected);
       return QueryTicket(std::move(state));
@@ -176,76 +184,43 @@ QueryTicket AsyncEngine::Submit(const Query& q, PathSink& sink,
     // order; SubmitUpdate publishes outside this lock, so a submission
     // observes either the old or the new snapshot — never a half-published
     // one, and never an oracle epoch from a different version.
-    const SnapshotManager::Published pub = snapshots_.CurrentPublished();
+    SnapshotManager::Published pub = snapshots_.CurrentPublished();
+    // The oracle verdict comes before any shed, wait or reject: a
+    // certified-unsatisfiable submission never needs a queue slot, so it
+    // can neither evict queued work under kCancelOldest nor wait for (or
+    // be refused) space under kRejectNewest.
+    if (pub.oracle.Rejects(q.source, q.target, q.hops)) {
+      task.snapshot = pub.snapshot;
+      state->snapshot_version = task.snapshot->version();
+      submitted_.Inc();
+      oracle_rejects_.Inc();
+      lock.unlock();
+      CompleteUnsatisfiable(task);
+      return QueryTicket(std::move(state));
+    }
+    if (queue_.size() >= opts_.max_queue) {
+      if (opts_.shed_policy == AsyncEngineOptions::ShedPolicy::kCancelOldest) {
+        ShedOldestLocked();  // make room; this submission is admitted
+      } else if (!blocking) {
+        queue_rejects_.Inc();
+        if (retry_after_ms != nullptr) *retry_after_ms = RetryAfterLockedMs();
+        return QueryTicket();
+      } else {
+        queue_not_full_.wait(lock, [&] {
+          return shutdown_ || queue_.size() < opts_.max_queue;
+        });
+        if (shutdown_) {
+          Complete(*state, QueryStats{}, "engine is shut down",
+                   QueryState::kRejected);
+          return QueryTicket(std::move(state));
+        }
+        pub = snapshots_.CurrentPublished();  // current at enqueue time
+      }
+    }
     task.snapshot = pub.snapshot;
     state->snapshot_version = task.snapshot->version();
+    queue_.push_back(std::move(task));
     submitted_.Inc();
-    if (pub.oracle.Rejects(q.source, q.target, q.hops)) {
-      oracle_rejects_.Inc();
-      unsat = true;
-    } else {
-      queue_.push_back(std::move(task));
-    }
-  }
-  if (unsat) {
-    CompleteUnsatisfiable(task);
-    return QueryTicket(std::move(state));
-  }
-  queue_not_empty_.notify_one();
-  return QueryTicket(std::move(state));
-}
-
-QueryTicket AsyncEngine::TrySubmit(const Query& q, PathSink& sink,
-                                   const SubmitOptions& opts,
-                                   double* retry_after_ms) {
-  auto state = std::make_shared<QueryTicket::State>();
-  Submission task;
-  task.query = q;
-  task.sink = &sink;
-  task.opts = opts.query;
-  task.split = opts.split_branches;
-  task.state = state;
-  WireCancel(state->cancel, task.opts);
-  task.span.Begin(q.source, q.target, q.hops);
-  bool unsat = false;
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (shutdown_) {
-      queue_rejects_.Inc();
-      return QueryTicket();
-    }
-    // Oracle-certified-unsatisfiable submissions never occupy a queue slot,
-    // so they are checked before the full-queue shed/reject logic: an unsat
-    // flood cannot evict useful queued work under kCancelOldest.
-    const SnapshotManager::Published pub = snapshots_.CurrentPublished();
-    if (pub.oracle.Rejects(q.source, q.target, q.hops)) {
-      task.snapshot = pub.snapshot;
-      state->snapshot_version = task.snapshot->version();
-      submitted_.Inc();
-      oracle_rejects_.Inc();
-      unsat = true;
-    } else {
-      if (queue_.size() >= opts_.max_queue) {
-        if (opts_.shed_policy ==
-            AsyncEngineOptions::ShedPolicy::kCancelOldest) {
-          ShedOldestLocked();  // make room; this submission is admitted
-        } else {
-          queue_rejects_.Inc();
-          if (retry_after_ms != nullptr) {
-            *retry_after_ms = RetryAfterLockedMs();
-          }
-          return QueryTicket();
-        }
-      }
-      task.snapshot = pub.snapshot;
-      state->snapshot_version = task.snapshot->version();
-      queue_.push_back(std::move(task));
-      submitted_.Inc();
-    }
-  }
-  if (unsat) {
-    CompleteUnsatisfiable(task);
-    return QueryTicket(std::move(state));
   }
   queue_not_empty_.notify_one();
   return QueryTicket(std::move(state));
@@ -502,37 +477,16 @@ void AsyncEngine::MaybeBatchPrebuild(Submission& task) {
   }
   if (reqs.size() < opts_.batch_build_min) return;
 
-  try {
-    // Controls are strictly per-member (each ticket's own cancel token and
-    // deadline); the shared options carry only the build shape.
-    IndexBuilder::Options shared = lead_opts;
-    shared.cancel = nullptr;
-    shared.deadline = Deadline::Unlimited();
-    std::vector<LightweightIndex> built =
-        batch_builder_.BuildBatch(*task.snapshot, reqs, shared);
-    bool counted_shared = false;
-    for (size_t i = 0; i < built.size(); ++i) {
-      // A tripped member builds solo at claim time (reporting its own
-      // terminal state); interrupted stubs are never published.
-      if (built[i].build_stats().interrupted) continue;
-      const Query& q = built[i].query();
-      batched_builds_.Inc();
-      batched_solo_edges_.Inc(built[i].build_stats().edges_scanned);
-      if (!counted_shared) {
-        batched_edges_scanned_.Inc(built[i].build_stats().batch_edges_scanned);
-        counted_shared = true;
-      }
-      const CacheKey key{q.source, q.target, q.hops, fp};
-      // Single-flight publish: concurrent waiters on any member key are
-      // satisfied by this slab; version/generation guards apply as usual.
-      cache_->GetOrBuild(
-          key, [&built, i]() { return std::move(built[i]); },
-          /*was_hit=*/nullptr, version);
-    }
-  } catch (...) {
-    // Any batch failure (including injected faults) falls back to solo
-    // builds, where per-query fault isolation applies.
-  }
+  // Controls are strictly per-member (each ticket's own cancel token and
+  // deadline); the shared options carry only the build shape.
+  IndexBuilder::Options shared = lead_opts;
+  shared.cancel = nullptr;
+  shared.deadline = Deadline::Unlimited();
+  const BatchPublishResult pub = PublishBatchBuild(
+      batch_builder_, *task.snapshot, reqs, shared, fp, *cache_);
+  batched_builds_.Inc(pub.builds);
+  batched_edges_scanned_.Inc(pub.edges_scanned);
+  batched_solo_edges_.Inc(pub.solo_edges);
 }
 
 void AsyncEngine::Execute(QueryContext& ctx, Submission& task) {

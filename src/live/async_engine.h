@@ -193,6 +193,11 @@ class AsyncEngine {
   /// `retry_after_ms` is non-null — writes a backlog-derived hint for when
   /// to retry. Under kCancelOldest a full queue sheds the oldest queued
   /// ticket instead and this submission is admitted.
+  ///
+  /// Submit and TrySubmit share one admission order: shutdown first, then
+  /// the oracle (enable_oracle; a certified-unsatisfiable submission
+  /// completes as kUnsatisfiable without a queue slot), then the queue-full
+  /// policy.
   QueryTicket TrySubmit(const Query& q, PathSink& sink,
                         const EnumOptions& opts = {});
   QueryTicket TrySubmit(const Query& q, PathSink& sink,
@@ -316,6 +321,11 @@ class AsyncEngine {
     /// leader turns it into the ticket's error after the merge barrier.
     std::string error;
   };
+
+  /// The one admission path behind Submit (`blocking`) and TrySubmit; see
+  /// TrySubmit for the order of its checks.
+  QueryTicket Admit(const Query& q, PathSink& sink, const SubmitOptions& opts,
+                    bool blocking, double* retry_after_ms);
 
   void WorkerLoop(uint32_t worker);
   void Execute(QueryContext& ctx, Submission& task);

@@ -67,11 +67,13 @@ void InProcessTransport::Start(uint32_t num_shards, FrameHandler handler) {
 }
 
 bool InProcessTransport::Send(uint32_t dst_shard, std::vector<uint8_t> frame) {
-  if (stopping_.load(std::memory_order_acquire)) return false;
   PATHENUM_CHECK(dst_shard < endpoints_.size());
   Endpoint& ep = *endpoints_[dst_shard];
   {
+    // Checked under the endpoint mutex: once Stop has marked the endpoint,
+    // no frame is accepted behind its draining service thread.
     std::lock_guard<std::mutex> lock(ep.mutex);
+    if (ep.stopping) return false;
     ep.queue.push_back(std::move(frame));
   }
   ep.cv.notify_one();
@@ -79,9 +81,14 @@ bool InProcessTransport::Send(uint32_t dst_shard, std::vector<uint8_t> frame) {
 }
 
 void InProcessTransport::Stop() {
-  if (endpoints_.empty()) return;
-  stopping_.store(true, std::memory_order_release);
   for (auto& ep : endpoints_) {
+    // Set under the mutex the service thread checks its predicate under,
+    // so the flag cannot land between that check and its wait (a lost
+    // wake-up would leave the join below blocked forever).
+    {
+      std::lock_guard<std::mutex> lock(ep->mutex);
+      ep->stopping = true;
+    }
     ep->cv.notify_all();
   }
   for (auto& ep : endpoints_) {
@@ -95,9 +102,7 @@ void InProcessTransport::ServiceLoop(uint32_t shard) {
     std::vector<uint8_t> frame;
     {
       std::unique_lock<std::mutex> lock(ep.mutex);
-      ep.cv.wait(lock, [&] {
-        return !ep.queue.empty() || stopping_.load(std::memory_order_acquire);
-      });
+      ep.cv.wait(lock, [&] { return !ep.queue.empty() || ep.stopping; });
       if (ep.queue.empty()) return;  // stopping and drained
       frame = std::move(ep.queue.front());
       ep.queue.pop_front();

@@ -16,7 +16,6 @@
 #ifndef PATHENUM_SHARD_TRANSPORT_H_
 #define PATHENUM_SHARD_TRANSPORT_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -92,9 +91,10 @@ class InProcessTransport : public ShardTransport {
 
  private:
   struct Endpoint {
-    std::mutex mutex;
+    std::mutex mutex;  // guards queue and stopping
     std::condition_variable cv;
     std::deque<std::vector<uint8_t>> queue;
+    bool stopping = false;
     std::thread service;
   };
 
@@ -102,7 +102,6 @@ class InProcessTransport : public ShardTransport {
 
   FrameHandler handler_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace pathenum

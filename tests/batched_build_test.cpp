@@ -321,44 +321,16 @@ TEST(EngineBatchedPrebuildTest, MatchesUnbatchedEngine) {
   EXPECT_EQ(again.cache.index_misses, 0u);
 }
 
-TEST(BuildBatchTest, HopCapZeroMemberYieldsEmptyCompleteIndex) {
-  // An oracle-certified-unsatisfiable member rides the fused sweeps at
-  // depth 0: it must come back EMPTY but COMPLETE (not an interrupted
-  // stub — unsatisfiability means empty IS the full answer), and must not
-  // perturb its co-members.
-  const Graph g = ErdosRenyi(200, 1600, 9);
-  QueryGenOptions qopts;
-  qopts.count = 4;
-  qopts.hops = 4;
-  qopts.seed = 9;
-  const std::vector<Query> queries = GenerateQueries(g, qopts);
-  ASSERT_GE(queries.size(), 2u);
-
-  std::vector<BatchBuildRequest> reqs;
-  reqs.push_back({queries[0]});
-  reqs.push_back({.query = queries[1], .hop_cap = 0});
-  IndexBuilder builder;
-  const auto built = builder.BuildBatch(g, reqs);
-
-  EXPECT_EQ(built[1].num_vertices(), 0u);
-  EXPECT_EQ(built[1].num_edges(), 0u);
-  EXPECT_FALSE(built[1].build_stats().interrupted);
-  EXPECT_TRUE(PathsVia(g, built[1]).empty());
-  const LightweightIndex solo = builder.Build(g, queries[0]);
-  ASSERT_FALSE(built[0].build_stats().interrupted);
-  EXPECT_EQ(PathsVia(g, built[0]), PathsVia(g, solo));
-}
-
-TEST(EngineBatchedPrebuildTest, OracleCappedBuildsRideTheSweepForFree) {
+TEST(EngineBatchedPrebuildTest, UnsatisfiableGroupsNeverReachThePrebuild) {
   // A batch mixing satisfiable and oracle-certified-unsatisfiable queries:
-  // the unsatisfiable groups join the fused prebuild with hop_cap = 0
-  // (counted in oracle_capped_builds) instead of paying full-depth BFS,
-  // finish as kUnsatisfiable, and the satisfiable co-members are exact.
+  // the admission pre-pass sheds the unsatisfiable ones before grouping,
+  // so they finish as kUnsatisfiable and only the satisfiable groups are
+  // counted in the fused prebuild, whose co-members stay exact.
   std::vector<std::pair<VertexId, VertexId>> edges;
   for (VertexId v = 0; v < 19; ++v) edges.push_back({v, v + 1});
   for (VertexId v = 20; v < 39; ++v) edges.push_back({v, v + 1});
   const Graph g = Graph::FromEdges(40, edges);
-  const PrunedLandmarkIndex labels = PrunedLandmarkIndex::Build(g);
+  const LiveDistanceOracle oracle(g);
 
   std::vector<Query> queries;
   for (VertexId s = 0; s < 4; ++s) {
@@ -369,11 +341,11 @@ TEST(EngineBatchedPrebuildTest, OracleCappedBuildsRideTheSweepForFree) {
   opts.num_workers = 2;
   opts.enable_cache = true;
   opts.batch_build_min = 2;
-  QueryEngine engine(g, opts, &labels);
+  QueryEngine engine(g, opts);
+  engine.SetLiveOracle(&oracle);
   const BatchResult r = engine.CountBatch(queries);
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(r.batched_builds, 0u);
-  EXPECT_EQ(r.oracle_capped_builds, 4u);
+  EXPECT_EQ(r.batched_builds, 4u);
   for (size_t i = 0; i < queries.size(); ++i) {
     if (i % 2 == 0) {
       EXPECT_EQ(r.states[i], QueryState::kOk) << "query " << i;

@@ -1,7 +1,6 @@
 // Tests for the pruned-landmark distance oracle (the §7.5 global index).
 #include <gtest/gtest.h>
 
-#include "core/path_enum.h"
 #include "graph/bfs.h"
 #include "graph/distance_oracle.h"
 #include "graph/generators.h"
@@ -83,24 +82,7 @@ TEST(DistanceOracleTest, RejectsOutOfRangeQuery) {
   EXPECT_THROW(pll.Distance(0, 5), std::logic_error);
 }
 
-// --- Integration with the enumerator and the workload generator ------------
-
-TEST(OracleIntegrationTest, FastRejectMatchesFullRun) {
-  const Graph g = RMat(7, 500, 99);
-  const auto pll = PrunedLandmarkIndex::Build(g);
-  PathEnumerator plain(g);
-  PathEnumerator with_oracle(g, &pll);
-  int rejected = 0;
-  for (VertexId t = 1; t < 40; ++t) {
-    const Query q{0, t, 4};
-    CountingSink a, b;
-    plain.Run(q, a);
-    const QueryStats s = with_oracle.Run(q, b);
-    EXPECT_EQ(a.count(), b.count()) << "t=" << t;
-    if (a.count() == 0 && s.index_vertices == 0) ++rejected;
-  }
-  EXPECT_GT(rejected, 0) << "expected at least one oracle-rejected query";
-}
+// --- Integration with the workload generator -------------------------------
 
 TEST(OracleIntegrationTest, QueryGenWithOracleMatchesBfsProbe) {
   const Graph g = ErdosRenyi(300, 2400, 8);
@@ -119,17 +101,6 @@ TEST(OracleIntegrationTest, QueryGenWithOracleMatchesBfsProbe) {
     EXPECT_EQ(plain[i].source, oracled[i].source);
     EXPECT_EQ(plain[i].target, oracled[i].target);
   }
-}
-
-TEST(OracleIntegrationTest, ConstrainedRunAlsoFastRejects) {
-  const Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
-  const auto pll = PrunedLandmarkIndex::Build(g);
-  PathEnumerator pe(g, &pll);
-  PathConstraints none;
-  CountingSink sink;
-  const QueryStats stats = pe.RunConstrained({0, 3, 6}, none, sink);
-  EXPECT_EQ(sink.count(), 0u);
-  EXPECT_EQ(stats.index_vertices, 0u);
 }
 
 }  // namespace

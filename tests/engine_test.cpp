@@ -458,8 +458,8 @@ TEST(PathEnumeratorTest, SequentialScratchStableAcrossRepeats) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle rejection in the sync engine: terminal-state reporting and
-// graph-identity (uid) keying across rebinds.
+// Oracle rejection in the sync engine: terminal-state reporting and the
+// ValidFor gate (exact snapshot version + base-graph uid) across rebinds.
 // ---------------------------------------------------------------------------
 
 // Two disconnected path components: 0..9 and 10..19.
@@ -471,13 +471,16 @@ Graph TwoComponentGraph() {
 }
 
 TEST(EngineOracleTest, UnsatisfiableQueriesReportTerminalStateInAllModes) {
+  // A static graph's oracle is a LiveDistanceOracle that never sees an
+  // update.
   const Graph g = TwoComponentGraph();
-  const PrunedLandmarkIndex labels = PrunedLandmarkIndex::Build(g);
+  const LiveDistanceOracle oracle(g);
   const Query unsat{0, 15, 6};   // cross-component
   const Query unsat_dup = unsat; // dedup group member
   const Query sat{0, 5, 6};
   for (const bool split : {false, true}) {
-    QueryEngine engine(g, {.num_workers = 2}, &labels);
+    QueryEngine engine(g, {.num_workers = 2});
+    engine.SetLiveOracle(&oracle);
     const std::vector<Query> queries{unsat, sat, unsat_dup};
     std::vector<CountingSink> sinks(queries.size());
     std::vector<PathSink*> sink_ptrs;
@@ -501,14 +504,15 @@ TEST(EngineOracleTest, UnsatisfiableQueriesReportTerminalStateInAllModes) {
 }
 
 TEST(EngineOracleTest, OracleRearmIsKeyedOnGraphIdentityNotAddress) {
-  // Regression: the engine used to re-arm its bound oracle by comparing
-  // raw base-graph addresses across RunBatch(view) rebinds. Identity must
-  // follow Graph::uid — a copied Graph (same topology lineage, different
-  // address) keeps the oracle; an unrelated Graph (same shape, same
-  // version, possibly a recycled address) must not.
+  // Across RunBatch(view) rebinds the oracle's claims follow Graph::uid and
+  // the exact snapshot version (EpochRef::ValidFor), never an address: a
+  // copied Graph (same topology lineage, different address) keeps them; an
+  // unrelated Graph (same shape, same version, possibly a recycled address)
+  // must not get them.
   const Graph g = TwoComponentGraph();
-  const PrunedLandmarkIndex labels = PrunedLandmarkIndex::Build(g);
-  QueryEngine engine(g, {.num_workers = 1}, &labels);
+  const LiveDistanceOracle oracle(g);
+  QueryEngine engine(g, {.num_workers = 1});
+  engine.SetLiveOracle(&oracle);
   const std::vector<Query> queries{Query{0, 15, 6}};
   const auto run = [&](const GraphView& view) {
     std::vector<CountingSink> sinks(1);
@@ -516,7 +520,7 @@ TEST(EngineOracleTest, OracleRearmIsKeyedOnGraphIdentityNotAddress) {
     return engine.RunBatch(view, queries, sink_ptrs, {});
   };
 
-  // Same-uid copy: the oracle stays armed and keeps rejecting.
+  // Same-uid copy: the oracle keeps rejecting.
   const Graph copy = g;
   ASSERT_EQ(copy.uid(), g.uid());
   const BatchResult on_copy = run(GraphView(copy));
@@ -525,8 +529,8 @@ TEST(EngineOracleTest, OracleRearmIsKeyedOnGraphIdentityNotAddress) {
   EXPECT_EQ(engine.Stats().oracle_rejects, 1u);
 
   // A freshly built graph with identical shape at the same version: a
-  // different identity, so the oracle must stay disarmed — the query runs
-  // the full pipeline (and correctly finds nothing).
+  // different identity, so the oracle claims nothing — the query runs the
+  // full pipeline (and correctly finds nothing).
   const Graph unrelated = TwoComponentGraph();
   ASSERT_NE(unrelated.uid(), g.uid());
   const BatchResult on_unrelated = run(GraphView(unrelated));
@@ -535,16 +539,17 @@ TEST(EngineOracleTest, OracleRearmIsKeyedOnGraphIdentityNotAddress) {
   EXPECT_EQ(on_unrelated.stats[0].counters.num_results, 0u);
   EXPECT_EQ(engine.Stats().oracle_rejects, 1u);  // unchanged
 
-  // An overlay over the original base invalidates the labels: disarmed for
-  // that batch (the inserted bridge must not be wrongly rejected) ...
+  // An overlay over the original base is a version the oracle has no epoch
+  // for: no claims for that batch (the inserted bridge must not be wrongly
+  // rejected) ...
   const GraphView bridged =
       GraphView(g).Apply(GraphDelta{}.Insert(5, 15), 1);
   const BatchResult on_overlay = run(bridged);
   ASSERT_TRUE(on_overlay.ok());
   EXPECT_EQ(on_overlay.states[0], QueryState::kOk);
   EXPECT_EQ(on_overlay.stats[0].counters.num_results, 1u);
-  // ... and re-armed the moment the engine returns to the overlay-free
-  // base snapshot.
+  // ... and claims again the moment the engine returns to the base
+  // snapshot.
   const BatchResult back = run(GraphView(g));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.states[0], QueryState::kUnsatisfiable);
@@ -555,62 +560,74 @@ TEST(EngineOracleTest, LiveOracleRejectionsMatchOracleOffUnderRebinds) {
   // Differential: one engine consults a LiveDistanceOracle across a churn
   // of overlay rebinds, the other runs bare. Same per-query answers,
   // always; the oracle only changes *how* unsatisfiable queries finish.
-  Rng rng(321);
+  // Both scheduling modes pass the same admission gate, with and without a
+  // cache whose fused prebuild must never see a shed query.
   const VertexId n = 20;
   const Graph base = ErdosRenyi(n, 30, /*seed=*/17);
-  SnapshotManager mgr(base);
-  LiveOracleOptions oracle_opts;
-  oracle_opts.background_relabel = false;
-  oracle_opts.relabel_budget = 6;
-  LiveDistanceOracle oracle(mgr.Current()->base(), oracle_opts);
-  mgr.AttachOracle(&oracle);
-
-  QueryEngine with_oracle(*mgr.Current(), {.num_workers = 2});
-  with_oracle.SetLiveOracle(&oracle);
-  QueryEngine without(*mgr.Current(), {.num_workers = 2});
-
   std::vector<Query> queries;
   for (VertexId s = 0; s < n; s += 3) {
     queries.push_back(Query{s, static_cast<VertexId>(n - 1 - s), 4});
   }
-  for (uint64_t epoch = 1; epoch <= 8; ++epoch) {
-    GraphDelta delta;
-    for (int i = 0; i < 4; ++i) {
-      const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
-      const VertexId v = static_cast<VertexId>(rng.NextBounded(n));
-      if (rng.NextBounded(3) == 0) {
-        delta.Delete(u, v);
-      } else {
-        delta.Insert(u, v);
+  for (const bool split : {false, true}) {
+    for (const bool cached : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "split=" << split << " cached=" << cached);
+      Rng rng(321);
+      SnapshotManager mgr(base);
+      LiveOracleOptions oracle_opts;
+      oracle_opts.background_relabel = false;
+      oracle_opts.relabel_budget = 6;
+      LiveDistanceOracle oracle(mgr.Current()->base(), oracle_opts);
+      mgr.AttachOracle(&oracle);
+
+      const EngineOptions eopts{
+          .num_workers = 2, .enable_cache = cached, .batch_build_min = 2};
+      QueryEngine with_oracle(*mgr.Current(), eopts);
+      with_oracle.SetLiveOracle(&oracle);
+      QueryEngine without(*mgr.Current(), eopts);
+      BatchOptions bopts;
+      bopts.split_branches = split;
+
+      for (uint64_t epoch = 1; epoch <= 8; ++epoch) {
+        GraphDelta delta;
+        for (int i = 0; i < 4; ++i) {
+          const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+          const VertexId v = static_cast<VertexId>(rng.NextBounded(n));
+          if (rng.NextBounded(3) == 0) {
+            delta.Delete(u, v);
+          } else {
+            delta.Insert(u, v);
+          }
+        }
+        mgr.Apply(delta);
+        const SnapshotManager::Published pub = mgr.CurrentPublished();
+        std::vector<CountingSink> sinks_on(queries.size());
+        std::vector<CountingSink> sinks_off(queries.size());
+        std::vector<PathSink*> ptrs_on, ptrs_off;
+        for (size_t i = 0; i < queries.size(); ++i) {
+          ptrs_on.push_back(&sinks_on[i]);
+          ptrs_off.push_back(&sinks_off[i]);
+        }
+        const BatchResult r_on =
+            with_oracle.RunBatch(*pub.snapshot, queries, ptrs_on, bopts);
+        const BatchResult r_off =
+            without.RunBatch(*pub.snapshot, queries, ptrs_off, bopts);
+        ASSERT_TRUE(r_on.ok());
+        ASSERT_TRUE(r_off.ok());
+        for (size_t i = 0; i < queries.size(); ++i) {
+          ASSERT_EQ(r_on.stats[i].counters.num_results,
+                    r_off.stats[i].counters.num_results)
+              << "epoch " << epoch << " query " << i;
+          if (r_on.states[i] == QueryState::kUnsatisfiable) {
+            ASSERT_EQ(r_off.stats[i].counters.num_results, 0u)
+                << "epoch " << epoch << " query " << i << " wrongly rejected";
+          }
+        }
       }
-    }
-    mgr.Apply(delta);
-    const SnapshotManager::Published pub = mgr.CurrentPublished();
-    std::vector<CountingSink> sinks_on(queries.size());
-    std::vector<CountingSink> sinks_off(queries.size());
-    std::vector<PathSink*> ptrs_on, ptrs_off;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ptrs_on.push_back(&sinks_on[i]);
-      ptrs_off.push_back(&sinks_off[i]);
-    }
-    const BatchResult r_on =
-        with_oracle.RunBatch(*pub.snapshot, queries, ptrs_on, {});
-    const BatchResult r_off =
-        without.RunBatch(*pub.snapshot, queries, ptrs_off, {});
-    ASSERT_TRUE(r_on.ok());
-    ASSERT_TRUE(r_off.ok());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(r_on.stats[i].counters.num_results,
-                r_off.stats[i].counters.num_results)
-          << "epoch " << epoch << " query " << i;
-      if (r_on.states[i] == QueryState::kUnsatisfiable) {
-        ASSERT_EQ(r_off.stats[i].counters.num_results, 0u)
-            << "epoch " << epoch << " query " << i << " wrongly rejected";
-      }
+      EXPECT_GT(with_oracle.Stats().oracle_rejects, 0u);
+      EXPECT_EQ(without.Stats().oracle_rejects, 0u);
     }
   }
-  EXPECT_GT(with_oracle.Stats().oracle_rejects, 0u);
-  EXPECT_EQ(without.Stats().oracle_rejects, 0u);
 }
 
 }  // namespace

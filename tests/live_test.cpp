@@ -15,7 +15,6 @@
 #include "core/reference.h"
 #include "engine/query_engine.h"
 #include "graph/bfs.h"
-#include "graph/distance_oracle.h"
 #include "graph/generators.h"
 #include "graph/view.h"
 #include "live/async_engine.h"
@@ -145,23 +144,30 @@ TEST(GraphViewTest, MaterializePreservesEdgeAttributes) {
 }
 
 TEST(EngineViewTest, OracleDroppedOnRebindToDifferentBase) {
-  // An engine bound with an oracle must not consult it after rebinding to
-  // a snapshot with a different base (e.g. a compacted live snapshot):
-  // a stale oracle would silently reject newly connected pairs.
+  // An engine with an oracle must not consult it after rebinding to a
+  // snapshot with a different base (e.g. a compacted live snapshot), even
+  // at a version the oracle has an epoch for: a stale oracle would
+  // silently reject newly connected pairs.
   const Graph g1 = Graph::FromEdges(4, {{0, 1}, {2, 3}});  // 0 /-> 3
-  const PrunedLandmarkIndex oracle = PrunedLandmarkIndex::Build(g1);
-  QueryEngine engine(g1, {.num_workers = 1}, &oracle);
+  SnapshotManager mgr(g1);
+  LiveDistanceOracle oracle(mgr.Current()->base());
+  mgr.AttachOracle(&oracle);
+  mgr.Apply(GraphDelta{});  // the oracle now has an epoch at version 1
+  QueryEngine engine(g1, {.num_workers = 1});
+  engine.SetLiveOracle(&oracle);
 
   // New base where 0 -> 3 is connected (as a compaction would produce).
   const Graph g2 =
       GraphView(g1).Apply(GraphDelta{}.Insert(1, 2), 1).Materialize();
   const GraphView compacted(std::make_shared<const Graph>(g2), nullptr, 1);
+  ASSERT_TRUE(oracle.ForVersion(1).valid());
+  ASSERT_FALSE(oracle.ForVersion(1).ValidFor(compacted));
 
   const std::vector<Query> queries{Query{0, 3, 3}};
   std::vector<CountingSink> sinks(1);
   std::vector<PathSink*> sink_ptrs{&sinks[0]};
   BatchOptions split;
-  split.split_branches = true;  // the split path consults the engine oracle
+  split.split_branches = true;
   const BatchResult r = engine.RunBatch(compacted, queries, sink_ptrs, split);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.stats[0].counters.num_results, 1u);
@@ -839,33 +845,6 @@ TEST(LiveOracleTest, RandomizedChurnNeverWronglyRejects) {
   }
   EXPECT_GT(rejects, 0u);  // the stream must have exercised real claims
   EXPECT_GT(oracle.stats().relabels, 0u);
-}
-
-TEST(LiveOracleTest, StaticOracleOnOverlayViewDegradesGracefully) {
-  // Regression: constructing a PathEnumerator with a base-graph oracle on
-  // an overlay view used to abort via PATHENUM_CHECK. It must instead drop
-  // the oracle (whose claims the overlay invalidates) and run normally.
-  const Graph g = PathGraph(8);
-  const PrunedLandmarkIndex labels = PrunedLandmarkIndex::Build(g);
-  const GraphView v1 = GraphView(g).Apply(GraphDelta{}.Insert(0, 7), 1);
-#if PATHENUM_OBS
-  const uint64_t dropped_before = obs::MetricRegistry::Global()
-                                      .GetCounter("pathenum_oracle_dropped_total")
-                                      ->Value();
-#endif
-  PathEnumerator pe(v1, &labels);
-  CollectingSink sink;
-  const QueryStats stats = pe.Run(Query{0, 7, 1}, sink);
-  // The stale labels say dist(0, 7) = 7 > 1; keeping them would wrongly
-  // reject the one-hop path the overlay just inserted.
-  EXPECT_EQ(sink.paths().size(), 1u);
-  EXPECT_FALSE(stats.counters.oracle_rejected);
-#if PATHENUM_OBS
-  EXPECT_GT(obs::MetricRegistry::Global()
-                .GetCounter("pathenum_oracle_dropped_total")
-                ->Value(),
-            dropped_before);
-#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -535,6 +536,86 @@ TEST_F(RobustnessTest, CancelOldestShedEvictsQueuedTicket) {
   EXPECT_EQ(t3.state(), QueryState::kOk);
   EXPECT_GT(c3.count(), 0u);
   EXPECT_EQ(engine.stats().sheds, 1u);
+}
+
+/// Two disconnected path components, 0..9 and 10..19: every cross pair is
+/// oracle-certified unsatisfiable.
+Graph TwoPathComponents() {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v < 9; ++v) edges.push_back({v, v + 1});
+  for (VertexId v = 10; v < 19; ++v) edges.push_back({v, v + 1});
+  return Graph::FromEdges(20, edges);
+}
+
+/// A one-worker oracle engine with a one-slot admission queue: once the
+/// worker is parked in a GateSink and one ticket is queued, the next
+/// blocking Submit meets the full-queue policy.
+AsyncEngineOptions FullQueueOracleOptions(
+    AsyncEngineOptions::ShedPolicy policy) {
+  AsyncEngineOptions eopts;
+  eopts.num_workers = 1;
+  eopts.max_queue = 1;
+  eopts.shed_policy = policy;
+  eopts.enable_oracle = true;
+  eopts.oracle.background_relabel = false;
+  return eopts;
+}
+
+TEST_F(RobustnessTest, OracleShedSubmitNeverEvictsQueuedTicket) {
+  // The oracle verdict precedes the queue-full policy: an unsatisfiable
+  // Submit needs no slot, so under kCancelOldest it must not shed the
+  // queued ticket to make room for itself.
+  AsyncEngine engine(
+      TwoPathComponents(),
+      FullQueueOracleOptions(AsyncEngineOptions::ShedPolicy::kCancelOldest));
+  GateSink gate;
+  const QueryTicket running = engine.Submit(Query{0, 9, 9}, gate);
+  gate.WaitStarted();
+  CountingSink queued_sink;
+  const QueryTicket queued = engine.Submit(Query{0, 5, 6}, queued_sink);
+
+  CountingSink unsat_sink;
+  const QueryTicket unsat = engine.Submit(Query{0, 15, 6}, unsat_sink);
+  unsat.Wait();
+  EXPECT_EQ(unsat.state(), QueryState::kUnsatisfiable);
+
+  gate.Release();
+  running.Wait();
+  queued.Wait();
+  EXPECT_EQ(queued.state(), QueryState::kOk);
+  EXPECT_EQ(queued_sink.count(), 1u);
+  EXPECT_EQ(engine.stats().sheds, 0u);
+}
+
+TEST_F(RobustnessTest, OracleShedSubmitNeverWaitsForQueueSpace) {
+  // Under kRejectNewest a blocking Submit waits for queue space — but an
+  // unsatisfiable one needs none and must return at once, as TrySubmit
+  // does. Released after the deadline, a Submit wrongly waiting behind the
+  // parked worker fails this test instead of hanging it.
+  AsyncEngine engine(
+      TwoPathComponents(),
+      FullQueueOracleOptions(AsyncEngineOptions::ShedPolicy::kRejectNewest));
+  GateSink gate;
+  const QueryTicket running = engine.Submit(Query{0, 9, 9}, gate);
+  gate.WaitStarted();
+  CountingSink queued_sink;
+  const QueryTicket queued = engine.Submit(Query{0, 5, 6}, queued_sink);
+
+  CountingSink unsat_sink;
+  std::future<QueryTicket> submit = std::async(std::launch::async, [&] {
+    return engine.Submit(Query{0, 15, 6}, unsat_sink);
+  });
+  const bool returned = submit.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  gate.Release();
+  const QueryTicket unsat = submit.get();
+  EXPECT_TRUE(returned) << "Submit waited for queue space";
+  unsat.Wait();
+  EXPECT_EQ(unsat.state(), QueryState::kUnsatisfiable);
+
+  running.Wait();
+  queued.Wait();
+  EXPECT_EQ(queued.state(), QueryState::kOk);
 }
 
 TEST_F(RobustnessTest, ShutdownCancelPendingCompletesQueuedAsCancelled) {

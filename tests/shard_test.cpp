@@ -3,7 +3,14 @@
 // differentials — static and under update churn — asserting identical
 // result sets and exact limit accounting at the router's merge barrier.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +22,7 @@
 #include "shard/partition.h"
 #include "shard/router.h"
 #include "shard/shard_engine.h"
+#include "shard/transport.h"
 #include "test_util.h"
 
 namespace pathenum {
@@ -358,8 +366,59 @@ TEST(ShardRouter, StitchedWorkShowsUpInShardAndRouterStats) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport frame codec
+// Transport lifecycle and frame codec
 // ---------------------------------------------------------------------------
+
+TEST(ShardTransport, StartStopCyclesNeverHang) {
+  // Regression: Stop() set its flag and notified without the endpoint
+  // mutex, so a service thread between its predicate check and its wait
+  // slept through the wake-up and Stop() never returned. Every cycle also
+  // sends one frame: each frame Send accepts must be delivered, and a
+  // stopped transport must accept none. A watchdog turns a hang into a
+  // failure instead of stalling the suite.
+  constexpr int kCycles = 20000;
+  std::atomic<int> cycle{0};
+  std::mutex mutex;
+  std::condition_variable finished_cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    // A hang is no progress for 30 s: one cycle takes microseconds, so this
+    // holds however slowly a sanitizer build runs the whole loop.
+    std::unique_lock<std::mutex> lock(mutex);
+    int last = -1;
+    while (!finished_cv.wait_for(lock, std::chrono::seconds(30),
+                                 [&] { return finished; })) {
+      const int now = cycle.load();
+      if (now == last) {
+        std::fprintf(stderr, "InProcessTransport::Stop hung in cycle %d\n",
+                     now);
+        std::_Exit(EXIT_FAILURE);
+      }
+      last = now;
+    }
+  });
+  std::atomic<uint64_t> delivered{0};
+  uint64_t accepted = 0;
+  uint64_t accepted_after_stop = 0;
+  for (; cycle.load() < kCycles; ++cycle) {
+    InProcessTransport transport;
+    transport.Start(4, [&](uint32_t, std::vector<uint8_t>) {
+      delivered.fetch_add(1, std::memory_order_relaxed);
+    });
+    accepted += transport.Send(cycle.load() % 4, {1, 2, 3});
+    transport.Stop();
+    accepted_after_stop += transport.Send(0, {1});
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    finished = true;
+  }
+  finished_cv.notify_all();
+  watchdog.join();
+  EXPECT_EQ(delivered.load(), accepted);
+  EXPECT_EQ(accepted_after_stop, 0u);
+}
+
 
 TEST(ShardTransport, FrameCodecRoundTrips) {
   PathBlock block;
