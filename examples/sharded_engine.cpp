@@ -77,8 +77,8 @@ int main() {
   ServeOne(router, Query{3, 7, 5}, 8);      // tight limit: exact truncation
 
   // Updates route through the partition map: each op is applied by the
-  // shard owning its tail, which publishes its own snapshot epoch; the
-  // router's cut list advances atomically with the publishes.
+  // shard owning its tail, which publishes its own snapshot epoch; a query
+  // pins all shards' views at once, so it sees every publish or none.
   std::printf("\napplying update: +(1 -> 399), +(399 -> 9), -(1 -> 2)\n");
   const Status st = router.SubmitUpdate(
       GraphDelta{}.Insert(1, 399).Insert(399, 9).Delete(1, 2));

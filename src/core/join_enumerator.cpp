@@ -66,8 +66,10 @@ EnumCounters JoinEnumerator::Run(const LightweightIndex& index, uint32_t cut,
     is_key_ = {is_key_store_.data(), n};
     group_ = {group_store_.data(), n};
   }
-  std::memset(is_key_.data(), 0, is_key_.size());
-  std::fill(group_.begin(), group_.end(), GroupRange{});
+  if (n > 0) {  // an empty index has null spans, which memset must not get
+    std::memset(is_key_.data(), 0, is_key_.size());
+    std::fill(group_.begin(), group_.end(), GroupRange{});
+  }
 
   const uint32_t s_slot = index.source_slot();
   if (s_slot == kInvalidSlot) return counters_;

@@ -45,7 +45,7 @@ struct PartitionOptions {
 
 /// One edge of the cut: (tail, head) with ShardOf(tail) != ShardOf(head).
 /// The edge itself is stored in `tail_shard`'s subgraph (tail ownership);
-/// the router's feasibility scan and fan-out planning read this list.
+/// the router counts the live cut from this epoch-0 list.
 struct CutEdge {
   VertexId tail = 0;
   VertexId head = 0;
@@ -72,8 +72,8 @@ class GraphPartition {
   uint64_t EdgesInShard(uint32_t s) const { return shard_edges_[s]; }
   VertexId VerticesInShard(uint32_t s) const { return shard_vertices_[s]; }
 
-  /// Initial cut edges, sorted by (tail, head). The live cut list is
-  /// maintained by the router as updates stream in; this is epoch 0.
+  /// Initial cut edges, sorted by (tail, head): epoch 0 of the live cut
+  /// the router counts as updates stream in.
   std::span<const CutEdge> cut_edges() const { return cut_edges_; }
 
   /// Distinct vertices incident to a cut edge — the replicated boundary.

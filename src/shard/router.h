@@ -2,21 +2,30 @@
 // GraphPartition's shard engines plus a ShardTransport and serves
 // hop-constrained (s, t, k) queries over the union graph:
 //
-//  1. *Plan*: two k-bounded BFS over the pinned per-shard snapshots compute
-//     exact global distance fields — backward from t (each shard
-//     contributes exactly the in-edges it owns) and forward from s. If
-//     dist(s, t) > k the query is kUnsatisfiable before any per-shard work
-//     (the same soundness argument as the live oracle's lower-bound
-//     rejection, §13, but with an exact distance).
+//  1. *Plan*: a meet-in-the-middle BFS over the pinned per-shard snapshots
+//     gives every vertex of the paper's index set
+//     X = {v : dist(s, v) + dist(v, t) <= k} its exact global distances.
+//     A forward BFS from s (each vertex's out-edges live in its owner shard)
+//     and a backward BFS from t (each shard contributes exactly the
+//     in-edges it owns) grow one level at a time, always on the side with
+//     the smaller frontier, until their depths sum to k; then each side
+//     extends only through X, where the other side's distance is always
+//     already known. The fields are epoch-stamped, so the plan costs the
+//     two half-depth balls plus X's neighbourhoods, never O(|V|), and reads
+//     no cut list. If dist(s, t) > k the query is kUnsatisfiable before any
+//     per-shard work (the same soundness argument as the live oracle's
+//     lower-bound rejection, §13, with an exact distance).
 //  2. *Delegate or stitch*: a cut edge (u, w) is feasible iff
-//     dist_s(u) + 1 + dist_t(w) <= k. When NO cut edge is feasible, every
-//     feasible path provably stays inside owner(s)'s tail-owned subgraph,
-//     and the whole query is delegated to that shard's QueryEngine — full
-//     index/result-cache reuse, identical semantics to the unsharded
-//     engine. Otherwise the query runs *stitched*: partial paths expand as
-//     segment DFS inside the shard owning their current endpoint, pruned
-//     by depth + dist_t(frontier) > k, and cross shards as delta-encoded
-//     PathBlocks over the transport.
+//     dist(s, u) + 1 + dist(w, t) <= k, which puts both u and w in X, so
+//     the feasible cut edges are counted on X's own out-edges. When NO cut
+//     edge is feasible, every feasible path provably stays inside owner(s)'s
+//     tail-owned subgraph, and the whole query is delegated to that shard's
+//     QueryEngine — full index/result-cache reuse, identical semantics to
+//     the unsharded engine. Otherwise the query runs *stitched*: partial
+//     paths expand as segment DFS inside the shard owning their current
+//     endpoint, pruned by depth + 1 + dist(y, t) > k (a vertex outside X,
+//     having no stamped distance, always fails it), and cross shards as
+//     delta-encoded PathBlocks over the transport.
 //  3. *Merge*: all shards deliver through ONE BranchGate/BranchSink pair
 //     (the §8 reservation-based accounting, reused, not duplicated), so
 //     `delivered() == limit` holds at the router's merge barrier exactly
@@ -24,11 +33,11 @@
 //     internal::FinishFanout.
 //
 // Updates route through the partition map: SubmitUpdate splits a
-// GraphDelta by the owner of each edge's tail, every touched shard
-// publishes its own snapshot epoch (ShardEngine::SubmitLocalDelta), and
-// the router's cut-edge list is swapped copy-on-write under the same lock
-// queries pin their snapshots under — a query always observes one
-// consistent {per-shard views, cut list} frontier.
+// GraphDelta by the owner of each edge's tail and every touched shard
+// publishes its own snapshot epoch (ShardEngine::SubmitLocalDelta) under
+// the lock queries pin their per-shard views under — a query always
+// observes one consistent frontier of per-shard views, and the plan reads
+// cut edges straight from those views.
 //
 // Threading: Run and SubmitUpdate may each be called from one thread at a
 // time (they serialize against each other internally). During a stitched
@@ -112,8 +121,8 @@ class ShardRouter {
                    const EnumOptions& opts = {});
 
   /// Routes `delta` through the partition map: each op lands in the shard
-  /// owning its edge's tail, every touched shard publishes its own
-  /// snapshot epoch, and the cut list advances atomically with them.
+  /// owning its edge's tail, and every touched shard publishes its own
+  /// snapshot epoch, atomically with respect to the views a query pins.
   /// Rejects (without side effects) endpoints outside the vertex space.
   Status SubmitUpdate(const GraphDelta& delta);
 
@@ -132,8 +141,12 @@ class ShardRouter {
  private:
   struct Pinned {
     std::vector<std::shared_ptr<const GraphView>> views;
-    std::shared_ptr<const std::vector<CutEdge>> cut;
   };
+
+  /// The meet-in-the-middle planning state: epoch-stamped distance fields
+  /// from s and to t, sized |V| once and reused across Run calls (Run is
+  /// serialized; a stitched query reads them until its quiescence).
+  struct Plan;
 
   /// Per-shard stitched-execution state; each instance is touched only by
   /// its shard's transport service thread during one query.
@@ -152,25 +165,22 @@ class ShardRouter {
   RouterResult RunDelegated(const Query& q, PathSink& sink,
                             const EnumOptions& opts, const Pinned& pin,
                             uint32_t shard);
+  /// `dispatch_ms` is the time from Pin() to dispatch, so the result's
+  /// response time starts where its total time does.
   RouterResult RunStitched(const Query& q, PathSink& sink,
                            const EnumOptions& opts, Pinned pin,
-                           uint64_t feasible_cut, double plan_ms,
+                           uint64_t feasible_cut, double dispatch_ms,
                            obs::QuerySpan& span);
-
-  /// k-bounded exact global BFS over the pinned per-shard snapshots.
-  void ComputeBackwardDistances(const Pinned& pin, VertexId t, uint32_t k);
-  void ComputeForwardDistances(const Pinned& pin, VertexId s, uint32_t k);
 
   uint64_t generation_;
   std::vector<uint32_t> shard_map_;
   std::vector<std::unique_ptr<ShardEngine>> shards_;
   std::unique_ptr<ShardTransport> transport_;
 
-  /// Guards {per-shard published snapshots, cut list} consistency between
-  /// Pin() and SubmitUpdate.
+  /// Guards the per-shard published snapshots' consistency between Pin()
+  /// and SubmitUpdate, and the live cut's size count.
   mutable std::mutex state_mutex_;
   std::unordered_set<uint64_t> cut_set_;  // packed (tail << 32 | head)
-  std::shared_ptr<const std::vector<CutEdge>> cut_list_;
 
   /// The active stitched query (null between queries). Written by Run
   /// under active_mutex_; transport handlers take a shared_ptr copy.
@@ -178,11 +188,7 @@ class ShardRouter {
   std::shared_ptr<StitchState> active_;
   uint64_t next_query_id_ = 1;
 
-  /// Planning buffers, reused across Run calls (Run is serialized).
-  std::vector<uint32_t> dist_to_t_;
-  std::vector<uint32_t> dist_from_s_;
-  std::vector<VertexId> frontier_;
-  std::vector<VertexId> next_frontier_;
+  std::unique_ptr<Plan> plan_;
 
   obs::ShardedCounter queries_;
   obs::ShardedCounter delegated_;

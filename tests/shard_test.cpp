@@ -1,16 +1,20 @@
 // The sharded serving tier (DESIGN.md §14): partition invariants, the
-// per-shard cache-key salt, and randomized sharded-vs-unsharded
-// differentials — static and under update churn — asserting identical
-// result sets and exact limit accounting at the router's merge barrier.
+// per-shard cache-key salt, randomized sharded-vs-unsharded differentials —
+// static and under update churn — asserting identical result sets and exact
+// limit accounting at the router's merge barrier, and the router's plan
+// (unsatisfiable, delegated, feasible cut count) against brute force.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +23,7 @@
 #include "engine/index_cache.h"
 #include "graph/generators.h"
 #include "graph/view.h"
+#include "obs/metrics.h"
 #include "shard/partition.h"
 #include "shard/router.h"
 #include "shard/shard_engine.h"
@@ -307,6 +312,202 @@ TEST(ShardRouter, UnsatisfiableAndRejectedQueries) {
   r = router.Run(Query{0, g.num_vertices(), 4}, sink);
   EXPECT_EQ(r.state, QueryState::kRejected);
   EXPECT_EQ(router.stats().rejected, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Plan exactness: the unsatisfiable verdict, the delegate decision and the
+// feasible cut count against a brute force over the materialized graph
+// ---------------------------------------------------------------------------
+
+/// Unbounded BFS distances from `root` along out-edges (forward) or
+/// in-edges (backward); kInfDistance where unreachable.
+std::vector<uint32_t> BfsDistances(const Graph& g, VertexId root,
+                                   bool forward) {
+  std::vector<uint32_t> dist(g.num_vertices(), kInfDistance);
+  std::vector<VertexId> queue{root};
+  dist[root] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const VertexId x = queue[head];
+    for (const VertexId y : forward ? g.OutNeighbors(x) : g.InNeighbors(x)) {
+      if (dist[y] == kInfDistance) {
+        dist[y] = dist[x] + 1;
+        queue.push_back(y);
+      }
+    }
+  }
+  return dist;
+}
+
+/// Runs q through the router and checks its plan against brute force on
+/// `g`, the graph the router currently serves: kUnsatisfiable iff
+/// dist(s, t) > k; otherwise the feasible cut edges are the edges (u, w)
+/// with owner(u) != owner(w) and dist(s, u) + 1 + dist(w, t) <= k, and the
+/// query is delegated to owner(s) iff there are none.
+void ExpectExactPlan(ShardRouter& router, const Graph& g, const Query& q,
+                     const std::string& where) {
+  const std::vector<uint32_t> ds = BfsDistances(g, q.source, true);
+  const std::vector<uint32_t> dt = BfsDistances(g, q.target, false);
+  uint64_t feasible = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    if (ds[u] == kInfDistance) continue;
+    for (const VertexId w : g.OutNeighbors(u)) {
+      if (router.ShardOf(u) != router.ShardOf(w) && dt[w] != kInfDistance &&
+          ds[u] + 1 + dt[w] <= q.hops) {
+        ++feasible;
+      }
+    }
+  }
+  EnumOptions opts;
+  opts.result_limit = 32;
+  CountingSink sink;
+  const RouterResult r = router.Run(q, sink, opts);
+  const std::string at = where + " q(" + std::to_string(q.source) + "," +
+                         std::to_string(q.target) + "," +
+                         std::to_string(q.hops) + ")";
+  if (dt[q.source] > q.hops) {
+    EXPECT_EQ(r.state, QueryState::kUnsatisfiable) << at;
+    return;
+  }
+  EXPECT_NE(r.state, QueryState::kUnsatisfiable) << at;
+  EXPECT_EQ(r.delegated, feasible == 0) << at;
+  EXPECT_EQ(r.feasible_cut_edges, feasible) << at;  // 0 when delegated
+  if (r.delegated) {
+    EXPECT_EQ(r.delegate_shard, router.ShardOf(q.source)) << at;
+  }
+}
+
+/// `g` plus three vertices that empty one plan frontier early: a dead end
+/// d (in-edges only), a fresh source f (out-edges only) and p with the
+/// single path f -> p -> d, so the forward BFS from p stops after two
+/// levels and the backward BFS to p after two.
+Graph WithDeadEnds(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  GraphBuilder b(n + 3);
+  b.AddGraph(g);
+  const VertexId dead = n, fresh = n + 1, pendant = n + 2;
+  for (const VertexId v : {VertexId{0}, n / 2, n - 1}) {
+    b.AddEdge(v, dead);
+    b.AddEdge(fresh, v);
+  }
+  b.AddEdge(fresh, pendant);
+  b.AddEdge(pendant, dead);
+  return b.Build();
+}
+
+TEST(ShardRouter, PlanMatchesBruteForce) {
+  const Graph graphs[] = {
+      WithDeadEnds(ErdosRenyi(60, 200, /*seed=*/71)),
+      WithDeadEnds(BarabasiAlbert(60, 2, /*back_prob=*/0.3, /*seed=*/73)),
+      WithDeadEnds(LayeredGraph(/*layers=*/4, /*width=*/3)),
+  };
+  for (size_t gi = 0; gi < std::size(graphs); ++gi) {
+    const Graph& base = graphs[gi];
+    const VertexId n = base.num_vertices();
+    const VertexId dead = n - 3, fresh = n - 2, pendant = n - 1;
+    for (const uint32_t shards : {2u, 4u, 8u}) {
+      RouterOptions opts;
+      opts.partition.num_shards = shards;
+      ShardRouter router(base, opts);
+      GraphView reference(base);
+      std::mt19937_64 rng(1000 * gi + shards);
+      // Updates stay among the generated vertices, so the three added ones
+      // keep their missing in- or out-edges in every round.
+      std::uniform_int_distribution<VertexId> pick(0, dead - 1);
+      for (uint32_t round = 0; round <= 3; ++round) {
+        if (round > 0) {
+          GraphDelta delta;
+          for (int i = 0; i < 12; ++i) {
+            const VertexId u = pick(rng);
+            const VertexId v = pick(rng);
+            if (u == v) continue;
+            if (rng() % 2 == 0) {
+              delta.Insert(u, v);
+            } else {
+              delta.Delete(u, v);
+            }
+          }
+          ASSERT_TRUE(router.SubmitUpdate(delta).ok());
+          reference = reference.Apply(delta, round);
+        }
+        const Graph g = reference.Materialize();
+        const std::string where = "graph " + std::to_string(gi) +
+                                  " shards " + std::to_string(shards) +
+                                  " round " + std::to_string(round);
+        for (uint32_t k = 1; k <= 6; ++k) {
+          std::vector<Query> queries = {
+              {pendant, dead, k}, {fresh, dead, k},   {fresh, pendant, k},
+              {dead, pick(rng), k}, {pick(rng), fresh, k},
+          };
+          // Pairs at distance exactly k and k + 1, and one at random.
+          const VertexId s = pick(rng);
+          const std::vector<uint32_t> ds = BfsDistances(g, s, true);
+          for (const uint32_t want : {k, k + 1}) {
+            for (VertexId t = 0; t < n; ++t) {
+              if (ds[t] == want) {
+                queries.push_back({s, t, k});
+                break;
+              }
+            }
+          }
+          queries.push_back({s, pick(rng), k});
+          for (const Query& q : queries) {
+            if (q.source != q.target) ExpectExactPlan(router, g, q, where);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// (count, sum_ms) of `router`'s pathenum_router_plan_ms histogram, read
+/// from the registry's JSON exposition.
+std::pair<uint64_t, double> PlanHistogram(const ShardRouter& router) {
+  const std::string json = obs::DumpMetricsJson();
+  const std::string head = "\"pathenum_router_plan_ms{router=\\\"";
+  const std::string tail = "\\\",gen=\\\"" +
+                           std::to_string(router.generation()) +
+                           "\\\"}\":{\"count\":";
+  for (size_t at = json.find(head); at != std::string::npos;
+       at = json.find(head, at + 1)) {
+    size_t pos = at + head.size();
+    while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') ++pos;
+    if (json.compare(pos, tail.size(), tail) != 0) continue;
+    const uint64_t count =
+        std::strtoull(json.c_str() + pos + tail.size(), nullptr, 10);
+    const size_t sum = json.find("\"sum_ms\":", pos);
+    return {count, std::strtod(json.c_str() + sum + 9, nullptr)};
+  }
+  return {0, 0.0};
+}
+
+TEST(ShardRouter, DelegatedTimesStartBeforeThePlan) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  // A one-hop query over an edge inside one shard has no feasible cut edge,
+  // so it delegates; its total and response times start at Pin(), like a
+  // stitched or unsatisfiable result's, and so cover the plan.
+  const Graph g = ErdosRenyi(2000, 16000, /*seed=*/61);
+  RouterOptions opts;
+  opts.partition.num_shards = 4;
+  ShardRouter router(g, opts);
+  int delegated = 0;
+  for (VertexId u = 0; u < g.num_vertices() && delegated < 20; u += 97) {
+    for (const VertexId w : g.OutNeighbors(u)) {
+      if (router.ShardOf(u) != router.ShardOf(w)) continue;
+      const auto before = PlanHistogram(router);
+      CountingSink sink;
+      const RouterResult r = router.Run(Query{u, w, 1}, sink);
+      const auto after = PlanHistogram(router);
+      ASSERT_TRUE(r.delegated);
+      ASSERT_EQ(after.first, before.first + 1);
+      // The registry keeps whole nanoseconds, rounded.
+      const double plan_ms = after.second - before.second - 1e-6;
+      EXPECT_GE(r.stats.total_ms, plan_ms);
+      EXPECT_GE(r.stats.response_ms, plan_ms);
+      ++delegated;
+      break;
+    }
+  }
+  EXPECT_EQ(delegated, 20);
 }
 
 TEST(ShardRouter, PreCancelledStitchedQueryReportsCancelled) {
