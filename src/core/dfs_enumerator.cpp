@@ -88,7 +88,7 @@ EnumCounters DfsEnumerator::RunBranch(const LightweightIndex& index,
   on_path_[branch] = epoch_;
   // Both partial results of the starting chain are on the books: (s) and
   // (s, branch). Fan-out drivers deduct the shared (s) copy per branch
-  // (internal::DrainBranches) and charge it once via root_partials.
+  // (internal::RunBranchUnit) and charge it once via root_partials.
   counters_.partials = 2;
   if (branch == index.target_slot()) {
     AppendPath(1);

@@ -50,7 +50,7 @@ class DfsEnumerator {
   /// results of its starting chain — (s) and (s, branch) — so a standalone
   /// call is self-consistent; the fan-out drivers deduct the shared (s)
   /// copy per branch and charge it exactly once (see
-  /// internal::DrainBranches).
+  /// internal::RunBranchUnit).
   EnumCounters RunBranch(uint32_t branch, PathSink& sink,
                          const EnumOptions& opts = {});
   EnumCounters RunBranch(const LightweightIndex& index, uint32_t branch,

@@ -63,40 +63,20 @@ void FinishFanout(EnumCounters& out, std::span<const EnumCounters> workers,
   out.response_ms = response_ms;
 }
 
-EnumCounters DrainBranches(DfsEnumerator& dfs, const LightweightIndex& index,
-                           std::span<const uint32_t> branches,
-                           std::atomic<uint32_t>& cursor, PathSink& sink,
-                           const EnumOptions& opts, const Deadline& deadline,
-                           std::atomic<bool>* stop_claims) {
-  EnumCounters total;
-  // Per-branch options: the shared gate handles the cross-thread result
-  // limit; the deadline is absolute, so re-deriving each branch's budget
-  // from its remaining wall time keeps it globally correct.
-  while (stop_claims == nullptr ||
-         !stop_claims->load(std::memory_order_relaxed)) {
-    const uint32_t b = cursor.fetch_add(1, std::memory_order_relaxed);
-    if (b >= branches.size()) break;
-    // The immediate target-arrival and the duplicate check for s are the
-    // root frame's job in the sequential code; handled by RunBranch.
-    EnumCounters c = dfs.RunBranch(index, branches[b], sink,
-                                   BranchOptions(opts, deadline));
-    // RunBranch charges both partials of its chain — (s) and (s, branch) —
-    // so a standalone call is self-consistent. Within a fan-out the root
-    // (s) is shared by every branch and charged exactly once via
-    // FinishFanout's root_partials; deduct the per-branch copy here so the
-    // merged totals equal the sequential enumeration's.
-    c.partials -= 1;
-    // Stop claiming work once the limit was reached or time ran out — and
-    // tell the other participants, whose remaining units can only discover
-    // the same.
-    if (!AccumulateBranch(total, c)) {
-      if (stop_claims != nullptr) {
-        stop_claims->store(true, std::memory_order_relaxed);
-      }
-      break;
-    }
-  }
-  return total;
+EnumCounters RunBranchUnit(DfsEnumerator& dfs, const LightweightIndex& index,
+                           uint32_t branch, PathSink& sink,
+                           const EnumOptions& opts, const Deadline& deadline) {
+  // The immediate target-arrival and the duplicate check for s are the
+  // root frame's job in the sequential code; handled by RunBranch.
+  EnumCounters c =
+      dfs.RunBranch(index, branch, sink, BranchOptions(opts, deadline));
+  // RunBranch charges both partials of its chain — (s) and (s, branch) —
+  // so a standalone call is self-consistent. Within a fan-out the root (s)
+  // is shared by every branch and charged exactly once via FinishFanout's
+  // root_partials; deduct the per-branch copy here so the merged totals
+  // equal the sequential enumeration's.
+  c.partials -= 1;
+  return c;
 }
 
 }  // namespace internal
@@ -137,9 +117,11 @@ ParallelEnumResult ParallelDfsEnumerator::Run(
     // No shared stop flag here: in per-worker mode an inner sink refusing
     // stops only its own worker (the class contract) — the other workers
     // must keep draining their branches.
-    worker_counters[worker] = internal::DrainBranches(
-        dfs, index_, branches, cursor, limited, opts, deadline,
-        /*stop_claims=*/nullptr);
+    worker_counters[worker] = internal::DrainUnits(
+        cursor, branches.size(), /*stop_claims=*/nullptr, [&](uint32_t b) {
+          return internal::RunBranchUnit(dfs, index_, branches[b], limited,
+                                         opts, deadline);
+        });
   });
 
   internal::FinishFanout(result.counters, worker_counters,

@@ -30,48 +30,69 @@ class DfsEnumerator;
 
 namespace internal {
 
-// Accounting helpers shared by every branch-parallel DFS driver (the
-// pooled ParallelDfsEnumerator below, QueryEngine::RunSplit and the
-// AsyncEngine's cooperative split tickets). Branch-level limit bookkeeping
-// is subtle enough that it must live in exactly one place.
+// Accounting helpers shared by every fan-out driver (the pooled
+// ParallelDfsEnumerator below and the engines' split executor,
+// engine/split_executor.h). Unit-level limit bookkeeping is subtle enough
+// that it must live in exactly one place.
 
-/// Options for one branch of a fanned-out enumeration: result limit and
+/// Options for one unit of a fanned-out enumeration: result limit and
 /// response target are delegated to the shared sink; the time budget is
 /// re-derived from the query's one absolute deadline
 /// (Deadline::RemainingMs), so every unit — whenever and on whichever
 /// worker it starts — observes the same end instant.
 EnumOptions BranchOptions(const EnumOptions& opts, const Deadline& deadline);
 
-/// Folds one finished branch's counters into a worker's running total.
-/// Returns false when the worker should stop claiming branches (sink stop
-/// or timeout).
+/// Folds one finished unit's counters into a participant's running total.
+/// Returns false when the participant should stop claiming units (sink
+/// stop, timeout, memory/work budget or cancel).
 bool AccumulateBranch(EnumCounters& total, const EnumCounters& branch);
 
-/// Merges per-worker totals into `out` and applies the shared accounting:
-/// `root_partials`/`root_edges` charge the fan-out driver's own work once
-/// (the DFS drivers pass the root partial (s) and the per-branch edge scan;
-/// the split join passes zeros — its units carry all of its work), and
-/// `delivered` results against `opts.result_limit` decide hit_result_limit
-/// vs stopped_by_sink. `delivered` must come from the fan-out's BranchGate,
-/// which structurally caps it at the limit — never limit + 1, even when a
-/// branch hits the limit exactly at a merge barrier.
+/// Merges per-participant totals into `out` and applies the shared
+/// accounting: `root_partials`/`root_edges` charge the fan-out driver's own
+/// work once (the DFS drivers pass the root partial (s) and the per-branch
+/// edge scan; the split join passes zeros — its units carry all of its
+/// work), and `delivered` results against `opts.result_limit` decide
+/// hit_result_limit vs stopped_by_sink. `delivered` must come from the
+/// fan-out's BranchGate, which structurally caps it at the limit — never
+/// limit + 1, even when a unit hits the limit exactly at a merge barrier.
 void FinishFanout(EnumCounters& out, std::span<const EnumCounters> workers,
                   uint64_t root_partials, uint64_t root_edges,
                   uint64_t delivered, double response_ms,
                   const EnumOptions& opts);
 
-/// The one branch-claiming loop every split driver runs (per participating
-/// worker): claims first-level branch units off the shared `cursor`, runs
-/// them through `dfs` into `sink` (a BranchSink, normally), and accumulates
-/// their counters until the units are drained or this participant's
-/// accumulated counters say stop. When a participant stops early it trips
-/// `stop_claims` (if given) so the other participants stop claiming new
-/// units too — the query-wide limit makes their remaining work moot.
-EnumCounters DrainBranches(DfsEnumerator& dfs, const LightweightIndex& index,
-                           std::span<const uint32_t> branches,
-                           std::atomic<uint32_t>& cursor, PathSink& sink,
-                           const EnumOptions& opts, const Deadline& deadline,
-                           std::atomic<bool>* stop_claims = nullptr);
+/// The one unit-claiming loop every fan-out driver runs per participant
+/// (DESIGN.md §8): claims units [0, num_units) off the shared `cursor`,
+/// runs each through `run_unit(u)` -> EnumCounters, and accumulates their
+/// counters until the units are drained or this participant's accumulated
+/// counters say stop. A participant stopping early trips `stop_claims` (if
+/// given) so the other participants stop claiming new units too — the
+/// query-wide limit makes their remaining work moot. DFS first-level
+/// branches (RunBranchUnit), the split join's half units and its probe
+/// chunks all drain through it.
+template <typename RunUnit>
+EnumCounters DrainUnits(std::atomic<uint32_t>& cursor, size_t num_units,
+                        std::atomic<bool>* stop_claims, RunUnit&& run_unit) {
+  EnumCounters total;
+  while (stop_claims == nullptr ||
+         !stop_claims->load(std::memory_order_relaxed)) {
+    const uint32_t u = cursor.fetch_add(1, std::memory_order_relaxed);
+    if (u >= num_units) break;
+    if (!AccumulateBranch(total, run_unit(u))) {
+      if (stop_claims != nullptr) {
+        stop_claims->store(true, std::memory_order_relaxed);
+      }
+      break;
+    }
+  }
+  return total;
+}
+
+/// One first-level DFS branch unit: runs `branch` through `dfs` into `sink`
+/// (a BranchSink, normally) under the unit options of BranchOptions, with
+/// the shared root partial deducted (FinishFanout charges it once).
+EnumCounters RunBranchUnit(DfsEnumerator& dfs, const LightweightIndex& index,
+                           uint32_t branch, PathSink& sink,
+                           const EnumOptions& opts, const Deadline& deadline);
 
 }  // namespace internal
 

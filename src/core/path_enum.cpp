@@ -7,11 +7,8 @@
 
 namespace pathenum {
 
-namespace {
-
-/// Folds enumeration counters and phase timings into the query report.
-void Finalize(QueryStats& stats, const EnumCounters& counters,
-              double enumerate_ms, double total_ms) {
+void FinalizeStats(QueryStats& stats, const EnumCounters& counters,
+                   double enumerate_ms, double total_ms) {
   stats.counters = counters;
   stats.enumerate_ms = enumerate_ms;
   stats.total_ms = total_ms;
@@ -23,7 +20,16 @@ void Finalize(QueryStats& stats, const EnumCounters& counters,
                           : total_ms;
 }
 
-}  // namespace
+void FinalizeInterruptedBuild(QueryStats& stats,
+                              const LightweightIndex& index, double total_ms) {
+  EnumCounters counters;
+  if (index.build_stats().interrupted_by_cancel) {
+    counters.cancelled = true;
+  } else {
+    counters.timed_out = true;
+  }
+  FinalizeStats(stats, counters, 0.0, total_ms);
+}
 
 IndexBuilder::Options PathEnumerator::BuildOptionsFor(const Query& q,
                                                       const EnumOptions& opts) {
@@ -42,23 +48,6 @@ IndexBuilder::Options PathEnumerator::BuildOptionsFor(const Query& q,
   return build_opts;
 }
 
-namespace {
-
-/// Fills `stats` for a query whose index build was control-tripped: no
-/// enumeration ran, zero results, the matching terminal flag set.
-void FinalizeInterruptedBuild(QueryStats& stats,
-                              const LightweightIndex& index, Timer& total) {
-  EnumCounters counters;
-  if (index.build_stats().interrupted_by_cancel) {
-    counters.cancelled = true;
-  } else {
-    counters.timed_out = true;
-  }
-  Finalize(stats, counters, 0.0, total.ElapsedMs());
-}
-
-}  // namespace
-
 QueryStats PathEnumerator::Run(const Query& q, PathSink& sink,
                                const EnumOptions& opts) {
   ValidateQuery(view_, q);
@@ -69,7 +58,7 @@ QueryStats PathEnumerator::Run(const Query& q, PathSink& sink,
   stats.bfs_ms = index.build_stats().bfs_ms;
   stats.index_ms = index.build_stats().total_ms;
   if (index.build_stats().interrupted) {
-    FinalizeInterruptedBuild(stats, index, total);
+    FinalizeInterruptedBuild(stats, index, total.ElapsedMs());
     return stats;
   }
   ExecuteOnIndex(index, stats, sink, opts, total);
@@ -153,7 +142,7 @@ void PathEnumerator::ExecuteOnIndex(const LightweightIndex& index,
   } else {
     counters = dfs_.Run(index, sink, opts);
   }
-  Finalize(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
+  FinalizeStats(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
 }
 
 QueryStats PathEnumerator::RunConstrained(const Query& q,
@@ -187,7 +176,7 @@ QueryStats PathEnumerator::RunConstrained(const Query& q,
   stats.bfs_ms = index.build_stats().bfs_ms;
   stats.index_ms = index.build_stats().total_ms;
   if (index.build_stats().interrupted) {
-    FinalizeInterruptedBuild(stats, index, total);
+    FinalizeInterruptedBuild(stats, index, total.ElapsedMs());
     return stats;
   }
   stats.index_vertices = index.num_vertices();
@@ -215,7 +204,7 @@ QueryStats PathEnumerator::RunConstrained(const Query& q,
     // Predicate-only: plain DFS on the filtered index, pooled scratch.
     counters = dfs_.Run(index, sink, opts);
   }
-  Finalize(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
+  FinalizeStats(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
   return stats;
 }
 

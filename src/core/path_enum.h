@@ -125,6 +125,19 @@ class PathEnumerator {
   BumpArena arena_;
 };
 
+/// Folds enumeration counters and phase timings into a query report; the
+/// response time runs from query start to the response_target-th result,
+/// or is the whole query time if the target was never reached.
+void FinalizeStats(QueryStats& stats, const EnumCounters& counters,
+                   double enumerate_ms, double total_ms);
+
+/// FinalizeStats for a query whose index build was control-tripped
+/// (`index.build_stats().interrupted`): no enumeration ran, zero results,
+/// the matching cancelled / timed_out flag. Every front end reports a
+/// tripped build through this.
+void FinalizeInterruptedBuild(QueryStats& stats, const LightweightIndex& index,
+                              double total_ms);
+
 /// Calibrates the preliminary-estimator threshold τ for a graph following
 /// §6.2: grow τ through powers of ten until the time IDX-DFS needs to find
 /// τ results exceeds the median join-order-optimization time of the sample

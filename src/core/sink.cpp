@@ -67,6 +67,23 @@ bool BlockEmitter::Flush() {
   return true;
 }
 
+namespace {
+
+/// Calls a serialized inner sink under the gate mutex; if it throws, the
+/// stop latch trips before the exception leaves the mutex, so no other
+/// participant waiting on it calls the broken sink again.
+template <typename Deliver>
+auto LatchOnThrow(BranchGate& gate, Deliver&& deliver) {
+  try {
+    return deliver();
+  } catch (...) {
+    gate.Stop();
+    throw;
+  }
+}
+
+}  // namespace
+
 bool BranchSink::OnPath(std::span<const VertexId> path) {
   BranchGate& g = gate_;
   if (g.stopped_.load(std::memory_order_relaxed)) return false;
@@ -81,11 +98,11 @@ bool BranchSink::OnPath(std::span<const VertexId> path) {
     {
       const std::lock_guard<std::mutex> lock(g.mutex_);
       // The latch is re-checked under the serialization mutex: once the
-      // inner sink returns false it must never be called again (it may
-      // have torn down its state on that contract).
+      // inner sink returns false or throws it must never be called again
+      // (it may have torn down its state on that contract).
       if (g.stopped_.load(std::memory_order_relaxed)) return false;
       g.delivered_.fetch_add(1, std::memory_order_relaxed);
-      keep_going = inner_.OnPath(path);
+      keep_going = LatchOnThrow(g, [&] { return inner_.OnPath(path); });
       if (!keep_going) g.stopped_.store(true, std::memory_order_relaxed);
     }
     if (!keep_going) return false;
@@ -121,7 +138,7 @@ PathSink::BlockResult BranchSink::OnBlock(const PathBlockView& block) {
   if (mode_ == Mode::kSerialized) {
     const std::lock_guard<std::mutex> lock(g.mutex_);
     if (g.stopped_.load(std::memory_order_relaxed)) return {0, true};
-    inner = inner_.OnBlock(granted);
+    inner = LatchOnThrow(g, [&] { return inner_.OnBlock(granted); });
     g.delivered_.fetch_add(inner.consumed, std::memory_order_relaxed);
     if (inner.stop || inner.consumed < granted.count) {
       g.stopped_.store(true, std::memory_order_relaxed);

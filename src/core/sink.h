@@ -322,12 +322,12 @@ class BranchGate {
     return response_ms_.load(std::memory_order_relaxed);
   }
 
-  /// True once the latch tripped: a serialized inner sink refused a path,
-  /// or Stop() was called.
+  /// True once the latch tripped: a serialized inner sink refused a path
+  /// or threw, or Stop() was called.
   bool stopped() const { return stopped_.load(std::memory_order_relaxed); }
 
-  /// External cancel (the per-ticket stop latch of the async engine): no
-  /// further path passes through any adapter on this gate.
+  /// External stop (a failed split participant): no further path passes
+  /// through any adapter on this gate.
   void Stop() { stopped_.store(true, std::memory_order_relaxed); }
 
  private:
@@ -355,7 +355,8 @@ class BranchGate {
 ///  - kSerialized: every worker shares *one* adapter over one caller-owned
 ///    sink (the engines' contract). Deliveries serialize under the gate's
 ///    mutex, and the stop latch guarantees the inner sink is never called
-///    again after it returns false (it may tear down on that signal).
+///    again after it returns false or throws (it may tear down on that
+///    signal).
 ///
 /// In both modes the adapter signals stop once the shared result limit is
 /// reached, which the enumerators report as a sink stop; the fan-out

@@ -1,6 +1,14 @@
 #include "engine/query_context.h"
 
+#include <stdexcept>
+
 namespace pathenum {
+
+QueryState FailedRunState(const std::exception& e) {
+  return dynamic_cast<const std::logic_error*>(&e) != nullptr
+             ? QueryState::kRejected
+             : QueryState::kError;
+}
 
 QueryStats QueryContext::Run(const Query& q, PathSink& sink,
                              const EnumOptions& opts) {
@@ -44,34 +52,21 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
     }
   }
 
-  const IndexBuilder::Options build_opts =
-      PathEnumerator::BuildOptionsFor(q, opts);
-  const CacheKey index_key{q.source, q.target, q.hops,
-                           IndexOptionsFingerprint(build_opts)};
-  bool index_hit = false;
-  const std::shared_ptr<const LightweightIndex> index = cache->GetOrBuild(
-      index_key, [&] { return enumerator_.BuildIndex(q, build_opts); },
-      &index_hit, view_version);
+  QueryStats acquired;
+  const std::shared_ptr<const LightweightIndex> index = AcquireIndex(
+      q, PathEnumerator::BuildOptionsFor(q, opts), cache, acquired);
   if (span != nullptr) {
-    span->SetIndexOutcome(index_hit, false, index->build_stats().batched);
+    span->SetIndexOutcome(acquired.index_cache_hit, false,
+                          index->build_stats().batched);
     span->Mark(obs::SpanStage::kIndexAcquire);
   }
 
   if (index->build_stats().interrupted) {
     // This query's own deadline/cancel tripped mid-build (an interrupted
     // build is never published or handed to waiters, so it is always ours).
-    QueryStats stats;
-    if (index->build_stats().interrupted_by_cancel) {
-      stats.counters.cancelled = true;
-    } else {
-      stats.counters.timed_out = true;
-    }
-    stats.bfs_ms = index->build_stats().bfs_ms;
-    stats.index_ms = index->build_stats().total_ms;
-    stats.total_ms = stats.index_ms;
-    stats.response_ms = stats.total_ms;
+    FinalizeInterruptedBuild(acquired, *index, acquired.index_ms);
     ++queries_run_;
-    return stats;
+    return acquired;
   }
 
   QueryStats stats;
@@ -87,14 +82,13 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
     stats = enumerator_.RunWithIndex(*index, sink, opts);
   }
   if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
-  stats.index_cache_hit = index_hit;
-  if (!index_hit) {
-    // This context paid for the build inside GetOrBuild; charge it.
-    stats.bfs_ms = index->build_stats().bfs_ms;
-    stats.index_ms = index->build_stats().total_ms;
-    stats.total_ms += stats.index_ms;
-    stats.response_ms += stats.index_ms;
-  }
+  // A miss paid for the build inside AcquireIndex; charge it (a hit's
+  // build times are zero).
+  stats.index_cache_hit = acquired.index_cache_hit;
+  stats.bfs_ms = acquired.bfs_ms;
+  stats.index_ms = acquired.index_ms;
+  stats.total_ms += stats.index_ms;
+  stats.response_ms += stats.index_ms;
   ++queries_run_;
   return stats;
 }

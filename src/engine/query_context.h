@@ -8,12 +8,38 @@
 #define PATHENUM_ENGINE_QUERY_CONTEXT_H_
 
 #include <cstdint>
+#include <exception>
+#include <utility>
+#include <vector>
 
 #include "core/path_enum.h"
 #include "engine/index_cache.h"
 #include "obs/span.h"
 
 namespace pathenum {
+
+/// The terminal state of a run that threw (DESIGN.md §10): invalid input
+/// (ValidateQuery's std::logic_error) is kRejected; anything else — a
+/// throwing sink, an injected fault — is kError. Every front end maps its
+/// failed runs through this.
+QueryState FailedRunState(const std::exception& e);
+
+/// Grow-only split IDX-JOIN tables (DESIGN.md §8), owned by the context
+/// that leads a split query: concurrent leaders never share them, and a
+/// leader's repeated split joins reach the §5 no-steady-state-allocation
+/// discipline the serial join's member/arena tables keep. Cache-line
+/// aligned: every participant reads these vector headers per unit while
+/// the leader's own enumerator state, right before them in QueryContext,
+/// is written per tuple by the worker running on that context.
+struct alignas(64) SplitJoinScratch {
+  std::vector<uint32_t> starts;  // the cut level set C_cut
+  std::vector<uint32_t> left;    // left-half tuples
+  std::vector<std::vector<uint32_t>> right;  // one buffer per participant
+  std::vector<std::pair<size_t, size_t>> ranges;  // per start, in its buffer
+  std::vector<uint32_t> range_owner;  // per start: the participant's buffer
+  std::vector<uint8_t> is_key;        // slot-indexed join-key set
+  std::vector<JoinGroup> groups;      // slot-indexed right-half groups
+};
 
 /// One worker's reusable execution state. Not thread-safe: a context is
 /// owned by exactly one worker at a time.
@@ -52,11 +78,11 @@ class QueryContext {
   void NoteFanout(uint64_t extra_served) { queries_run_ += extra_served; }
 
   /// Builds — or fetches from `cache`, when one is given — the per-query
-  /// index a split driver fans out over (DESIGN.md §8). `build_opts` must
-  /// come from PathEnumerator::BuildOptionsFor so split and serial
-  /// executions share cache fingerprints. Charges build stats to `stats`
-  /// on a miss and flags `stats.index_cache_hit` on a hit; always fills
-  /// the index size fields.
+  /// index RunCached and the split executor (DESIGN.md §8) run on.
+  /// `build_opts` must come from PathEnumerator::BuildOptionsFor so split
+  /// and serial executions share cache fingerprints. Charges build stats
+  /// to `stats` on a miss and flags `stats.index_cache_hit` on a hit;
+  /// always fills the index size fields.
   std::shared_ptr<const LightweightIndex> AcquireIndex(
       const Query& q, const IndexBuilder::Options& build_opts,
       IndexCache* cache, QueryStats& stats);
@@ -66,6 +92,8 @@ class QueryContext {
   /// the worker that claimed it. Single-owner like everything else here.
   DfsEnumerator& split_dfs() { return enumerator_.dfs_; }
   JoinEnumerator& split_join() { return enumerator_.join_; }
+  /// The split join's tables while this context leads a split query.
+  SplitJoinScratch& split_join_scratch() { return split_join_scratch_; }
 
   PathEnumerator& enumerator() { return enumerator_; }
 
@@ -78,6 +106,7 @@ class QueryContext {
 
  private:
   PathEnumerator enumerator_;
+  SplitJoinScratch split_join_scratch_;
   uint64_t queries_run_ = 0;
 };
 

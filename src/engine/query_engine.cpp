@@ -1,15 +1,12 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 
-#include "core/dfs_enumerator.h"
-#include "core/parallel_dfs.h"
+#include "engine/split_executor.h"
 #include "util/timer.h"
 
 namespace pathenum {
@@ -254,18 +251,24 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   // the ValidFor gate (exact version + base uid) turns every mismatch into
   // "no claims", so a racing publish can never cause a wrong rejection.
   // Each query stopped here finishes its own zero-width span, like an async
-  // ticket shed at admission.
+  // ticket shed at admission. In split mode every admitted query's span
+  // begins here too, so its wait behind earlier split queries of the batch
+  // is its queue_wait stage (stealing mode begins one span per group
+  // before the workers start).
   LiveDistanceOracle::EpochRef epoch =
       live_oracle_ != nullptr ? live_oracle_->ForVersion(view_.version())
                               : LiveDistanceOracle::EpochRef();
   if (!epoch.ValidFor(view_)) epoch = LiveDistanceOracle::EpochRef();
   std::vector<size_t> admitted;
   admitted.reserve(queries.size());
+  std::vector<obs::QuerySpan> split_spans(
+      opts.split_branches ? queries.size() : 0);
   for (size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
     const Status st = CheckQuery(view_, q);
     if (st.ok() && !epoch.Rejects(q.source, q.target, q.hops)) {
       admitted.push_back(i);
+      if (opts.split_branches) split_spans[i].Begin(q.source, q.target, q.hops);
       continue;
     }
     obs::QuerySpan span;
@@ -284,21 +287,29 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   }
 
   if (opts.split_branches) {
-    // Intra-query mode: the pool gangs up on one query at a time.
+    // Intra-query mode: the pool gangs up on one query at a time. Context 0
+    // leads (acquires the index, owns the join tables) and, like every
+    // other active worker, drains units of each phase.
     const uint32_t active = ClampedWorkers(pool_.num_workers());
     result.workers = active;
+    const RecruitParticipants recruit = [&](SplitPhase& phase) {
+      pool_.RunOnWorkers(active,
+                         [&](uint32_t w) { phase.Drain(*contexts_[w], w); });
+    };
     for (const size_t i : admitted) {
+      obs::QuerySpan& span = split_spans[i];
+      span.Mark(obs::SpanStage::kQueueWait);
       try {
-        result.stats[i] =
-            RunSplit(queries[i], *sinks[i], opts.query, cache, active);
+        result.stats[i] = RunSplitQuery(*contexts_[0], queries[i], *sinks[i],
+                                        opts.query, cache, active, recruit,
+                                        span);
         result.states[i] = result.stats[i].counters.TerminalState();
-      } catch (const std::logic_error& e) {
-        result.errors[i] = e.what();
-        result.states[i] = QueryState::kRejected;
+        split_queries_run_.Inc();
       } catch (const std::exception& e) {
         result.errors[i] = e.what();
-        result.states[i] = QueryState::kError;
+        result.states[i] = FailedRunState(e);
       }
+      span.Finish(result.states[i]);
     }
   } else {
     RunStealing(queries, sinks, admitted, opts, cache, result);
@@ -471,22 +482,15 @@ void QueryEngine::RunStealing(std::span<const Query> queries,
           span.Mark(obs::SpanStage::kMerge);
           span.Finish(result.states[rep]);
         }
-      } catch (const std::logic_error& e) {
-        result.errors[rep] = e.what();
-        result.states[rep] = QueryState::kRejected;
-        for (const size_t dup : group.extra) {
-          result.errors[dup] = e.what();
-          result.states[dup] = QueryState::kRejected;
-        }
-        span.Finish(QueryState::kRejected);
       } catch (const std::exception& e) {
+        const QueryState failed = FailedRunState(e);
         result.errors[rep] = e.what();
-        result.states[rep] = QueryState::kError;
+        result.states[rep] = failed;
         for (const size_t dup : group.extra) {
           result.errors[dup] = e.what();
-          result.states[dup] = QueryState::kError;
+          result.states[dup] = failed;
         }
-        span.Finish(QueryState::kError);
+        span.Finish(failed);
       }
     }
   });
@@ -498,244 +502,6 @@ BatchResult QueryEngine::CountBatch(std::span<const Query> queries,
   std::vector<PathSink*> sinks(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) sinks[i] = &counting[i];
   return RunBatch(queries, sinks, opts);
-}
-
-QueryStats QueryEngine::RunSplit(const Query& q, PathSink& sink,
-                                 const EnumOptions& opts, IndexCache* cache,
-                                 uint32_t active_workers) {
-  ValidateQuery(view_, q);
-  QueryStats stats;
-  Timer total;
-  // The span begins after validation (throws above never record) and is
-  // finished on every return path below.
-  obs::QuerySpan span;
-  span.Begin(q.source, q.target, q.hops);
-  span.SetSplit();
-
-  // Split mode builds with the same BuildOptionsFor-derived fingerprint
-  // and plans with the same PlanExecution pipeline as the serial path, so
-  // a split query shares cache entries with — and picks the same method
-  // as — its serial equivalent. It shares the index cache but not the
-  // result cache (its sink interleaving is nondeterministic, so replay
-  // order would be, too).
-  const std::shared_ptr<const LightweightIndex> index =
-      contexts_[0]->AcquireIndex(q, PathEnumerator::BuildOptionsFor(q, opts),
-                                 cache, stats);
-  span.SetIndexOutcome(stats.index_cache_hit, false,
-                       index->build_stats().batched);
-  span.Mark(obs::SpanStage::kIndexAcquire);
-
-  if (index->build_stats().interrupted) {
-    // Deadline/cancel tripped the build: no fan-out, zero paths, the
-    // matching terminal flag (the build stub has no usable slots anyway).
-    if (index->build_stats().interrupted_by_cancel) {
-      stats.counters.cancelled = true;
-    } else {
-      stats.counters.timed_out = true;
-    }
-    stats.total_ms = total.ElapsedMs();
-    stats.response_ms = stats.total_ms;
-    split_queries_run_.Inc();
-    span.Finish(stats.counters.TerminalState());
-    return stats;
-  }
-
-  const PathEnumerator::ExecutionPlan plan =
-      PathEnumerator::PlanExecution(*index, opts, stats);
-  stats.method = plan.method;
-  stats.cut_position = plan.cut;
-
-  Timer enum_timer;
-  // One absolute deadline for the whole fan-out: every branch/unit derives
-  // its remaining budget from it instead of re-subtracting elapsed time.
-  const Deadline enum_deadline = Deadline::AfterMs(opts.time_limit_ms);
-  EnumCounters counters;
-  const uint32_t s_slot = index->source_slot();
-  if (s_slot != kInvalidSlot) {
-    // One gate per split query: the shared result-limit/response
-    // accounting plus the per-query stop latch over the caller's sink.
-    BranchGate gate(opts.result_limit, opts.response_target, enum_timer);
-    BranchSink shared(gate, sink, BranchSink::Mode::kSerialized);
-    if (plan.method == Method::kJoin) {
-      RunSplitJoin(*index, plan.cut, gate, shared, opts, enum_deadline,
-                   active_workers, counters, span);
-    } else {
-      const auto branches = index->OutSlotsWithin(s_slot, index->hops() - 1);
-      std::atomic<uint32_t> cursor{0};
-      std::atomic<bool> stop_claims{false};
-      std::vector<EnumCounters> per_worker(active_workers);
-      pool_.RunOnWorkers(active_workers, [&](uint32_t worker) {
-        per_worker[worker] = internal::DrainBranches(
-            contexts_[worker]->split_dfs(), *index, branches, cursor, shared,
-            opts, enum_deadline, &stop_claims);
-      });
-      span.Mark(obs::SpanStage::kEnumerate);
-      internal::FinishFanout(counters, per_worker, /*root_partials=*/1,
-                             /*root_edges=*/branches.size(), gate.delivered(),
-                             gate.response_ms(), opts);
-      span.Mark(obs::SpanStage::kMerge);
-    }
-  }
-
-  stats.counters = counters;
-  stats.enumerate_ms = enum_timer.ElapsedMs();
-  stats.total_ms = total.ElapsedMs();
-  const double preprocessing = stats.total_ms - stats.enumerate_ms;
-  stats.response_ms = counters.response_ms >= 0.0
-                          ? preprocessing + counters.response_ms
-                          : stats.total_ms;
-  split_queries_run_.Inc();
-  span.Finish(stats.counters.TerminalState());
-  return stats;
-}
-
-void QueryEngine::RunSplitJoin(const LightweightIndex& index, uint32_t cut,
-                               BranchGate& gate, BranchSink& shared,
-                               const EnumOptions& opts,
-                               const Deadline& enum_deadline,
-                               uint32_t active_workers, EnumCounters& out,
-                               obs::QuerySpan& span) {
-  const uint32_t k = index.hops();
-  const uint32_t left_width = cut + 1;
-  const uint32_t right_width = k - cut + 1;
-
-  // The dependence-disjoint unit decomposition: the left half (one unit)
-  // and each right-half start (one unit per vertex of the cut level set
-  // C_cut) are mutually independent — level membership needs nothing from
-  // the left half, and C_cut is a superset of the join keys, so the extra
-  // starts only cost work that the key filter below discards. All units
-  // meet at the merge barrier before the probe.
-  std::vector<uint32_t>& starts = split_starts_;
-  starts.clear();
-  index.ForEachSlotInLevel(cut, [&](uint32_t slot) { starts.push_back(slot); });
-
-  // All tables below are engine-owned grow-only scratch: one split query
-  // runs at a time, so reuse is single-threaded and the steady state
-  // allocates nothing.
-  std::vector<uint32_t>& left = split_left_;
-  left.clear();
-  if (split_right_.size() < active_workers) split_right_.resize(active_workers);
-  std::vector<std::vector<uint32_t>>& right = split_right_;
-  for (uint32_t w = 0; w < active_workers; ++w) right[w].clear();
-  std::vector<std::pair<size_t, size_t>>& ranges = split_ranges_;
-  ranges.assign(starts.size(), {0, 0});
-  std::vector<uint32_t>& range_worker = split_range_worker_;
-  range_worker.assign(starts.size(), 0);
-  // The serial join caps each half at half the memory budget; the split
-  // right half meters one shared budget across its per-worker buffers.
-  // Because C_cut is a superset of the keys, a tight budget can trip here
-  // on speculative tuples the serial path never materializes — the
-  // documented cost of the dependence-disjoint decomposition (DESIGN.md
-  // §8). The key filter below bounds it: once the left half has finished,
-  // its published key set lets later right units skip non-key starts.
-  std::atomic<size_t> right_used{0};
-  const size_t half_cap =
-      opts.partial_memory_limit_bytes / (2 * sizeof(uint32_t));
-  std::vector<uint8_t>& is_key = split_is_key_;
-  is_key.assign(index.num_vertices(), 0);
-  std::atomic<bool> keys_ready{false};
-
-  std::atomic<uint32_t> cursor{0};  // unit 0 = left half, 1 + i = starts[i]
-  std::atomic<bool> stop_claims{false};
-  std::vector<EnumCounters> unit_counters(active_workers + active_workers);
-  pool_.RunOnWorkers(active_workers, [&](uint32_t worker) {
-    JoinEnumerator& join = contexts_[worker]->split_join();
-    EnumCounters& mine = unit_counters[worker];
-    while (!stop_claims.load(std::memory_order_relaxed)) {
-      const uint32_t u = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (u > starts.size()) break;
-      const EnumOptions unit_opts =
-          internal::BranchOptions(opts, enum_deadline);
-      EnumCounters c;
-      if (u == 0) {
-        c = join.MaterializeUnit(index, index.source_slot(), /*base=*/0,
-                                 left_width, left, unit_opts);
-        if (!c.timed_out && !c.out_of_memory && !c.cancelled &&
-            !c.work_exceeded) {
-          for (size_t off = cut; off < left.size(); off += left_width) {
-            is_key[left[off]] = 1;
-          }
-          keys_ready.store(true, std::memory_order_release);
-        }
-      } else {
-        if (keys_ready.load(std::memory_order_acquire) &&
-            !is_key[starts[u - 1]]) {
-          continue;  // provably not a join key: skip the speculative unit
-        }
-        std::vector<uint32_t>& buf = right[worker];
-        const size_t begin = buf.size();
-        c = join.MaterializeUnit(index, starts[u - 1], /*base=*/cut,
-                                 right_width, buf, unit_opts, &right_used,
-                                 half_cap);
-        ranges[u - 1] = {begin, buf.size()};
-        range_worker[u - 1] = worker;
-      }
-      if (!internal::AccumulateBranch(mine, c)) {
-        stop_claims.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
-  });
-  // The unit barrier ends the enumerate stage; key-filtering, grouping and
-  // the probe fan-out below are the join's merge work.
-  span.Mark(obs::SpanStage::kEnumerate);
-
-  // --- Merge barrier: key-filter the per-start ranges into groups. -------
-  size_t right_total = 0;
-  for (const auto& buf : right) right_total += buf.size();
-  bool halves_truncated = false;
-  for (uint32_t w = 0; w < active_workers; ++w) {
-    halves_truncated |= unit_counters[w].timed_out ||
-                        unit_counters[w].out_of_memory ||
-                        unit_counters[w].cancelled ||
-                        unit_counters[w].work_exceeded;
-  }
-  if (!halves_truncated) {
-    // The left unit completed (or halves_truncated would be set), so the
-    // key set is published.
-    std::vector<JoinGroup>& groups = split_groups_;
-    groups.assign(index.num_vertices(), JoinGroup{});
-    for (size_t i = 0; i < starts.size(); ++i) {
-      if (!is_key[starts[i]]) continue;
-      const auto [begin, end] = ranges[i];
-      groups[starts[i]] = {right[range_worker[i]].data() + begin,
-                          (end - begin) / right_width};
-    }
-
-    // --- Probe: left-tuple chunks fan out into the serialized sink. ------
-    const size_t num_left = left.size() / left_width;
-    constexpr size_t kProbeChunk = 64;
-    const size_t num_chunks = (num_left + kProbeChunk - 1) / kProbeChunk;
-    std::atomic<uint32_t> probe_cursor{0};
-    std::atomic<bool> probe_stop{false};
-    pool_.RunOnWorkers(active_workers, [&](uint32_t worker) {
-      JoinEnumerator& join = contexts_[worker]->split_join();
-      EnumCounters& mine = unit_counters[active_workers + worker];
-      while (!probe_stop.load(std::memory_order_relaxed)) {
-        const uint32_t chunk =
-            probe_cursor.fetch_add(1, std::memory_order_relaxed);
-        if (chunk >= num_chunks) break;
-        const size_t begin = static_cast<size_t>(chunk) * kProbeChunk;
-        const EnumCounters c = join.ProbeUnit(
-            index, cut, left, begin, std::min(begin + kProbeChunk, num_left),
-            groups, shared, internal::BranchOptions(opts, enum_deadline));
-        if (!internal::AccumulateBranch(mine, c)) {
-          probe_stop.store(true, std::memory_order_relaxed);
-          break;
-        }
-      }
-    });
-  }
-
-  internal::FinishFanout(out, unit_counters, /*root_partials=*/0,
-                         /*root_edges=*/0, gate.delivered(),
-                         gate.response_ms(), opts);
-  span.Mark(obs::SpanStage::kMerge);
-  // This query's footprint is the materialized sizes plus the key/group
-  // tables, not the pooled buffers' retained capacity.
-  out.peak_partial_bytes =
-      (left.size() + right_total) * sizeof(uint32_t) +
-      index.num_vertices() * (sizeof(uint8_t) + sizeof(JoinGroup));
 }
 
 QueryEngine::EngineStats QueryEngine::Stats() const {

@@ -3,10 +3,12 @@
 // the calling thread, the engine keeps N workers alive across batches, each
 // with a reusable QueryContext, and schedules a batch of queries over them
 // with work stealing. Optionally a batch runs with intra-query parallelism:
-// each query's units — first-level DFS branches, or the split IDX-JOIN's
-// half/probe units — fan out across the whole pool, which is the right
-// shape for a few heavy queries rather than many small ones. See DESIGN.md
-// §5/§8.
+// one query at a time, its units — first-level DFS branches, or the split
+// IDX-JOIN's half/probe units — fan out across the whole pool, which is
+// the right shape for a few heavy queries rather than many small ones.
+// Split queries run through the split executor AsyncEngine shares
+// (engine/split_executor.h); this engine's part is recruiting its clamped
+// pool workers for each phase. See DESIGN.md §5/§8.
 //
 // With `EngineOptions::enable_cache` the engine additionally keeps a
 // cross-query IndexCache shared by all workers (DESIGN.md §6): batches
@@ -252,35 +254,8 @@ class QueryEngine {
                        const BatchOptions& opts, IndexCache* cache,
                        GroupVec& groups, BatchResult& result);
 
-  /// Intra-query mode: one query at a time, its units across the pool.
-  QueryStats RunSplit(const Query& q, PathSink& sink, const EnumOptions& opts,
-                      IndexCache* cache, uint32_t active_workers);
-
-  /// The split IDX-JOIN (DESIGN.md §8): the left half and every right-half
-  /// start of the cut level set run as independent materialization units,
-  /// meet at a merge barrier where the key/group tables are assembled, and
-  /// the probe fans out over left-tuple chunks into the serialized
-  /// `shared` sink. Merged counters land in `out`.
-  void RunSplitJoin(const LightweightIndex& index, uint32_t cut,
-                    BranchGate& gate, BranchSink& shared,
-                    const EnumOptions& opts, const Deadline& enum_deadline,
-                    uint32_t active_workers, EnumCounters& out,
-                    obs::QuerySpan& span);
-
   /// min(pool, tasks, hardware cores), at least 1.
   uint32_t ClampedWorkers(size_t tasks) const;
-
-  /// Reusable split-join scratch (DESIGN.md §8): split queries run one at
-  /// a time on the RunBatch caller thread, so these grow-only buffers
-  /// follow the §5 no-steady-state-allocation discipline the serial join's
-  /// member/arena tables keep.
-  std::vector<uint32_t> split_starts_;
-  std::vector<uint32_t> split_left_;
-  std::vector<std::vector<uint32_t>> split_right_;
-  std::vector<std::pair<size_t, size_t>> split_ranges_;
-  std::vector<uint32_t> split_range_worker_;
-  std::vector<uint8_t> split_is_key_;
-  std::vector<JoinGroup> split_groups_;
 
   GraphView view_;
   const LiveDistanceOracle* live_oracle_ = nullptr;  // see SetLiveOracle

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <exception>
-#include <stdexcept>
 #include <utility>
 
-#include "core/parallel_dfs.h"
+#include "engine/split_executor.h"
 #include "util/fault_injection.h"
 
 namespace pathenum {
@@ -325,43 +324,45 @@ void AsyncEngine::Shutdown(bool cancel_pending) {
 }
 
 void AsyncEngine::WorkerLoop(uint32_t worker) {
-  QueryContext& ctx = *contexts_[worker];
   for (;;) {
     Submission task;
-    std::shared_ptr<SplitJob> help;
+    PublishedPhase* help = nullptr;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_not_empty_.wait(lock, [&] {
-        return shutdown_ || !queue_.empty() || HasSplitWorkLocked();
+        return shutdown_ || !queue_.empty() || OpenSplitPhaseLocked();
       });
       if (!queue_.empty()) {
         task = std::move(queue_.front());
         queue_.pop_front();
         ++in_flight_;
-      } else if ((help = ClaimSplitWorkLocked()) != nullptr) {
-        // Idle with queued split units: help the heavy ticket instead of
-        // parking. New submissions take priority again on the next loop.
+      } else if ((help = OpenSplitPhaseLocked()) != nullptr) {
+        // Idle with unclaimed split units: help the heavy ticket instead of
+        // parking. Registered under queue_mutex_, so the leader retiring
+        // the phase (under the same lock) waits for this helper. New
+        // submissions take priority again on the next loop.
+        ++help->helpers;
       } else if (shutdown_) {
         break;  // shutdown with a drained queue and no split work
       } else {
-        // The split work that woke us evaporated between the predicate and
-        // the claim (cursor/stop_claims advance lock-free under the
-        // draining participants) — go back to sleep, don't die.
+        // The split units that woke us ran dry between the predicate and
+        // the claim (the cursor advances lock-free under the draining
+        // participants) — go back to sleep, don't die.
         continue;
       }
     }
     if (help != nullptr) {
-      DrainSplitUnits(*help, ctx);
+      help->phase->Drain(*contexts_[worker], worker);
       {
-        const std::lock_guard<std::mutex> lock(help->mutex);
-        --help->active_helpers;
+        const std::lock_guard<std::mutex> lock(queue_mutex_);
+        --help->helpers;
       }
-      help->helpers_done.notify_all();
+      split_helpers_done_.notify_all();
       continue;
     }
     queue_not_full_.notify_one();
     Timer exec_timer;
-    Execute(ctx, task);
+    Execute(worker, task);
     const double exec_ms = exec_timer.ElapsedMs();
     {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -375,51 +376,28 @@ void AsyncEngine::WorkerLoop(uint32_t worker) {
   }
 }
 
-bool AsyncEngine::HasSplitWorkLocked() const {
-  for (const auto& job : split_jobs_) {
-    if (!job->stop_claims.load(std::memory_order_relaxed) &&
-        job->cursor.load(std::memory_order_relaxed) < job->branches.size()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::shared_ptr<AsyncEngine::SplitJob> AsyncEngine::ClaimSplitWorkLocked() {
-  for (const auto& job : split_jobs_) {
-    if (!job->stop_claims.load(std::memory_order_relaxed) &&
-        job->cursor.load(std::memory_order_relaxed) < job->branches.size()) {
-      // Registered under queue_mutex_, so the leader retiring the job
-      // cannot miss this helper: retirement happens under the same lock,
-      // and the leader's wait counts active_helpers afterwards.
-      const std::lock_guard<std::mutex> lock(job->mutex);
-      ++job->active_helpers;
-      return job;
-    }
+AsyncEngine::PublishedPhase* AsyncEngine::OpenSplitPhaseLocked() const {
+  for (PublishedPhase* published : split_phases_) {
+    if (published->phase->HasUnclaimedUnits()) return published;
   }
   return nullptr;
 }
 
-void AsyncEngine::DrainSplitUnits(SplitJob& job, QueryContext& ctx) {
-  // Never lets an exception escape: a helper throwing would kill its pool
-  // worker for the engine's lifetime and strand the leader's barrier.
-  EnumCounters mine;
-  try {
-    mine = internal::DrainBranches(ctx.split_dfs(), *job.index, job.branches,
-                                   job.cursor, job.sink, job.opts,
-                                   job.deadline, &job.stop_claims);
-  } catch (const std::exception& e) {
-    // A failing participant (a throwing sink, typically) fails the whole
-    // ticket: stop the claiming loops and trip the per-ticket stop latch
-    // so no other participant delivers into the broken sink.
-    job.stop_claims.store(true, std::memory_order_relaxed);
-    job.gate.Stop();
-    const std::lock_guard<std::mutex> lock(job.mutex);
-    if (job.error.empty()) job.error = e.what();
-    return;
+void AsyncEngine::RecruitIdleWorkers(uint32_t leader, SplitPhase& phase) {
+  // Publish, then wake parked workers: any worker idle between queue pops
+  // joins the phase until its units run dry.
+  PublishedPhase published{&phase};
+  {
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    split_phases_.push_back(&published);
   }
-  const std::lock_guard<std::mutex> lock(job.mutex);
-  job.worker_counters.push_back(mine);
+  queue_not_empty_.notify_all();
+  phase.Drain(*contexts_[leader], leader);  // the leader participates too
+  // Retire the phase so no further helper registers, then wait out the
+  // ones already inside — the phase's barrier.
+  std::unique_lock<std::mutex> lock(queue_mutex_);
+  std::erase(split_phases_, &published);
+  split_helpers_done_.wait(lock, [&] { return published.helpers == 0; });
 }
 
 void AsyncEngine::MaybeBatchPrebuild(Submission& task) {
@@ -489,7 +467,7 @@ void AsyncEngine::MaybeBatchPrebuild(Submission& task) {
   batched_solo_edges_.Inc(pub.solo_edges);
 }
 
-void AsyncEngine::Execute(QueryContext& ctx, Submission& task) {
+void AsyncEngine::Execute(uint32_t worker, Submission& task) {
   fault::Hit(fault::Site::kAsyncClaim);
   // The worker's claim ends the queue-wait stage on every path below.
   task.span.Mark(obs::SpanStage::kQueueWait);
@@ -503,135 +481,30 @@ void AsyncEngine::Execute(QueryContext& ctx, Submission& task) {
     Complete(*task.state, stats, "", QueryState::kCancelled, &task.span);
     return;
   }
-  if (task.split) {
-    ExecuteSplit(ctx, task);
-    return;
-  }
   MaybeBatchPrebuild(task);
+  QueryContext& ctx = *contexts_[worker];
   try {
     // The context runs on exactly the submission's snapshot; the rebind is
     // a view copy (scratch survives), free when the snapshot is unchanged.
     ctx.Rebind(*task.snapshot);
-    const QueryStats stats = ctx.RunCached(task.query, *task.sink, task.opts,
-                                           cache_.get(), &task.span);
-    Complete(*task.state, stats, "", stats.counters.TerminalState(),
-             &task.span);
-  } catch (const std::logic_error& e) {
-    Complete(*task.state, QueryStats{}, e.what(), QueryState::kRejected,
-             &task.span);
-  } catch (const std::exception& e) {
-    Complete(*task.state, QueryStats{}, e.what(), QueryState::kError,
-             &task.span);
-  }
-}
-
-void AsyncEngine::ExecuteSplit(QueryContext& ctx, Submission& task) {
-  task.span.SetSplit();
-  try {
-    ctx.Rebind(*task.snapshot);
-    ValidateQuery(*task.snapshot, task.query);
     QueryStats stats;
-    stats.method = Method::kDfs;  // async splitting fans out DFS branches
-    Timer total;
-
-    // The index is built once on the submission's snapshot (through the
-    // shared cache when possible) and is immutable from here on — every
-    // branch unit, whichever worker runs it and however many updates
-    // publish meanwhile, observes exactly this snapshot.
-    EnumOptions build_shape = task.opts;
-    build_shape.method = Method::kDfs;
-    const std::shared_ptr<const LightweightIndex> index = ctx.AcquireIndex(
-        task.query, PathEnumerator::BuildOptionsFor(task.query, build_shape),
-        cache_.get(), stats);
-    task.span.SetIndexOutcome(stats.index_cache_hit, false,
-                              index->build_stats().batched);
-    task.span.Mark(obs::SpanStage::kIndexAcquire);
-
-    if (index->build_stats().interrupted) {
-      // The ticket's deadline/cancel tripped the build: no fan-out, zero
-      // paths, the matching terminal state.
-      if (index->build_stats().interrupted_by_cancel) {
-        stats.counters.cancelled = true;
-      } else {
-        stats.counters.timed_out = true;
-      }
-      stats.total_ms = total.ElapsedMs();
-      stats.response_ms = stats.total_ms;
-      Complete(*task.state, stats, "", stats.counters.TerminalState(),
-               &task.span);
-      return;
+    if (task.split) {
+      // Split tickets fan out IDX-DFS branches (SubmitOptions::
+      // split_branches) over whichever workers are idle.
+      EnumOptions dfs = task.opts;
+      dfs.method = Method::kDfs;
+      stats = RunSplitQuery(
+          ctx, task.query, *task.sink, dfs, cache_.get(), pool_.num_workers(),
+          [&](SplitPhase& phase) { RecruitIdleWorkers(worker, phase); },
+          task.span);
+    } else {
+      stats = ctx.RunCached(task.query, *task.sink, task.opts, cache_.get(),
+                            &task.span);
     }
-
-    EnumCounters counters;
-    double enumerate_ms = 0.0;
-    const uint32_t s_slot = index->source_slot();
-    if (s_slot != kInvalidSlot) {
-      const auto branches =
-          index->OutSlotsWithin(s_slot, index->hops() - 1);
-      auto job = std::make_shared<SplitJob>(index, branches, *task.sink,
-                                            task.opts);
-      // Publish, then wake parked workers: any worker idle between queue
-      // pops joins the fan-out until the units run dry.
-      {
-        const std::lock_guard<std::mutex> lock(queue_mutex_);
-        split_jobs_.push_back(job);
-      }
-      queue_not_empty_.notify_all();
-
-      // The leader is participant zero.
-      DrainSplitUnits(*job, ctx);
-
-      // Retire the job so no further helper registers, then wait out the
-      // ones already inside — the merge barrier of this ticket.
-      {
-        const std::lock_guard<std::mutex> lock(queue_mutex_);
-        for (auto it = split_jobs_.begin(); it != split_jobs_.end(); ++it) {
-          if (it->get() == job.get()) {
-            split_jobs_.erase(it);
-            break;
-          }
-        }
-      }
-      std::string split_error;
-      {
-        std::unique_lock<std::mutex> lock(job->mutex);
-        job->helpers_done.wait(lock, [&] { return job->active_helpers == 0; });
-        // Every participant has left: enumeration is over, the fold below
-        // is this ticket's merge work.
-        task.span.Mark(obs::SpanStage::kEnumerate);
-        split_error = job->error;
-        internal::FinishFanout(counters, job->worker_counters,
-                               /*root_partials=*/1,
-                               /*root_edges=*/job->branches.size(),
-                               job->gate.delivered(), job->gate.response_ms(),
-                               task.opts);
-      }
-      task.span.Mark(obs::SpanStage::kMerge);
-      if (!split_error.empty()) {
-        // A participant failed: the job was retired and every helper has
-        // left (the barrier above), so the caller's sink is safe to
-        // abandon — fail the ticket like the plain path would.
-        Complete(*task.state, QueryStats{}, std::move(split_error),
-                 QueryState::kError, &task.span);
-        return;
-      }
-      enumerate_ms = job->timer.ElapsedMs();
-    }
-
-    stats.counters = counters;
-    stats.enumerate_ms = enumerate_ms;
-    stats.total_ms = total.ElapsedMs();
-    const double preprocessing = stats.total_ms - stats.enumerate_ms;
-    stats.response_ms = counters.response_ms >= 0.0
-                            ? preprocessing + counters.response_ms
-                            : stats.total_ms;
     Complete(*task.state, stats, "", stats.counters.TerminalState(),
              &task.span);
-  } catch (const std::logic_error& e) {
-    Complete(*task.state, QueryStats{}, e.what(), QueryState::kRejected,
-             &task.span);
   } catch (const std::exception& e) {
-    Complete(*task.state, QueryStats{}, e.what(), QueryState::kError,
+    Complete(*task.state, QueryStats{}, e.what(), FailedRunState(e),
              &task.span);
   }
 }

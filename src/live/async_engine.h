@@ -16,6 +16,9 @@
 // split query's sink (SubmitOptions::split_branches) may be invoked from
 // several workers but calls are serialized through the shared BranchSink
 // with its per-ticket stop latch (DESIGN.md §8), so plain sinks stay safe.
+// Split tickets run through the split executor QueryEngine shares
+// (engine/split_executor.h); this engine's part is recruiting idle workers
+// to help the claiming worker drain each published phase.
 // Paths stream as delta-encoded blocks (DESIGN.md §9): a sink overriding
 // OnBlock consumes whole blocks — one serialized delivery per ~256 paths
 // on a split ticket — while OnPath-only sinks transparently receive the
@@ -26,13 +29,11 @@
 #ifndef PATHENUM_LIVE_ASYNC_ENGINE_H_
 #define PATHENUM_LIVE_ASYNC_ENGINE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +50,8 @@
 #include "obs/span.h"
 
 namespace pathenum {
+
+class SplitPhase;
 
 struct AsyncEngineOptions {
   /// What happens when a submission finds the admission queue full.
@@ -283,43 +286,12 @@ class AsyncEngine {
     obs::QuerySpan span;
   };
 
-  /// One split ticket's shared fan-out state (DESIGN.md §8). The leader —
-  /// the worker that claimed the submission — owns the job's lifetime: it
-  /// publishes the job, drains units itself, retires the job from the
-  /// registry, and waits for the helpers that joined before merging. The
-  /// index shared_ptr keeps the enumeration's snapshot-consistent input
-  /// alive however long helpers run.
-  struct SplitJob {
-    SplitJob(std::shared_ptr<const LightweightIndex> idx,
-             std::span<const uint32_t> branch_units, PathSink& inner,
-             const EnumOptions& query_opts)
-        : index(std::move(idx)),
-          branches(branch_units),
-          opts(query_opts),
-          deadline(Deadline::AfterMs(query_opts.time_limit_ms)),
-          gate(query_opts.result_limit, query_opts.response_target, timer),
-          sink(gate, inner, BranchSink::Mode::kSerialized) {}
-
-    std::shared_ptr<const LightweightIndex> index;
-    std::span<const uint32_t> branches;  // into *index, kept alive above
-    const EnumOptions opts;
-    Timer timer;  // enumeration stopwatch (feeds enumerate_ms)
-    /// One absolute deadline for the whole fan-out; every unit derives its
-    /// remaining budget from it (DrainBranches/BranchOptions).
-    const Deadline deadline;
-    BranchGate gate;
-    BranchSink sink;
-    std::atomic<uint32_t> cursor{0};
-    std::atomic<bool> stop_claims{false};
-
-    std::mutex mutex;  // guards the fields below
-    std::condition_variable helpers_done;
-    uint32_t active_helpers = 0;
-    std::vector<EnumCounters> worker_counters;
-    /// First participant failure (a throwing sink, typically). Set with
-    /// stop_claims + gate.Stop() so the other participants wind down; the
-    /// leader turns it into the ticket's error after the merge barrier.
-    std::string error;
+  /// A split phase published to idle workers (RecruitIdleWorkers) and the
+  /// helpers currently inside it; lives on the leader's stack, registered
+  /// in split_phases_, and `helpers` is guarded by queue_mutex_.
+  struct PublishedPhase {
+    SplitPhase* phase;
+    uint32_t helpers = 0;
   };
 
   /// The one admission path behind Submit (`blocking`) and TrySubmit; see
@@ -328,8 +300,15 @@ class AsyncEngine {
                     bool blocking, double* retry_after_ms);
 
   void WorkerLoop(uint32_t worker);
-  void Execute(QueryContext& ctx, Submission& task);
-  void ExecuteSplit(QueryContext& ctx, Submission& task);
+  void Execute(uint32_t worker, Submission& task);
+
+  /// A split ticket's recruitment (RunSplitQuery): publishes `phase` so
+  /// idle workers help between queue pops, drains it on worker `leader`
+  /// too, then retires it and waits out the registered helpers.
+  void RecruitIdleWorkers(uint32_t leader, SplitPhase& phase);
+  /// A published split phase with unclaimed units, or null; queue_mutex_
+  /// must be held.
+  PublishedPhase* OpenSplitPhaseLocked() const;
 
   /// Opportunistic batched prebuild (DESIGN.md §11): when `task`'s index
   /// is a cache miss, drains co-pending same-snapshot same-fingerprint
@@ -341,16 +320,6 @@ class AsyncEngine {
   /// a time engine-wide (batch_mutex_) bounds the K-wide field memory; a
   /// busy builder or any failure just falls back to solo builds.
   void MaybeBatchPrebuild(Submission& task);
-
-  /// True when some registered split job still has unclaimed units —
-  /// part of the worker wait predicate; queue_mutex_ must be held.
-  bool HasSplitWorkLocked() const;
-  /// Registers this worker as a helper on a job with remaining units, or
-  /// returns null; queue_mutex_ must be held.
-  std::shared_ptr<SplitJob> ClaimSplitWorkLocked();
-  /// Drains units of `job` on this worker's context and folds the
-  /// counters in (leader and helpers share this path).
-  static void DrainSplitUnits(SplitJob& job, QueryContext& ctx);
 
   /// Finishes `span` with `query_state` (recording metrics / trace), copies
   /// its record into the ticket state, and signals the waiters.
@@ -386,9 +355,10 @@ class AsyncEngine {
   std::condition_variable queue_not_full_;
   std::condition_variable idle_;
   std::deque<Submission> queue_;
-  /// Split jobs idle workers may help with (guarded by queue_mutex_; the
-  /// jobs' own state is synchronized by their atomics/mutex).
-  std::deque<std::shared_ptr<SplitJob>> split_jobs_;
+  /// Split phases idle workers may help with (guarded by queue_mutex_; the
+  /// phases' own state is synchronized by their atomics/mutex).
+  std::vector<PublishedPhase*> split_phases_;
+  std::condition_variable split_helpers_done_;  // a helper left a phase
   size_t in_flight_ = 0;
   bool shutdown_ = false;
   /// Lifecycle counters, registered as pathenum_async_* metrics. The first

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/path_enum.h"
@@ -348,6 +349,46 @@ TEST(QueryEngineTest, SplitModeHonorsSinkStopContract) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(sink.count(), 3u);
   EXPECT_TRUE(result.stats[0].counters.stopped_by_sink);
+}
+
+TEST(QueryEngineTest, SplitModeThrowingSinkIsCalledOnceAndFailsOnlyItsQuery) {
+  // A sink throwing mid-fan-out fails its query as kError after exactly one
+  // call — the serialized adapter latches the stop before the exception
+  // leaves it, so no other participant calls the broken sink — and the
+  // engine serves the next split batch normally, for both split methods.
+  class ThrowingSink : public PathSink {
+   public:
+    bool OnPath(std::span<const VertexId>) override {
+      ++calls;  // serialized by the fan-out's gate
+      throw std::runtime_error("sink exploded");
+    }
+    int calls = 0;
+  };
+  const Graph g = LayeredGraph(6, 8);  // 8^6 paths of 7 hops
+  const Query q{0, 6 * 8 + 1, 7};
+  CountingSink ref;
+  PathEnumerator(g).Run(q, ref);
+  for (const Method method : {Method::kDfs, Method::kJoin}) {
+    QueryEngine engine(g, {.num_workers = 4});
+    BatchOptions opts;
+    opts.split_branches = true;
+    opts.query.method = method;
+    ThrowingSink bad;
+    PathSink* bad_sinks[] = {&bad};
+    const BatchResult failed =
+        engine.RunBatch(std::span<const Query>{&q, 1}, bad_sinks, opts);
+    EXPECT_EQ(bad.calls, 1) << MethodName(method);
+    EXPECT_EQ(failed.states[0], QueryState::kError) << MethodName(method);
+    EXPECT_NE(failed.errors[0].find("sink exploded"), std::string::npos);
+
+    CountingSink good;
+    PathSink* good_sinks[] = {&good};
+    const BatchResult next =
+        engine.RunBatch(std::span<const Query>{&q, 1}, good_sinks, opts);
+    ASSERT_TRUE(next.ok()) << MethodName(method);
+    EXPECT_EQ(next.states[0], QueryState::kOk);
+    EXPECT_EQ(good.count(), ref.count()) << MethodName(method);
+  }
 }
 
 TEST(QueryEngineTest, LimitHitDoesNotPoisonLaterQueries) {

@@ -1170,8 +1170,10 @@ TEST(AsyncEngineTest, ThrowingSinkFailsSplitTicketWithoutKillingWorkers) {
   class ThrowingSink : public PathSink {
    public:
     bool OnPath(std::span<const VertexId>) override {
+      ++calls;  // serialized by the ticket's gate
       throw std::runtime_error("sink exploded");
     }
+    int calls = 0;
   };
   const VertexId n = 30;
   const Graph base = ErdosRenyi(n, 160, /*seed=*/3);
@@ -1189,6 +1191,7 @@ TEST(AsyncEngineTest, ThrowingSinkFailsSplitTicketWithoutKillingWorkers) {
     broken.Wait();
     EXPECT_FALSE(broken.ok());
     EXPECT_NE(broken.error().find("sink exploded"), std::string::npos);
+    EXPECT_EQ(bad.calls, 1) << "no participant calls a sink that threw";
     // The engine must still serve split and plain tickets afterwards.
     CountingSink good_split, good_plain;
     QueryTicket t1 =

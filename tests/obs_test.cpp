@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "live/async_engine.h"
 #include "obs/metrics.h"
@@ -451,6 +452,74 @@ TEST(TraceExportTest, ChromeJsonParsesAndNestsStages) {
     // window gaplessly: their durations sum to the span they cover.
     EXPECT_DOUBLE_EQ(w.min_ts, w.ts);
     EXPECT_DOUBLE_EQ(w.stage_dur_sum, w.max_end - w.ts);
+  }
+  rec.Clear();
+}
+
+TEST(TraceExportTest, SplitBatchSpansCoverTheirWaitInTheBatch) {
+  // A split batch runs its queries one at a time; each query's span must
+  // begin at admission, so a member's wait behind the earlier split queries
+  // is inside its span: every query slice starts before the first one ends,
+  // and its stage slices still tile it.
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  rec.Clear();
+  obs::TraceRecorder::SetSampleEvery(1);  // trace every query
+  {
+    const Graph g = LayeredGraph(6, 6);  // 6^6 paths of 7 hops per query
+    QueryEngine engine(g, {.num_workers = 2});
+    const std::vector<Query> queries(3, Query{0, 6 * 6 + 1, 7});
+    std::vector<CountingSink> sinks(queries.size());
+    std::vector<PathSink*> ptrs;
+    for (CountingSink& sink : sinks) ptrs.push_back(&sink);
+    BatchOptions opts;
+    opts.split_branches = true;
+    const BatchResult result = engine.RunBatch(queries, ptrs, opts);
+    ASSERT_TRUE(result.ok());
+  }
+  obs::TraceRecorder::SetSampleEvery(0);
+
+  std::optional<Json> root = JsonReader(rec.ExportChromeJson()).Parse();
+  ASSERT_TRUE(root.has_value());
+  const Json* events = root->Get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  struct Window {
+    double ts = 0.0, end = 0.0;
+    double stage_dur_sum = 0.0, min_ts = 0.0, max_end = 0.0;
+    size_t stages = 0;
+  };
+  std::map<uint64_t, Window> windows;
+  for (const Json& e : events->items) {
+    if (e.Get("cat")->str != "query") continue;
+    Window w;
+    w.ts = e.Get("ts")->number;
+    w.end = w.ts + e.Get("dur")->number;
+    windows[static_cast<uint64_t>(e.Get("args")->Get("qid")->number)] = w;
+  }
+  ASSERT_EQ(windows.size(), 3u);
+  for (const Json& e : events->items) {
+    if (e.Get("cat")->str != "stage") continue;
+    const uint64_t qid =
+        static_cast<uint64_t>(e.Get("args")->Get("qid")->number);
+    ASSERT_TRUE(windows.count(qid)) << "stage with no enclosing query";
+    Window& w = windows[qid];
+    const double ts = e.Get("ts")->number;
+    const double end = ts + e.Get("dur")->number;
+    if (w.stages == 0 || ts < w.min_ts) w.min_ts = ts;
+    if (w.stages == 0 || end > w.max_end) w.max_end = end;
+    w.stage_dur_sum += end - ts;
+    ++w.stages;
+  }
+  double first_end = windows.begin()->second.end;
+  for (const auto& [qid, w] : windows) first_end = std::min(first_end, w.end);
+  for (const auto& [qid, w] : windows) {
+    EXPECT_LT(w.ts, first_end)
+        << "query " << qid << " began its span only when its turn came";
+    ASSERT_GE(w.stages, 1u) << "traced query " << qid << " has no stages";
+    EXPECT_DOUBLE_EQ(w.min_ts, w.ts);
+    EXPECT_DOUBLE_EQ(w.stage_dur_sum, w.max_end - w.ts);
+    // Each stage duration rounds to whole microseconds on its own.
+    EXPECT_NEAR(w.max_end, w.end, static_cast<double>(w.stages));
   }
   rec.Clear();
 }

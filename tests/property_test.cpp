@@ -20,6 +20,7 @@
 #include "engine/query_engine.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "live/async_engine.h"
 #include "test_util.h"
 
 namespace pathenum {
@@ -193,6 +194,24 @@ QueryStats RunOne(QueryEngine& engine, const Query& q, bool split,
   return result.stats[0];
 }
 
+/// The same query as an AsyncEngine split ticket (IDX-DFS branches fanned
+/// out over idle workers).
+QueryStats RunAsyncSplit(AsyncEngine& engine, const Query& q,
+                         const EnumOptions& query_opts, CollectingSink& sink) {
+  const QueryTicket ticket = engine.Submit(
+      q, sink, SubmitOptions{.query = query_opts, .split_branches = true});
+  const QueryStats stats = ticket.Wait();
+  EXPECT_TRUE(ticket.ok()) << ticket.error();
+  EXPECT_EQ(stats.method, Method::kDfs) << "async split runs IDX-DFS";
+  return stats;
+}
+
+AsyncEngineOptions FourWorkers() {
+  AsyncEngineOptions opts;
+  opts.num_workers = 4;
+  return opts;
+}
+
 TEST(SplitDifferentialTest, RunBatchSplitOnOffAgreeOnRandomGraphs) {
   // The split/serial differential: identical path sets (unordered) and
   // identical num_results on randomized graphs, across the methods the
@@ -200,6 +219,7 @@ TEST(SplitDifferentialTest, RunBatchSplitOnOffAgreeOnRandomGraphs) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const Graph g = RMat(6, 320, seed * 13);
     QueryEngine engine(g, {.num_workers = 4});
+    AsyncEngine async(g, FourWorkers());
     for (uint32_t k = 4; k <= 6; ++k) {
       const Query q{static_cast<VertexId>((seed * 11) % 64),
                     static_cast<VertexId>((seed * 31 + 7) % 64), k};
@@ -213,6 +233,17 @@ TEST(SplitDifferentialTest, RunBatchSplitOnOffAgreeOnRandomGraphs) {
                 serial_stats.counters.num_results);
       EXPECT_EQ(split_stats.method, serial_stats.method)
           << "split must plan like the serial pipeline";
+
+      CollectingSink ticket;
+      const QueryStats ticket_stats = RunAsyncSplit(async, q, {}, ticket);
+      EXPECT_EQ(ToSet(ticket.paths()), ToSet(serial.paths()))
+          << "async split ticket, seed=" << seed << " k=" << k;
+      EXPECT_EQ(ticket_stats.counters.num_results,
+                serial_stats.counters.num_results);
+      EXPECT_EQ(ticket_stats.counters.hit_result_limit,
+                serial_stats.counters.hit_result_limit);
+      EXPECT_EQ(ticket_stats.counters.stopped_by_sink,
+                serial_stats.counters.stopped_by_sink);
     }
   }
 }
@@ -225,6 +256,7 @@ TEST(SplitDifferentialTest, TruncationFlagsAgreeAtTightLimits) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     const Graph g = ErdosRenyi(48, 430, seed * 7 + 1);
     QueryEngine engine(g, {.num_workers = 4});
+    AsyncEngine async(g, FourWorkers());
     const Query q{static_cast<VertexId>(seed % 48),
                   static_cast<VertexId>((seed * 19 + 3) % 48), 5};
     if (q.source == q.target) continue;
@@ -253,6 +285,24 @@ TEST(SplitDifferentialTest, TruncationFlagsAgreeAtTightLimits) {
       // a subset of the true result set.
       const PathSet full_set = ToSet(full.paths());
       for (const auto& p : split.paths()) {
+        EXPECT_TRUE(full_set.count(p) > 0);
+      }
+
+      // The same query as an async split ticket: the same limit outcome,
+      // and again a subset of the true result set.
+      CollectingSink ticket;
+      const QueryStats ticket_stats = RunAsyncSplit(async, q, opts, ticket);
+      ASSERT_EQ(ticket.paths().size(), limit)
+          << "async split ticket, seed=" << seed << " limit=" << limit;
+      EXPECT_EQ(ticket_stats.counters.num_results,
+                serial_stats.counters.num_results);
+      EXPECT_EQ(ticket_stats.counters.hit_result_limit,
+                serial_stats.counters.hit_result_limit)
+          << "async split ticket, seed=" << seed << " limit=" << limit;
+      EXPECT_EQ(ticket_stats.counters.stopped_by_sink,
+                serial_stats.counters.stopped_by_sink)
+          << "async split ticket, seed=" << seed << " limit=" << limit;
+      for (const auto& p : ticket.paths()) {
         EXPECT_TRUE(full_set.count(p) > 0);
       }
     }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -91,6 +92,46 @@ TEST(BranchSinkTest, SerializedModeLatchesOnInnerRefusal) {
       << "the latch must keep the inner sink from ever being called again";
   EXPECT_EQ(inner.paths().size(), 2u);
   EXPECT_EQ(gate.delivered(), 2u);
+}
+
+TEST(BranchSinkTest, SerializedModeLatchesOnInnerThrow) {
+  // A throwing inner sink must trip the latch before the exception leaves
+  // the serialization mutex: another participant's adapter over the same
+  // gate then signals stop without calling the broken sink again — for
+  // per-path and block delivery alike.
+  class ThrowingSink : public PathSink {
+   public:
+    bool OnPath(std::span<const VertexId>) override {
+      ++calls;
+      throw std::runtime_error("sink exploded");
+    }
+    int calls = 0;
+  };
+  const auto path = P({0, 2, 1});
+  PathBlock block;
+  block.Append(path);
+  const PathBlockView view(block);
+  for (const bool blocks : {false, true}) {
+    Timer timer;
+    BranchGate gate(/*result_limit=*/100, /*response_target=*/0, timer);
+    ThrowingSink inner;
+    BranchSink a(gate, inner, BranchSink::Mode::kSerialized);
+    BranchSink b(gate, inner, BranchSink::Mode::kSerialized);
+    if (blocks) {
+      EXPECT_THROW(a.OnBlock(view), std::runtime_error);
+    } else {
+      EXPECT_THROW(a.OnPath(path), std::runtime_error);
+    }
+    EXPECT_TRUE(gate.stopped()) << "blocks=" << blocks;
+    if (blocks) {
+      const PathSink::BlockResult r = b.OnBlock(view);
+      EXPECT_EQ(r.consumed, 0u);
+      EXPECT_TRUE(r.stop);
+    } else {
+      EXPECT_FALSE(b.OnPath(path));
+    }
+    EXPECT_EQ(inner.calls, 1) << "blocks=" << blocks;
+  }
 }
 
 TEST(BranchSinkTest, ExternalStopCutsDeliveryInBothModes) {
