@@ -1,8 +1,12 @@
-// Ablation of this implementation's forward-BFS admission pruning: the
-// index's second BFS admits only vertices with v.s + v.t <= k (exact;
-// DESIGN.md). This harness measures what the optimization is worth on the
-// representative graphs, and cross-checks that both variants build
-// identical indexes.
+// Ablation of the index build's meet-in-the-middle distance passes
+// (TwoSidedField, DESIGN.md §1): backward from t to depth ⌊k/2⌋, forward
+// from s to depth k through X beyond depth k - ⌊k/2⌋, then backward on
+// through X only — against the reference that runs the two full k-balls
+// (IndexBuildOptions::prune_forward_bfs = false). This harness measures
+// what meeting in the middle is worth on the representative graphs and
+// cross-checks that both variants build the same index: the same X, the
+// same (v.s, v.t) per vertex, the same edge count. It exits 1 on any
+// mismatch.
 #include <iostream>
 
 #include "common/bench_util.h"
@@ -13,45 +17,69 @@
 using namespace pathenum;
 using namespace pathenum::bench;
 
+namespace {
+
+/// The same X, the same (v.s, v.t) for every vertex, the same edge count.
+bool SameIndex(const LightweightIndex& a, const LightweightIndex& b) {
+  if (a.num_vertices() != b.num_vertices() || a.num_edges() != b.num_edges())
+    return false;
+  for (uint32_t slot = 0; slot < b.num_vertices(); ++slot) {
+    const uint32_t other = a.SlotOf(b.VertexAt(slot));
+    if (other == kInvalidSlot ||
+        a.DistFromSource(other) != b.DistFromSource(slot) ||
+        a.DistToTarget(other) != b.DistToTarget(slot)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 int main() {
   const BenchEnv env = BenchEnv::FromEnv();
-  PrintBanner("Ablation — forward-BFS admission pruning in index build",
+  PrintBanner("Ablation — meet-in-the-middle distance passes in index build",
               "implementation design choice (DESIGN.md §1)", env);
 
+  bool all_identical = true;
   for (const std::string name : {"ep", "gg"}) {
     const Graph g = CachedDataset(name, env.scale);
     std::cout << "\nDataset " << name << " (mean ms per index build)\n";
-    TablePrinter table({"k", "pruned", "unpruned", "speedup", "identical"});
+    TablePrinter table({"k", "mitm", "full balls", "speedup", "identical"});
     IndexBuilder builder;
     for (uint32_t k = 3; k <= 8; ++k) {
       const auto queries = MakeQueries(g, env, k);
       if (queries.empty()) continue;
-      double pruned_ms = 0, unpruned_ms = 0;
+      double mitm_ms = 0, full_ms = 0;
       bool identical = true;
       for (const Query& q : queries) {
-        IndexBuildOptions pruned_opts;
-        const LightweightIndex a = builder.Build(g, q, pruned_opts);
-        pruned_ms += a.build_stats().total_ms;
-        IndexBuildOptions unpruned_opts;
-        unpruned_opts.prune_forward_bfs = false;
-        const LightweightIndex b = builder.Build(g, q, unpruned_opts);
-        unpruned_ms += b.build_stats().total_ms;
-        identical &= a.num_vertices() == b.num_vertices() &&
-                     a.num_edges() == b.num_edges();
+        const LightweightIndex a = builder.Build(g, q);
+        mitm_ms += a.build_stats().total_ms;
+        IndexBuildOptions full_opts;
+        full_opts.prune_forward_bfs = false;
+        const LightweightIndex b = builder.Build(g, q, full_opts);
+        full_ms += b.build_stats().total_ms;
+        identical &= SameIndex(a, b);
       }
+      all_identical &= identical;
       const double n = static_cast<double>(queries.size());
-      table.AddRow({std::to_string(k), FormatSci(pruned_ms / n),
-                    FormatSci(unpruned_ms / n),
-                    FormatFixed(pruned_ms > 0 ? unpruned_ms / pruned_ms : 0,
-                                2) +
-                        "x",
+      table.AddRow({std::to_string(k), FormatSci(mitm_ms / n),
+                    FormatSci(full_ms / n),
+                    FormatFixed(mitm_ms > 0 ? full_ms / mitm_ms : 0, 2) + "x",
                     identical ? "yes" : "NO (BUG)"});
     }
     table.Print(std::cout);
   }
   PrintShapeNote(
-      "Expected: identical indexes (the pruning is exact — every vertex on "
-      "a shortest s->v path inherits v's bound), with build speedups that "
-      "grow with k as the s-side k-ball outgrows the X set.");
+      "Expected: identical indexes (meeting in the middle is exact — a "
+      "vertex of X deeper than one side's split is within the other side's "
+      "split, and every vertex on a shortest path to a vertex of X is in "
+      "X), with build speedups wherever the full k-balls outgrow the two "
+      "half-depth balls plus X.");
+  if (!all_identical) {
+    std::cerr << "bench_ablation_bfsprune: meet-in-the-middle and full-ball "
+                 "builds differ\n";
+    return 1;
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "core/index.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <type_traits>
 
@@ -10,6 +11,14 @@
 #include "util/timer.h"
 
 namespace pathenum {
+
+uint32_t LightweightIndex::SlotOf(VertexId v) const {
+  const auto it = std::lower_bound(
+      vertex_slots_.begin(), vertex_slots_.end(), v,
+      [](const VertexSlot& e, VertexId key) { return e.vertex < key; });
+  return it != vertex_slots_.end() && it->vertex == v ? it->slot
+                                                      : kInvalidSlot;
+}
 
 std::vector<VertexId> LightweightIndex::OutVerticesWithin(VertexId v,
                                                           uint32_t b) const {
@@ -64,6 +73,38 @@ std::span<const uint16_t> PlacePart16(std::byte* slab, size_t& offset,
   }
   offset += src.size() * sizeof(uint16_t);
   return {dst, src.size()};
+}
+
+/// Writes `value` back into `table` at every vertex of `written` on scope
+/// exit, exceptions included (a fault hook or an allocation may throw
+/// mid-build), so a grow-only |V|-sized staging table is clean again for
+/// the next build after O(|written|) work.
+template <typename T>
+class ResetOnExit {
+ public:
+  ResetOnExit(std::vector<T>& table, const std::vector<VertexId>& written,
+              T value)
+      : table_(table), written_(written), value_(value) {}
+  ~ResetOnExit() {
+    for (const VertexId v : written_) table_[v] = value_;
+  }
+  ResetOnExit(const ResetOnExit&) = delete;
+  ResetOnExit& operator=(const ResetOnExit&) = delete;
+
+ private:
+  std::vector<T>& table_;
+  const std::vector<VertexId>& written_;
+  const T value_;
+};
+
+/// Cooperative control poll (0 = none, 1 = cancel, 2 = deadline) for the
+/// stretches after the BFS passes' own per-level polls.
+int ControlTrip(const IndexBuildOptions& opts) {
+  if (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed)) {
+    return 1;
+  }
+  if (opts.deadline.Expired()) return 2;
+  return 0;
 }
 
 bool FitsU16(const std::vector<uint32_t>& v) {
@@ -125,7 +166,7 @@ void IndexBuilder::Fuse(LightweightIndex& idx, bool edge_ids,
   }
   total += bytes_of(x_vertices_);
   total += bytes_of(cell_offsets_);
-  total += bytes_of(slot_lookup_);
+  total += bytes_of(vertex_slots_);
   total += bytes_of(out_slots_);
   if (in_direction) total += bytes_of(in_slots_);
   total += out_ends_.size() * (out_narrow ? sizeof(uint16_t) : sizeof(uint32_t));
@@ -152,7 +193,7 @@ void IndexBuilder::Fuse(LightweightIndex& idx, bool edge_ids,
   // 4-byte.
   idx.x_vertices_ = PlacePart(slab, off, x_vertices_);
   idx.cell_offsets_ = PlacePart(slab, off, cell_offsets_);
-  idx.slot_lookup_ = PlacePart(slab, off, slot_lookup_);
+  idx.vertex_slots_ = PlacePart(slab, off, vertex_slots_);
   idx.out_slots_ = PlacePart(slab, off, out_slots_);
   if (in_direction) idx.in_slots_ = PlacePart(slab, off, in_slots_);
   if (!out_narrow) idx.out_ends32_ = PlacePart(slab, off, out_ends_);
@@ -178,7 +219,7 @@ void IndexBuilder::FinishInterrupted(LightweightIndex& idx, const Query& q,
   x_vertices_.clear();
   slot_ds_.clear();
   slot_dt_.clear();
-  slot_lookup_.clear();  // SlotOf falls through to kInvalidSlot
+  vertex_slots_.clear();  // SlotOf finds nothing
   out_begin_.assign(1, 0);
   out_ends_.clear();
   out_slots_.clear();
@@ -210,84 +251,78 @@ LightweightIndex IndexBuilder::Build(const GraphT& g, const Query& q,
   const uint32_t k = q.hops;
   Timer total_timer;
 
-  // --- Line 1 of Alg. 3: the two bounded BFS. ---------------------------
-  // The backward pass runs first; the forward pass then admits only
-  // vertices with v.s + v.t <= k. The pruning is exact (every vertex on a
-  // shortest s->v path inherits the bound by the triangle inequality), so
-  // the forward pass visits exactly X instead of the whole k-ball of s.
-  {
+  // --- Line 1 of Alg. 3: v.s and v.t on X. -------------------------------
+  // Meeting in the middle touches two half-depth balls plus X's
+  // neighbourhoods (DESIGN.md §1); the reference runs the two full k-balls,
+  // backward from t first, then forward from s.
+  DistanceField::Interrupt trip = DistanceField::Interrupt::kNone;
+  if (opts.prune_forward_bfs) {
+    TwoSidedField::Options fo;
+    fo.source = q.source;
+    fo.target = q.target;
+    fo.hops = k;
+    fo.cancel = opts.cancel;
+    fo.deadline = opts.deadline;
+    if (opts.filter == nullptr) {
+      field_.Compute(g, fo, AcceptAllEdges{});
+    } else {
+      field_.Compute(g, fo, *opts.filter);
+    }
+    trip = field_.interrupted();
+    idx.build_stats_.edges_scanned = field_.edges_scanned();
+    idx.build_stats_.waves = field_.waves();
+  } else {
     DistanceField::Options bwd;
     bwd.blocked = q.source;  // internal vertices avoid s
     bwd.max_depth = k;
+    bwd.filter = opts.filter;
     bwd.cancel = opts.cancel;
     bwd.deadline = opts.deadline;
-    DistanceField::Options fwd;
+    DistanceField::Options fwd = bwd;
     fwd.blocked = q.target;  // internal vertices avoid t
-    fwd.max_depth = k;
-    fwd.cancel = opts.cancel;
-    fwd.deadline = opts.deadline;
-    // The X-set admission check, inlined into the forward relaxation loop.
-    const auto admit_x = [this, k](VertexId v, uint32_t dist) {
-      const uint32_t dt = field_t_.Distance(v);
-      return dt != kInfDistance && dist + dt <= k;
-    };
-    if (opts.filter == nullptr) {
-      // Devirtualized hot path (the overwhelmingly common case): concrete
-      // callables, zero std::function calls in either inner loop.
-      field_t_.ComputeWith(g, Direction::kBackward, q.target, bwd,
-                           AcceptAllEdges{}, AdmitAllVertices{});
-      if (field_t_.interrupted() == DistanceField::Interrupt::kNone) {
-        if (opts.prune_forward_bfs) {
-          field_s_.ComputeWith(g, Direction::kForward, q.source, fwd,
-                               AcceptAllEdges{}, admit_x);
-        } else {
-          field_s_.ComputeWith(g, Direction::kForward, q.source, fwd,
-                               AcceptAllEdges{}, AdmitAllVertices{});
-        }
-      }
-    } else {
-      bwd.filter = opts.filter;
-      field_t_.Compute(g, Direction::kBackward, q.target, bwd);
-      if (field_t_.interrupted() == DistanceField::Interrupt::kNone) {
-        const VertexAdmission admit = admit_x;
-        fwd.filter = opts.filter;
-        if (opts.prune_forward_bfs) fwd.admit = &admit;
-        field_s_.Compute(g, Direction::kForward, q.source, fwd);
-      }
+    field_t_.Compute(g, Direction::kBackward, q.target, bwd);
+    trip = field_t_.interrupted();
+    if (trip == DistanceField::Interrupt::kNone) {
+      field_s_.Compute(g, Direction::kForward, q.source, fwd);
+      trip = field_s_.interrupted();
     }
+    idx.build_stats_.edges_scanned =
+        field_t_.edges_scanned() + field_s_.edges_scanned();
+    idx.build_stats_.waves = field_t_.waves() + field_s_.waves();
   }
   idx.build_stats_.bfs_ms = total_timer.ElapsedMs();
-  idx.build_stats_.edges_scanned =
-      field_t_.edges_scanned() + field_s_.edges_scanned();
   idx.build_stats_.batch_edges_scanned = idx.build_stats_.edges_scanned;
-  idx.build_stats_.waves = field_t_.waves() + field_s_.waves();
-  {
+  if (trip != DistanceField::Interrupt::kNone) {
     // An interrupted pass left incomplete distances — discard them and
     // hand back the empty well-formed index.
-    const DistanceField::Interrupt trip =
-        field_t_.interrupted() != DistanceField::Interrupt::kNone
-            ? field_t_.interrupted()
-            : field_s_.interrupted();
-    if (trip != DistanceField::Interrupt::kNone) {
-      FinishInterrupted(idx, q, opts,
-                        trip == DistanceField::Interrupt::kCancelled);
-      idx.build_stats_.total_ms = total_timer.ElapsedMs();
-      RecordBuildMetrics(idx.build_stats_);
-      return idx;
-    }
+    FinishInterrupted(idx, q, opts,
+                      trip == DistanceField::Interrupt::kCancelled);
+    idx.build_stats_.total_ms = total_timer.ElapsedMs();
+    RecordBuildMetrics(idx.build_stats_);
+    return idx;
   }
 
-  // With pruning, the forward pass reached exactly the X candidates;
-  // without (ablation), scan the smaller of the two k-balls.
-  const std::vector<VertexId>& cand =
-      (opts.prune_forward_bfs ||
-       field_s_.Reached().size() <= field_t_.Reached().size())
-          ? field_s_.Reached()
-          : field_t_.Reached();
-  AssembleFrom(
-      g, q, opts, cand,
-      [this](VertexId v) { return field_s_.Distance(v); },
-      [this](VertexId v) { return field_t_.Distance(v); }, idx, total_timer);
+  // Both reached lists hold all of X; scan the smaller.
+  const auto smaller = [](const std::vector<VertexId>& x,
+                          const std::vector<VertexId>& y)
+      -> const std::vector<VertexId>& { return x.size() <= y.size() ? x : y; };
+  if (opts.prune_forward_bfs) {
+    AssembleFrom(
+        g, q, opts,
+        smaller(field_.ReachedFromSource(), field_.ReachedToTarget()),
+        [this](VertexId v) { return field_.FromSource(v); },
+        [this](VertexId v) { return field_.ToTarget(v); }, idx, total_timer);
+  } else {
+    AssembleFrom(
+        g, q, opts, smaller(field_s_.Reached(), field_t_.Reached()),
+        [this](VertexId v) {
+          return std::min(field_s_.Distance(v), TwoSidedField::kUnset);
+        },
+        [this](VertexId v) {
+          return std::min(field_t_.Distance(v), TwoSidedField::kUnset);
+        },
+        idx, total_timer);
+  }
   RecordBuildMetrics(idx.build_stats_);
   return idx;
 }
@@ -303,24 +338,13 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
                                 LightweightIndex& idx, Timer& total_timer) {
   const uint32_t k = q.hops;
 
-  // Cooperative control poll (0 = none, 1 = cancel, 2 = deadline) for the
-  // stretches between the BFS passes' own per-wave polls.
-  const auto control_trip = [&opts]() -> int {
-    if (opts.cancel != nullptr &&
-        opts.cancel->load(std::memory_order_relaxed)) {
-      return 1;
-    }
-    if (opts.deadline.Expired()) return 2;
-    return 0;
-  };
-
   // --- Lines 2-4: partition X by (v.s, v.t), v.s + v.t <= k. ------------
   const size_t num_cells = static_cast<size_t>(k + 1) * (k + 1);
   cell_offsets_.assign(num_cells + 1, 0);
   for (const VertexId v : cand) {
     const uint32_t ds = dist_s(v);
     const uint32_t dt = dist_t(v);
-    if (ds == kInfDistance || dt == kInfDistance || ds + dt > k) continue;
+    if (ds + dt > k) continue;
     cell_offsets_[static_cast<size_t>(ds) * (k + 1) + dt + 1]++;
   }
   for (size_t c = 0; c < num_cells; ++c) {
@@ -335,7 +359,7 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
     for (const VertexId v : cand) {
       const uint32_t ds = dist_s(v);
       const uint32_t dt = dist_t(v);
-      if (ds == kInfDistance || dt == kInfDistance || ds + dt > k) continue;
+      if (ds + dt > k) continue;
       const uint32_t slot =
           cell_cursor_[static_cast<size_t>(ds) * (k + 1) + dt]++;
       x_vertices_[slot] = v;
@@ -343,15 +367,61 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
       slot_dt_[slot] = static_cast<uint8_t>(dt);
     }
   }
-  slot_lookup_.assign(g.num_vertices(), kInvalidSlot);
+  if (const int trip = BuildAdjacency(g, q, opts, dist_s, dist_t, idx)) {
+    FinishInterrupted(idx, q, opts, trip == 1);
+    idx.build_stats_.total_ms = total_timer.ElapsedMs();
+    return;
+  }
+
+  // --- Preliminary-estimator statistics (paper §6.2). -------------------
+  if (opts.collect_level_stats) {
+    for (uint32_t slot = 0; slot < num_x; ++slot) {
+      const uint32_t ds = slot_ds_[slot];
+      const uint32_t dt = slot_dt_[slot];
+      const uint32_t j_hi = std::min(k - 1, k - dt);
+      const uint32_t* ends = &out_ends_[static_cast<size_t>(slot) * (k + 1)];
+      for (uint32_t j = ds; j <= j_hi; ++j) {
+        level_count_[j]++;
+        level_it_sum_[j] += ends[k - j - 1];
+      }
+    }
+  }
+
+  // --- Fuse the staged parts into the one-allocation slab (§9). ---------
+  Fuse(idx, opts.build_edge_ids, opts.build_in_direction,
+       opts.collect_level_stats);
+
+  idx.build_stats_.total_ms = total_timer.ElapsedMs();
+}
+
+/// Lines 5-11 of Alg. 3 plus the in-direction: the slot maps and the
+/// staged adjacency of X's slots. Returns the control trip (0 = none,
+/// 1 = cancel, 2 = deadline) that stopped it early.
+template <typename GraphT, typename DistS, typename DistT>
+int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
+                                 const Options& opts, const DistS& dist_s,
+                                 const DistT& dist_t, LightweightIndex& idx) {
+  const uint32_t k = q.hops;
+  const uint32_t num_x = static_cast<uint32_t>(x_vertices_.size());
+  // The staging lookup is all kInvalidSlot here; X's entries are written
+  // now and reset on every exit.
+  if (slot_lookup_.size() < g.num_vertices()) {
+    slot_lookup_.resize(g.num_vertices(), kInvalidSlot);
+  }
+  const ResetOnExit<uint32_t> reset(slot_lookup_, x_vertices_, kInvalidSlot);
+  vertex_slots_.resize(num_x);
   for (uint32_t slot = 0; slot < num_x; ++slot) {
     slot_lookup_[x_vertices_[slot]] = slot;
+    vertex_slots_[slot] = {x_vertices_[slot], slot};
   }
+  std::sort(vertex_slots_.begin(), vertex_slots_.end(),
+            [](const LightweightIndex::VertexSlot& a,
+               const LightweightIndex::VertexSlot& b) {
+              return a.vertex < b.vertex;
+            });
   const auto slot_of = [&](VertexId v) { return slot_lookup_[v]; };
-  idx.source_slot_ =
-      q.source < slot_lookup_.size() ? slot_lookup_[q.source] : kInvalidSlot;
-  idx.target_slot_ =
-      q.target < slot_lookup_.size() ? slot_lookup_[q.target] : kInvalidSlot;
+  idx.source_slot_ = slot_lookup_[q.source];
+  idx.target_slot_ = slot_lookup_[q.target];
 
   // If s (equivalently t) fell out of X there is no result within k hops;
   // leave the adjacency empty but well-formed.
@@ -371,14 +441,11 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
 
   // --- Lines 5-11: out-direction adjacency H_t, sorted by v'.t. ---------
   uint32_t key_counts[kMaxHops + 2];
+  int trip = 0;
   for (uint32_t slot = 0; slot < num_x; ++slot) {
     if ((slot & 4095u) == 0) {
       fault::Hit(fault::Site::kIndexAdjacency);
-      if (const int trip = control_trip()) {
-        FinishInterrupted(idx, q, opts, trip == 1);
-        idx.build_stats_.total_ms = total_timer.ElapsedMs();
-        return;
-      }
+      if ((trip = ControlTrip(opts)) != 0) break;
     }
     const VertexId v = x_vertices_[slot];
     const uint32_t ds = slot_ds_[slot];
@@ -392,7 +459,7 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
         const VertexId w = nbrs[j];
         if (w == q.source) continue;  // s is never a tuple destination
         const uint32_t dt_w = dist_t(w);
-        if (dt_w == kInfDistance || ds + dt_w + 1 > k) continue;
+        if (ds + dt_w + 1 > k) continue;
         // Edge ids feed only the constraint extensions, which require a
         // plain Graph (overlay views have no stable ids and constrained
         // runs are gated on overlay-free snapshots) — skip the per-edge id
@@ -435,15 +502,9 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
   }
 
   // --- Symmetric in-direction adjacency H_s, sorted by v'.s. ------------
-  if (opts.build_in_direction) {
+  if (opts.build_in_direction && trip == 0) {
     for (uint32_t slot = 0; slot < num_x; ++slot) {
-      if ((slot & 4095u) == 0) {
-        if (const int trip = control_trip()) {
-          FinishInterrupted(idx, q, opts, trip == 1);
-          idx.build_stats_.total_ms = total_timer.ElapsedMs();
-          return;
-        }
-      }
+      if ((slot & 4095u) == 0 && (trip = ControlTrip(opts)) != 0) break;
       const VertexId v = x_vertices_[slot];
       const uint32_t dt = slot_dt_[slot];
       scratch_.clear();
@@ -453,7 +514,7 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
           const VertexId w = nbrs[j];
           if (w == q.target) continue;  // t is never a tuple source...
           const uint32_t ds_w = dist_s(w);
-          if (ds_w == kInfDistance || ds_w + dt + 1 > k) continue;
+          if (ds_w + dt + 1 > k) continue;
           if (opts.filter != nullptr) {
             const EdgeId e = g.FindEdge(w, v);
             if (!(*opts.filter)(w, v, e)) continue;
@@ -482,26 +543,7 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
       for (uint32_t b = 0; b <= k; ++b) ends[b] = key_counts[b + 1];
     }
   }
-
-  // --- Preliminary-estimator statistics (paper §6.2). -------------------
-  if (opts.collect_level_stats) {
-    for (uint32_t slot = 0; slot < num_x; ++slot) {
-      const uint32_t ds = slot_ds_[slot];
-      const uint32_t dt = slot_dt_[slot];
-      const uint32_t j_hi = std::min(k - 1, k - dt);
-      const uint32_t* ends = &out_ends_[static_cast<size_t>(slot) * (k + 1)];
-      for (uint32_t j = ds; j <= j_hi; ++j) {
-        level_count_[j]++;
-        level_it_sum_[j] += ends[k - j - 1];
-      }
-    }
-  }
-
-  // --- Fuse the staged parts into the one-allocation slab (§9). ---------
-  Fuse(idx, opts.build_edge_ids, opts.build_in_direction,
-       opts.collect_level_stats);
-
-  idx.build_stats_.total_ms = total_timer.ElapsedMs();
+  return trip;
 }
 
 template <typename GraphT>
@@ -528,54 +570,76 @@ std::vector<LightweightIndex> IndexBuilder::BuildBatch(
                                                          : opts.deadline;
   };
 
-  // --- Backward fused sweep: sources are the targets, s blocked. --------
-  batch_members_.clear();
-  for (size_t m = 0; m < n; ++m) {
-    BatchedDistanceField::Member mem;
-    mem.source = reqs[m].query.target;
-    mem.blocked = reqs[m].query.source;
-    mem.max_depth = reqs[m].query.hops;
-    mem.cancel = member_cancel(m);
-    mem.deadline = member_deadline(m);
-    batch_members_.push_back(mem);
-  }
-  batch_t_.Compute(g, Direction::kBackward, batch_members_);
-
-  // --- Forward fused sweep: sources are the sources, t blocked, each
-  // member admitted against its own backward field (v.s + v.t <= k). A
-  // member already interrupted backward gets max_depth 0: its source is
-  // seeded but nothing is expanded for it.
-  batch_members_.clear();
-  for (size_t m = 0; m < n; ++m) {
-    BatchedDistanceField::Member mem;
-    mem.source = reqs[m].query.source;
-    mem.blocked = reqs[m].query.target;
-    mem.max_depth =
-        batch_t_.interrupted(static_cast<uint32_t>(m)) !=
-                BatchedDistanceField::Interrupt::kNone
-            ? 0
-            : reqs[m].query.hops;
-    mem.cancel = member_cancel(m);
-    mem.deadline = member_deadline(m);
-    batch_members_.push_back(mem);
-  }
+  // --- The fused sweeps. ------------------------------------------------
+  // Meeting in the middle (DESIGN.md §11), member by member exactly the
+  // levels its solo build expands, with b = ⌊k/2⌋ and a = k - b:
+  //   1. backward to depth b;
+  //   2. forward to depth k, every vertex below depth a, X only beyond;
+  //   3. backward again to depth k, every vertex below b, X only beyond.
+  // Sweeps 2 and 3 together expand exactly what the solo field expands, so
+  // their per-member counts are the member's solo-equivalent edges_scanned.
+  // The reference (prune_forward_bfs off) runs a full backward and a full
+  // forward k-ball. A member tripped in one sweep gets max_depth 0 in the
+  // next: its source is seeded but nothing is expanded for it.
+  using Interrupt = BatchedDistanceField::Interrupt;
+  std::array<Interrupt, BatchedDistanceField::kMaxBatch> trips{};
+  const auto run_sweep = [&](BatchedDistanceField& field, Direction dir,
+                             const auto& max_depth, const auto& admit) {
+    const bool fwd = dir == Direction::kForward;
+    batch_members_.clear();
+    for (size_t m = 0; m < n; ++m) {
+      const Query& q = reqs[m].query;
+      BatchedDistanceField::Member mem;
+      mem.source = fwd ? q.source : q.target;
+      mem.blocked = fwd ? q.target : q.source;
+      mem.max_depth = trips[m] != Interrupt::kNone ? 0 : max_depth(q.hops);
+      mem.cancel = member_cancel(m);
+      mem.deadline = member_deadline(m);
+      batch_members_.push_back(mem);
+    }
+    field.ComputeWith(g, dir, batch_members_, admit);
+    for (size_t m = 0; m < n; ++m) {
+      if (trips[m] == Interrupt::kNone) {
+        trips[m] = field.interrupted(static_cast<uint32_t>(m));
+      }
+    }
+  };
+  const auto full = [](uint32_t k) { return k; };
+  uint64_t shared_edges = 0;
+  uint32_t shared_waves = 0;
   if (opts.prune_forward_bfs) {
-    const auto admit_x = [this, &reqs](uint32_t m, VertexId v,
-                                       uint32_t dist) {
-      const uint32_t dt = batch_t_.Distance(m, v);
-      return dt != kInfDistance && dist + dt <= reqs[m].query.hops;
-    };
-    batch_s_.ComputeWith(g, Direction::kForward, batch_members_, admit_x);
+    run_sweep(batch_t_, Direction::kBackward,
+              [](uint32_t k) { return k / 2; }, BatchAdmitAll{});
+    shared_edges += batch_t_.edges_scanned();
+    shared_waves += batch_t_.waves();
+    run_sweep(batch_s_, Direction::kForward, full,
+              [this, &reqs](uint32_t m, VertexId v, uint32_t d) {
+                const uint32_t k = reqs[m].query.hops;
+                if (d < k - k / 2) return true;
+                const uint32_t dt = batch_t_.Distance(m, v);
+                return dt != kInfDistance && d + dt <= k;
+              });
+    run_sweep(batch_t_, Direction::kBackward, full,
+              [this, &reqs](uint32_t m, VertexId v, uint32_t d) {
+                const uint32_t k = reqs[m].query.hops;
+                if (d < k / 2) return true;
+                const uint32_t ds = batch_s_.Distance(m, v);
+                return ds != kInfDistance && ds + d <= k;
+              });
   } else {
-    batch_s_.Compute(g, Direction::kForward, batch_members_);
+    run_sweep(batch_t_, Direction::kBackward, full, BatchAdmitAll{});
+    run_sweep(batch_s_, Direction::kForward, full, BatchAdmitAll{});
   }
   const double bfs_ms = total_timer.ElapsedMs();
-  const uint64_t shared_edges =
-      batch_t_.edges_scanned() + batch_s_.edges_scanned();
-  const uint32_t shared_waves = batch_t_.waves() + batch_s_.waves();
+  shared_edges += batch_t_.edges_scanned() + batch_s_.edges_scanned();
+  shared_waves += batch_t_.waves() + batch_s_.waves();
 
   // --- Per-member assembly: identical to the solo path, reading the
   // member's rows of the fused fields. ----------------------------------
+  constexpr uint16_t kUnset16 = TwoSidedField::kUnset;
+  const size_t nv = g.num_vertices();
+  if (batch_dist_s_.size() < nv) batch_dist_s_.resize(nv, kUnset16);
+  if (batch_dist_t_.size() < nv) batch_dist_t_.resize(nv, kUnset16);
   std::vector<LightweightIndex> out(n);
   for (size_t m = 0; m < n; ++m) {
     const uint32_t mi = static_cast<uint32_t>(m);
@@ -596,47 +660,34 @@ std::vector<LightweightIndex> IndexBuilder::BuildBatch(
     mopts.cancel = member_cancel(m);
     mopts.deadline = member_deadline(m);
 
-    const auto trip = batch_t_.interrupted(mi) !=
-                              BatchedDistanceField::Interrupt::kNone
-                          ? batch_t_.interrupted(mi)
-                          : batch_s_.interrupted(mi);
-    if (trip != BatchedDistanceField::Interrupt::kNone) {
-      FinishInterrupted(idx, q, mopts,
-                        trip == BatchedDistanceField::Interrupt::kCancelled);
+    if (trips[m] != Interrupt::kNone) {
+      FinishInterrupted(idx, q, mopts, trips[m] == Interrupt::kCancelled);
       idx.build_stats_.total_ms = total_timer.ElapsedMs();
       RecordBuildMetrics(idx.build_stats_);
       continue;
     }
 
-    // Export the member's distances into dense L1-resident arrays
-    // (sequential pass over the wave-ordered reached lists — no strided
-    // K-wide matrix reads), so the assembly's many per-candidate-edge
-    // lookups are a single unconditional load each, with 0xFFFF as the
-    // unreached sentinel instead of the solo field's stamp check.
-    constexpr uint16_t kUnreached16 = 0xFFFFu;
-    const size_t nv = g.num_vertices();
-    batch_dist_s_.assign(nv, kUnreached16);
-    batch_dist_t_.assign(nv, kUnreached16);
+    // Export the member's distances into the dense arrays (sequential pass
+    // over the wave-ordered reached lists — no strided K-wide matrix
+    // reads), so the assembly's many per-candidate-edge lookups are a
+    // single unconditional load each, with 0xFFFF (TwoSidedField::kUnset)
+    // for an unset distance; exactly the entries written are reset after.
+    const std::vector<VertexId>& reached_s = batch_s_.Reached(mi);
+    const std::vector<VertexId>& reached_t = batch_t_.Reached(mi);
+    const ResetOnExit<uint16_t> reset_s(batch_dist_s_, reached_s, kUnset16);
+    const ResetOnExit<uint16_t> reset_t(batch_dist_t_, reached_t, kUnset16);
     batch_s_.ExportDistances(mi, batch_dist_s_.data());
     batch_t_.ExportDistances(mi, batch_dist_t_.data());
     const uint16_t* const ds_arr = batch_dist_s_.data();
     const uint16_t* const dt_arr = batch_dist_t_.data();
+    // Both reached lists hold all of X; scan the smaller.
     const std::vector<VertexId>& cand =
-        (opts.prune_forward_bfs ||
-         batch_s_.Reached(mi).size() <= batch_t_.Reached(mi).size())
-            ? batch_s_.Reached(mi)
-            : batch_t_.Reached(mi);
+        reached_s.size() <= reached_t.size() ? reached_s : reached_t;
     AssembleFrom(
         g, q, mopts, cand,
-        [ds_arr](VertexId v) {
-          const uint16_t d = ds_arr[v];
-          return d == kUnreached16 ? kInfDistance : uint32_t{d};
-        },
-        [dt_arr](VertexId v) {
-          const uint16_t d = dt_arr[v];
-          return d == kUnreached16 ? kInfDistance : uint32_t{d};
-        },
-        idx, total_timer);
+        [ds_arr](VertexId v) { return uint32_t{ds_arr[v]}; },
+        [dt_arr](VertexId v) { return uint32_t{dt_arr[v]}; }, idx,
+        total_timer);
     RecordBuildMetrics(idx.build_stats_);
   }
   return out;

@@ -19,12 +19,17 @@
 // bucketed X order); all enumerators and the estimator work in slot space
 // and only translate back to vertex ids when emitting results.
 //
+// v.s and v.t come from meeting in the middle (TwoSidedField, DESIGN.md
+// §1): two half-depth BFS balls plus X's neighbourhoods, never the whole
+// k-ball around s or t.
+//
 // Storage is arena-fused (DESIGN.md §9): every per-index array lives in one
 // contiguous slab — a single allocation per build, a one-shot free, an
 // exact O(1) MemoryBytes() for the engine cache's byte accounting, and the
-// enumeration hot loop's arrays packed together. The per-slot cumulative
-// neighbor counts (`ends`) narrow to u16 whenever every slot degree fits,
-// halving the largest offset table.
+// enumeration hot loop's arrays packed together. The slab is O(|X| + index
+// edges): its vertex -> slot map is X's sorted (vertex, slot) pairs, not a
+// |V|-sized table. The per-slot cumulative neighbor counts (`ends`) narrow
+// to u16 whenever every slot degree fits, halving the largest offset table.
 #ifndef PATHENUM_CORE_INDEX_H_
 #define PATHENUM_CORE_INDEX_H_
 
@@ -48,7 +53,7 @@ class IndexBuilder;
 class LightweightIndex {
  public:
   struct BuildStats {
-    double bfs_ms = 0.0;    // the two bounded BFS (Alg. 3 line 1)
+    double bfs_ms = 0.0;    // the distance passes (Alg. 3 line 1)
     double total_ms = 0.0;  // whole construction
     /// The build was stopped by IndexBuildOptions::cancel/deadline. The
     /// index is empty but well-formed (enumerating it yields zero paths);
@@ -56,18 +61,17 @@ class LightweightIndex {
     /// IndexCache never publishes such an index.
     bool interrupted = false;
     bool interrupted_by_cancel = false;  // the trip was the cancel token
-    /// Adjacency entries this query's two BFS passes examined — for a
-    /// batched member this is the *solo-equivalent* count (what its own
-    /// ComputeWith would have touched), so summing it across a batch and
-    /// comparing against batch_edges_scanned measures the fusion win.
+    /// Adjacency entries this query's distance passes examined — for a
+    /// batched member this is the *solo-equivalent* count, taken from the
+    /// last two fused sweeps, which together expand exactly what its solo
+    /// build expands; so it equals the solo build's count, and summing it
+    /// across a batch against batch_edges_scanned measures the fusion win.
     uint64_t edges_scanned = 0;
-    /// BFS waves across the two passes.
+    /// BFS levels expanded across the passes.
     uint32_t waves = 0;
     /// Adjacency entries the shared sweeps *actually* examined. Equal to
     /// edges_scanned for a solo build; for a batched member it is the
-    /// batch-wide shared total (same value on every member), strictly
-    /// below the summed per-member edges_scanned whenever frontiers
-    /// overlap.
+    /// batch-wide total of all its sweeps (same value on every member).
     uint64_t batch_edges_scanned = 0;
     /// Built by IndexBuilder::BuildBatch (a fused multi-source sweep).
     bool batched = false;
@@ -92,11 +96,11 @@ class LightweightIndex {
   bool Contains(VertexId v) const { return SlotOf(v) != kInvalidSlot; }
 
   /// Slot of `v`, or kInvalidSlot. (The paper describes a hash table; a
-  /// dense vertex->slot array is used instead — same O(1) contract, far
-  /// cheaper to build, and its footprint is charged to MemoryBytes().)
-  uint32_t SlotOf(VertexId v) const {
-    return v < slot_lookup_.size() ? slot_lookup_[v] : kInvalidSlot;
-  }
+  /// binary search over X's (vertex, slot) pairs sorted by vertex is used
+  /// instead: O(|X|) bytes in the slab whatever |V| is. Only tests and the
+  /// *VerticesWithin helpers look vertices up; the enumerators and the
+  /// estimator work in slot space.)
+  uint32_t SlotOf(VertexId v) const;
 
   VertexId VertexAt(uint32_t slot) const { return x_vertices_[slot]; }
 
@@ -224,6 +228,12 @@ class LightweightIndex {
     return out_ends16_.empty() ? out_ends32_[i] : out_ends16_[i];
   }
 
+  /// One entry of the vertex -> slot map, sorted by vertex.
+  struct VertexSlot {
+    VertexId vertex = kInvalidVertex;
+    uint32_t slot = kInvalidSlot;
+  };
+
   Query query_;
   BuildStats build_stats_;
 
@@ -233,7 +243,7 @@ class LightweightIndex {
 
   std::span<const VertexId> x_vertices_;   // bucketed by (v.s, v.t) cell
   std::span<const uint32_t> cell_offsets_; // (k+1)^2 + 1 entries
-  std::span<const uint32_t> slot_lookup_;  // vertex -> slot, kInvalidSlot
+  std::span<const VertexSlot> vertex_slots_;  // |X| entries, by vertex
   std::span<const uint8_t> slot_ds_;       // v.s per slot
   std::span<const uint8_t> slot_dt_;       // v.t per slot
   uint32_t source_slot_ = kInvalidSlot;
@@ -272,9 +282,10 @@ struct IndexBuildOptions {
   bool build_in_direction = true;
   /// Level statistics feed the preliminary estimator.
   bool collect_level_stats = true;
-  /// Confine the forward BFS to vertices with v.s + v.t <= k using the
-  /// backward pass's distances (exact; see DESIGN.md). Off only for the
-  /// ablation benchmark measuring what the optimization is worth.
+  /// Meet in the middle (TwoSidedField: two half-depth balls, then each
+  /// side only through X; exact, see DESIGN.md §1). Off runs the two full
+  /// k-balls, the reference the ablation bench and the differential
+  /// tests compare against.
   bool prune_forward_bfs = true;
   /// Cooperative build control (DESIGN.md §10): polled once per BFS wave
   /// and periodically during the adjacency scan. A tripped build returns
@@ -302,7 +313,9 @@ struct BatchBuildRequest {
 /// fused into the slab, so that thousands of per-query builds avoid both
 /// the O(|V|) re-initialisation and all staging allocations — keep one
 /// builder per graph/session; the steady-state build allocates exactly the
-/// result slab.
+/// result slab. No per-query step costs O(|V|): the distance field is
+/// epoch-stamped, and the |V|-sized staging lookup and BuildBatch's dense
+/// distance exports are reset only at the entries a build wrote.
 class IndexBuilder {
  public:
   using Options = IndexBuildOptions;
@@ -318,13 +331,14 @@ class IndexBuilder {
                          const Options& opts = {});
 
   /// Builds the indexes for up to BatchedDistanceField::kMaxBatch queries
-  /// from TWO fused multi-source sweeps (one backward, one forward) instead
-  /// of 2·K solo ones — each adjacency list is scanned once per wave
-  /// however many members expand it. Emits the same arena-fused slab per
-  /// member as Build (layout unchanged); per-member fusion counters land in
-  /// each index's build_stats(). `opts.filter` must be null (batched builds
-  /// serve only cacheable, filter-free queries); per-member controls come
-  /// from the requests. Result i corresponds to reqs[i].
+  /// from three fused multi-source sweeps — the solo build's meet-in-the-
+  /// middle split (DESIGN.md §11) — instead of K solo builds: each
+  /// adjacency list is scanned once per wave however many members expand
+  /// it. Emits the same arena-fused slab per member as Build (layout
+  /// unchanged); per-member fusion counters land in each index's
+  /// build_stats(). `opts.filter` must be null (batched builds serve only
+  /// cacheable, filter-free queries); per-member controls come from the
+  /// requests. Result i corresponds to reqs[i].
   template <typename GraphT>
   std::vector<LightweightIndex> BuildBatch(
       const GraphT& g, const std::vector<BatchBuildRequest>& reqs,
@@ -340,13 +354,23 @@ class IndexBuilder {
   /// Everything after the BFS passes — partition X, build H_t/H_s, level
   /// stats, Fuse — parameterized over the distance accessors
   /// `dist_s(v)`/`dist_t(v)` so the solo and batched paths share one
-  /// assembly. `cand` is the X candidate list (the pruned forward pass's
-  /// reached set, or the smaller unpruned ball). Stamps total_ms.
+  /// assembly. An accessor returns the exact distance on X and, for an
+  /// unset one, a value above any hop bound (at most TwoSidedField::kUnset,
+  /// so sums never overflow). `cand` is an X candidate list: any reached
+  /// list holding all of X. Stamps total_ms.
   template <typename GraphT, typename DistS, typename DistT>
   void AssembleFrom(const GraphT& g, const Query& q, const Options& opts,
                     const std::vector<VertexId>& cand, const DistS& dist_s,
                     const DistT& dist_t, LightweightIndex& idx,
                     Timer& total_timer);
+
+  /// AssembleFrom's slot maps and adjacency scans over the staged X;
+  /// returns the control trip (0 = none, 1 = cancel, 2 = deadline) that
+  /// stopped them early.
+  template <typename GraphT, typename DistS, typename DistT>
+  int BuildAdjacency(const GraphT& g, const Query& q, const Options& opts,
+                     const DistS& dist_s, const DistT& dist_t,
+                     LightweightIndex& idx);
 
   /// Replaces the staged parts with an empty-but-well-formed index (zero
   /// slots, zero paths on enumeration) and stamps the interruption into
@@ -354,14 +378,17 @@ class IndexBuilder {
   void FinishInterrupted(LightweightIndex& idx, const Query& q,
                          const Options& opts, bool by_cancel);
 
-  DistanceField field_s_;  // forward from s, t blocked
-  DistanceField field_t_;  // backward from t, s blocked
+  TwoSidedField field_;    // v.s and v.t on X (every pruned build)
+  DistanceField field_s_;  // the reference: forward k-ball, t blocked
+  DistanceField field_t_;  // the reference: backward k-ball, s blocked
   BatchedDistanceField batch_s_;  // fused forward fields (BuildBatch)
   BatchedDistanceField batch_t_;  // fused backward fields
   std::vector<BatchedDistanceField::Member> batch_members_;
-  // Dense per-member distance exports (0xFFFF = unreached): one
-  // L1-resident array per direction, refilled per member so assembly's
-  // per-candidate-edge lookups are a single unconditional load.
+  // Dense per-member distance exports (0xFFFF = unset): one array per
+  // direction, |V|-sized but all 0xFFFF between members — an export
+  // writes the member's reached vertices and assembly resets exactly
+  // those — so assembly's per-candidate-edge lookups are a single
+  // unconditional load.
   std::vector<uint16_t> batch_dist_s_;
   std::vector<uint16_t> batch_dist_t_;
   struct ScratchEntry {
@@ -374,7 +401,10 @@ class IndexBuilder {
   // Staging arrays (reused across builds; Fuse copies them into the slab).
   std::vector<VertexId> x_vertices_;
   std::vector<uint32_t> cell_offsets_;
+  // Vertex -> slot for the adjacency scans: |V|-sized, kInvalidSlot
+  // everywhere between builds (a build writes and resets only X's entries).
   std::vector<uint32_t> slot_lookup_;
+  std::vector<LightweightIndex::VertexSlot> vertex_slots_;  // sorted by vertex
   std::vector<uint8_t> slot_ds_;
   std::vector<uint8_t> slot_dt_;
   std::vector<uint64_t> out_begin_;

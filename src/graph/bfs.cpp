@@ -12,14 +12,20 @@ void DistanceField::EnsureSize(size_t n) {
   }
 }
 
+void TwoSidedField::EnsureSize(size_t n) {
+  if (records_.size() < n) {
+    records_.assign(n, Record{});
+    epoch_ = 0;
+  }
+}
+
 void BatchedDistanceField::EnsureSize(size_t n, size_t k) {
   if (stamp_.size() < n) {
     stamp_.assign(n, 0);
     reached_word_.resize(n);
     blocked_stamp_.assign(n, 0);
     blocked_word_.resize(n);
-    cur_stamp_.assign(n, 0);
-    next_stamp_.assign(n, 0);
+    frontier_stamp_.assign(n, 0);
     cur_word_.resize(n);
     next_word_.resize(n);
     epoch_ = 0;

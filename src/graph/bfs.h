@@ -3,17 +3,21 @@
 // The light-weight index (paper Alg. 3, line 1) needs, per query,
 //   v.s = S(s, v | G - {t})   and   v.t = S(v, t | G - {s}),
 // i.e. shortest-walk distances whose *internal* vertices avoid the other
-// query endpoint. `DistanceField` implements this with a "blocked" vertex
-// that is assigned a distance when reached but never expanded.
+// query endpoint, but only on X = {v : v.s + v.t <= k}. `DistanceField` is
+// one bounded BFS with a "blocked" vertex that is assigned a distance when
+// reached but never expanded. `TwoSidedField` gets both distances on X by
+// meeting in the middle — two half-depth balls plus X's neighbourhoods
+// instead of a whole k-ball — and is what IndexBuilder and the shard
+// router's plan run. `BatchedDistanceField` fuses up to 64 bounded BFS of
+// one direction into one sweep (IndexBuilder::BuildBatch).
 //
 // Buffers are epoch-stamped so a field can be reused across thousands of
 // queries with O(frontier) cost instead of O(|V|) re-initialisation.
 //
-// Two entry points: `Compute` takes the std::function-based BfsOptions
-// filters (stable public API), while the templated `ComputeWith` accepts
-// concrete callables that inline into the relaxation loop — the index-build
-// hot path uses it so the unfiltered case performs zero indirect calls per
-// edge.
+// DistanceField has two entry points: `Compute` takes the std::function-
+// based BfsOptions filters (stable public API), while the templated
+// `ComputeWith` accepts concrete callables that inline into the relaxation
+// loop, so the unfiltered case performs zero indirect calls per edge.
 #ifndef PATHENUM_GRAPH_BFS_H_
 #define PATHENUM_GRAPH_BFS_H_
 
@@ -43,21 +47,11 @@ enum class Direction {
 /// false to make the edge invisible to the traversal.
 using EdgeFilter = std::function<bool(VertexId u, VertexId v, EdgeId e)>;
 
-/// Optional vertex admission filter: a discovered vertex failing the filter
-/// is neither stamped nor expanded (the source is always admitted). The
-/// index builder uses it to confine the second BFS to the X set — exact
-/// because every vertex on a shortest path to an admitted vertex is itself
-/// admitted (triangle inequality; see DESIGN.md).
-using VertexAdmission = std::function<bool(VertexId v, uint32_t dist)>;
-
-/// Sentinel callables for ComputeWith: the compiler folds the always-true
-/// branches away, so the unfiltered traversal never computes edge ids and
-/// performs no per-edge calls at all.
+/// Sentinel filter for ComputeWith/TwoSidedField::Compute: the compiler
+/// folds the always-true branch away, so the unfiltered traversal never
+/// computes edge ids and performs no per-edge calls at all.
 struct AcceptAllEdges {
   constexpr bool operator()(VertexId, VertexId, EdgeId) const { return true; }
-};
-struct AdmitAllVertices {
-  constexpr bool operator()(VertexId, uint32_t) const { return true; }
 };
 
 /// Traversal options for DistanceField::Compute.
@@ -72,8 +66,6 @@ struct BfsOptions {
   VertexId stop_at = kInvalidVertex;
   /// Optional edge filter; null means all edges are visible.
   const EdgeFilter* filter = nullptr;
-  /// Optional vertex admission filter; null admits everything.
-  const VertexAdmission* admit = nullptr;
   /// Cooperative controls, polled once per BFS wave (frontier depth): the
   /// raw flag of a CancelToken (core/control.h) and a wall-clock deadline.
   /// On a trip the traversal stops mid-wave and `interrupted()` reports
@@ -102,38 +94,24 @@ class DistanceField {
 
   /// Runs a BFS from `source` over `g` in direction `dir`. Invalidates the
   /// result of any previous Compute on this object. Dispatches once on the
-  /// presence of `opts.filter`/`opts.admit`, so the std::function cost is
-  /// only paid when a filter is actually installed.
+  /// presence of `opts.filter`, so the std::function cost is only paid when
+  /// a filter is actually installed.
   template <typename GraphT>
   void Compute(const GraphT& g, Direction dir, VertexId source,
                const Options& opts = {}) {
-    const EdgeFilter* filter = opts.filter;
-    const VertexAdmission* admit = opts.admit;
-    const auto call_filter = [filter](VertexId u, VertexId v, EdgeId e) {
-      return (*filter)(u, v, e);
-    };
-    const auto call_admit = [admit](VertexId v, uint32_t dist) {
-      return (*admit)(v, dist);
-    };
-    if (filter != nullptr && admit != nullptr) {
-      ComputeWith(g, dir, source, opts, call_filter, call_admit);
-    } else if (filter != nullptr) {
-      ComputeWith(g, dir, source, opts, call_filter, AdmitAllVertices{});
-    } else if (admit != nullptr) {
-      ComputeWith(g, dir, source, opts, AcceptAllEdges{}, call_admit);
+    if (opts.filter != nullptr) {
+      ComputeWith(g, dir, source, opts, *opts.filter);
     } else {
-      ComputeWith(g, dir, source, opts, AcceptAllEdges{}, AdmitAllVertices{});
+      ComputeWith(g, dir, source, opts, AcceptAllEdges{});
     }
   }
 
-  /// Devirtualized traversal: `filter` and `admit` are concrete callables
-  /// (same signatures as EdgeFilter/VertexAdmission) inlined into the
-  /// relaxation loop. `opts.filter`/`opts.admit` are ignored here — the
-  /// parameters replace them; pass AcceptAllEdges/AdmitAllVertices for the
-  /// unrestricted branch-free path.
-  template <typename GraphT, typename FilterFn, typename AdmitFn>
+  /// Devirtualized traversal: `filter` is a concrete callable (EdgeFilter's
+  /// signature) inlined into the relaxation loop; `opts.filter` is ignored
+  /// here. Pass AcceptAllEdges for the unrestricted branch-free path.
+  template <typename GraphT, typename FilterFn>
   void ComputeWith(const GraphT& g, Direction dir, VertexId source,
-                   const Options& opts, FilterFn&& filter, AdmitFn&& admit) {
+                   const Options& opts, FilterFn&& filter) {
     PATHENUM_CHECK(source < g.num_vertices());
     EnsureSize(g.num_vertices());
     if (++epoch_ == 0) {  // stamp wrap-around: reset and restart epochs
@@ -153,8 +131,6 @@ class DistanceField {
 
     constexpr bool kHasFilter =
         !std::is_same_v<std::decay_t<FilterFn>, AcceptAllEdges>;
-    constexpr bool kHasAdmit =
-        !std::is_same_v<std::decay_t<AdmitFn>, AdmitAllVertices>;
 
     // `reached_` doubles as the FIFO queue: BFS order is non-decreasing in
     // distance, so scanning it front-to-back visits each frontier in turn.
@@ -194,9 +170,6 @@ class DistanceField {
                                                       : g.FindEdge(v, u);
           if (!filter(from, to, e)) continue;
         }
-        if constexpr (kHasAdmit) {
-          if (!admit(v, du + 1)) continue;
-        }
         stamp_[v] = epoch_;
         dist_[v] = du + 1;
         reached_.push_back(v);
@@ -235,6 +208,250 @@ class DistanceField {
   uint32_t waves_ = 0;
 };
 
+/// Exact v.s and v.t on X = {v : v.s + v.t <= k} for one query (s, t, k),
+/// by meeting in the middle (DESIGN.md §1). With b = ⌊k/2⌋ and a = k - b:
+///   1. backward from t to depth b, admitting every vertex;
+///   2. forward from s to depth k, admitting every vertex below depth a and
+///      beyond it only X (d + v.t <= k, v.t from stage 1);
+///   3. backward on from t's depth-b level to depth k, through X only
+///      (v.s from stage 2).
+/// A vertex of X at depth d >= a from s has v.t <= k - d <= b, so stage 1
+/// already holds its exact v.t (symmetrically for stage 3), and every
+/// vertex on a shortest path to a vertex of X is itself in X, so each
+/// X-only level is exact on X. A stamped distance is always exact; a
+/// vertex outside X may stay unset. The split is fixed: a side whose
+/// frontier empties early does not change the other side's stages.
+///
+/// Each vertex has one epoch-stamped 8-byte record (stamp, v.s, v.t), so a
+/// query touches two half-depth balls plus X's neighbourhoods and never
+/// pays O(|V|). An unset distance reads as kUnset — above any hop bound —
+/// without a branch, so `FromSource(v) + ToTarget(v) <= k` alone tests
+/// membership in X.
+///
+/// Every expanded level polls `cancel`/`deadline` and hits
+/// fault::Site::kIndexBuildWave; on a trip `interrupted()` reports which
+/// control fired and the distances must not be used.
+class TwoSidedField {
+ public:
+  using Interrupt = DistanceField::Interrupt;
+
+  /// What an unset distance reads as.
+  static constexpr uint32_t kUnset = 0xFFFF;
+
+  struct Options {
+    VertexId source = kInvalidVertex;
+    VertexId target = kInvalidVertex;
+    uint32_t hops = 0;
+    /// The index's semantics: the forward side reaches t but never expands
+    /// it, the backward side likewise s. The router's plan needs plain
+    /// distances and turns this off.
+    bool block_endpoints = true;
+    const std::atomic<bool>* cancel = nullptr;
+    Deadline deadline = Deadline::Unlimited();
+  };
+
+  /// Runs the three stages over a type with the Graph accessor contract
+  /// (see DistanceField). `filter` is an EdgeFilter-shaped callable, or
+  /// AcceptAllEdges for the unfiltered, branch-free loop.
+  template <typename GraphT, typename FilterFn>
+  void Compute(const GraphT& g, const Options& opts, FilterFn&& filter) {
+    constexpr bool kHasFilter =
+        !std::is_same_v<std::decay_t<FilterFn>, AcceptAllEdges>;
+    const auto out_edges = [&](VertexId u, const auto& visit) {
+      const auto nbrs = g.OutNeighbors(u);
+      for (size_t j = 0; j < nbrs.size(); ++j) {
+        if constexpr (kHasFilter) {
+          if (!filter(u, nbrs[j], g.OutEdgeId(u, j))) continue;
+        }
+        visit(nbrs[j]);
+      }
+      return nbrs.size();
+    };
+    const auto in_edges = [&](VertexId u, const auto& visit) {
+      const auto nbrs = g.InNeighbors(u);
+      for (const VertexId v : nbrs) {
+        if constexpr (kHasFilter) {
+          if (!filter(v, u, g.FindEdge(v, u))) continue;
+        }
+        visit(v);
+      }
+      return nbrs.size();
+    };
+    ComputeWith(g.num_vertices(), opts, out_edges, in_edges);
+  }
+
+  /// As Compute, over any adjacency: `out_edges(u, visit)` calls visit(v)
+  /// for every out-neighbour v of u the traversal may use and returns the
+  /// adjacency entries it examined; `in_edges` likewise for in-neighbours.
+  template <typename OutEdges, typename InEdges>
+  void ComputeWith(VertexId num_vertices, const Options& opts,
+                   const OutEdges& out_edges, const InEdges& in_edges) {
+    PATHENUM_CHECK(opts.source < num_vertices && opts.target < num_vertices);
+    PATHENUM_CHECK(opts.source != opts.target && opts.hops < kUnset);
+    EnsureSize(num_vertices);
+    if (++epoch_ == 0) {  // stamp wrap-around: reset and restart epochs
+      std::fill(records_.begin(), records_.end(), Record{});
+      epoch_ = 1;
+    }
+    interrupted_ = Interrupt::kNone;
+    edges_scanned_ = 0;
+    waves_ = 0;
+    const uint32_t k = opts.hops;
+    const VertexId s = opts.source;
+    const VertexId t = opts.target;
+    from_s_.Start(s);
+    to_t_.Start(t);
+    records_[t] = {epoch_, kUnset, 0};
+    records_[s] = {epoch_, 0, kUnset};
+
+    const VertexId s_blocked = opts.block_endpoints ? s : kInvalidVertex;
+    const VertexId t_blocked = opts.block_endpoints ? t : kInvalidVertex;
+    const auto forward = [&](uint32_t admit_all_below) {
+      return ExpandLevel<true>(from_s_, s, t_blocked, admit_all_below, k,
+                               out_edges, opts);
+    };
+    const auto backward = [&](uint32_t admit_all_below) {
+      return ExpandLevel<false>(to_t_, t, s_blocked, admit_all_below, k,
+                                in_edges, opts);
+    };
+    const uint32_t b = k / 2;
+    const uint32_t a = k - b;
+    // Stage 1 admits all of depth b; stage 3 expands that level only
+    // through X.
+    while (to_t_.depth < b && to_t_.frontier() != 0) {
+      if (!backward(b + 1)) return;
+    }
+    while (from_s_.depth < k && from_s_.frontier() != 0) {
+      if (!forward(a)) return;
+    }
+    while (to_t_.depth < k && to_t_.frontier() != 0) {
+      if (!backward(b)) return;
+    }
+  }
+
+  /// v.s, or kUnset.
+  uint32_t FromSource(VertexId v) const {
+    const Record r = records_[v];
+    return r.ds | StaleMask(r);
+  }
+
+  /// v.t, or kUnset.
+  uint32_t ToTarget(VertexId v) const {
+    const Record r = records_[v];
+    return r.dt | StaleMask(r);
+  }
+
+  /// Vertices given a distance from s / to t, in BFS order (root first).
+  /// Each list holds all of X.
+  const std::vector<VertexId>& ReachedFromSource() const {
+    return from_s_.reached;
+  }
+  const std::vector<VertexId>& ReachedToTarget() const {
+    return to_t_.reached;
+  }
+
+  Interrupt interrupted() const { return interrupted_; }
+
+  /// Adjacency entries examined by the last Compute (each expanded vertex
+  /// contributes its full neighbour-span length, filtered or not).
+  uint64_t edges_scanned() const { return edges_scanned_; }
+
+  /// Levels expanded by the last Compute, both sides.
+  uint32_t waves() const { return waves_; }
+
+ private:
+  struct Record {
+    uint32_t stamp = 0;
+    uint16_t ds = 0;
+    uint16_t dt = 0;
+  };
+  static_assert(sizeof(Record) == 8);
+
+  struct Side {
+    void Start(VertexId root) {
+      reached.assign(1, root);
+      level_begin = 0;
+      depth = 0;
+    }
+    /// The deepest level, not yet expanded.
+    size_t frontier() const { return reached.size() - level_begin; }
+    std::vector<VertexId> reached;  // BFS order; the deepest level last
+    size_t level_begin = 0;         // the deepest level is reached[this..]
+    uint32_t depth = 0;             // its distance from the side's root
+  };
+
+  /// All-ones over a distance when the record predates this epoch.
+  uint32_t StaleMask(const Record& r) const {
+    return r.stamp == epoch_ ? 0u : kUnset;
+  }
+
+  template <bool kFromSource>
+  static uint16_t& Mine(Record& r) {
+    return kFromSource ? r.ds : r.dt;
+  }
+  template <bool kFromSource>
+  static uint32_t Other(const Record& r) {
+    return kFromSource ? r.dt : r.ds;
+  }
+
+  /// Expands the deepest level of `side` (depth d) after one control poll.
+  /// When d >= `admit_all_below`, a level vertex other than the root is
+  /// expanded only if it lies in X; a vertex found at depth d + 1 joins
+  /// when d + 1 < `admit_all_below` or it lies in X. A rejected vertex is
+  /// not written. Returns false on a control trip.
+  template <bool kFromSource, typename Edges>
+  bool ExpandLevel(Side& side, VertexId root, VertexId blocked,
+                   uint32_t admit_all_below, uint32_t k, const Edges& edges,
+                   const Options& opts) {
+    ++waves_;
+    fault::Hit(fault::Site::kIndexBuildWave);
+    if (opts.cancel != nullptr &&
+        opts.cancel->load(std::memory_order_relaxed)) {
+      interrupted_ = Interrupt::kCancelled;
+      return false;
+    }
+    if (opts.deadline.Expired()) {
+      interrupted_ = Interrupt::kDeadline;
+      return false;
+    }
+    const uint32_t du = side.depth;
+    const uint32_t d = du + 1;
+    const bool expand_x_only = du >= admit_all_below;
+    const bool admit_x_only = d >= admit_all_below;
+    const size_t end = side.reached.size();
+    for (size_t i = side.level_begin; i < end; ++i) {
+      const VertexId u = side.reached[i];
+      if (u == blocked) continue;  // reached, never expanded
+      if (expand_x_only && u != root &&
+          du + Other<kFromSource>(records_[u]) > k) {
+        continue;
+      }
+      edges_scanned_ += edges(u, [&](VertexId v) {
+        Record& r = records_[v];
+        const uint32_t stale = StaleMask(r);
+        if ((Mine<kFromSource>(r) | stale) != kUnset) return;  // reached
+        if (admit_x_only && d + (Other<kFromSource>(r) | stale) > k) return;
+        if (stale != 0) r = {epoch_, kUnset, kUnset};
+        Mine<kFromSource>(r) = static_cast<uint16_t>(d);
+        side.reached.push_back(v);
+      });
+    }
+    side.level_begin = end;
+    side.depth = d;
+    return true;
+  }
+
+  void EnsureSize(size_t n);
+
+  std::vector<Record> records_;
+  Side from_s_;
+  Side to_t_;
+  uint32_t epoch_ = 0;
+  Interrupt interrupted_ = Interrupt::kNone;
+  uint64_t edges_scanned_ = 0;
+  uint32_t waves_ = 0;
+};
+
 /// Sentinel per-member admission for BatchedDistanceField::ComputeWith.
 struct BatchAdmitAll {
   constexpr bool operator()(uint32_t, VertexId, uint32_t) const {
@@ -261,9 +478,10 @@ struct BatchAdmitAll {
 /// enforces upstream.
 ///
 /// Buffers are epoch-stamped like DistanceField: re-init is O(frontier)
-/// per Compute, not O(|V|). Distances are stored as one uint16 row per
-/// vertex (stride = batch size), valid only under the member's reached
-/// bit, so the rows are never cleared.
+/// per Compute, not O(|V|). Distances are stored as one uint8 row per
+/// vertex (stride = batch size; depths stop at 254, far above any hop
+/// bound), valid only under the member's reached bit, so the rows are
+/// never cleared.
 class BatchedDistanceField {
  public:
   static constexpr uint32_t kMaxBatch = 64;
@@ -294,8 +512,9 @@ class BatchedDistanceField {
   /// As Compute, with a per-member vertex admission callable
   /// `admit(member_index, v, dist) -> bool` inlined into the relaxation
   /// loop (a rejected vertex is neither stamped nor expanded for that
-  /// member; sources are always admitted). The index builder's pruned
-  /// forward sweep uses it with the member's own backward field.
+  /// member; sources are always admitted). The index builder's
+  /// meet-in-the-middle sweeps use it to admit only X beyond a member's
+  /// split depth, reading the member's row of the other direction's field.
   template <typename GraphT, typename AdmitFn>
   void ComputeWith(const GraphT& g, Direction dir,
                    const std::vector<Member>& members, AdmitFn&& admit) {
@@ -348,8 +567,8 @@ class BatchedDistanceField {
       reached_word_[s] |= bit;
       dist_[s * k + m] = 0;
       reached_lists_[m].push_back(s);
-      if (cur_stamp_[s] != token_) {
-        cur_stamp_[s] = token_;
+      if (frontier_stamp_[s] != token_) {
+        frontier_stamp_[s] = token_;
         cur_word_[s] = 0;
         cur_list_.push_back(s);
       }
@@ -366,13 +585,13 @@ class BatchedDistanceField {
 
     constexpr bool kHasAdmit =
         !std::is_same_v<std::decay_t<AdmitFn>, BatchAdmitAll>;
-    constexpr uint32_t kDepthCap = 0xFFFEu;  // uint16 distance rows
+    constexpr uint32_t kDepthCap = 0xFEu;  // uint8 distance rows
 
     uint32_t d = 0;
     while (!cur_list_.empty() && active != 0) {
-      if (d >= 1) {
+      {
         // Per-wave control poll, one check per still-active member —
-        // the batched analogue of the solo per-frontier poll. A tripped
+        // the batched analogue of the solo per-level poll. A tripped
         // member leaves the masks; the sweep continues for the rest.
         fault::Hit(fault::Site::kIndexBuildWave);
         uint64_t live = active;
@@ -445,12 +664,12 @@ class BatchedDistanceField {
             while (t != 0) {
               const uint32_t m = Ctz(t);
               t &= t - 1;
-              dist_[size_t{v} * k + m] = static_cast<uint16_t>(d + 1);
+              dist_[size_t{v} * k + m] = static_cast<uint8_t>(d + 1);
               reached_lists_[m].push_back(v);
             }
           }
-          if (next_stamp_[v] != token_) {
-            next_stamp_[v] = token_;
+          if (frontier_stamp_[v] != token_) {
+            frontier_stamp_[v] = token_;
             next_word_[v] = 0;
             next_list_.push_back(v);
           }
@@ -461,12 +680,13 @@ class BatchedDistanceField {
         wave_offsets_[m].push_back(
             static_cast<uint32_t>(reached_lists_[m].size()));
       }
-      // Distinct cur/next arrays (swapped as pairs) keep the invariant
-      // that every bit in an expanded word shares distance d; the stamp
-      // tokens make stale slots self-invalidating, so nothing is cleared.
+      // Distinct cur/next word arrays (swapped per wave) keep the
+      // invariant that every bit in an expanded word shares distance d.
+      // The current frontier is walked through its list, so only `next`
+      // needs a stamp: one array, with a fresh token per wave, makes stale
+      // slots self-invalidating and nothing is cleared.
       std::swap(cur_list_, next_list_);
       cur_word_.swap(next_word_);
-      cur_stamp_.swap(next_stamp_);
       ++d;
     }
   }
@@ -539,9 +759,8 @@ class BatchedDistanceField {
   }
 
   void BumpToken() {
-    if (++token_ == 0) {  // token wrap: reset both frontier stamp arrays
-      std::fill(cur_stamp_.begin(), cur_stamp_.end(), 0);
-      std::fill(next_stamp_.begin(), next_stamp_.end(), 0);
+    if (++token_ == 0) {  // token wrap: reset the frontier stamps
+      std::fill(frontier_stamp_.begin(), frontier_stamp_.end(), 0);
       token_ = 1;
     }
   }
@@ -552,16 +771,16 @@ class BatchedDistanceField {
   // under the member's reached bit, so they are never cleared.
   std::vector<uint32_t> stamp_;
   std::vector<uint64_t> reached_word_;
-  std::vector<uint16_t> dist_;  // n * size_ row-major, stride = size_
+  std::vector<uint8_t> dist_;  // n * size_ row-major, stride = size_
 
   // Blocked registration: <= K stamped entries per Compute.
   std::vector<uint32_t> blocked_stamp_;
   std::vector<uint64_t> blocked_word_;
 
-  // Double-buffered frontiers. Separate arrays (not one shared buffer)
-  // so pushing v into `next` never aliases a `cur` slot still pending
-  // expansion this wave.
-  std::vector<uint32_t> cur_stamp_, next_stamp_;
+  // Double-buffered frontier words. Separate arrays (not one shared
+  // buffer) so pushing v into `next` never aliases a `cur` slot still
+  // pending expansion this wave.
+  std::vector<uint32_t> frontier_stamp_;  // v is in next_list_ this wave
   std::vector<uint64_t> cur_word_, next_word_;
   std::vector<VertexId> cur_list_, next_list_;
 

@@ -20,174 +20,51 @@ uint64_t PackEdge(VertexId u, VertexId v) {
   return (static_cast<uint64_t>(u) << 32) | v;
 }
 
-/// One side of the plan: BFS distances from s or to t on epoch-stamped
-/// slots sized |V| once, so starting a query costs O(1), never O(|V|).
-/// Levels expand one call at a time, which lets the two sides alternate
-/// (DistanceField runs a whole BFS per call).
-class PlanSide {
- public:
-  explicit PlanSide(VertexId num_vertices) : slots_(num_vertices) {}
-
-  void Start(VertexId root) {
-    if (++epoch_ == 0) {  // stamp wrap-around: reset and restart epochs
-      std::fill(slots_.begin(), slots_.end(), Slot{});
-      epoch_ = 1;
-    }
-    reached_.assign(1, root);
-    slots_[root] = {epoch_, 0};
-    level_begin_ = 0;
-    depth_ = 0;
-  }
-
-  /// Distance of `v` from/to the root, or kInfDistance when unstamped.
-  uint32_t Dist(VertexId v) const {
-    return slots_[v].stamp == epoch_ ? slots_[v].dist : kInfDistance;
-  }
-
-  /// Levels expanded since Start.
-  uint32_t depth() const { return depth_; }
-  size_t level_size() const { return reached_.size() - level_begin_; }
-  /// Every vertex stamped since Start, in BFS order, less those RetainLevel
-  /// dropped.
-  const std::vector<VertexId>& reached() const { return reached_; }
-
-  /// Expands the deepest level: each of its vertices offers its neighbours
-  /// through `for_each_neighbor(x, visit)`, and an unstamped neighbour y
-  /// joins the next level when `admit(y, depth() + 1)`.
-  template <typename ForEachNeighbor, typename Admit>
-  void ExpandLevel(const ForEachNeighbor& for_each_neighbor,
-                   const Admit& admit) {
-    const size_t end = reached_.size();
-    const uint32_t d = ++depth_;
-    for (size_t i = level_begin_; i < end; ++i) {
-      for_each_neighbor(reached_[i], [&](VertexId y) {
-        Slot& slot = slots_[y];
-        if (slot.stamp == epoch_ || !admit(y, d)) return;
-        slot = {epoch_, d};
-        reached_.push_back(y);
-      });
-    }
-    level_begin_ = end;
-  }
-
-  /// Drops the deepest level's vertices v failing `admit(v, depth())`, so
-  /// the next ExpandLevel skips them; their distances stay stamped.
-  template <typename Admit>
-  void RetainLevel(const Admit& admit) {
-    const auto drop = [&](VertexId v) { return !admit(v, depth_); };
-    reached_.erase(
-        std::remove_if(reached_.begin() + level_begin_, reached_.end(), drop),
-        reached_.end());
-  }
-
- private:
-  struct Slot {
-    uint32_t stamp = 0;
-    uint32_t dist = 0;
-  };
-  std::vector<Slot> slots_;
-  std::vector<VertexId> reached_;
-  size_t level_begin_ = 0;  // the deepest level is reached_[level_begin_..]
-  uint32_t depth_ = 0;
-  uint32_t epoch_ = 0;
-};
-
 }  // namespace
 
-/// The meet-in-the-middle plan (DESIGN.md §14). Compute gives every vertex
-/// of X = {v : dist(s, v) + dist(v, t) <= k} its exact distances from s and
-/// to t; vertices outside X may stay unstamped.
-struct ShardRouter::Plan {
-  explicit Plan(VertexId num_vertices)
-      : from_s(num_vertices), to_t(num_vertices) {}
-
-  /// Returns whether dist(s, t) <= k.
-  bool Compute(const Pinned& pin, const std::vector<uint32_t>& shard_map,
-               const Query& q);
-  /// Cut edges (u, w) with dist(s, u) + 1 + dist(w, t) <= k. Both ends of
-  /// such an edge lie in X, so X's own out-edges hold all of them.
-  uint64_t FeasibleCutEdges(const Pinned& pin,
-                            const std::vector<uint32_t>& shard_map,
-                            uint32_t k) const;
-
-  PlanSide from_s;
-  PlanSide to_t;
-};
-
-bool ShardRouter::Plan::Compute(const Pinned& pin,
-                                const std::vector<uint32_t>& shard_map,
-                                const Query& q) {
-  const uint32_t k = q.hops;
+bool ShardRouter::ComputePlan(const Pinned& pin, const Query& q) {
   // Out-adjacency of x is complete in its owning shard and empty
   // everywhere else; in-adjacency of x in shard p is exactly the in-edges
   // whose tail p owns, so the per-shard scans union disjointly into the
   // global in-neighbourhood (see shard/partition.h).
   const auto out_edges = [&](VertexId x, const auto& visit) {
-    for (const VertexId y : pin.views[shard_map[x]]->OutNeighbors(x)) visit(y);
+    const auto nbrs = pin.views[shard_map_[x]]->OutNeighbors(x);
+    for (const VertexId y : nbrs) visit(y);
+    return nbrs.size();
   };
   const auto in_edges = [&](VertexId x, const auto& visit) {
+    size_t scanned = 0;
     for (const auto& view : pin.views) {
-      for (const VertexId y : view->InNeighbors(x)) visit(y);
+      const auto nbrs = view->InNeighbors(x);
+      for (const VertexId y : nbrs) visit(y);
+      scanned += nbrs.size();
     }
+    return scanned;
   };
-  const auto admit_all = [](VertexId, uint32_t) { return true; };
-  // v is in X given its distance from s / to t (the other side's distance
-  // read from its field).
-  const auto in_x_from_s = [&](VertexId v, uint32_t ds) {
-    const uint32_t dt = to_t.Dist(v);
-    return dt != kInfDistance && ds + dt <= k;
-  };
-  const auto in_x_to_t = [&](VertexId v, uint32_t dt) {
-    const uint32_t ds = from_s.Dist(v);
-    return ds != kInfDistance && ds + dt <= k;
-  };
-
-  from_s.Start(q.source);
-  to_t.Start(q.target);
-  // Full BFS levels, each on the side with the smaller frontier, until the
-  // depths a and b sum to k (or one side has reached everything it can):
-  // every distance up to a from s and up to b to t is now exact.
-  while (from_s.depth() + to_t.depth() < k && from_s.level_size() > 0 &&
-         to_t.level_size() > 0) {
-    if (from_s.level_size() <= to_t.level_size()) {
-      from_s.ExpandLevel(out_edges, admit_all);
-    } else {
-      to_t.ExpandLevel(in_edges, admit_all);
-    }
-  }
-  // Extend each side through X only. A vertex v of X beyond depth a has
-  // dist(v, t) <= k - dist(s, v) < b, so the first stage already stamped
-  // its other-side distance (symmetrically beyond b), and every vertex on
-  // a shortest path from s to v (or v to t) is itself in X — so each
-  // extended level is exact on X. A side that ran out early is complete
-  // and extends by nothing.
-  from_s.RetainLevel(in_x_from_s);
-  while (from_s.depth() < k && from_s.level_size() > 0) {
-    from_s.ExpandLevel(out_edges, in_x_from_s);
-  }
-  to_t.RetainLevel(in_x_to_t);
-  while (to_t.depth() < k && to_t.level_size() > 0) {
-    to_t.ExpandLevel(in_edges, in_x_to_t);
-  }
+  TwoSidedField::Options fo;
+  fo.source = q.source;
+  fo.target = q.target;
+  fo.hops = q.hops;
+  fo.block_endpoints = false;
+  plan_.ComputeWith(num_vertices(), fo, out_edges, in_edges);
   // s is in X exactly when dist(s, t) <= k.
-  return to_t.Dist(q.source) <= k;
+  return plan_.ToTarget(q.source) <= q.hops;
 }
 
-uint64_t ShardRouter::Plan::FeasibleCutEdges(
-    const Pinned& pin, const std::vector<uint32_t>& shard_map,
-    uint32_t k) const {
-  // from_s.reached() holds all of X: its first stage is the whole ball
-  // around s, and its extension admitted every deeper vertex of X.
+uint64_t ShardRouter::FeasibleCutEdges(const Pinned& pin, uint32_t k) const {
+  // Both ends of a feasible cut edge lie in X, and each reached list holds
+  // all of X.
+  const auto& from_s = plan_.ReachedFromSource();
+  const auto& to_t = plan_.ReachedToTarget();
   uint64_t feasible = 0;
-  for (const VertexId u : from_s.reached()) {
-    const uint32_t ds = from_s.Dist(u);
-    const uint32_t dt = to_t.Dist(u);
-    if (dt == kInfDistance || ds + dt > k) continue;  // u is not in X
-    const uint32_t owner = shard_map[u];
+  for (const VertexId u : from_s.size() <= to_t.size() ? from_s : to_t) {
+    const uint32_t ds = plan_.FromSource(u);
+    if (ds + plan_.ToTarget(u) > k) continue;  // u is not in X
+    const uint32_t owner = shard_map_[u];
     for (const VertexId w : pin.views[owner]->OutNeighbors(u)) {
-      if (shard_map[w] == owner) continue;
-      const uint32_t dw = to_t.Dist(w);
-      if (dw != kInfDistance && ds + 1 + dw <= k) ++feasible;
+      if (shard_map_[w] != owner && ds + 1 + plan_.ToTarget(w) <= k) {
+        ++feasible;
+      }
     }
   }
   return feasible;
@@ -221,12 +98,12 @@ struct ShardRouter::ShardWork {
 /// quiescence and no frame of this query survives past Run.
 struct ShardRouter::StitchState {
   StitchState(const Query& q_in, const EnumOptions& opts_in, Pinned pin_in,
-              const PlanSide& to_t_in, const uint32_t* smap,
+              const TwoSidedField& plan_in, const uint32_t* smap,
               uint32_t num_shards, PathSink& sink)
       : q(q_in),
         opts(opts_in),
         pin(std::move(pin_in)),
-        to_t(to_t_in),
+        plan(plan_in),
         shard_map(smap),
         gate(opts_in.result_limit, opts_in.response_target, enum_timer),
         shared(gate, sink, BranchSink::Mode::kSerialized),
@@ -253,7 +130,7 @@ struct ShardRouter::StitchState {
   const Query q;
   const EnumOptions opts;
   const Pinned pin;
-  const PlanSide& to_t;  // the plan's exact distances to t on X
+  const TwoSidedField& plan;  // exact distances to t on X
   const uint32_t* shard_map;
   Timer enum_timer;
   BranchGate gate;
@@ -291,7 +168,6 @@ ShardRouter::ShardRouter(const Graph& g, const RouterOptions& opts,
   for (const CutEdge& e : part.cut_edges()) {
     cut_set_.insert(PackEdge(e.tail, e.head));
   }
-  plan_ = std::make_unique<Plan>(part.num_vertices());
 
   transport_ = transport != nullptr ? std::move(transport)
                                     : std::make_unique<InProcessTransport>();
@@ -395,7 +271,7 @@ RouterResult ShardRouter::Run(const Query& q, PathSink& sink,
   const Timer total;
   Pinned pin = Pin();
   const Timer plan_timer;
-  if (!plan_->Compute(pin, shard_map_, q)) {
+  if (!ComputePlan(pin, q)) {
     // Exact global distance certifies dist(s, t) > k: the complete (empty)
     // result set, no shard ever touched.
     plan_ms_hist_->Observe(plan_timer.ElapsedMs());
@@ -409,7 +285,7 @@ RouterResult ShardRouter::Run(const Query& q, PathSink& sink,
     span.Finish(r.state);
     return r;
   }
-  const uint64_t feasible = plan_->FeasibleCutEdges(pin, shard_map_, q.hops);
+  const uint64_t feasible = FeasibleCutEdges(pin, q.hops);
   plan_ms_hist_->Observe(plan_timer.ElapsedMs());
   const double dispatch_ms = total.ElapsedMs();
 
@@ -462,7 +338,7 @@ RouterResult ShardRouter::RunStitched(const Query& q, PathSink& sink,
   stitched_.Inc();
   span.SetSplit();
   auto st = std::make_shared<StitchState>(q, opts, std::move(pin),
-                                          plan_->to_t, shard_map_.data(),
+                                          plan_, shard_map_.data(),
                                           num_shards(), sink);
   {
     std::lock_guard<std::mutex> lk(active_mutex_);
@@ -617,10 +493,9 @@ void ShardRouter::ExpandPartial(StitchState& st, ShardWork& w,
     ++w.counters.edges_accessed;
     if (++w.poll >= kPollIntervalEdges && !PollControl(st, w)) return;
     if (st.StopExpansion()) return;
-    // Outside X, y has no stamped distance to t, and it would fail this
-    // bound with its exact distance too: dist(s, y) <= edges + 1.
-    const uint32_t rem = st.to_t.Dist(y);
-    if (rem == kInfDistance || edges + 1 + rem > k) continue;
+    // Outside X, y's distance to t is unset (reading above any hop bound)
+    // or exact, and fails this bound either way: dist(s, y) <= edges + 1.
+    if (edges + 1 + st.plan.ToTarget(y) > k) continue;
     if (y == st.q.target) {
       // A simple s-t path contains t exactly once, at its end: emit, never
       // recurse through t.

@@ -2,19 +2,18 @@
 // GraphPartition's shard engines plus a ShardTransport and serves
 // hop-constrained (s, t, k) queries over the union graph:
 //
-//  1. *Plan*: a meet-in-the-middle BFS over the pinned per-shard snapshots
-//     gives every vertex of the paper's index set
+//  1. *Plan*: the index builder's meet-in-the-middle field (TwoSidedField,
+//     graph/bfs.h), run with no blocked endpoints over the pinned per-shard
+//     snapshots, gives every vertex of the paper's index set
 //     X = {v : dist(s, v) + dist(v, t) <= k} its exact global distances.
-//     A forward BFS from s (each vertex's out-edges live in its owner shard)
-//     and a backward BFS from t (each shard contributes exactly the
-//     in-edges it owns) grow one level at a time, always on the side with
-//     the smaller frontier, until their depths sum to k; then each side
-//     extends only through X, where the other side's distance is always
-//     already known. The fields are epoch-stamped, so the plan costs the
-//     two half-depth balls plus X's neighbourhoods, never O(|V|), and reads
-//     no cut list. If dist(s, t) > k the query is kUnsatisfiable before any
-//     per-shard work (the same soundness argument as the live oracle's
-//     lower-bound rejection, §13, with an exact distance).
+//     The backward side from t (each shard contributes exactly the in-edges
+//     it owns) runs ⌊k/2⌋ levels, the forward side from s (each vertex's
+//     out-edges live in its owner shard) the other k - ⌊k/2⌋, and then each
+//     side extends only through X. The field is epoch-stamped, so the plan
+//     costs the two half-depth balls plus X's neighbourhoods, never O(|V|),
+//     and reads no cut list. If dist(s, t) > k the query is kUnsatisfiable
+//     before any per-shard work (the same soundness argument as the live
+//     oracle's lower-bound rejection, §13, with an exact distance).
 //  2. *Delegate or stitch*: a cut edge (u, w) is feasible iff
 //     dist(s, u) + 1 + dist(w, t) <= k, which puts both u and w in X, so
 //     the feasible cut edges are counted on X's own out-edges. When NO cut
@@ -59,6 +58,7 @@
 #include "core/options.h"
 #include "core/query.h"
 #include "core/sink.h"
+#include "graph/bfs.h"
 #include "graph/graph.h"
 #include "graph/view.h"
 #include "obs/metrics.h"
@@ -143,11 +143,6 @@ class ShardRouter {
     std::vector<std::shared_ptr<const GraphView>> views;
   };
 
-  /// The meet-in-the-middle planning state: epoch-stamped distance fields
-  /// from s and to t, sized |V| once and reused across Run calls (Run is
-  /// serialized; a stitched query reads them until its quiescence).
-  struct Plan;
-
   /// Per-shard stitched-execution state; each instance is touched only by
   /// its shard's transport service thread during one query.
   struct ShardWork;
@@ -156,6 +151,12 @@ class ShardRouter {
   struct StitchState;
 
   Pinned Pin() const;
+  /// Runs the plan's field for `q` over the pinned views; returns whether
+  /// dist(s, t) <= k.
+  bool ComputePlan(const Pinned& pin, const Query& q);
+  /// Cut edges (u, w) with dist(s, u) + 1 + dist(w, t) <= k, counted on
+  /// X's own out-edges (both ends of such an edge lie in X).
+  uint64_t FeasibleCutEdges(const Pinned& pin, uint32_t k) const;
   void HandleFrame(uint32_t dst_shard, std::vector<uint8_t> frame);
   void ExpandPartial(StitchState& st, ShardWork& w, uint32_t dst_shard,
                      VertexId* path, uint32_t len);
@@ -188,7 +189,10 @@ class ShardRouter {
   std::shared_ptr<StitchState> active_;
   uint64_t next_query_id_ = 1;
 
-  std::unique_ptr<Plan> plan_;
+  /// The plan's distances from s and to t, exact on X; reused across Run
+  /// calls (Run is serialized; a stitched query reads them until its
+  /// quiescence).
+  TwoSidedField plan_;
 
   obs::ShardedCounter queries_;
   obs::ShardedCounter delegated_;

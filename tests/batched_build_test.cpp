@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/control.h"
@@ -227,6 +228,43 @@ TEST(BuildBatchTest, MatchesSoloBuilds) {
   // Acceptance criterion: fused sweeps touch strictly fewer adjacency
   // entries than the same builds run solo.
   EXPECT_LT(built[0].build_stats().batch_edges_scanned, solo_sum);
+}
+
+TEST(BuildBatchTest, MixedHopsAndDeadEndsExpandTheSoloLevels) {
+  // One batch mixing k = 1..6 (so members split at different depths) with
+  // endpoints whose frontiers empty early: every member must expand
+  // exactly the levels its solo build expands, so both the index and the
+  // solo-equivalent edge count match.
+  const Graph g = testing::WithDeadEnds(ErdosRenyi(200, 1600, 12));
+  const VertexId n = g.num_vertices();
+  const VertexId dead = n - 3, fresh = n - 2, pendant = n - 1;
+  std::vector<BatchBuildRequest> reqs;
+  for (uint32_t k = 1; k <= 6; ++k) {
+    const VertexId a = (k * 37) % dead;
+    const VertexId b = (k * 61 + 5) % dead;
+    for (const Query& q : {Query{pendant, dead, k}, Query{fresh, dead, k},
+                           Query{fresh, pendant, k}, Query{dead, a, k},
+                           Query{a, fresh, k}, Query{a, b, k}}) {
+      reqs.push_back({q});
+    }
+  }
+  ASSERT_LE(reqs.size(), BatchedDistanceField::kMaxBatch);
+  IndexBuilder batch_builder;
+  const std::vector<LightweightIndex> built = batch_builder.BuildBatch(g, reqs);
+  IndexBuilder solo_builder;
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    const Query& q = reqs[i].query;
+    const LightweightIndex solo = solo_builder.Build(g, q);
+    const std::string at = "q(" + std::to_string(q.source) + "," +
+                           std::to_string(q.target) + "," +
+                           std::to_string(q.hops) + ")";
+    ASSERT_FALSE(built[i].build_stats().interrupted) << at;
+    testing::ExpectSameIndex(built[i], solo, at);
+    EXPECT_EQ(PathsVia(g, built[i]), PathsVia(g, solo)) << at;
+    EXPECT_EQ(built[i].build_stats().edges_scanned,
+              solo.build_stats().edges_scanned)
+        << at;
+  }
 }
 
 TEST(BuildBatchTest, UnreachablePairYieldsSameEmptyIndex) {

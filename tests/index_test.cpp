@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/index.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
+#include "graph/view.h"
 #include "test_util.h"
 #include "workload/query_gen.h"
 
@@ -325,6 +329,113 @@ TEST_P(IndexRandomTest, MatchesNaiveConstruction) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexRandomTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+// ---------------------------------------------------------------------------
+// Meet-in-the-middle builds vs the two-full-ball reference.
+// ---------------------------------------------------------------------------
+
+/// Forward hop distances from `s` over `g` (kInfDistance: unreachable).
+std::vector<uint32_t> ForwardDistances(const Graph& g, VertexId s) {
+  DistanceField field;
+  field.Compute(g, Direction::kForward, s);
+  std::vector<uint32_t> dist(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) dist[v] = field.Distance(v);
+  return dist;
+}
+
+TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
+  const Graph graphs[] = {
+      testing::WithDeadEnds(ErdosRenyi(60, 200, /*seed=*/71)),
+      testing::WithDeadEnds(
+          BarabasiAlbert(60, 2, /*back_prob=*/0.3, /*seed=*/73)),
+      testing::WithDeadEnds(LayeredGraph(/*layers=*/4, /*width=*/3)),
+  };
+  // Drops about one edge in seven; keyed on the endpoints only, because a
+  // view's touched vertices carry no edge ids.
+  const EdgeFilter filter = [](VertexId u, VertexId v, EdgeId) {
+    return (u * 3 + v) % 7 != 0;
+  };
+  IndexBuilder builder;
+  IndexBuilder reference_builder;
+  for (size_t gi = 0; gi < std::size(graphs); ++gi) {
+    const Graph& g = graphs[gi];
+    const VertexId n = g.num_vertices();
+    const VertexId dead = n - 3, fresh = n - 2, pendant = n - 1;
+    std::mt19937_64 rng(gi + 1);
+    std::uniform_int_distribution<VertexId> pick(0, dead - 1);
+    GraphDelta delta;
+    for (int i = 0; i < 16; ++i) {
+      const VertexId u = pick(rng);
+      const VertexId v = pick(rng);
+      if (u == v) continue;
+      if (i % 2 == 0) {
+        delta.Insert(u, v);
+      } else {
+        delta.Delete(u, v);
+      }
+    }
+    const GraphView view = GraphView(g).Apply(delta, 1);
+
+    for (uint32_t k = 1; k <= 6; ++k) {
+      std::vector<Query> queries = {
+          {pendant, dead, k}, {fresh, dead, k},   {fresh, pendant, k},
+          {dead, pick(rng), k}, {pick(rng), fresh, k},
+      };
+      // Pairs at distance exactly k and k + 1 on the base graph.
+      for (int round = 0; round < 3; ++round) {
+        const VertexId s = pick(rng);
+        const std::vector<uint32_t> ds = ForwardDistances(g, s);
+        for (const uint32_t want : {k, k + 1}) {
+          for (VertexId t = 0; t < n; ++t) {
+            if (ds[t] == want) {
+              queries.push_back({s, t, k});
+              break;
+            }
+          }
+        }
+      }
+      for (const Query& q : queries) {
+        if (q.source == q.target) continue;
+        for (const bool filtered : {false, true}) {
+          IndexBuildOptions opts;
+          if (filtered) opts.filter = &filter;
+          IndexBuildOptions ref_opts = opts;
+          ref_opts.prune_forward_bfs = false;
+          const std::string at =
+              "graph " + std::to_string(gi) + " q(" +
+              std::to_string(q.source) + "," + std::to_string(q.target) +
+              "," + std::to_string(k) + ")" + (filtered ? " filtered" : "");
+          testing::ExpectSameIndex(builder.Build(g, q, opts),
+                          reference_builder.Build(g, q, ref_opts), at);
+          testing::ExpectSameIndex(builder.Build(view, q, opts),
+                          reference_builder.Build(view, q, ref_opts),
+                          at + " view");
+        }
+      }
+    }
+  }
+}
+
+TEST(IndexTest, SlabSizeIsIndependentOfTheVertexCount) {
+  // The paper example's 9-vertex X, built on the example graph and on the
+  // same graph padded with 1,000,000 isolated vertices: the slab holds
+  // O(|X|) entries, so the padding adds nothing.
+  const Graph g = testing::PaperExampleGraph();
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (const VertexId w : g.OutNeighbors(u)) edges.push_back({u, w});
+  }
+  const Graph padded = Graph::FromEdges(g.num_vertices() + 1'000'000, edges);
+  IndexBuilder builder;
+  const LightweightIndex small = builder.Build(g, testing::PaperExampleQuery());
+  const LightweightIndex large =
+      builder.Build(padded, testing::PaperExampleQuery());
+  EXPECT_EQ(large.num_vertices(), small.num_vertices());
+  EXPECT_EQ(large.MemoryBytes(), small.MemoryBytes());
+  for (VertexId v = g.num_vertices(); v < padded.num_vertices(); ++v) {
+    ASSERT_EQ(large.SlotOf(v), kInvalidSlot) << "padded vertex " << v;
+  }
+}
 
 }  // namespace
 }  // namespace pathenum

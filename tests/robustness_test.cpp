@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/control.h"
+#include "core/index.h"
 #include "core/path_enum.h"
 #include "core/reference.h"
 #include "core/thread_pool.h"
@@ -391,6 +392,29 @@ TEST_F(RobustnessTest, CacheBuildFailureFailsOverAndRecovers) {
   EXPECT_EQ(result.states[0], QueryState::kOk);
   EXPECT_EQ(result.states[1], QueryState::kOk);
   EXPECT_EQ(ToSet(sinks[0].paths()), ToSet(BruteForcePaths(g, q)));
+}
+
+TEST_F(RobustnessTest, ThrowMidAssemblyLeavesTheBuilderClean) {
+  // A fault thrown after the builder wrote its staging vertex -> slot
+  // lookup must not leak into the next build on the same builder: the
+  // next query's s = v4 lies in the failed query's X but not in its own
+  // (v4 has no edge to v3), so a stale entry would hand it a source slot.
+  const Graph g = PaperExampleGraph();
+  IndexBuilder builder;
+  {
+    const fault::ScopedFault boom(fault::Site::kIndexAdjacency, [] {
+      throw std::runtime_error("injected: adjacency allocation failed");
+    });
+    EXPECT_THROW(builder.Build(g, PaperExampleQuery()), std::runtime_error);
+  }
+  const LightweightIndex idx =
+      builder.Build(g, Query{testing::kV4, testing::kV3, 1});
+  EXPECT_EQ(idx.num_vertices(), 0u);
+  EXPECT_EQ(idx.source_slot(), kInvalidSlot);
+  EXPECT_EQ(idx.target_slot(), kInvalidSlot);
+  const LightweightIndex full = builder.Build(g, PaperExampleQuery());
+  EXPECT_EQ(full.num_vertices(), 9u);
+  EXPECT_EQ(full.num_edges(), 13u);
 }
 
 TEST_F(RobustnessTest, InterruptedCachedBuildIsNotPublished) {

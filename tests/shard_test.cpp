@@ -35,6 +35,7 @@ namespace {
 
 using testing::PathSet;
 using testing::ToSet;
+using testing::WithDeadEnds;
 
 PathSet RouterCollect(ShardRouter& router, const Query& q,
                       const EnumOptions& opts = {},
@@ -374,24 +375,6 @@ void ExpectExactPlan(ShardRouter& router, const Graph& g, const Query& q,
   if (r.delegated) {
     EXPECT_EQ(r.delegate_shard, router.ShardOf(q.source)) << at;
   }
-}
-
-/// `g` plus three vertices that empty one plan frontier early: a dead end
-/// d (in-edges only), a fresh source f (out-edges only) and p with the
-/// single path f -> p -> d, so the forward BFS from p stops after two
-/// levels and the backward BFS to p after two.
-Graph WithDeadEnds(const Graph& g) {
-  const VertexId n = g.num_vertices();
-  GraphBuilder b(n + 3);
-  b.AddGraph(g);
-  const VertexId dead = n, fresh = n + 1, pendant = n + 2;
-  for (const VertexId v : {VertexId{0}, n / 2, n - 1}) {
-    b.AddEdge(v, dead);
-    b.AddEdge(fresh, v);
-  }
-  b.AddEdge(fresh, pendant);
-  b.AddEdge(pendant, dead);
-  return b.Build();
 }
 
 TEST(ShardRouter, PlanMatchesBruteForce) {

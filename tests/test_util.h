@@ -6,7 +6,10 @@
 #include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "baselines/algorithm.h"
+#include "core/index.h"
 #include "core/query.h"
 #include "core/sink.h"
 #include "graph/builder.h"
@@ -81,6 +84,56 @@ inline Graph Figure5G1() {
     b.AddEdge(1, i);
     b.AddEdge(i, 1);
   }
+  return b.Build();
+}
+
+// ---------------------------------------------------------------------------
+// Index comparison.
+// ---------------------------------------------------------------------------
+
+/// `got` and `ref` are the same index: the same X, the same (v.s, v.t) per
+/// vertex, the same I_t / I_s lists for every bound b, the same edge count.
+inline void ExpectSameIndex(const LightweightIndex& got,
+                            const LightweightIndex& ref,
+                            const std::string& at) {
+  ASSERT_EQ(got.num_vertices(), ref.num_vertices()) << at;
+  EXPECT_EQ(got.num_edges(), ref.num_edges()) << at;
+  for (uint32_t slot = 0; slot < ref.num_vertices(); ++slot) {
+    const VertexId v = ref.VertexAt(slot);
+    const uint32_t got_slot = got.SlotOf(v);
+    ASSERT_NE(got_slot, kInvalidSlot) << at << " v=" << v;
+    EXPECT_EQ(got.DistFromSource(got_slot), ref.DistFromSource(slot))
+        << at << " v=" << v;
+    EXPECT_EQ(got.DistToTarget(got_slot), ref.DistToTarget(slot))
+        << at << " v=" << v;
+    for (uint32_t b = 0; b <= ref.hops(); ++b) {
+      EXPECT_EQ(got.OutVerticesWithin(v, b), ref.OutVerticesWithin(v, b))
+          << at << " v=" << v << " b=" << b;
+      EXPECT_EQ(got.InVerticesWithin(v, b), ref.InVerticesWithin(v, b))
+          << at << " v=" << v << " b=" << b;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Early-emptying frontiers.
+// ---------------------------------------------------------------------------
+
+/// `g` plus three vertices that empty one BFS frontier early: a dead end
+/// d = n (in-edges only), a fresh source f = n + 1 (out-edges only) and a
+/// pendant p = n + 2 with the single path f -> p -> d, so the forward BFS
+/// from p stops after two levels and the backward BFS to p after two.
+inline Graph WithDeadEnds(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  GraphBuilder b(n + 3);
+  b.AddGraph(g);
+  const VertexId dead = n, fresh = n + 1, pendant = n + 2;
+  for (const VertexId v : {VertexId{0}, n / 2, n - 1}) {
+    b.AddEdge(v, dead);
+    b.AddEdge(fresh, v);
+  }
+  b.AddEdge(fresh, pendant);
+  b.AddEdge(pendant, dead);
   return b.Build();
 }
 
