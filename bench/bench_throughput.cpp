@@ -24,7 +24,7 @@
 //   PATHENUM_BENCH_COLD_QUERIES   coldkeys distinct-pair batch size (default 64)
 //   PATHENUM_BENCH_COLD_LIMIT     coldkeys per-query result limit  (default 10,
 //                                 small so index builds dominate — the config
-//                                 measures batched vs solo build throughput)
+//                                 measures solo cache-miss build throughput)
 //   PATHENUM_BENCH_UPDATE_ROUNDS  update-heavy epochs               (default 6)
 //   PATHENUM_BENCH_UPDATE_EDGES   edge churn per epoch              (default 8)
 //   PATHENUM_BENCH_HEAVY_QUERIES  split_heavy batch size            (default 3)
@@ -343,17 +343,13 @@ int main() {
     measurements.push_back(m);
   }
 
-  // --- Cold distinct keys: batched index builds (DESIGN.md §11). ---------
+  // --- Cold distinct keys: one solo build per cache miss. ----------------
   // The cache's worst case — every (s, t) pair distinct, every batch
-  // miss-dominated (the cache is invalidated between reps) — run with the
-  // batched prebuild off vs on. The off/on wall ratio is what fusing K
-  // builds into one multi-source sweep is worth; the edge-scan ratio
-  // (solo-equivalent / shared) is the machine-level fusion win.
+  // miss-dominated (the cache is invalidated between reps), so the wall
+  // time is what the workers' solo index builds cost.
   const size_t cold_total = EnvU64("PATHENUM_BENCH_COLD_QUERIES", 64);
   const uint64_t cold_limit = EnvU64("PATHENUM_BENCH_COLD_LIMIT", 10);
-  double cold_off_ms = 0.0, cold_on_ms = 0.0;
-  uint64_t cold_batched_builds = 0;
-  uint64_t cold_shared_edges = 0, cold_solo_edges = 0;
+  double cold_ms = 0.0;
   std::vector<Query> cold_queries;
   {
     bench::BenchEnv cold_env = env;
@@ -375,46 +371,32 @@ int main() {
   if (!cold_queries.empty()) {
     EnumOptions cold_opts = opts;
     cold_opts.result_limit = cold_limit;
-    const auto run_cold_config = [&](uint32_t batch_min) -> Measurement {
-      EngineOptions eopts;
-      eopts.num_workers = cw;
-      eopts.enable_cache = true;
-      eopts.batch_build_min = batch_min;
-      QueryEngine engine(g, eopts);
-      BatchOptions batch;
-      batch.query = cold_opts;
-      engine.CountBatch(cold_queries, batch);  // warm scratch
-      double wall_sum = 0.0;
-      uint64_t results = 0;
-      uint32_t active = cw;
-      IndexCacheStats last{};
-      for (int r = 0; r < reps; ++r) {
-        engine.InvalidateCaches();  // every rep is miss-dominated
-        const BatchResult b = engine.CountBatch(cold_queries, batch);
-        wall_sum += b.wall_ms;
-        results = b.TotalResults();
-        active = b.workers;
-        last = b.cache;
-        if (batch_min != 0) {
-          cold_batched_builds = b.batched_builds;
-          cold_shared_edges = b.batched_edges_scanned;
-          cold_solo_edges = b.batched_solo_edges;
-        }
-      }
-      Measurement m = Measure(
-          batch_min != 0 ? "coldkeys_batch_on" : "coldkeys_batch_off", cw,
-          true, cold_queries.size(), wall_sum / reps, results);
-      m.active_workers = active;
-      m.has_cache = true;
-      m.cache = last;
-      return m;
-    };
-    const Measurement off_m = run_cold_config(/*batch_min=*/0);
-    const Measurement on_m = run_cold_config(/*batch_min=*/4);
-    cold_off_ms = off_m.wall_ms;
-    cold_on_ms = on_m.wall_ms;
-    measurements.push_back(off_m);
-    measurements.push_back(on_m);
+    EngineOptions eopts;
+    eopts.num_workers = cw;
+    eopts.enable_cache = true;
+    QueryEngine engine(g, eopts);
+    BatchOptions batch;
+    batch.query = cold_opts;
+    engine.CountBatch(cold_queries, batch);  // warm scratch
+    double wall_sum = 0.0;
+    uint64_t results = 0;
+    uint32_t active = cw;
+    IndexCacheStats last{};
+    for (int r = 0; r < reps; ++r) {
+      engine.InvalidateCaches();  // every rep is miss-dominated
+      const BatchResult b = engine.CountBatch(cold_queries, batch);
+      wall_sum += b.wall_ms;
+      results = b.TotalResults();
+      active = b.workers;
+      last = b.cache;
+    }
+    Measurement m = Measure("coldkeys", cw, true, cold_queries.size(),
+                            wall_sum / reps, results);
+    m.active_workers = active;
+    m.has_cache = true;
+    m.cache = last;
+    cold_ms = m.wall_ms;
+    measurements.push_back(m);
   }
 
   // --- Update-heavy live workload (DESIGN.md §7). ------------------------
@@ -873,20 +855,6 @@ int main() {
                 static_cast<uint32_t>(skew_pool.size()));
   }
 
-  const double cold_speedup = cold_on_ms > 0.0 ? cold_off_ms / cold_on_ms : 0.0;
-  const double cold_fusion =
-      cold_shared_edges > 0
-          ? static_cast<double>(cold_solo_edges) /
-                static_cast<double>(cold_shared_edges)
-          : 0.0;
-  if (cold_on_ms > 0.0) {
-    std::printf("  [coldkeys] batched builds: %.2fx throughput (%zu distinct "
-                "pairs, %llu fused builds, %.2fx fewer edge scans)\n",
-                cold_speedup, cold_queries.size(),
-                static_cast<unsigned long long>(cold_batched_builds),
-                cold_fusion);
-  }
-
   // Hit rate over every cache interaction of the update-heavy configs
   // (result replays + index reuses vs. misses).
   const auto hit_rate = [](const IndexCacheStats& c) {
@@ -994,13 +962,7 @@ int main() {
         << "},\n"
         << "  \"coldkeys\": {\"queries\": " << cold_queries.size()
         << ", \"hops\": " << skew_hops << ", \"limit\": " << cold_limit
-        << ", \"batch_off_ms\": " << cold_off_ms
-        << ", \"batch_on_ms\": " << cold_on_ms
-        << ", \"throughput_speedup\": " << cold_speedup
-        << ", \"batched_builds\": " << cold_batched_builds
-        << ", \"batched_edges_scanned\": " << cold_shared_edges
-        << ", \"batched_solo_edges\": " << cold_solo_edges
-        << ", \"edge_scan_fusion\": " << cold_fusion << "},\n"
+        << ", \"wall_ms\": " << cold_ms << "},\n"
         << "  \"split_heavy\": {\"queries\": " << heavy_count
         << ", \"hops\": " << heavy_hops << ", \"limit\": " << heavy_limit
         << ", \"workers\": " << split_workers
@@ -1073,10 +1035,7 @@ int main() {
       ">= 2x once warm, and uniform_cache_on should sit within ~5% of "
       "engine_warm at the same worker count. update_incremental should "
       "retain a far higher hit rate than update_fullclear (which starts "
-      "cold every epoch) at equal-or-better throughput. coldkeys_batch_on "
-      "should beat coldkeys_batch_off by >= 1.5x on a distinct-pair "
-      "miss-dominated batch (the fused sweeps scan several times fewer "
-      "adjacency entries than the summed solo builds). split_heavy_on "
+      "cold every epoch) at equal-or-better throughput. split_heavy_on "
       "should cut the serial heavy-query latency by roughly the core "
       "count's share on a multi-core host (ties on a single core). "
       "unsat_flood_on should reject the all-unsatisfiable flood >= 50x "

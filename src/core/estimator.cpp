@@ -50,20 +50,27 @@ JoinPlan OptimizeJoinOrder(const LightweightIndex& idx) {
     std::swap(cur, nxt);
   }
 
-  // Forward DP (Alg. 5 lines 6-10, with the I_s(v, i-1) budget fix):
-  // c_0^i(v) = number of tuples of Q[0:i] ending at v; c_0^0(s) = 1.
+  // Forward DP (Alg. 5 lines 6-10): c_0^i(v) = number of tuples of Q[0:i]
+  // ending at v; c_0^0(s) = 1. Alg. 5 pulls c_0^i(v) along I_s(v, i-1);
+  // pushing c_0^{i-1}(w) along I_t(w, k-i) sums the same edges, because an
+  // index edge w -> v with w in C_{i-1} and v.t <= k-i has
+  // v.s <= w.s + 1 <= i, so v lies in C_i (DESIGN.md §3). |Q[0:i]| is the
+  // pushed mass. Only C_i is zeroed first: a slot outside it may keep a
+  // stale level, but the next round reads C_i only.
   std::fill(nxt.begin(), nxt.end(), 0.0);
   idx.ForEachSlotInLevel(0, [&](uint32_t slot) {
     nxt[slot] = 1.0;
     plan.forward_sizes[0] += 1.0;
   });
   for (uint32_t i = 1; i <= k; ++i) {
+    idx.ForEachSlotInLevel(i, [&](uint32_t slot) { cur[slot] = 0.0; });
     double level_sum = 0.0;
-    idx.ForEachSlotInLevel(i, [&](uint32_t slot) {
-      double c = 0.0;
-      for (uint32_t w : idx.InSlotsWithin(slot, i - 1)) c += nxt[w];
-      cur[slot] = c;
-      level_sum += c;
+    idx.ForEachSlotInLevel(i - 1, [&](uint32_t w) {
+      const double c = nxt[w];
+      if (c == 0.0) return;
+      const auto out = idx.OutSlotsWithin(w, k - i);
+      for (uint32_t v : out) cur[v] += c;
+      level_sum += c * static_cast<double>(out.size());
     });
     plan.forward_sizes[i] = level_sum;
     std::swap(cur, nxt);

@@ -3,15 +3,19 @@
 // * `EstimateSearchSpace` is the preliminary estimator of Eq. 5: a product
 //   of per-level average fan-outs collected during index construction, O(k^2).
 // * `OptimizeJoinOrder` is Alg. 5: an exact dynamic program over the index
-//   that computes |Q[0:i]| (walks-with-padding from s, forward via I_s) and
-//   |Q[i:k]| (suffixes to t, backward via I_t), picks the cut position i*
-//   minimizing |Q[0:i]| + |Q[i:k]|, and prices the left-deep plan (T_DFS)
-//   against the bushy plan (T_JOIN) with the Eq. 1 cost model.
+//   that computes |Q[0:i]| (walks-with-padding from s) and |Q[i:k]|
+//   (suffixes to t), picks the cut position i* minimizing
+//   |Q[0:i]| + |Q[i:k]|, and prices the left-deep plan (T_DFS) against the
+//   bushy plan (T_JOIN) with the Eq. 1 cost model. Both DPs read only I_t:
+//   the backward one pulls along I_t(v, k-i-1), and the forward one pushes
+//   along I_t(w, k-i) where Alg. 5 pulls along I_s(v, i-1) — the same edge
+//   set (DESIGN.md §3), so the index needs no in-direction.
 //
 // Counts are kept as doubles: delta_W can exceed 2^64 on dense graphs, and
 // the optimizer only needs relative magnitudes. Two paper typos are fixed
-// here (see DESIGN.md): the forward DP uses I_s(v, i-1), and T_JOIN's third
-// term sums the suffix sizes |Q[i:k]| for i in [i*, k].
+// here (see DESIGN.md): the forward DP's pull budget is I_s(v, i-1) (the
+// push budget I_t(w, k-i) matches it), and T_JOIN's third term sums the
+// suffix sizes |Q[i:k]| for i in [i*, k].
 #ifndef PATHENUM_CORE_ESTIMATOR_H_
 #define PATHENUM_CORE_ESTIMATOR_H_
 
@@ -49,8 +53,8 @@ struct JoinPlan {
   bool PreferJoin() const { return cut != 0 && t_join < t_dfs; }
 };
 
-/// Runs the Alg. 5 dynamic program. Requires an index built with the
-/// in-direction enabled.
+/// Runs the Alg. 5 dynamic program over any index: O(k · (|X| + index
+/// edges)).
 JoinPlan OptimizeJoinOrder(const LightweightIndex& idx);
 
 }  // namespace pathenum

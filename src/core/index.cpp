@@ -1,7 +1,6 @@
 #include "core/index.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <type_traits>
 
@@ -26,15 +25,6 @@ std::vector<VertexId> LightweightIndex::OutVerticesWithin(VertexId v,
   const uint32_t slot = SlotOf(v);
   if (slot == kInvalidSlot) return out;
   for (uint32_t s : OutSlotsWithin(slot, b)) out.push_back(VertexAt(s));
-  return out;
-}
-
-std::vector<VertexId> LightweightIndex::InVerticesWithin(VertexId v,
-                                                         uint32_t b) const {
-  std::vector<VertexId> out;
-  const uint32_t slot = SlotOf(v);
-  if (slot == kInvalidSlot) return out;
-  for (uint32_t s : InSlotsWithin(slot, b)) out.push_back(VertexAt(s));
   return out;
 }
 
@@ -115,39 +105,34 @@ bool FitsU16(const std::vector<uint32_t>& v) {
 }
 
 /// Global build-stream metrics (DESIGN.md §12): every finished index
-/// build — solo or batched-member, interrupted or not — feeds one counted
-/// observation. The registry-owned handles resolve once; under
-/// PATHENUM_OBS=0 they are no-op stubs and the whole call melts away.
+/// build, interrupted or not, feeds one counted observation. The
+/// registry-owned handles resolve once; under PATHENUM_OBS=0 they are no-op
+/// stubs and the whole call melts away.
 void RecordBuildMetrics(const LightweightIndex::BuildStats& bs) {
   struct Handles {
     obs::MetricRegistry& reg = obs::MetricRegistry::Global();
-    obs::RegCounter* solo = reg.GetCounter("pathenum_build_total",
-                                           "kind=\"solo\"");
-    obs::RegCounter* batched = reg.GetCounter("pathenum_build_total",
-                                              "kind=\"batched\"");
+    obs::RegCounter* builds = reg.GetCounter("pathenum_build_total",
+                                             "kind=\"solo\"");
     obs::RegCounter* interrupted =
         reg.GetCounter("pathenum_build_interrupted_total");
     obs::RegCounter* edges = reg.GetCounter("pathenum_build_edges_total");
-    obs::RegHistogram* solo_ms = reg.GetHistogram("pathenum_build_ms",
-                                                  "kind=\"solo\"");
-    obs::RegHistogram* batched_ms = reg.GetHistogram("pathenum_build_ms",
-                                                     "kind=\"batched\"");
+    obs::RegHistogram* build_ms = reg.GetHistogram("pathenum_build_ms",
+                                                   "kind=\"solo\"");
   };
   static Handles h;
-  (bs.batched ? h.batched : h.solo)->Inc();
+  h.builds->Inc();
   if (bs.interrupted) h.interrupted->Inc();
   h.edges->Inc(bs.edges_scanned);
-  (bs.batched ? h.batched_ms : h.solo_ms)->Observe(bs.total_ms);
+  h.build_ms->Observe(bs.total_ms);
 }
 
 }  // namespace
 
 void IndexBuilder::Fuse(LightweightIndex& idx, bool edge_ids,
-                        bool in_direction, bool level_stats) {
+                        bool level_stats) {
   // The cumulative ends are bounded by the slot's (index) degree; narrow
   // the whole table to u16 when every count fits.
   const bool out_narrow = FitsU16(out_ends_);
-  const bool in_narrow = in_direction && FitsU16(in_ends_);
 
   // Element sizes come from the staged vectors' own types (sizeof, exactly
   // what PlacePart copies), so the budget and the copy cannot diverge.
@@ -158,7 +143,6 @@ void IndexBuilder::Fuse(LightweightIndex& idx, bool edge_ids,
   };
   size_t total = 0;
   total += bytes_of(out_begin_);
-  if (in_direction) total += bytes_of(in_begin_);
   if (edge_ids) total += bytes_of(out_edge_ids_);
   if (level_stats) {
     total += bytes_of(level_it_sum_);
@@ -168,11 +152,7 @@ void IndexBuilder::Fuse(LightweightIndex& idx, bool edge_ids,
   total += bytes_of(cell_offsets_);
   total += bytes_of(vertex_slots_);
   total += bytes_of(out_slots_);
-  if (in_direction) total += bytes_of(in_slots_);
   total += out_ends_.size() * (out_narrow ? sizeof(uint16_t) : sizeof(uint32_t));
-  if (in_direction) {
-    total += in_ends_.size() * (in_narrow ? sizeof(uint16_t) : sizeof(uint32_t));
-  }
   total += bytes_of(slot_ds_);
   total += bytes_of(slot_dt_);
 
@@ -183,7 +163,6 @@ void IndexBuilder::Fuse(LightweightIndex& idx, bool edge_ids,
 
   // 8-byte-aligned parts.
   idx.out_begin_ = PlacePart(slab, off, out_begin_);
-  if (in_direction) idx.in_begin_ = PlacePart(slab, off, in_begin_);
   idx.edge_ids_built_ = edge_ids;
   if (edge_ids) idx.out_edge_ids_ = PlacePart(slab, off, out_edge_ids_);
   if (level_stats) {
@@ -195,16 +174,9 @@ void IndexBuilder::Fuse(LightweightIndex& idx, bool edge_ids,
   idx.cell_offsets_ = PlacePart(slab, off, cell_offsets_);
   idx.vertex_slots_ = PlacePart(slab, off, vertex_slots_);
   idx.out_slots_ = PlacePart(slab, off, out_slots_);
-  if (in_direction) idx.in_slots_ = PlacePart(slab, off, in_slots_);
   if (!out_narrow) idx.out_ends32_ = PlacePart(slab, off, out_ends_);
-  if (in_direction && !in_narrow) {
-    idx.in_ends32_ = PlacePart(slab, off, in_ends_);
-  }
   // 2-byte.
   if (out_narrow) idx.out_ends16_ = PlacePart16(slab, off, out_ends_);
-  if (in_direction && in_narrow) {
-    idx.in_ends16_ = PlacePart16(slab, off, in_ends_);
-  }
   // 1-byte.
   idx.slot_ds_ = PlacePart(slab, off, slot_ds_);
   idx.slot_dt_ = PlacePart(slab, off, slot_dt_);
@@ -224,11 +196,6 @@ void IndexBuilder::FinishInterrupted(LightweightIndex& idx, const Query& q,
   out_ends_.clear();
   out_slots_.clear();
   out_edge_ids_.clear();
-  in_slots_.clear();
-  if (opts.build_in_direction) {
-    in_begin_.assign(1, 0);
-    in_ends_.clear();
-  }
   if (opts.collect_level_stats) {
     level_it_sum_.assign(k, 0.0);
     level_count_.assign(k, 0);
@@ -236,8 +203,7 @@ void IndexBuilder::FinishInterrupted(LightweightIndex& idx, const Query& q,
   idx.source_slot_ = kInvalidSlot;
   idx.target_slot_ = kInvalidSlot;
   idx.num_out_edges_ = 0;
-  Fuse(idx, opts.build_edge_ids, opts.build_in_direction,
-       opts.collect_level_stats);
+  Fuse(idx, opts.build_edge_ids, opts.collect_level_stats);
   idx.build_stats_.interrupted = true;
   idx.build_stats_.interrupted_by_cancel = by_cancel;
 }
@@ -291,7 +257,6 @@ LightweightIndex IndexBuilder::Build(const GraphT& g, const Query& q,
     idx.build_stats_.waves = field_t_.waves() + field_s_.waves();
   }
   idx.build_stats_.bfs_ms = total_timer.ElapsedMs();
-  idx.build_stats_.batch_edges_scanned = idx.build_stats_.edges_scanned;
   if (trip != DistanceField::Interrupt::kNone) {
     // An interrupted pass left incomplete distances — discard them and
     // hand back the empty well-formed index.
@@ -328,8 +293,8 @@ LightweightIndex IndexBuilder::Build(const GraphT& g, const Query& q,
 }
 
 /// Everything below Alg. 3 line 1: partition, adjacency, level stats,
-/// fuse. Shared verbatim between the solo Build and each BuildBatch
-/// member — only the distance accessors differ.
+/// fuse. Shared verbatim between the meet-in-the-middle build and the
+/// reference — only the distance accessors differ.
 template <typename GraphT, typename DistS, typename DistT>
 void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
                                 const Options& opts,
@@ -367,7 +332,7 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
       slot_dt_[slot] = static_cast<uint8_t>(dt);
     }
   }
-  if (const int trip = BuildAdjacency(g, q, opts, dist_s, dist_t, idx)) {
+  if (const int trip = BuildAdjacency(g, q, opts, dist_t, idx)) {
     FinishInterrupted(idx, q, opts, trip == 1);
     idx.build_stats_.total_ms = total_timer.ElapsedMs();
     return;
@@ -388,19 +353,18 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
   }
 
   // --- Fuse the staged parts into the one-allocation slab (§9). ---------
-  Fuse(idx, opts.build_edge_ids, opts.build_in_direction,
-       opts.collect_level_stats);
+  Fuse(idx, opts.build_edge_ids, opts.collect_level_stats);
 
   idx.build_stats_.total_ms = total_timer.ElapsedMs();
 }
 
-/// Lines 5-11 of Alg. 3 plus the in-direction: the slot maps and the
-/// staged adjacency of X's slots. Returns the control trip (0 = none,
-/// 1 = cancel, 2 = deadline) that stopped it early.
-template <typename GraphT, typename DistS, typename DistT>
+/// Lines 5-11 of Alg. 3: the slot maps and the staged adjacency of X's
+/// slots. Returns the control trip (0 = none, 1 = cancel, 2 = deadline)
+/// that stopped it early.
+template <typename GraphT, typename DistT>
 int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
-                                 const Options& opts, const DistS& dist_s,
-                                 const DistT& dist_t, LightweightIndex& idx) {
+                                 const Options& opts, const DistT& dist_t,
+                                 LightweightIndex& idx) {
   const uint32_t k = q.hops;
   const uint32_t num_x = static_cast<uint32_t>(x_vertices_.size());
   // The staging lookup is all kInvalidSlot here; X's entries are written
@@ -429,11 +393,6 @@ int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
   out_ends_.assign(static_cast<size_t>(num_x) * (k + 1), 0);
   out_slots_.clear();
   out_edge_ids_.clear();
-  in_slots_.clear();
-  if (opts.build_in_direction) {
-    in_begin_.assign(num_x + 1, 0);
-    in_ends_.assign(static_cast<size_t>(num_x) * (k + 1), 0);
-  }
   if (opts.collect_level_stats) {
     level_it_sum_.assign(k, 0.0);
     level_count_.assign(k, 0);
@@ -500,197 +459,7 @@ int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
       idx.num_out_edges_ += scratch_.size();
     }
   }
-
-  // --- Symmetric in-direction adjacency H_s, sorted by v'.s. ------------
-  if (opts.build_in_direction && trip == 0) {
-    for (uint32_t slot = 0; slot < num_x; ++slot) {
-      if ((slot & 4095u) == 0 && (trip = ControlTrip(opts)) != 0) break;
-      const VertexId v = x_vertices_[slot];
-      const uint32_t dt = slot_dt_[slot];
-      scratch_.clear();
-      if (slot != idx.source_slot_) {  // H_s[s] is empty
-        const auto nbrs = g.InNeighbors(v);
-        for (size_t j = 0; j < nbrs.size(); ++j) {
-          const VertexId w = nbrs[j];
-          if (w == q.target) continue;  // t is never a tuple source...
-          const uint32_t ds_w = dist_s(w);
-          if (ds_w + dt + 1 > k) continue;
-          if (opts.filter != nullptr) {
-            const EdgeId e = g.FindEdge(w, v);
-            if (!(*opts.filter)(w, v, e)) continue;
-          }
-          scratch_.push_back({ds_w, slot_of(w), kInvalidEdge});
-        }
-        if (slot == idx.target_slot_) {
-          // ... except the (t,t) padding self-entry, keyed by t.s.
-          scratch_.push_back({slot_ds_[slot], slot, kInvalidEdge});
-        }
-      }
-      std::fill(key_counts, key_counts + k + 2, 0u);
-      for (const ScratchEntry& e : scratch_) key_counts[e.key + 1]++;
-      for (uint32_t b = 0; b <= k; ++b) key_counts[b + 1] += key_counts[b];
-      const uint64_t begin = in_slots_.size();
-      in_slots_.resize(begin + scratch_.size());
-      {
-        uint32_t place[kMaxHops + 2];
-        std::copy(key_counts, key_counts + k + 2, place);
-        for (const ScratchEntry& e : scratch_) {
-          in_slots_[begin + place[e.key]++] = e.slot;
-        }
-      }
-      in_begin_[slot + 1] = in_slots_.size();
-      uint32_t* ends = &in_ends_[static_cast<size_t>(slot) * (k + 1)];
-      for (uint32_t b = 0; b <= k; ++b) ends[b] = key_counts[b + 1];
-    }
-  }
   return trip;
-}
-
-template <typename GraphT>
-std::vector<LightweightIndex> IndexBuilder::BuildBatch(
-    const GraphT& g, const std::vector<BatchBuildRequest>& reqs,
-    const Options& opts) {
-  const size_t n = reqs.size();
-  PATHENUM_CHECK(n >= 1 && n <= BatchedDistanceField::kMaxBatch);
-  // Batched builds only serve cacheable queries, and predicate builds are
-  // never cacheable (IndexOptionsFingerprint enforces the same upstream).
-  PATHENUM_CHECK_MSG(opts.filter == nullptr,
-                     "BuildBatch does not support edge filters");
-  for (const BatchBuildRequest& r : reqs) ValidateQuery(g, r.query);
-
-  Timer total_timer;
-
-  // Per-member effective controls: the member's own cancel (falling back
-  // to the shared one) and the earlier of the two deadlines.
-  const auto member_cancel = [&](size_t m) {
-    return reqs[m].cancel != nullptr ? reqs[m].cancel : opts.cancel;
-  };
-  const auto member_deadline = [&](size_t m) {
-    return reqs[m].deadline.ExpiresBefore(opts.deadline) ? reqs[m].deadline
-                                                         : opts.deadline;
-  };
-
-  // --- The fused sweeps. ------------------------------------------------
-  // Meeting in the middle (DESIGN.md §11), member by member exactly the
-  // levels its solo build expands, with b = ⌊k/2⌋ and a = k - b:
-  //   1. backward to depth b;
-  //   2. forward to depth k, every vertex below depth a, X only beyond;
-  //   3. backward again to depth k, every vertex below b, X only beyond.
-  // Sweeps 2 and 3 together expand exactly what the solo field expands, so
-  // their per-member counts are the member's solo-equivalent edges_scanned.
-  // The reference (prune_forward_bfs off) runs a full backward and a full
-  // forward k-ball. A member tripped in one sweep gets max_depth 0 in the
-  // next: its source is seeded but nothing is expanded for it.
-  using Interrupt = BatchedDistanceField::Interrupt;
-  std::array<Interrupt, BatchedDistanceField::kMaxBatch> trips{};
-  const auto run_sweep = [&](BatchedDistanceField& field, Direction dir,
-                             const auto& max_depth, const auto& admit) {
-    const bool fwd = dir == Direction::kForward;
-    batch_members_.clear();
-    for (size_t m = 0; m < n; ++m) {
-      const Query& q = reqs[m].query;
-      BatchedDistanceField::Member mem;
-      mem.source = fwd ? q.source : q.target;
-      mem.blocked = fwd ? q.target : q.source;
-      mem.max_depth = trips[m] != Interrupt::kNone ? 0 : max_depth(q.hops);
-      mem.cancel = member_cancel(m);
-      mem.deadline = member_deadline(m);
-      batch_members_.push_back(mem);
-    }
-    field.ComputeWith(g, dir, batch_members_, admit);
-    for (size_t m = 0; m < n; ++m) {
-      if (trips[m] == Interrupt::kNone) {
-        trips[m] = field.interrupted(static_cast<uint32_t>(m));
-      }
-    }
-  };
-  const auto full = [](uint32_t k) { return k; };
-  uint64_t shared_edges = 0;
-  uint32_t shared_waves = 0;
-  if (opts.prune_forward_bfs) {
-    run_sweep(batch_t_, Direction::kBackward,
-              [](uint32_t k) { return k / 2; }, BatchAdmitAll{});
-    shared_edges += batch_t_.edges_scanned();
-    shared_waves += batch_t_.waves();
-    run_sweep(batch_s_, Direction::kForward, full,
-              [this, &reqs](uint32_t m, VertexId v, uint32_t d) {
-                const uint32_t k = reqs[m].query.hops;
-                if (d < k - k / 2) return true;
-                const uint32_t dt = batch_t_.Distance(m, v);
-                return dt != kInfDistance && d + dt <= k;
-              });
-    run_sweep(batch_t_, Direction::kBackward, full,
-              [this, &reqs](uint32_t m, VertexId v, uint32_t d) {
-                const uint32_t k = reqs[m].query.hops;
-                if (d < k / 2) return true;
-                const uint32_t ds = batch_s_.Distance(m, v);
-                return ds != kInfDistance && ds + d <= k;
-              });
-  } else {
-    run_sweep(batch_t_, Direction::kBackward, full, BatchAdmitAll{});
-    run_sweep(batch_s_, Direction::kForward, full, BatchAdmitAll{});
-  }
-  const double bfs_ms = total_timer.ElapsedMs();
-  shared_edges += batch_t_.edges_scanned() + batch_s_.edges_scanned();
-  shared_waves += batch_t_.waves() + batch_s_.waves();
-
-  // --- Per-member assembly: identical to the solo path, reading the
-  // member's rows of the fused fields. ----------------------------------
-  constexpr uint16_t kUnset16 = TwoSidedField::kUnset;
-  const size_t nv = g.num_vertices();
-  if (batch_dist_s_.size() < nv) batch_dist_s_.resize(nv, kUnset16);
-  if (batch_dist_t_.size() < nv) batch_dist_t_.resize(nv, kUnset16);
-  std::vector<LightweightIndex> out(n);
-  for (size_t m = 0; m < n; ++m) {
-    const uint32_t mi = static_cast<uint32_t>(m);
-    const Query& q = reqs[m].query;
-    LightweightIndex& idx = out[m];
-    idx.query_ = q;
-    // The shared sweep time is attributed to every member (it is the wall
-    // time any one of them waited for); the fusion win is measured by the
-    // edge counters, not by dividing wall time.
-    idx.build_stats_.bfs_ms = bfs_ms;
-    idx.build_stats_.edges_scanned =
-        batch_t_.covered_edges(mi) + batch_s_.covered_edges(mi);
-    idx.build_stats_.batch_edges_scanned = shared_edges;
-    idx.build_stats_.waves = shared_waves;
-    idx.build_stats_.batched = true;
-
-    Options mopts = opts;
-    mopts.cancel = member_cancel(m);
-    mopts.deadline = member_deadline(m);
-
-    if (trips[m] != Interrupt::kNone) {
-      FinishInterrupted(idx, q, mopts, trips[m] == Interrupt::kCancelled);
-      idx.build_stats_.total_ms = total_timer.ElapsedMs();
-      RecordBuildMetrics(idx.build_stats_);
-      continue;
-    }
-
-    // Export the member's distances into the dense arrays (sequential pass
-    // over the wave-ordered reached lists — no strided K-wide matrix
-    // reads), so the assembly's many per-candidate-edge lookups are a
-    // single unconditional load each, with 0xFFFF (TwoSidedField::kUnset)
-    // for an unset distance; exactly the entries written are reset after.
-    const std::vector<VertexId>& reached_s = batch_s_.Reached(mi);
-    const std::vector<VertexId>& reached_t = batch_t_.Reached(mi);
-    const ResetOnExit<uint16_t> reset_s(batch_dist_s_, reached_s, kUnset16);
-    const ResetOnExit<uint16_t> reset_t(batch_dist_t_, reached_t, kUnset16);
-    batch_s_.ExportDistances(mi, batch_dist_s_.data());
-    batch_t_.ExportDistances(mi, batch_dist_t_.data());
-    const uint16_t* const ds_arr = batch_dist_s_.data();
-    const uint16_t* const dt_arr = batch_dist_t_.data();
-    // Both reached lists hold all of X; scan the smaller.
-    const std::vector<VertexId>& cand =
-        reached_s.size() <= reached_t.size() ? reached_s : reached_t;
-    AssembleFrom(
-        g, q, mopts, cand,
-        [ds_arr](VertexId v) { return uint32_t{ds_arr[v]}; },
-        [dt_arr](VertexId v) { return uint32_t{dt_arr[v]}; }, idx,
-        total_timer);
-    RecordBuildMetrics(idx.build_stats_);
-  }
-  return out;
 }
 
 // The two graph types an index is ever built over: the immutable CSR Graph
@@ -702,9 +471,5 @@ template LightweightIndex IndexBuilder::Build<Graph>(const Graph&,
 template LightweightIndex IndexBuilder::Build<GraphView>(const GraphView&,
                                                          const Query&,
                                                          const Options&);
-template std::vector<LightweightIndex> IndexBuilder::BuildBatch<Graph>(
-    const Graph&, const std::vector<BatchBuildRequest>&, const Options&);
-template std::vector<LightweightIndex> IndexBuilder::BuildBatch<GraphView>(
-    const GraphView&, const std::vector<BatchBuildRequest>&, const Options&);
 
 }  // namespace pathenum

@@ -3,17 +3,15 @@
 // For a query q(s, t, k) the index stores exactly the vertices that can lie
 // on some hop-constrained walk from s to t:
 //     X = { v : v.s + v.t <= k },   v.s = S(s,v | G-{t}), v.t = S(v,t | G-{s})
-// bucketed into the (k+1) x (k+1) partition matrix of Figure 4a, plus two
-// sorted adjacency structures:
-//   * out-direction H_t: for v in X, the out-neighbors v' with
-//     v.s + v'.t + 1 <= k, sorted ascending by v'.t, with per-vertex offset
-//     slots so that I_t(v, b) — "neighbors within distance b of t" — is an
-//     O(1) span lookup (Figure 4b);
-//   * in-direction H_s: symmetric over in-neighbors keyed by v'.s, serving
-//     I_s(v, b) for the join-order optimizer's forward DP.
-// The join model's (t,t) padding tuple appears as a self-entry of t in both
-// directions. s never appears as an out-destination and t never as an
-// in-source (no relation of Q contains such tuples; see DESIGN.md).
+// bucketed into the (k+1) x (k+1) partition matrix of Figure 4a, plus one
+// sorted adjacency structure, the out-direction H_t: for v in X, the
+// out-neighbors v' with v.s + v'.t + 1 <= k, sorted ascending by v'.t, with
+// per-vertex offset slots so that I_t(v, b) — "neighbors within distance b
+// of t" — is an O(1) span lookup (Figure 4b). Every consumer reads H_t
+// only: the enumerators, and both DPs of the join-order optimizer (the
+// forward one pushes along I_t; see DESIGN.md §3). The join model's (t,t)
+// padding tuple appears as a self-entry of t. s never appears as an
+// out-destination (no relation of Q contains such a tuple; see DESIGN.md).
 //
 // Internally vertices are remapped to dense *slots* (positions in the
 // bucketed X order); all enumerators and the estimator work in slot space
@@ -61,20 +59,16 @@ class LightweightIndex {
     /// IndexCache never publishes such an index.
     bool interrupted = false;
     bool interrupted_by_cancel = false;  // the trip was the cancel token
-    /// Adjacency entries this query's distance passes examined — for a
-    /// batched member this is the *solo-equivalent* count, taken from the
-    /// last two fused sweeps, which together expand exactly what its solo
-    /// build expands; so it equals the solo build's count, and summing it
-    /// across a batch against batch_edges_scanned measures the fusion win.
+    /// Adjacency entries this query's distance passes examined.
     uint64_t edges_scanned = 0;
     /// BFS levels expanded across the passes.
     uint32_t waves = 0;
-    /// Adjacency entries the shared sweeps *actually* examined. Equal to
-    /// edges_scanned for a solo build; for a batched member it is the
-    /// batch-wide total of all its sweeps (same value on every member).
-    uint64_t batch_edges_scanned = 0;
-    /// Built by IndexBuilder::BuildBatch (a fused multi-source sweep).
-    bool batched = false;
+  };
+
+  /// One entry of the slab's vertex -> slot map, sorted by vertex.
+  struct VertexSlot {
+    VertexId vertex = kInvalidVertex;
+    uint32_t slot = kInvalidSlot;
   };
 
   LightweightIndex() = default;
@@ -97,9 +91,9 @@ class LightweightIndex {
 
   /// Slot of `v`, or kInvalidSlot. (The paper describes a hash table; a
   /// binary search over X's (vertex, slot) pairs sorted by vertex is used
-  /// instead: O(|X|) bytes in the slab whatever |V| is. Only tests and the
-  /// *VerticesWithin helpers look vertices up; the enumerators and the
-  /// estimator work in slot space.)
+  /// instead: O(|X|) bytes in the slab whatever |V| is. Only tests and
+  /// OutVerticesWithin look vertices up; the enumerators and the estimator
+  /// work in slot space.)
   uint32_t SlotOf(VertexId v) const;
 
   VertexId VertexAt(uint32_t slot) const { return x_vertices_[slot]; }
@@ -134,15 +128,6 @@ class LightweightIndex {
   /// build_edge_ids) — a precondition of the constrained enumerators.
   bool has_edge_ids() const { return edge_ids_built_; }
 
-  /// I_s(v, b) in slot space: in-neighbor slots whose distance from s is at
-  /// most b, sorted ascending by that distance. O(1).
-  std::span<const uint32_t> InSlotsWithin(uint32_t slot, uint32_t b) const {
-    const uint32_t k = query_.hops;
-    const size_t i = static_cast<size_t>(slot) * (k + 1) + std::min(b, k);
-    const uint32_t count = in_ends16_.empty() ? in_ends32_[i] : in_ends16_[i];
-    return {in_slots_.data() + in_begin_[slot], count};
-  }
-
   /// Raw out-adjacency arrays for the iterative DFS hot loop: `begin[slot]`
   /// indexes `slots`; neighbor counts live in a `stride`-strided cumulative
   /// ends table — u16 when every slot degree fits, u32 otherwise (exactly
@@ -165,9 +150,8 @@ class LightweightIndex {
     return a;
   }
 
-  /// Vertex-id convenience wrappers (allocate; meant for tests/tools).
+  /// Vertex-id convenience wrapper (allocates; meant for tests/tools).
   std::vector<VertexId> OutVerticesWithin(VertexId v, uint32_t b) const;
-  std::vector<VertexId> InVerticesWithin(VertexId v, uint32_t b) const;
 
   /// Vertices of partition cell X[a][b] (v.s == a, v.t == b) as a contiguous
   /// slot range [first, last).
@@ -197,15 +181,11 @@ class LightweightIndex {
   double LevelItSum(uint32_t j) const { return level_it_sum_[j]; }
   uint64_t LevelCount(uint32_t j) const { return level_count_[j]; }
 
-  /// True when the in-direction adjacency (H_s) was built — required by the
-  /// join-order optimizer (and hence by any non-kDfs execution).
-  bool has_in_direction() const { return !in_begin_.empty(); }
-
   /// True when the preliminary-estimator level statistics were collected —
   /// required by kAuto execution.
   bool has_level_stats() const { return !level_count_.empty(); }
 
-  /// True when the cumulative neighbor-count tables narrowed to u16 (every
+  /// True when the cumulative neighbor-count table narrowed to u16 (every
   /// slot degree fit); exposed for the memory-accounting tests.
   bool out_ends_narrow() const { return !out_ends16_.empty(); }
 
@@ -227,12 +207,6 @@ class LightweightIndex {
     const size_t i = static_cast<size_t>(slot) * (k + 1) + std::min(b, k);
     return out_ends16_.empty() ? out_ends32_[i] : out_ends16_[i];
   }
-
-  /// One entry of the vertex -> slot map, sorted by vertex.
-  struct VertexSlot {
-    VertexId vertex = kInvalidVertex;
-    uint32_t slot = kInvalidSlot;
-  };
 
   Query query_;
   BuildStats build_stats_;
@@ -257,11 +231,6 @@ class LightweightIndex {
   std::span<const uint32_t> out_ends32_;   //   slot; exactly one is set
   uint64_t num_out_edges_ = 0;             // excludes t's padding entry
 
-  std::span<const uint64_t> in_begin_;
-  std::span<const uint32_t> in_slots_;     // neighbors, ascending by v'.s
-  std::span<const uint16_t> in_ends16_;
-  std::span<const uint32_t> in_ends32_;
-
   std::span<const double> level_it_sum_;   // size k (levels 0..k-1)
   std::span<const uint64_t> level_count_;
 };
@@ -277,9 +246,6 @@ struct IndexBuildOptions {
   /// (PathEnumerator::BuildOptionsFor); defaults to true so a bare Build
   /// keeps the full documented surface.
   bool build_edge_ids = true;
-  /// The in-direction (H_s) is only needed by the join-order optimizer;
-  /// IDX-DFS-only users can skip it.
-  bool build_in_direction = true;
   /// Level statistics feed the preliminary estimator.
   bool collect_level_stats = true;
   /// Meet in the middle (TwoSidedField: two half-depth balls, then each
@@ -295,27 +261,14 @@ struct IndexBuildOptions {
   Deadline deadline = Deadline::Unlimited();
 };
 
-/// One member of an IndexBuilder::BuildBatch call: a query plus its own
-/// cooperative controls. A member whose control trips mid-batch gets the
-/// usual empty-but-well-formed interrupted index without disturbing the
-/// other members' builds.
-struct BatchBuildRequest {
-  Query query;
-  /// Per-member cancel; falls back to the shared Options::cancel when
-  /// null. The effective deadline is the earlier of this and the shared
-  /// Options::deadline.
-  const std::atomic<bool>* cancel = nullptr;
-  Deadline deadline = Deadline::Unlimited();
-};
-
 /// Builds LightweightIndex instances. Owns the epoch-stamped BFS buffers
 /// and the staging arrays the index parts are assembled in before being
 /// fused into the slab, so that thousands of per-query builds avoid both
 /// the O(|V|) re-initialisation and all staging allocations — keep one
 /// builder per graph/session; the steady-state build allocates exactly the
 /// result slab. No per-query step costs O(|V|): the distance field is
-/// epoch-stamped, and the |V|-sized staging lookup and BuildBatch's dense
-/// distance exports are reset only at the entries a build wrote.
+/// epoch-stamped, and the |V|-sized staging lookup is reset only at the
+/// entries a build wrote.
 class IndexBuilder {
  public:
   using Options = IndexBuildOptions;
@@ -330,34 +283,20 @@ class IndexBuilder {
   LightweightIndex Build(const GraphT& g, const Query& q,
                          const Options& opts = {});
 
-  /// Builds the indexes for up to BatchedDistanceField::kMaxBatch queries
-  /// from three fused multi-source sweeps — the solo build's meet-in-the-
-  /// middle split (DESIGN.md §11) — instead of K solo builds: each
-  /// adjacency list is scanned once per wave however many members expand
-  /// it. Emits the same arena-fused slab per member as Build (layout
-  /// unchanged); per-member fusion counters land in each index's
-  /// build_stats(). `opts.filter` must be null (batched builds serve only
-  /// cacheable, filter-free queries); per-member controls come from the
-  /// requests. Result i corresponds to reqs[i].
-  template <typename GraphT>
-  std::vector<LightweightIndex> BuildBatch(
-      const GraphT& g, const std::vector<BatchBuildRequest>& reqs,
-      const Options& opts = {});
-
  private:
   /// Copies the staged parts into one exactly-sized slab and points the
-  /// index's spans at it, narrowing the ends tables to u16 when the counts
+  /// index's spans at it, narrowing the ends table to u16 when the counts
   /// permit.
-  void Fuse(LightweightIndex& idx, bool edge_ids, bool in_direction,
-            bool level_stats);
+  void Fuse(LightweightIndex& idx, bool edge_ids, bool level_stats);
 
-  /// Everything after the BFS passes — partition X, build H_t/H_s, level
+  /// Everything after the BFS passes — partition X, build H_t, level
   /// stats, Fuse — parameterized over the distance accessors
-  /// `dist_s(v)`/`dist_t(v)` so the solo and batched paths share one
-  /// assembly. An accessor returns the exact distance on X and, for an
-  /// unset one, a value above any hop bound (at most TwoSidedField::kUnset,
-  /// so sums never overflow). `cand` is an X candidate list: any reached
-  /// list holding all of X. Stamps total_ms.
+  /// `dist_s(v)`/`dist_t(v)` so the meet-in-the-middle field and the
+  /// two-full-ball reference share one assembly. An accessor returns the
+  /// exact distance on X and, for an unset one, a value above any hop
+  /// bound (at most TwoSidedField::kUnset, so sums never overflow). `cand`
+  /// is an X candidate list: any reached list holding all of X. Stamps
+  /// total_ms.
   template <typename GraphT, typename DistS, typename DistT>
   void AssembleFrom(const GraphT& g, const Query& q, const Options& opts,
                     const std::vector<VertexId>& cand, const DistS& dist_s,
@@ -367,10 +306,9 @@ class IndexBuilder {
   /// AssembleFrom's slot maps and adjacency scans over the staged X;
   /// returns the control trip (0 = none, 1 = cancel, 2 = deadline) that
   /// stopped them early.
-  template <typename GraphT, typename DistS, typename DistT>
+  template <typename GraphT, typename DistT>
   int BuildAdjacency(const GraphT& g, const Query& q, const Options& opts,
-                     const DistS& dist_s, const DistT& dist_t,
-                     LightweightIndex& idx);
+                     const DistT& dist_t, LightweightIndex& idx);
 
   /// Replaces the staged parts with an empty-but-well-formed index (zero
   /// slots, zero paths on enumeration) and stamps the interruption into
@@ -381,18 +319,8 @@ class IndexBuilder {
   TwoSidedField field_;    // v.s and v.t on X (every pruned build)
   DistanceField field_s_;  // the reference: forward k-ball, t blocked
   DistanceField field_t_;  // the reference: backward k-ball, s blocked
-  BatchedDistanceField batch_s_;  // fused forward fields (BuildBatch)
-  BatchedDistanceField batch_t_;  // fused backward fields
-  std::vector<BatchedDistanceField::Member> batch_members_;
-  // Dense per-member distance exports (0xFFFF = unset): one array per
-  // direction, |V|-sized but all 0xFFFF between members — an export
-  // writes the member's reached vertices and assembly resets exactly
-  // those — so assembly's per-candidate-edge lookups are a single
-  // unconditional load.
-  std::vector<uint16_t> batch_dist_s_;
-  std::vector<uint16_t> batch_dist_t_;
   struct ScratchEntry {
-    uint32_t key;   // v'.t (out) or v'.s (in)
+    uint32_t key;   // v'.t
     uint32_t slot;
     EdgeId edge;
   };
@@ -411,9 +339,6 @@ class IndexBuilder {
   std::vector<uint32_t> out_slots_;
   std::vector<EdgeId> out_edge_ids_;
   std::vector<uint32_t> out_ends_;
-  std::vector<uint64_t> in_begin_;
-  std::vector<uint32_t> in_slots_;
-  std::vector<uint32_t> in_ends_;
   std::vector<double> level_it_sum_;
   std::vector<uint64_t> level_count_;
   std::vector<uint32_t> cell_cursor_;

@@ -31,11 +31,9 @@ void FinalizeInterruptedBuild(QueryStats& stats,
   FinalizeStats(stats, counters, 0.0, total_ms);
 }
 
-IndexBuilder::Options PathEnumerator::BuildOptionsFor(const Query& q,
+IndexBuilder::Options PathEnumerator::BuildOptionsFor(const Query& /*q*/,
                                                       const EnumOptions& opts) {
   IndexBuilder::Options build_opts;
-  // IDX-DFS never consults the in-direction; skip it when forced to DFS.
-  build_opts.build_in_direction = opts.method != Method::kDfs && q.hops >= 2;
   build_opts.collect_level_stats = opts.method == Method::kAuto;
   // Only the constraint extensions read edge ids; dropping the slab's
   // largest array keeps the unconstrained build lean (DESIGN.md §9).
@@ -71,8 +69,6 @@ QueryStats PathEnumerator::RunWithIndex(const LightweightIndex& index,
   const Query& q = index.query();
   ValidateQuery(view_, q);
   const IndexBuilder::Options need = BuildOptionsFor(q, opts);
-  PATHENUM_CHECK_MSG(!need.build_in_direction || index.has_in_direction(),
-                     "cached index lacks the in-direction this method needs");
   PATHENUM_CHECK_MSG(!need.collect_level_stats || index.has_level_stats(),
                      "cached index lacks level stats required by kAuto");
   arena_.Reset();
@@ -166,7 +162,6 @@ QueryStats PathEnumerator::RunConstrained(const Query& q,
 
   IndexBuilder::Options build_opts;
   build_opts.filter = constraints.edge_filter;
-  build_opts.build_in_direction = use_join;
   build_opts.collect_level_stats = false;
   build_opts.build_edge_ids = true;  // the constrained enumerators read them
   build_opts.cancel = opts.cancel.flag();

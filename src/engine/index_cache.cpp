@@ -25,8 +25,7 @@ uint32_t RoundUpPow2(uint32_t v) {
 uint64_t IndexOptionsFingerprint(const IndexBuildOptions& opts) {
   PATHENUM_CHECK_MSG(opts.filter == nullptr,
                      "predicate-filtered index builds are not cacheable");
-  return (opts.build_in_direction ? 1u : 0u) |
-         (opts.collect_level_stats ? 2u : 0u) |
+  return (opts.collect_level_stats ? 2u : 0u) |
          (opts.prune_forward_bfs ? 4u : 0u) |
          (opts.build_edge_ids ? 8u : 0u);
 }
@@ -535,38 +534,6 @@ QueryStats ReplayCachedResult(const CachedResultSet& result, PathSink& sink,
   stats.response_ms =
       c.response_ms >= 0.0 ? c.response_ms : stats.total_ms;
   return stats;
-}
-
-BatchPublishResult PublishBatchBuild(IndexBuilder& builder,
-                                     const GraphView& view,
-                                     const std::vector<BatchBuildRequest>& reqs,
-                                     const IndexBuildOptions& opts,
-                                     uint64_t fp, IndexCache& cache) {
-  BatchPublishResult out;
-  out.published.assign(reqs.size(), 0);
-  try {
-    std::vector<LightweightIndex> built = builder.BuildBatch(view, reqs, opts);
-    bool counted_shared = false;
-    for (size_t i = 0; i < built.size(); ++i) {
-      if (built[i].build_stats().interrupted) continue;
-      const Query& q = built[i].query();
-      out.builds++;
-      out.solo_edges += built[i].build_stats().edges_scanned;
-      if (!counted_shared) {
-        // The shared count is batch-wide (identical on every member).
-        out.edges_scanned += built[i].build_stats().batch_edges_scanned;
-        counted_shared = true;
-      }
-      cache.GetOrBuild(
-          CacheKey{q.source, q.target, q.hops, fp},
-          [&built, i]() { return std::move(built[i]); },
-          /*was_hit=*/nullptr, view.version());
-      out.published[i] = 1;
-    }
-  } catch (...) {
-    // The unpublished members build solo (see the header).
-  }
-  return out;
 }
 
 }  // namespace pathenum

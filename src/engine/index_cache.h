@@ -351,31 +351,6 @@ class RecordingSink : public PathSink {
 QueryStats ReplayCachedResult(const CachedResultSet& result, PathSink& sink,
                               const EnumOptions& opts);
 
-/// What one fused prebuild put into the cache (PublishBatchBuild).
-struct BatchPublishResult {
-  uint64_t builds = 0;         // members built by the sweep and published
-  uint64_t edges_scanned = 0;  // adjacency entries the shared sweeps scanned
-  uint64_t solo_edges = 0;     // what the same builds would scan solo
-  /// published[i] is set when reqs[i]'s slab reached the cache.
-  std::vector<uint8_t> published;
-};
-
-/// The publish step of a batched prebuild (DESIGN.md §11), shared by both
-/// engines: builds `reqs` in one IndexBuilder::BuildBatch over `view` with
-/// the shared `opts`, and publishes each member's slab under fingerprint
-/// `fp` at `view.version()` through the cache's single-flight latch, so a
-/// concurrent waiter on the key is satisfied by it and the version and
-/// generation guards apply exactly as for a solo build. A member whose own
-/// control tripped is skipped: it builds solo when its query runs and
-/// reports its own terminal state. Any failure (an injected build fault,
-/// say) ends the batch; members not yet published build solo, where
-/// per-query fault isolation applies.
-BatchPublishResult PublishBatchBuild(IndexBuilder& builder,
-                                     const GraphView& view,
-                                     const std::vector<BatchBuildRequest>& reqs,
-                                     const IndexBuildOptions& opts,
-                                     uint64_t fp, IndexCache& cache);
-
 }  // namespace pathenum
 
 #endif  // PATHENUM_ENGINE_INDEX_CACHE_H_

@@ -42,7 +42,7 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
   if (result_cache_on) {
     if (const auto cached = cache->GetResult(result_key, view_version)) {
       if (span != nullptr) {
-        span->SetIndexOutcome(false, /*result_cache_hit=*/true, false);
+        span->SetIndexOutcome(false, /*result_cache_hit=*/true);
         span->Mark(obs::SpanStage::kIndexAcquire);
       }
       const QueryStats stats = ReplayCachedResult(*cached, sink, opts);
@@ -56,8 +56,7 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
   const std::shared_ptr<const LightweightIndex> index = AcquireIndex(
       q, PathEnumerator::BuildOptionsFor(q, opts), cache, acquired);
   if (span != nullptr) {
-    span->SetIndexOutcome(acquired.index_cache_hit, false,
-                          index->build_stats().batched);
+    span->SetIndexOutcome(acquired.index_cache_hit, false);
     span->Mark(obs::SpanStage::kIndexAcquire);
   }
 

@@ -138,7 +138,6 @@ QueryEngine::QueryEngine(const GraphView& view, const EngineOptions& opts)
   }
   if (opts.enable_cache) {
     cache_ = std::make_unique<IndexCache>(opts.cache);
-    batch_build_min_ = opts.batch_build_min;
   }
 
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
@@ -243,8 +242,8 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
       cache != nullptr ? cache->Stats() : IndexCacheStats{};
   Timer wall;
 
-  // Admission pre-pass, shared by both modes and run before grouping,
-  // prebuild and scheduling. Queries are untrusted input: an invalid one is
+  // Admission pre-pass, shared by both modes and run before grouping and
+  // scheduling. Queries are untrusted input: an invalid one is
   // rejected with a message and never reaches the enumerator. A query the
   // live oracle certifies unsatisfiable gets the complete empty result with
   // no per-query work. The epoch is pinned for exactly the bound snapshot:
@@ -319,59 +318,6 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   return result;
 }
 
-template <typename GroupVec>
-void QueryEngine::PrebuildMissing(std::span<const Query> queries,
-                                  const BatchOptions& opts, IndexCache* cache,
-                                  GroupVec& groups, BatchResult& result) {
-  // Admission policies defer publication until a key has missed enough
-  // times; a prebuilt slab would be refused and rebuilt solo, so batching
-  // only makes sense with admit-everything caches.
-  if (batch_build_min_ == 0 || cache == nullptr ||
-      cache->options().admission_min_uses > 1) {
-    return;
-  }
-  // Group the missing tail by build-options fingerprint: snapshot and
-  // direction are fixed within one batch, so the fingerprint (which covers
-  // build_in_direction & co.) is the remaining axis of the (snapshot,
-  // direction, options) grouping key. Groups are already key-distinct.
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    if (groups[gi].priority != 2) continue;
-    const Query& q = queries[groups[gi].rep];
-    const IndexBuilder::Options build_opts =
-        PathEnumerator::BuildOptionsFor(q, opts.query);
-    if (build_opts.filter != nullptr) continue;  // never cacheable
-    buckets[IndexOptionsFingerprint(build_opts)].push_back(gi);
-  }
-  std::vector<BatchBuildRequest> reqs;
-  for (auto& [fp, members] : buckets) {
-    if (members.size() < batch_build_min_) continue;
-    for (size_t base = 0; base < members.size();
-         base += BatchedDistanceField::kMaxBatch) {
-      const size_t end = std::min(members.size(),
-                                  base + BatchedDistanceField::kMaxBatch);
-      // The last chunk still has to clear the threshold on its own — a
-      // tiny remainder is cheaper solo than as a near-empty sweep.
-      if (end - base < batch_build_min_ && base != 0) break;
-      reqs.clear();
-      for (size_t i = base; i < end; ++i) {
-        reqs.push_back({queries[groups[members[i]].rep], nullptr,
-                        Deadline::Unlimited()});
-      }
-      const BatchPublishResult pub = PublishBatchBuild(
-          batch_builder_, view_, reqs,
-          PathEnumerator::BuildOptionsFor(reqs.front().query, opts.query), fp,
-          *cache);
-      result.batched_builds += pub.builds;
-      result.batched_edges_scanned += pub.edges_scanned;
-      result.batched_solo_edges += pub.solo_edges;
-      for (size_t i = 0; i < reqs.size(); ++i) {
-        if (pub.published[i]) groups[members[base + i]].priority = 1;
-      }
-    }
-  }
-}
-
 void QueryEngine::RunStealing(std::span<const Query> queries,
                               std::span<PathSink* const> sinks,
                               std::span<const size_t> admitted,
@@ -398,9 +344,9 @@ void QueryEngine::RunStealing(std::span<const Query> queries,
     for (const size_t i : admitted) groups.push_back({i, {}, 2});
   }
 
-  // Cache-aware scheduling: replayable results first, then prebuilt
-  // indexes, then misses — hits clear the queue fast and published builds
-  // are available before any duplicate key is claimed again.
+  // Cache-aware scheduling: replayable results first, then cached
+  // indexes, then misses — hits clear the queue fast, and each miss builds
+  // solo on the worker that claims it.
   if (cache != nullptr) {
     for (TaskGroup& g : groups) {
       const Query& q = queries[g.rep];
@@ -417,9 +363,6 @@ void QueryEngine::RunStealing(std::span<const Query> queries,
               PathEnumerator::BuildOptionsFor(q, opts.query))};
       if (cache->PeekIndex(ikey, view_.version()) != nullptr) g.priority = 1;
     }
-    // Fuse the cache-missing tail's index builds into shared multi-source
-    // sweeps before the workers start; prebuilt groups become index hits.
-    PrebuildMissing(queries, opts, cache, groups, result);
     std::stable_sort(groups.begin(), groups.end(),
                      [](const TaskGroup& a, const TaskGroup& b) {
                        return a.priority < b.priority;

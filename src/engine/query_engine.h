@@ -15,8 +15,9 @@
 // deduplicate identical queries (one run fans its results out to every
 // duplicate's sink), cache hits are scheduled ahead of misses, and
 // concurrent workers on the same missing key build the index exactly once.
+// Every cache miss is one solo build on the worker that runs the query.
 //
-// Every batch passes one admission pre-pass before grouping, prebuild and
+// Every batch passes one admission pre-pass before grouping and
 // scheduling, in both modes: invalid queries are rejected, and with a live
 // oracle attached (SetLiveOracle) queries it certifies unsatisfiable
 // (dist(s,t) > k) complete as kUnsatisfiable without any per-query work.
@@ -53,15 +54,6 @@ struct EngineOptions {
 
   /// Budgets/sharding for the cache (used only with enable_cache).
   IndexCacheOptions cache;
-
-  /// Batched index prebuilds (DESIGN.md §11): when a batch's cache-missing
-  /// tail contains at least this many distinct keys sharing one build
-  /// fingerprint, the engine fuses their index builds into one multi-source
-  /// BFS sweep (IndexBuilder::BuildBatch) and publishes each member's slab
-  /// through the cache before the workers start. 0 disables. Effective
-  /// only with enable_cache (the slabs are delivered via the cache) and an
-  /// admission_min_uses of 1 (an admission policy would just rebuild).
-  uint32_t batch_build_min = 4;
 };
 
 /// Per-batch knobs.
@@ -118,12 +110,8 @@ struct BatchResult {
   /// misses, evictions and current byte gauges.
   IndexCacheStats cache;
 
-  /// Batched-prebuild activity (DESIGN.md §11; zeros unless the batch's
-  /// missing tail cleared EngineOptions::batch_build_min): indexes built
-  /// via fused multi-source sweeps, the adjacency entries those shared
-  /// sweeps actually scanned, and the solo-equivalent sum (what the same
-  /// builds would have scanned as 2·K independent BFS runs) — the ratio is
-  /// the measured fusion win.
+  /// Always zero: fused prebuilds are retired (DESIGN.md §11). Kept only
+  /// because the serving benchmark (servebench/) still reads them.
   uint64_t batched_builds = 0;
   uint64_t batched_edges_scanned = 0;
   uint64_t batched_solo_edges = 0;
@@ -242,18 +230,6 @@ class QueryEngine {
                    std::span<const size_t> admitted, const BatchOptions& opts,
                    IndexCache* cache, BatchResult& result);
 
-  /// Batched prebuild of the cache-missing tail (DESIGN.md §11): groups
-  /// the missing TaskGroups by build-options fingerprint (snapshot and
-  /// direction are fixed within one batch), fuses each group that clears
-  /// batch_build_min into BuildBatch chunks, publishes the slabs through
-  /// the cache's single-flight latch, and demotes the prebuilt groups to
-  /// index-hit priority. Runs on the RunBatch caller thread, before the
-  /// pool starts. Any failure falls back to per-worker solo builds.
-  template <typename GroupVec>
-  void PrebuildMissing(std::span<const Query> queries,
-                       const BatchOptions& opts, IndexCache* cache,
-                       GroupVec& groups, BatchResult& result);
-
   /// min(pool, tasks, hardware cores), at least 1.
   uint32_t ClampedWorkers(size_t tasks) const;
 
@@ -262,12 +238,6 @@ class QueryEngine {
   ThreadPool pool_;
   std::vector<std::unique_ptr<QueryContext>> contexts_;  // one per worker
   std::unique_ptr<IndexCache> cache_;  // null unless opts.enable_cache
-  /// Fused multi-source builder for PrebuildMissing. RunBatch is one
-  /// thread at a time and the prebuild runs before the pool starts, so a
-  /// single engine-owned builder (with its own epoch-stamped K-wide
-  /// fields) suffices and bounds the batched-build memory.
-  IndexBuilder batch_builder_;
-  uint32_t batch_build_min_ = 0;
   /// ShardedCounter storage (DESIGN.md §12): Stats() and the registry's
   /// `pathenum_engine_*` metrics read the same slots.
   obs::ShardedCounter batches_run_;

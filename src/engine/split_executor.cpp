@@ -221,8 +221,7 @@ QueryStats RunSplitQuery(QueryContext& leader, const Query& q, PathSink& sink,
   // meanwhile, observes exactly the leader's snapshot.
   const std::shared_ptr<const LightweightIndex> index = leader.AcquireIndex(
       q, PathEnumerator::BuildOptionsFor(q, opts), cache, stats);
-  span.SetIndexOutcome(stats.index_cache_hit, false,
-                       index->build_stats().batched);
+  span.SetIndexOutcome(stats.index_cache_hit, false);
   span.Mark(obs::SpanStage::kIndexAcquire);
   if (index->build_stats().interrupted) {
     // Deadline/cancel tripped the build: no fan-out (the build stub has no

@@ -8,8 +8,7 @@
 // reached but never expanded. `TwoSidedField` gets both distances on X by
 // meeting in the middle — two half-depth balls plus X's neighbourhoods
 // instead of a whole k-ball — and is what IndexBuilder and the shard
-// router's plan run. `BatchedDistanceField` fuses up to 64 bounded BFS of
-// one direction into one sweep (IndexBuilder::BuildBatch).
+// router's plan run.
 //
 // Buffers are epoch-stamped so a field can be reused across thousands of
 // queries with O(frontier) cost instead of O(|V|) re-initialisation.
@@ -22,7 +21,6 @@
 #define PATHENUM_GRAPH_BFS_H_
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -448,350 +446,6 @@ class TwoSidedField {
   Side to_t_;
   uint32_t epoch_ = 0;
   Interrupt interrupted_ = Interrupt::kNone;
-  uint64_t edges_scanned_ = 0;
-  uint32_t waves_ = 0;
-};
-
-/// Sentinel per-member admission for BatchedDistanceField::ComputeWith.
-struct BatchAdmitAll {
-  constexpr bool operator()(uint32_t, VertexId, uint32_t) const {
-    return true;
-  }
-};
-
-/// Multi-source BFS: up to kMaxBatch independent distance fields of the
-/// same Direction computed as ONE shared frontier sweep. Per-vertex state
-/// is a K-wide bit-packed word (bit m = member m has reached / is
-/// expanding the vertex), so each adjacency list is scanned once per wave
-/// instead of once per member — the fused equivalent of K solo
-/// `DistanceField::ComputeWith` runs (AutoMI-style multi-instance
-/// conversion; see DESIGN.md §11).
-///
-/// Semantics match the solo field member-by-member: per-member `blocked`
-/// vertex (reached but never expanded, unless it is that member's own
-/// source), per-member `max_depth` cap, and per-member cancel/deadline
-/// polling once per wave — a tripped member drops out of the expansion
-/// masks without aborting the rest of the batch (its distances are
-/// incomplete and must be discarded, exactly like a solo interrupt).
-/// Edge filters are not supported: batched builds only serve cacheable
-/// (filter-free) queries, which `IndexOptionsFingerprint` already
-/// enforces upstream.
-///
-/// Buffers are epoch-stamped like DistanceField: re-init is O(frontier)
-/// per Compute, not O(|V|). Distances are stored as one uint8 row per
-/// vertex (stride = batch size; depths stop at 254, far above any hop
-/// bound), valid only under the member's reached bit, so the rows are
-/// never cleared.
-class BatchedDistanceField {
- public:
-  static constexpr uint32_t kMaxBatch = 64;
-
-  using Interrupt = DistanceField::Interrupt;
-
-  /// One source of the fused sweep. Mirrors the solo BfsOptions fields
-  /// that the index builder uses (no stop_at / filter: neither is
-  /// meaningful for a batched build).
-  struct Member {
-    VertexId source = kInvalidVertex;
-    VertexId blocked = kInvalidVertex;
-    uint32_t max_depth = kInfDistance;
-    const std::atomic<bool>* cancel = nullptr;
-    Deadline deadline = Deadline::Unlimited();
-  };
-
-  BatchedDistanceField() = default;
-
-  /// Runs the fused sweep for `members` (1..kMaxBatch sources) over `g`.
-  /// Invalidates any previous Compute on this object.
-  template <typename GraphT>
-  void Compute(const GraphT& g, Direction dir,
-               const std::vector<Member>& members) {
-    ComputeWith(g, dir, members, BatchAdmitAll{});
-  }
-
-  /// As Compute, with a per-member vertex admission callable
-  /// `admit(member_index, v, dist) -> bool` inlined into the relaxation
-  /// loop (a rejected vertex is neither stamped nor expanded for that
-  /// member; sources are always admitted). The index builder's
-  /// meet-in-the-middle sweeps use it to admit only X beyond a member's
-  /// split depth, reading the member's row of the other direction's field.
-  template <typename GraphT, typename AdmitFn>
-  void ComputeWith(const GraphT& g, Direction dir,
-                   const std::vector<Member>& members, AdmitFn&& admit) {
-    const size_t k = members.size();
-    PATHENUM_CHECK(k >= 1 && k <= kMaxBatch);
-    const size_t n = g.num_vertices();
-    EnsureSize(n, k);
-    if (++epoch_ == 0) {  // stamp wrap-around: reset and restart epochs
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      std::fill(blocked_stamp_.begin(), blocked_stamp_.end(), 0);
-      epoch_ = 1;
-    }
-    size_ = static_cast<uint32_t>(k);
-    edges_scanned_ = 0;
-    waves_ = 0;
-    uint64_t active = k == 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
-    for (size_t m = 0; m < k; ++m) {
-      interrupted_[m] = Interrupt::kNone;
-      covered_edges_[m] = 0;
-      reached_lists_[m].clear();
-      wave_offsets_[m].clear();
-      wave_offsets_[m].push_back(0);
-    }
-
-    // Register blocked vertices (<= K stamped slots per Compute). A
-    // member's own source is never blocked for itself — matching the
-    // solo `u == blocked && u != source` expansion rule.
-    for (size_t m = 0; m < k; ++m) {
-      const VertexId b = members[m].blocked;
-      if (b == kInvalidVertex || b == members[m].source || b >= n) continue;
-      if (blocked_stamp_[b] != epoch_) {
-        blocked_stamp_[b] = epoch_;
-        blocked_word_[b] = 0;
-      }
-      blocked_word_[b] |= uint64_t{1} << m;
-    }
-
-    // Seed wave 0: each member's source (duplicates across members fine).
-    BumpToken();
-    cur_list_.clear();
-    for (size_t m = 0; m < k; ++m) {
-      const VertexId s = members[m].source;
-      PATHENUM_CHECK(s < n);
-      const uint64_t bit = uint64_t{1} << m;
-      if (stamp_[s] != epoch_) {
-        stamp_[s] = epoch_;
-        reached_word_[s] = 0;
-      }
-      if ((reached_word_[s] & bit) != 0) continue;  // duplicate source
-      reached_word_[s] |= bit;
-      dist_[s * k + m] = 0;
-      reached_lists_[m].push_back(s);
-      if (frontier_stamp_[s] != token_) {
-        frontier_stamp_[s] = token_;
-        cur_word_[s] = 0;
-        cur_list_.push_back(s);
-      }
-      cur_word_[s] |= bit;
-    }
-    // Wave-boundary offsets into the reached lists: entries in
-    // [offsets[i], offsets[i+1]) sit at distance i. They make member
-    // distances recoverable sequentially (ExportDistances) without
-    // touching the strided K-wide matrix.
-    for (size_t m = 0; m < k; ++m) {
-      wave_offsets_[m].push_back(
-          static_cast<uint32_t>(reached_lists_[m].size()));
-    }
-
-    constexpr bool kHasAdmit =
-        !std::is_same_v<std::decay_t<AdmitFn>, BatchAdmitAll>;
-    constexpr uint32_t kDepthCap = 0xFEu;  // uint8 distance rows
-
-    uint32_t d = 0;
-    while (!cur_list_.empty() && active != 0) {
-      {
-        // Per-wave control poll, one check per still-active member —
-        // the batched analogue of the solo per-level poll. A tripped
-        // member leaves the masks; the sweep continues for the rest.
-        fault::Hit(fault::Site::kIndexBuildWave);
-        uint64_t live = active;
-        while (live != 0) {
-          const uint32_t m = Ctz(live);
-          live &= live - 1;
-          const Member& mm = members[m];
-          if (mm.cancel != nullptr &&
-              mm.cancel->load(std::memory_order_relaxed)) {
-            interrupted_[m] = Interrupt::kCancelled;
-            active &= ~(uint64_t{1} << m);
-          } else if (mm.deadline.Expired()) {
-            interrupted_[m] = Interrupt::kDeadline;
-            active &= ~(uint64_t{1} << m);
-          }
-        }
-      }
-      // Members whose depth cap forbids expanding distance-d vertices
-      // stay reached-but-frozen, exactly like the solo max_depth rule.
-      uint64_t expand_base = 0;
-      {
-        uint64_t live = active;
-        while (live != 0) {
-          const uint32_t m = Ctz(live);
-          live &= live - 1;
-          if (members[m].max_depth > d && d < kDepthCap)
-            expand_base |= uint64_t{1} << m;
-        }
-      }
-      if (expand_base == 0) break;
-      ++waves_;
-      BumpToken();
-      next_list_.clear();
-      for (const VertexId u : cur_list_) {
-        uint64_t w = cur_word_[u] & expand_base;
-        if (blocked_stamp_[u] == epoch_) w &= ~blocked_word_[u];
-        if (w == 0) continue;
-        const auto nbrs = dir == Direction::kForward ? g.OutNeighbors(u)
-                                                     : g.InNeighbors(u);
-        edges_scanned_ += nbrs.size();  // shared: list walked once
-        {
-          uint64_t t = w;  // solo-equivalent per-member touch counts
-          while (t != 0) {
-            covered_edges_[Ctz(t)] += nbrs.size();
-            t &= t - 1;
-          }
-        }
-        for (size_t j = 0; j < nbrs.size(); ++j) {
-          const VertexId v = nbrs[j];
-          if (stamp_[v] != epoch_) {
-            stamp_[v] = epoch_;
-            reached_word_[v] = 0;
-          }
-          uint64_t nw = w & ~reached_word_[v];
-          if (nw == 0) continue;
-          if constexpr (kHasAdmit) {
-            uint64_t t = nw;
-            uint64_t admitted = 0;
-            while (t != 0) {
-              const uint32_t m = Ctz(t);
-              t &= t - 1;
-              if (admit(m, v, d + 1)) admitted |= uint64_t{1} << m;
-            }
-            nw = admitted;
-            if (nw == 0) continue;
-          }
-          reached_word_[v] |= nw;
-          {
-            uint64_t t = nw;
-            while (t != 0) {
-              const uint32_t m = Ctz(t);
-              t &= t - 1;
-              dist_[size_t{v} * k + m] = static_cast<uint8_t>(d + 1);
-              reached_lists_[m].push_back(v);
-            }
-          }
-          if (frontier_stamp_[v] != token_) {
-            frontier_stamp_[v] = token_;
-            next_word_[v] = 0;
-            next_list_.push_back(v);
-          }
-          next_word_[v] |= nw;
-        }
-      }
-      for (size_t m = 0; m < k; ++m) {
-        wave_offsets_[m].push_back(
-            static_cast<uint32_t>(reached_lists_[m].size()));
-      }
-      // Distinct cur/next word arrays (swapped per wave) keep the
-      // invariant that every bit in an expanded word shares distance d.
-      // The current frontier is walked through its list, so only `next`
-      // needs a stamp: one array, with a fresh token per wave, makes stale
-      // slots self-invalidating and nothing is cleared.
-      std::swap(cur_list_, next_list_);
-      cur_word_.swap(next_word_);
-      ++d;
-    }
-  }
-
-  /// Distance of `v` for member `m`, or kInfDistance if unreached.
-  uint32_t Distance(uint32_t m, VertexId v) const {
-    if (v >= stamp_.size() || stamp_[v] != epoch_) return kInfDistance;
-    if (((reached_word_[v] >> m) & 1) == 0) return kInfDistance;
-    return dist_[size_t{v} * size_ + m];
-  }
-
-  /// Vertices reached for member `m`, in non-decreasing distance order
-  /// (its source first) — the batched analogue of solo Reached().
-  const std::vector<VertexId>& Reached(uint32_t m) const {
-    return reached_lists_[m];
-  }
-
-  /// Writes member `m`'s distance to every vertex it reached into
-  /// `out[v]` (unreached entries are left untouched — pre-fill with a
-  /// sentinel). Distances come from the wave boundaries of the reached
-  /// list, so the export is one sequential pass with no reads of the
-  /// strided K-wide matrix; the dense array then answers the index
-  /// assembly's per-candidate-edge lookups in a single L1-resident load.
-  void ExportDistances(uint32_t m, uint16_t* out) const {
-    const std::vector<VertexId>& reached = reached_lists_[m];
-    const std::vector<uint32_t>& offs = wave_offsets_[m];
-    for (size_t i = 0; i + 1 < offs.size(); ++i) {
-      const uint16_t d = static_cast<uint16_t>(i);
-      for (uint32_t j = offs[i]; j < offs[i + 1]; ++j) out[reached[j]] = d;
-    }
-  }
-
-  /// Which control (if any) dropped member `m` out of the sweep. A
-  /// non-kNone member's distances are incomplete and must be discarded.
-  Interrupt interrupted(uint32_t m) const { return interrupted_[m]; }
-
-  /// Members in the last Compute.
-  uint32_t size() const { return size_; }
-
-  /// Vertex-space bound of the per-vertex arrays (grow-only; >= the last
-  /// Compute's graph size). Sizes the dense ExportDistances target.
-  VertexId num_vertices() const {
-    return static_cast<VertexId>(stamp_.size());
-  }
-
-  /// Adjacency entries actually examined by the shared sweep (each
-  /// expanded vertex counts its neighbor span once, however many members
-  /// expand it).
-  uint64_t edges_scanned() const { return edges_scanned_; }
-
-  /// Adjacency entries member `m` would have examined running solo —
-  /// sum(covered_edges) / edges_scanned is the fusion win.
-  uint64_t covered_edges(uint32_t m) const { return covered_edges_[m]; }
-
-  /// Expansion waves executed by the last Compute.
-  uint32_t waves() const { return waves_; }
-
- private:
-  static uint32_t Ctz(uint64_t x) {
-#if defined(__GNUC__) || defined(__clang__)
-    return static_cast<uint32_t>(__builtin_ctzll(x));
-#else
-    uint32_t c = 0;
-    while ((x & 1) == 0) {
-      x >>= 1;
-      ++c;
-    }
-    return c;
-#endif
-  }
-
-  void BumpToken() {
-    if (++token_ == 0) {  // token wrap: reset the frontier stamps
-      std::fill(frontier_stamp_.begin(), frontier_stamp_.end(), 0);
-      token_ = 1;
-    }
-  }
-
-  void EnsureSize(size_t n, size_t k);
-
-  // Reached state: valid iff stamp_[v] == epoch_; dist rows valid only
-  // under the member's reached bit, so they are never cleared.
-  std::vector<uint32_t> stamp_;
-  std::vector<uint64_t> reached_word_;
-  std::vector<uint8_t> dist_;  // n * size_ row-major, stride = size_
-
-  // Blocked registration: <= K stamped entries per Compute.
-  std::vector<uint32_t> blocked_stamp_;
-  std::vector<uint64_t> blocked_word_;
-
-  // Double-buffered frontier words. Separate arrays (not one shared
-  // buffer) so pushing v into `next` never aliases a `cur` slot still
-  // pending expansion this wave.
-  std::vector<uint32_t> frontier_stamp_;  // v is in next_list_ this wave
-  std::vector<uint64_t> cur_word_, next_word_;
-  std::vector<VertexId> cur_list_, next_list_;
-
-  std::vector<std::vector<VertexId>> reached_lists_;
-  std::vector<std::vector<uint32_t>> wave_offsets_;  // per-member, see above
-  std::array<Interrupt, kMaxBatch> interrupted_{};
-  std::array<uint64_t, kMaxBatch> covered_edges_{};
-
-  uint32_t epoch_ = 0;
-  uint32_t token_ = 0;
-  uint32_t size_ = 0;
   uint64_t edges_scanned_ = 0;
   uint32_t waves_ = 0;
 };

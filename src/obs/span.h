@@ -30,7 +30,7 @@ namespace pathenum::obs {
 
 enum class SpanStage : uint8_t {
   kQueueWait = 0,   // admission to worker claim (0 for sync batch reps)
-  kIndexAcquire,    // cache lookup + (possibly batched) index build / replay
+  kIndexAcquire,    // cache lookup + index build / result replay
   kEnumerate,       // DFS/JOIN enumeration, incl. cooperative split drain
   kMerge,           // split merge barrier / batch fan-out accounting
   kSinkComplete,    // everything after the last explicit mark
@@ -67,7 +67,6 @@ struct QuerySpanData {
   bool sampled = false;
   bool index_cache_hit = false;
   bool result_cache_hit = false;
-  bool batched_build = false;
   bool split = false;
   uint32_t num_segments = 0;
   Segment segments[kMaxSegments] = {};
@@ -105,11 +104,9 @@ class QuerySpan {
   /// the last segment (total time is still exact).
   void Mark(SpanStage stage);
 
-  void SetIndexOutcome(bool index_cache_hit, bool result_cache_hit,
-                       bool batched_build) {
+  void SetIndexOutcome(bool index_cache_hit, bool result_cache_hit) {
     data_.index_cache_hit = index_cache_hit;
     data_.result_cache_hit = result_cache_hit;
-    data_.batched_build = batched_build;
   }
 
   void SetSplit() { data_.split = true; }
@@ -135,7 +132,7 @@ class QuerySpan {
  public:
   void Begin(uint32_t, uint32_t, uint32_t) {}
   void Mark(SpanStage) {}
-  void SetIndexOutcome(bool, bool, bool) {}
+  void SetIndexOutcome(bool, bool) {}
   void SetSplit() {}
   void Finish(QueryState) {}
   bool active() const { return false; }

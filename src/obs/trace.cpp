@@ -26,7 +26,7 @@ struct TraceEvent {
   uint32_t source, target, hops;  // query events only
   const char* state;              // terminal state name; null for stages
   uint8_t flags;                  // bit0 idx-hit, bit1 result-hit,
-                                  // bit2 batched, bit3 split
+                                  // bit2 split
 };
 
 size_t RingCapacity() {
@@ -125,8 +125,7 @@ void TraceRecorder::EmitSpan(const QuerySpanData& span) {
   uint8_t flags = 0;
   if (span.index_cache_hit) flags |= 1;
   if (span.result_cache_hit) flags |= 2;
-  if (span.batched_build) flags |= 4;
-  if (span.split) flags |= 8;
+  if (span.split) flags |= 4;
 
   Impl::Ring& ring = impl_->ThisRing();
   std::lock_guard<std::mutex> lock(ring.mutex);
@@ -190,8 +189,7 @@ std::string TraceRecorder::ExportChromeJson() const {
       AppendEscaped(os, e.state);
       os << "\",\"index_cache_hit\":" << ((e.flags & 1) ? "true" : "false")
          << ",\"result_cache_hit\":" << ((e.flags & 2) ? "true" : "false")
-         << ",\"batched_build\":" << ((e.flags & 4) ? "true" : "false")
-         << ",\"split\":" << ((e.flags & 8) ? "true" : "false");
+         << ",\"split\":" << ((e.flags & 4) ? "true" : "false");
     }
     os << "}}";
   }

@@ -429,24 +429,22 @@ TEST(FusedIndexTest, SlabAccountsForEveryArray) {
   const LightweightIndex idx = builder.Build(g, q);
   const uint32_t n = idx.num_vertices();
   const uint32_t k = q.hops;
-  // Lower bound from the always-present parts (vertices, lookup, cells,
-  // begins, adjacency, u16 ends, distance bytes).
+  // Lower bound from the always-present parts (vertices, vertex -> slot
+  // pairs, cells, begins, adjacency, u16 ends, distance bytes).
   const size_t lower =
       n * sizeof(VertexId)                         // x_vertices
-      + g.num_vertices() * sizeof(uint32_t)        // slot_lookup
+      + n * sizeof(LightweightIndex::VertexSlot)   // vertex_slots
       + ((k + 1) * (k + 1) + 1) * sizeof(uint32_t) // cell_offsets
       + (n + 1) * sizeof(uint64_t)                 // out_begin
       + static_cast<size_t>(n) * (k + 1) * sizeof(uint16_t)  // out_ends16
       + 2 * n;                                     // slot_ds + slot_dt
   EXPECT_GE(idx.slab_bytes(), lower);
-  // An IDX-DFS-only build (no in-direction, no level stats) must be
-  // strictly smaller.
-  IndexBuildOptions dfs_only;
-  dfs_only.build_in_direction = false;
-  dfs_only.collect_level_stats = false;
-  const LightweightIndex small = builder.Build(g, q, dfs_only);
+  // A build without level stats must be strictly smaller.
+  IndexBuildOptions lean;
+  lean.collect_level_stats = false;
+  const LightweightIndex small = builder.Build(g, q, lean);
   EXPECT_LT(small.slab_bytes(), idx.slab_bytes());
-  EXPECT_FALSE(small.has_in_direction());
+  EXPECT_FALSE(small.has_level_stats());
 }
 
 TEST(FusedIndexTest, WideDegreeFallsBackToU32Ends) {

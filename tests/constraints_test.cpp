@@ -411,7 +411,7 @@ TEST_P(ConstraintRandomTest, JoinSideExtensionMatchesDfsAtEveryCut) {
   constraints.automaton = &a;
 
   IndexBuilder builder;
-  IndexBuildOptions build_opts;  // join needs the in-direction default
+  IndexBuildOptions build_opts;  // defaults keep the edge ids both read
   const LightweightIndex idx = builder.Build(g, q, build_opts);
   ConstrainedDfsEnumerator dfs(g, idx, constraints);
   CollectingSink dfs_sink;

@@ -544,6 +544,40 @@ TEST(EngineOracleTest, UnsatisfiableQueriesReportTerminalStateInAllModes) {
   }
 }
 
+TEST(EngineOracleTest, CachedBatchMixesSatisfiableAndShedQueries) {
+  // A cached batch interleaving satisfiable and oracle-certified-
+  // unsatisfiable queries: the admission pre-pass sheds the unsatisfiable
+  // ones before grouping, so they finish as kUnsatisfiable, and every
+  // satisfiable query still builds and finds its one path.
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v < 19; ++v) edges.push_back({v, v + 1});
+  for (VertexId v = 20; v < 39; ++v) edges.push_back({v, v + 1});
+  const Graph g = Graph::FromEdges(40, edges);
+  const LiveDistanceOracle oracle(g);
+
+  std::vector<Query> queries;
+  for (VertexId s = 0; s < 4; ++s) {
+    queries.push_back(Query{s, static_cast<VertexId>(s + 5), 6});   // sat
+    queries.push_back(Query{s, static_cast<VertexId>(s + 25), 6});  // unsat
+  }
+  EngineOptions opts;
+  opts.num_workers = 2;
+  opts.enable_cache = true;
+  QueryEngine engine(g, opts);
+  engine.SetLiveOracle(&oracle);
+  const BatchResult r = engine.CountBatch(queries);
+  ASSERT_TRUE(r.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (i % 2 == 0) {
+      EXPECT_EQ(r.states[i], QueryState::kOk) << "query " << i;
+      EXPECT_EQ(r.stats[i].counters.num_results, 1u) << "query " << i;
+    } else {
+      EXPECT_EQ(r.states[i], QueryState::kUnsatisfiable) << "query " << i;
+      EXPECT_EQ(r.stats[i].counters.num_results, 0u) << "query " << i;
+    }
+  }
+}
+
 TEST(EngineOracleTest, OracleRearmIsKeyedOnGraphIdentityNotAddress) {
   // Across RunBatch(view) rebinds the oracle's claims follow Graph::uid and
   // the exact snapshot version (EpochRef::ValidFor), never an address: a
@@ -602,7 +636,7 @@ TEST(EngineOracleTest, LiveOracleRejectionsMatchOracleOffUnderRebinds) {
   // of overlay rebinds, the other runs bare. Same per-query answers,
   // always; the oracle only changes *how* unsatisfiable queries finish.
   // Both scheduling modes pass the same admission gate, with and without a
-  // cache whose fused prebuild must never see a shed query.
+  // cache.
   const VertexId n = 20;
   const Graph base = ErdosRenyi(n, 30, /*seed=*/17);
   std::vector<Query> queries;
@@ -621,8 +655,7 @@ TEST(EngineOracleTest, LiveOracleRejectionsMatchOracleOffUnderRebinds) {
       LiveDistanceOracle oracle(mgr.Current()->base(), oracle_opts);
       mgr.AttachOracle(&oracle);
 
-      const EngineOptions eopts{
-          .num_workers = 2, .enable_cache = cached, .batch_build_min = 2};
+      const EngineOptions eopts{.num_workers = 2, .enable_cache = cached};
       QueryEngine with_oracle(*mgr.Current(), eopts);
       with_oracle.SetLiveOracle(&oracle);
       QueryEngine without(*mgr.Current(), eopts);

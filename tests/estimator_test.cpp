@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "core/estimator.h"
 #include "core/index.h"
 #include "core/reference.h"
+#include "graph/bfs.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -108,6 +112,140 @@ TEST_P(EstimatorRandomTest, ExactlyCountsWalks) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EstimatorRandomTest,
                          ::testing::Range<uint64_t>(1, 16));
+
+// --- Level sizes against the graph -------------------------------------------
+
+/// |Q[0:i]| and |Q[i:k]| for i = 0..k, counted on the graph alone — no
+/// index and no distance field. A tuple of Q is a padded walk
+/// s = v_0, ..., v_k = t whose steps are edges of the graph that never
+/// enter s, except that t only steps to itself (the (t,t) padding).
+/// Q[0:i] holds the i-step prefixes whose last vertex can still reach t in
+/// k - i steps; Q[i:k] the (k - i)-step suffixes whose first vertex a walk
+/// from s reaches in at most i steps.
+struct LevelSizes {
+  std::vector<double> forward;
+  std::vector<double> backward;
+};
+
+LevelSizes CountLevelSizesOnGraph(const Graph& g, const Query& q) {
+  const uint32_t k = q.hops;
+  const VertexId n = g.num_vertices();
+  // from_s[j][v] / to_t[j][v]: padded walks of exactly j steps s -> v /
+  // v -> t.
+  std::vector<std::vector<double>> from_s(k + 1, std::vector<double>(n));
+  std::vector<std::vector<double>> to_t(k + 1, std::vector<double>(n));
+  from_s[0][q.source] = 1.0;
+  to_t[0][q.target] = 1.0;
+  for (uint32_t j = 1; j <= k; ++j) {
+    for (VertexId u = 0; u < n; ++u) {
+      const auto step = [&](VertexId w) {
+        from_s[j][w] += from_s[j - 1][u];
+        to_t[j][u] += to_t[j - 1][w];
+      };
+      if (u == q.target) {
+        step(q.target);
+        continue;
+      }
+      for (const VertexId w : g.OutNeighbors(u)) {
+        if (w != q.source) step(w);
+      }
+    }
+  }
+  // Walks reaching v within j steps from s (v.s <= j), and reaching t from
+  // v within j steps (v.t <= j).
+  const auto within = [&](const std::vector<std::vector<double>>& walks,
+                          uint32_t j, VertexId v) {
+    for (uint32_t l = 0; l <= j; ++l) {
+      if (walks[l][v] > 0.0) return true;
+    }
+    return false;
+  };
+  LevelSizes sizes{std::vector<double>(k + 1), std::vector<double>(k + 1)};
+  for (uint32_t i = 0; i <= k; ++i) {
+    for (VertexId v = 0; v < n; ++v) {
+      if (within(to_t, k - i, v)) sizes.forward[i] += from_s[i][v];
+      if (within(from_s, i, v)) sizes.backward[i] += to_t[k - i][v];
+    }
+  }
+  return sizes;
+}
+
+TEST(FullEstimatorTest, LevelSizesMatchGraphWalkCounts) {
+  // Every |Q[0:i]| of the forward DP and |Q[i:k]| of the backward DP, and
+  // the cut and prices derived from them, against counts taken from the
+  // graph — for pairs within k hops, at k + 1 hops, and at dead ends.
+  const Graph graphs[] = {
+      testing::WithDeadEnds(ErdosRenyi(60, 200, /*seed=*/71)),
+      testing::WithDeadEnds(
+          BarabasiAlbert(60, 2, /*back_prob=*/0.3, /*seed=*/73)),
+      testing::WithDeadEnds(LayeredGraph(/*layers=*/4, /*width=*/3)),
+  };
+  IndexBuilder builder;
+  for (size_t gi = 0; gi < std::size(graphs); ++gi) {
+    const Graph& g = graphs[gi];
+    const VertexId n = g.num_vertices();
+    const VertexId dead = n - 3, fresh = n - 2, pendant = n - 1;
+    std::mt19937_64 rng(gi + 1);
+    std::uniform_int_distribution<VertexId> pick(0, dead - 1);
+    for (uint32_t k = 2; k <= 6; ++k) {
+      std::vector<Query> queries = {
+          {pendant, dead, k}, {fresh, dead, k},   {fresh, pendant, k},
+          {dead, pick(rng), k}, {pick(rng), fresh, k},
+      };
+      // One pair at each distance 1..k + 1 from three sources.
+      for (int round = 0; round < 3; ++round) {
+        const VertexId s = pick(rng);
+        for (uint32_t want = 1; want <= k + 1; ++want) {
+          for (VertexId t = 0; t < n; ++t) {
+            if (WithinDistance(g, s, t, want) &&
+                !WithinDistance(g, s, t, want - 1)) {
+              queries.push_back({s, t, k});
+              break;
+            }
+          }
+        }
+      }
+      for (const Query& q : queries) {
+        if (q.source == q.target) continue;
+        const std::string at = "graph " + std::to_string(gi) + " q(" +
+                               std::to_string(q.source) + "," +
+                               std::to_string(q.target) + "," +
+                               std::to_string(k) + ")";
+        const LevelSizes want = CountLevelSizesOnGraph(g, q);
+        const JoinPlan plan = OptimizeJoinOrder(builder.Build(g, q));
+        ASSERT_EQ(plan.forward_sizes.size(), k + 1) << at;
+        ASSERT_EQ(plan.backward_sizes.size(), k + 1) << at;
+        for (uint32_t i = 0; i <= k; ++i) {
+          EXPECT_DOUBLE_EQ(plan.forward_sizes[i], want.forward[i])
+              << at << " i=" << i;
+          EXPECT_DOUBLE_EQ(plan.backward_sizes[i], want.backward[i])
+              << at << " i=" << i;
+        }
+        if (want.forward[0] == 0.0) {  // s cannot reach t: an empty plan
+          EXPECT_EQ(plan.cut, 0u) << at;
+          EXPECT_DOUBLE_EQ(plan.t_dfs, 0.0) << at;
+          EXPECT_DOUBLE_EQ(plan.t_join, 0.0) << at;
+          continue;
+        }
+        uint32_t cut = 1;
+        for (uint32_t i = 2; i < k; ++i) {
+          if (want.forward[i] + want.backward[i] <
+              want.forward[cut] + want.backward[cut]) {
+            cut = i;
+          }
+        }
+        double t_dfs = 0.0;
+        for (uint32_t i = 1; i <= k; ++i) t_dfs += want.forward[i];
+        double t_join = want.backward[0];
+        for (uint32_t i = 1; i <= cut; ++i) t_join += want.forward[i];
+        for (uint32_t i = cut; i <= k; ++i) t_join += want.backward[i];
+        EXPECT_EQ(plan.cut, cut) << at;
+        EXPECT_DOUBLE_EQ(plan.t_dfs, t_dfs) << at;
+        EXPECT_DOUBLE_EQ(plan.t_join, t_join) << at;
+      }
+    }
+  }
+}
 
 // --- Preliminary estimator ---------------------------------------------------
 

@@ -89,17 +89,6 @@ TEST(IndexTest, OutNeighborsSortedByDistanceToTarget) {
   }
 }
 
-TEST(IndexTest, InNeighborsSortedByDistanceFromSource) {
-  const LightweightIndex idx = BuildPaperIndex();
-  for (uint32_t slot = 0; slot < idx.num_vertices(); ++slot) {
-    const auto nbrs = idx.InSlotsWithin(slot, 4);
-    for (size_t i = 1; i < nbrs.size(); ++i) {
-      EXPECT_LE(idx.DistFromSource(nbrs[i - 1]),
-                idx.DistFromSource(nbrs[i]));
-    }
-  }
-}
-
 TEST(IndexTest, TargetHasPaddingSelfEntry) {
   const LightweightIndex idx = BuildPaperIndex();
   for (uint32_t b = 0; b <= 4; ++b) {
@@ -111,33 +100,12 @@ TEST(IndexTest, TargetHasPaddingSelfEntry) {
   EXPECT_EQ(edge_ids[0], kInvalidEdge);
 }
 
-TEST(IndexTest, SourceInListIsEmptyAndTargetInListHasPad) {
-  const LightweightIndex idx = BuildPaperIndex();
-  EXPECT_TRUE(idx.InVerticesWithin(kS, 4).empty());
-  const auto t_in = idx.InVerticesWithin(kT, 4);
-  // In-neighbors of t within the index: v0, v2, v5, plus the pad entry t.
-  EXPECT_EQ(std::set<VertexId>(t_in.begin(), t_in.end()),
-            (std::set<VertexId>{kV0, kV2, kV5, kT}));
-  EXPECT_EQ(idx.InVerticesWithin(kT, 1), std::vector<VertexId>{kV0});
-}
-
 TEST(IndexTest, SourceNeverAppearsAsOutDestination) {
   // Triangle s <-> a, a -> t: the index must not offer s as an extension.
   const Graph g = Graph::FromEdges(3, {{0, 1}, {1, 0}, {1, 2}});
   IndexBuilder builder;
   const LightweightIndex idx = builder.Build(g, {0, 2, 3});
   EXPECT_EQ(idx.OutVerticesWithin(1, 3), std::vector<VertexId>{2});
-}
-
-TEST(IndexTest, TargetNeverAppearsAsInSource) {
-  // s->1, 1->t, s->2, 2->t, t->2: the in-list of 2 holds s but not t.
-  const Graph g =
-      Graph::FromEdges(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}, {3, 2}});
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, {0, 3, 3});
-  const auto in2 = idx.InVerticesWithin(2, 3);
-  EXPECT_EQ(std::set<VertexId>(in2.begin(), in2.end()),
-            (std::set<VertexId>{0}));
 }
 
 TEST(IndexTest, EdgeCountExcludesPadding) {
