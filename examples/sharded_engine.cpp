@@ -3,10 +3,10 @@
 // the union. Shows the planner's three outcomes — O(1) unsatisfiable
 // rejection from the exact distance fields, whole-query delegation to one
 // shard when no cut edge is feasible, and stitched cross-shard execution
-// with partial paths shipped between shards as delta-encoded PathBlocks —
-// plus update routing (each delta op lands in the shard owning its edge's
-// tail, which publishes its own snapshot epoch) and the per-shard metrics
-// the registry exports.
+// as one depth-first search over every shard's pinned view — plus update
+// routing (each delta op lands in the shard owning its edge's tail, which
+// publishes its own snapshot epoch) and the per-shard metrics the registry
+// exports.
 //
 // Build: cmake --build build --target sharded_engine && ./build/sharded_engine
 #include <cstdio>
@@ -64,11 +64,6 @@ int main() {
   ShardRouter router(g, opts);
   std::printf("partitioned %u vertices across %u shards, %zu cut edges\n",
               router.num_vertices(), router.num_shards(), router.cut_size());
-  for (uint32_t s = 0; s < router.num_shards(); ++s) {
-    std::printf("  shard %u: cache salt %#llx\n", s,
-                static_cast<unsigned long long>(
-                    router.shard(s).cache_key_salt()));
-  }
 
   std::printf("\nquery stream (epoch 0):\n");
   ServeOne(router, Query{1, 9, 4}, 100);
@@ -94,24 +89,19 @@ int main() {
   std::printf("\nper-shard work:\n");
   for (uint32_t s = 0; s < router.num_shards(); ++s) {
     const ShardEngine::Stats ss = router.shard(s).stats();
-    std::printf("  shard %u: %llu local queries, %llu frames, %llu "
-                "continuations out, %llu paths emitted, %llu updates\n",
-                s, static_cast<unsigned long long>(ss.local_queries),
-                static_cast<unsigned long long>(ss.frames_processed),
-                static_cast<unsigned long long>(ss.continuations_out),
-                static_cast<unsigned long long>(ss.paths_emitted),
+    std::printf("  shard %u: %llu local queries, %llu updates\n", s,
+                static_cast<unsigned long long>(ss.local_queries),
                 static_cast<unsigned long long>(ss.updates));
   }
   const ShardRouter::Stats rs = router.stats();
   std::printf("router: %llu queries (%llu delegated, %llu stitched, %llu "
-              "unsatisfiable), %llu updates, %llu frames / %llu "
-              "continuations shipped\n",
+              "unsatisfiable), %llu updates, %llu partial paths continued "
+              "across the cut\n",
               static_cast<unsigned long long>(rs.queries),
               static_cast<unsigned long long>(rs.delegated),
               static_cast<unsigned long long>(rs.stitched),
               static_cast<unsigned long long>(rs.unsatisfiable),
               static_cast<unsigned long long>(rs.updates),
-              static_cast<unsigned long long>(rs.frames_sent),
               static_cast<unsigned long long>(rs.continuations_sent));
 
   // Everything above is also exported through the metric registry (the

@@ -5,12 +5,11 @@
 // that owns u. Every shard graph spans the FULL global vertex-id space, so
 // no id translation exists anywhere in the system — a cut edge's head is
 // simply a vertex the owning shard has no out-edges for (a replicated
-// boundary "ghost"), and partial paths cross shards as plain global vertex
-// sequences. Two structural consequences the router builds on:
+// boundary "ghost"), and a stitched search's partial paths are plain global
+// vertex sequences. Two structural consequences the router builds on:
 //
 //  * Out-adjacency of v is complete in shard ShardOf(v) and empty
-//    everywhere else, so forward expansion of v happens in exactly one
-//    shard.
+//    everywhere else, so expanding v forward reads exactly one shard.
 //  * In-adjacency of v in shard p is exactly the in-edges of v whose tail
 //    p owns, so a backward BFS wave unions the per-shard in-neighbor scans
 //    without any shard discovering another shard's predecessors.
@@ -45,7 +44,7 @@ struct PartitionOptions {
 
 /// One edge of the cut: (tail, head) with ShardOf(tail) != ShardOf(head).
 /// The edge itself is stored in `tail_shard`'s subgraph (tail ownership);
-/// the router counts the live cut from this epoch-0 list.
+/// the router seeds its live cut count with the size of this epoch-0 list.
 struct CutEdge {
   VertexId tail = 0;
   VertexId head = 0;
@@ -73,7 +72,7 @@ class GraphPartition {
   VertexId VerticesInShard(uint32_t s) const { return shard_vertices_[s]; }
 
   /// Initial cut edges, sorted by (tail, head): epoch 0 of the live cut
-  /// the router counts as updates stream in.
+  /// whose size the router moves as updates stream in.
   std::span<const CutEdge> cut_edges() const { return cut_edges_; }
 
   /// Distinct vertices incident to a cut edge — the replicated boundary.

@@ -1,6 +1,6 @@
 // The cross-shard query front-end (DESIGN.md §14). A ShardRouter owns a
-// GraphPartition's shard engines plus a ShardTransport and serves
-// hop-constrained (s, t, k) queries over the union graph:
+// GraphPartition's shard engines and serves hop-constrained (s, t, k)
+// queries over the union graph:
 //
 //  1. *Plan*: the index builder's meet-in-the-middle field (TwoSidedField,
 //     graph/bfs.h), run with no blocked endpoints over the pinned per-shard
@@ -20,16 +20,16 @@
 //     edge is feasible, every feasible path provably stays inside owner(s)'s
 //     tail-owned subgraph, and the whole query is delegated to that shard's
 //     QueryEngine — full index/result-cache reuse, identical semantics to
-//     the unsharded engine. Otherwise the query runs *stitched*: partial
-//     paths expand as segment DFS inside the shard owning their current
-//     endpoint, pruned by depth + 1 + dist(y, t) > k (a vertex outside X,
-//     having no stamped distance, always fails it), and cross shards as
-//     delta-encoded PathBlocks over the transport.
-//  3. *Merge*: all shards deliver through ONE BranchGate/BranchSink pair
-//     (the §8 reservation-based accounting, reused, not duplicated), so
-//     `delivered() == limit` holds at the router's merge barrier exactly
-//     as it does for split joins; per-shard counters fold together with
-//     internal::FinishFanout.
+//     the unsharded engine. Otherwise the query runs *stitched*: one
+//     depth-first search from [s] that reads each endpoint's out-edges in
+//     its owner shard's pinned view, pruned by depth + 1 + dist(y, t) > k
+//     (a vertex outside X, having no stamped distance, always fails it).
+//  3. *Emit*: the stitched search emits through one BlockEmitter straight
+//     into the caller's sink and checks the query's control before its
+//     first expansion and then every 4,096 edge reads, so result limit,
+//     sink stop and control trips behave as in a serial IDX-DFS: the
+//     result's num_results is what the sink consumed, never above the
+//     limit.
 //
 // Updates route through the partition map: SubmitUpdate splits a
 // GraphDelta by the owner of each edge's tail and every touched shard
@@ -39,20 +39,16 @@
 // cut edges straight from those views.
 //
 // Threading: Run and SubmitUpdate may each be called from one thread at a
-// time (they serialize against each other internally). During a stitched
-// query the caller's sink is invoked from transport service threads,
-// serialized by the gate's mutex — the same contract as
-// BatchOptions::split_branches.
+// time, and may run concurrently with each other. The router starts no
+// threads: a stitched query's sink runs on the thread that calls Run, a
+// delegated query's on a worker of its shard's engine.
 #ifndef PATHENUM_SHARD_ROUTER_H_
 #define PATHENUM_SHARD_ROUTER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/options.h"
@@ -65,20 +61,18 @@
 #include "obs/span.h"
 #include "shard/partition.h"
 #include "shard/shard_engine.h"
-#include "shard/transport.h"
 #include "util/status.h"
 
 namespace pathenum {
 
 struct RouterOptions {
   PartitionOptions partition;
-  /// Applied to every shard engine (cache salts are derived per shard).
+  /// Applied to every shard engine.
   ShardEngineOptions shard;
 };
 
-/// Outcome of one routed query. `stats.counters.num_results` equals the
-/// merge gate's delivered() for stitched runs — structurally capped at the
-/// result limit.
+/// Outcome of one routed query. `stats.counters.num_results` counts the
+/// paths the sink consumed, never more than the result limit.
 struct RouterResult {
   QueryStats stats;
   QueryState state = QueryState::kOk;
@@ -93,10 +87,8 @@ struct RouterResult {
 
 class ShardRouter {
  public:
-  /// Partitions `g` and stands up one ShardEngine per shard plus the
-  /// transport (in-process queues when `transport` is null).
-  explicit ShardRouter(const Graph& g, const RouterOptions& opts = {},
-                       std::unique_ptr<ShardTransport> transport = nullptr);
+  /// Partitions `g` and stands up one ShardEngine per shard.
+  explicit ShardRouter(const Graph& g, const RouterOptions& opts = {});
   ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
@@ -133,8 +125,12 @@ class ShardRouter {
     uint64_t unsatisfiable = 0;
     uint64_t rejected = 0;
     uint64_t updates = 0;
-    uint64_t frames_sent = 0;         // cross-shard PathBlock frames
-    uint64_t continuations_sent = 0;  // partial paths inside those frames
+    /// Always 0: stitched queries send no frames. Kept because the
+    /// serving benchmark reads it.
+    uint64_t frames_sent = 0;
+    /// Partial paths continued in another shard: extended across a cut
+    /// edge to a vertex other than t.
+    uint64_t continuations_sent = 0;
   };
   Stats stats() const;
 
@@ -143,13 +139,6 @@ class ShardRouter {
     std::vector<std::shared_ptr<const GraphView>> views;
   };
 
-  /// Per-shard stitched-execution state; each instance is touched only by
-  /// its shard's transport service thread during one query.
-  struct ShardWork;
-  /// Whole-query stitched state shared by the router thread and the
-  /// transport service threads.
-  struct StitchState;
-
   Pinned Pin() const;
   /// Runs the plan's field for `q` over the pinned views; returns whether
   /// dist(s, t) <= k.
@@ -157,41 +146,26 @@ class ShardRouter {
   /// Cut edges (u, w) with dist(s, u) + 1 + dist(w, t) <= k, counted on
   /// X's own out-edges (both ends of such an edge lie in X).
   uint64_t FeasibleCutEdges(const Pinned& pin, uint32_t k) const;
-  void HandleFrame(uint32_t dst_shard, std::vector<uint8_t> frame);
-  void ExpandPartial(StitchState& st, ShardWork& w, uint32_t dst_shard,
-                     VertexId* path, uint32_t len);
-  void FlushOutgoing(StitchState& st, ShardWork& w, uint32_t target_shard);
-  bool PollControl(StitchState& st, ShardWork& w);
 
   RouterResult RunDelegated(const Query& q, PathSink& sink,
                             const EnumOptions& opts, const Pinned& pin,
                             uint32_t shard);
-  /// `dispatch_ms` is the time from Pin() to dispatch, so the result's
-  /// response time starts where its total time does.
+  /// Runs the stitched search on the calling thread and finishes `span`.
   RouterResult RunStitched(const Query& q, PathSink& sink,
-                           const EnumOptions& opts, Pinned pin,
-                           uint64_t feasible_cut, double dispatch_ms,
+                           const EnumOptions& opts, const Pinned& pin,
                            obs::QuerySpan& span);
 
   uint64_t generation_;
   std::vector<uint32_t> shard_map_;
   std::vector<std::unique_ptr<ShardEngine>> shards_;
-  std::unique_ptr<ShardTransport> transport_;
 
   /// Guards the per-shard published snapshots' consistency between Pin()
-  /// and SubmitUpdate, and the live cut's size count.
+  /// and SubmitUpdate, and the live cut's edge count.
   mutable std::mutex state_mutex_;
-  std::unordered_set<uint64_t> cut_set_;  // packed (tail << 32 | head)
-
-  /// The active stitched query (null between queries). Written by Run
-  /// under active_mutex_; transport handlers take a shared_ptr copy.
-  std::mutex active_mutex_;
-  std::shared_ptr<StitchState> active_;
-  uint64_t next_query_id_ = 1;
+  size_t cut_edges_ = 0;
 
   /// The plan's distances from s and to t, exact on X; reused across Run
-  /// calls (Run is serialized; a stitched query reads them until its
-  /// quiescence).
+  /// calls (Run is serialized; a stitched query's search reads them).
   TwoSidedField plan_;
 
   obs::ShardedCounter queries_;
@@ -200,10 +174,8 @@ class ShardRouter {
   obs::ShardedCounter unsat_;
   obs::ShardedCounter rejected_;
   obs::ShardedCounter updates_;
-  obs::ShardedCounter frames_sent_;
   obs::ShardedCounter continuations_sent_;
   obs::RegHistogram* plan_ms_hist_ = nullptr;
-  obs::RegHistogram* stitch_merge_ms_hist_ = nullptr;
   std::string metric_label_;
 };
 

@@ -4,27 +4,11 @@
 
 namespace pathenum {
 
-namespace {
-
-EngineOptions WithSalt(EngineOptions opts, uint32_t shard_id,
-                       uint64_t generation) {
-  if (opts.cache.key_salt == 0) {
-    opts.cache.key_salt = ShardCacheSalt(shard_id, generation);
-  }
-  return opts;
-}
-
-}  // namespace
-
 ShardEngine::ShardEngine(uint32_t shard_id, uint64_t partition_generation,
                          Graph shard_graph, const ShardEngineOptions& opts)
     : shard_id_(shard_id),
-      cache_key_salt_(opts.engine.cache.key_salt != 0
-                          ? opts.engine.cache.key_salt
-                          : ShardCacheSalt(shard_id, partition_generation)),
       snapshots_(std::move(shard_graph), opts.snapshot),
-      engine_(*snapshots_.Current(),
-              WithSalt(opts.engine, shard_id, partition_generation)) {
+      engine_(*snapshots_.Current(), opts.engine) {
   auto& reg = obs::MetricRegistry::Global();
   const std::string label = "shard=\"" + std::to_string(shard_id_) +
                             "\",gen=\"" +
@@ -32,12 +16,6 @@ ShardEngine::ShardEngine(uint32_t shard_id, uint64_t partition_generation,
   reg.RegisterCounter(this, "pathenum_shard_updates_total", label, &updates_);
   reg.RegisterCounter(this, "pathenum_shard_local_queries_total", label,
                       &local_queries_);
-  reg.RegisterCounter(this, "pathenum_shard_frames_total", label,
-                      &frames_processed_);
-  reg.RegisterCounter(this, "pathenum_shard_continuations_total", label,
-                      &continuations_out_);
-  reg.RegisterCounter(this, "pathenum_shard_paths_emitted_total", label,
-                      &paths_emitted_);
 }
 
 ShardEngine::~ShardEngine() {

@@ -1,20 +1,16 @@
 // One shard of the sharded serving tier (DESIGN.md §14): the unchanged
 // single-process stack — SnapshotManager MVCC over the shard's tail-owned
 // subgraph, a pooled QueryEngine with its own IndexCache — wrapped behind a
-// shard id. The wrapper adds exactly two things:
-//
-//  * the live-update discipline for shard-local deltas (Prepare →
-//    IndexCache::BeginEpoch with the epoch's impact predicate → Publish),
-//    so each shard publishes its own snapshot epoch stream; and
-//
-//  * an IndexCache key salt derived from (shard id, partition generation),
-//    so two shards sharing a process — or the same shard id across
-//    repartitions — can never alias (s, t, k, options) cache keys.
+// shard id. The wrapper adds the live-update discipline for shard-local
+// deltas (Prepare → IndexCache::BeginEpoch with the epoch's impact
+// predicate → Publish), so each shard publishes its own snapshot epoch
+// stream.
 //
 // Queries whose feasible paths provably stay inside this shard are served
 // by the wrapped engine directly (full index/result-cache reuse); the
-// router's stitched execution traverses the shard's pinned snapshot views
-// without going through the engine.
+// router's stitched search reads the shard's pinned snapshot view without
+// going through the engine. Every shard's engine owns its own IndexCache,
+// so no two shards' cache keys ever meet.
 #ifndef PATHENUM_SHARD_SHARD_ENGINE_H_
 #define PATHENUM_SHARD_SHARD_ENGINE_H_
 
@@ -29,18 +25,9 @@
 
 namespace pathenum {
 
-/// The cache-key salt for shard `shard_id` under partition generation
-/// `generation`: non-zero and injective over (generation < 2^48,
-/// shard_id < 2^16 - 1), so no two live shard caches in one process ever
-/// share a salt.
-inline uint64_t ShardCacheSalt(uint32_t shard_id, uint64_t generation) {
-  return (generation << 16) | (static_cast<uint64_t>(shard_id & 0xffff) + 1);
-}
-
 struct ShardEngineOptions {
   /// Per-shard engine knobs. enable_cache defaults on here (the sharded
-  /// tier exists to serve repeated traffic); cache.key_salt, when left 0,
-  /// is derived via ShardCacheSalt.
+  /// tier exists to serve repeated traffic).
   EngineOptions engine = [] {
     EngineOptions e;
     e.enable_cache = true;
@@ -52,7 +39,8 @@ struct ShardEngineOptions {
 class ShardEngine {
  public:
   /// Takes ownership of the shard's tail-owned subgraph (full global
-  /// vertex space — see shard/partition.h).
+  /// vertex space — see shard/partition.h). `partition_generation` labels
+  /// the shard's metrics.
   ShardEngine(uint32_t shard_id, uint64_t partition_generation,
               Graph shard_graph, const ShardEngineOptions& opts = {});
   ~ShardEngine();
@@ -61,7 +49,6 @@ class ShardEngine {
   ShardEngine& operator=(const ShardEngine&) = delete;
 
   uint32_t shard_id() const { return shard_id_; }
-  uint64_t cache_key_salt() const { return cache_key_salt_; }
 
   /// The shard's latest published snapshot (MVCC: callers pin it for the
   /// duration of a query; later epochs never disturb it).
@@ -81,40 +68,22 @@ class ShardEngine {
   QueryEngine& engine() { return engine_; }
   const SnapshotManager& snapshots() const { return snapshots_; }
 
-  /// Stitched-execution accounting, folded in by the router at each query
-  /// merge barrier (the counters back the registry's per-shard
-  /// `pathenum_shard_*` metrics).
-  void RecordStitchWork(uint64_t frames, uint64_t continuations_out,
-                        uint64_t paths_emitted) {
-    frames_processed_.Inc(frames);
-    continuations_out_.Inc(continuations_out);
-    paths_emitted_.Inc(paths_emitted);
-  }
+  /// Counts a query the router delegated to this shard (backs the
+  /// registry's `pathenum_shard_local_queries_total`).
   void RecordLocalQuery() { local_queries_.Inc(); }
 
   struct Stats {
-    uint64_t updates = 0;            // shard-local epochs published
-    uint64_t local_queries = 0;      // queries delegated wholly to this shard
-    uint64_t frames_processed = 0;   // cross-shard frames expanded here
-    uint64_t continuations_out = 0;  // partial paths shipped to other shards
-    uint64_t paths_emitted = 0;      // full paths this shard completed
+    uint64_t updates = 0;        // shard-local epochs published
+    uint64_t local_queries = 0;  // queries delegated wholly to this shard
   };
-  Stats stats() const {
-    return {updates_.Value(), local_queries_.Value(),
-            frames_processed_.Value(), continuations_out_.Value(),
-            paths_emitted_.Value()};
-  }
+  Stats stats() const { return {updates_.Value(), local_queries_.Value()}; }
 
  private:
   uint32_t shard_id_;
-  uint64_t cache_key_salt_;
   SnapshotManager snapshots_;
   QueryEngine engine_;
   obs::ShardedCounter updates_;
   obs::ShardedCounter local_queries_;
-  obs::ShardedCounter frames_processed_;
-  obs::ShardedCounter continuations_out_;
-  obs::ShardedCounter paths_emitted_;
 };
 
 }  // namespace pathenum

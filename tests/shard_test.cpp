@@ -1,33 +1,27 @@
-// The sharded serving tier (DESIGN.md §14): partition invariants, the
-// per-shard cache-key salt, randomized sharded-vs-unsharded differentials —
-// static and under update churn — asserting identical result sets and exact
-// limit accounting at the router's merge barrier, and the router's plan
-// (unsatisfiable, delegated, feasible cut count) against brute force.
+// The sharded serving tier (DESIGN.md §14): partition invariants,
+// randomized sharded-vs-unsharded differentials — static and under update
+// churn — asserting identical result sets and exact limit accounting, the
+// router's plan (unsatisfiable, delegated, feasible cut count) against brute
+// force, the live cut count under churn, and the stitched search's stops
+// and span.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <iterator>
-#include <mutex>
 #include <random>
+#include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/reference.h"
-#include "engine/index_cache.h"
 #include "graph/generators.h"
 #include "graph/view.h"
 #include "obs/metrics.h"
 #include "shard/partition.h"
 #include "shard/router.h"
 #include "shard/shard_engine.h"
-#include "shard/transport.h"
 #include "test_util.h"
 
 namespace pathenum {
@@ -125,50 +119,15 @@ TEST(GraphPartition, SingleShardHasEmptyCut) {
   EXPECT_EQ(part.EdgesInShard(0), g.num_edges());
 }
 
-// ---------------------------------------------------------------------------
-// Cache-key salting (satellite: no (s,t,k,options) aliasing across shards)
-// ---------------------------------------------------------------------------
-
-TEST(ShardCacheSalt, NonZeroAndInjective) {
-  std::set<uint64_t> seen;
-  for (uint64_t gen = 1; gen <= 4; ++gen) {
-    for (uint32_t shard = 0; shard < 16; ++shard) {
-      const uint64_t salt = ShardCacheSalt(shard, gen);
-      EXPECT_NE(salt, 0u);
-      EXPECT_TRUE(seen.insert(salt).second)
-          << "salt collision at shard " << shard << " gen " << gen;
-    }
-  }
-}
-
-TEST(ShardCacheSalt, SaltedKeyInjectiveAcrossSalts) {
-  CacheKey key{/*source=*/3, /*target=*/9, /*hops=*/5, /*fingerprint=*/42};
-  // Salt 0 is the identity (unsharded engines are untouched).
-  EXPECT_EQ(IndexCache::SaltedKey(key, 0), key);
-  const CacheKey a = IndexCache::SaltedKey(key, ShardCacheSalt(0, 1));
-  const CacheKey b = IndexCache::SaltedKey(key, ShardCacheSalt(1, 1));
-  const CacheKey c = IndexCache::SaltedKey(key, ShardCacheSalt(0, 2));
-  EXPECT_NE(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_NE(b, c);
-  // s/t/k survive (epoch invalidation predicates match on them).
-  EXPECT_EQ(a.source, key.source);
-  EXPECT_EQ(a.target, key.target);
-  EXPECT_EQ(a.hops, key.hops);
-}
-
-TEST(ShardRouter, ShardsGetDistinctSaltsAcrossGenerations) {
+TEST(ShardRouter, RoutersGetDistinctGenerations) {
+  // The generation labels every shard's and the router's metrics, so two
+  // routers over the same graph never share a metric series.
   const Graph g = ErdosRenyi(60, 240, /*seed=*/1);
   RouterOptions opts;
   opts.partition.num_shards = 4;
   ShardRouter r1(g, opts);
   ShardRouter r2(g, opts);
   EXPECT_NE(r1.generation(), r2.generation());
-  std::set<uint64_t> salts;
-  for (uint32_t s = 0; s < 4; ++s) {
-    EXPECT_TRUE(salts.insert(r1.shard(s).cache_key_salt()).second);
-    EXPECT_TRUE(salts.insert(r2.shard(s).cache_key_salt()).second);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -442,6 +401,14 @@ TEST(ShardRouter, PlanMatchesBruteForce) {
   }
 }
 
+/// (count, sum_ms) of the histogram whose count value starts at `pos` in
+/// the registry's JSON exposition.
+std::pair<uint64_t, double> HistogramAt(const std::string& json, size_t pos) {
+  const uint64_t count = std::strtoull(json.c_str() + pos, nullptr, 10);
+  const size_t sum = json.find("\"sum_ms\":", pos);
+  return {count, std::strtod(json.c_str() + sum + 9, nullptr)};
+}
+
 /// (count, sum_ms) of `router`'s pathenum_router_plan_ms histogram, read
 /// from the registry's JSON exposition.
 std::pair<uint64_t, double> PlanHistogram(const ShardRouter& router) {
@@ -455,12 +422,20 @@ std::pair<uint64_t, double> PlanHistogram(const ShardRouter& router) {
     size_t pos = at + head.size();
     while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') ++pos;
     if (json.compare(pos, tail.size(), tail) != 0) continue;
-    const uint64_t count =
-        std::strtoull(json.c_str() + pos + tail.size(), nullptr, 10);
-    const size_t sum = json.find("\"sum_ms\":", pos);
-    return {count, std::strtod(json.c_str() + sum + 9, nullptr)};
+    return HistogramAt(json, pos + tail.size());
   }
   return {0, 0.0};
+}
+
+/// (count, sum_ms) of the process-wide span histogram
+/// pathenum_query_stage_ms for `stage`.
+std::pair<uint64_t, double> StageHistogram(const char* stage) {
+  const std::string json = obs::DumpMetricsJson();
+  const std::string key = "\"pathenum_query_stage_ms{stage=\\\"" +
+                          std::string(stage) + "\\\"}\":{\"count\":";
+  const size_t at = json.find(key);
+  return at == std::string::npos ? std::pair<uint64_t, double>{0, 0.0}
+                                 : HistogramAt(json, at + key.size());
 }
 
 TEST(ShardRouter, DelegatedTimesStartBeforeThePlan) {
@@ -524,121 +499,172 @@ TEST(ShardRouter, StitchedWorkShowsUpInShardAndRouterStats) {
   EXPECT_GT(router.cut_size(), 0u);
   std::mt19937_64 rng(77);
   std::uniform_int_distribution<VertexId> pick(0, g.num_vertices() - 1);
-  uint64_t delivered = 0;
   for (int i = 0; i < 25; ++i) {
     const Query q{pick(rng), pick(rng), 5};
     if (q.source == q.target) continue;
     CountingSink sink;
     const RouterResult r = router.Run(q, sink);
-    delivered += sink.count();
     EXPECT_EQ(sink.count(), r.stats.counters.num_results);
   }
   const ShardRouter::Stats rs = router.stats();
   EXPECT_GT(rs.queries, 0u);
   EXPECT_EQ(rs.queries, rs.delegated + rs.stitched + rs.unsatisfiable);
   if (rs.stitched > 0) {
-    EXPECT_GT(rs.frames_sent, 0u);
-    uint64_t emitted = 0;
-    uint64_t frames = 0;
-    for (uint32_t s = 0; s < router.num_shards(); ++s) {
-      emitted += router.shard(s).stats().paths_emitted;
-      frames += router.shard(s).stats().frames_processed;
-    }
-    EXPECT_GT(frames, 0u);
-    EXPECT_LE(emitted, delivered);
+    EXPECT_GT(rs.continuations_sent, 0u);
   }
 }
 
-// ---------------------------------------------------------------------------
-// Transport lifecycle and frame codec
-// ---------------------------------------------------------------------------
+TEST(ShardRouter, StitchedSpanCoversThePlanAsIndexAcquire) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  // A stitched query's span begins before Pin(), and the plan (it computes
+  // the query's index set X) is its index_acquire stage, so that stage is
+  // at least as long as the plan's own histogram observation.
+  const Graph g = ErdosRenyi(120, 1100, /*seed=*/41);
+  RouterOptions opts;
+  opts.partition.num_shards = 4;
+  ShardRouter router(g, opts);
+  std::mt19937_64 rng(78);
+  std::uniform_int_distribution<VertexId> pick(0, g.num_vertices() - 1);
+  EnumOptions eopts;
+  eopts.result_limit = 64;
+  int stitched = 0;
+  for (int i = 0; i < 300 && stitched < 30; ++i) {
+    const Query q{pick(rng), pick(rng), 4};
+    if (q.source == q.target) continue;
+    const auto plan_before = PlanHistogram(router);
+    const auto stage_before = StageHistogram("index_acquire");
+    CountingSink sink;
+    const RouterResult r = router.Run(q, sink, eopts);
+    if (r.delegated || r.state == QueryState::kUnsatisfiable) continue;
+    const auto plan_after = PlanHistogram(router);
+    const auto stage_after = StageHistogram("index_acquire");
+    ASSERT_EQ(plan_after.first, plan_before.first + 1);
+    EXPECT_EQ(stage_after.first, stage_before.first + 1);
+    // The registry keeps whole nanoseconds, rounded.
+    EXPECT_GE(stage_after.second - stage_before.second,
+              plan_after.second - plan_before.second - 1e-6);
+    ++stitched;
+  }
+  EXPECT_EQ(stitched, 30);
+}
 
-TEST(ShardTransport, StartStopCyclesNeverHang) {
-  // Regression: Stop() set its flag and notified without the endpoint
-  // mutex, so a service thread between its predicate check and its wait
-  // slept through the wake-up and Stop() never returned. Every cycle also
-  // sends one frame: each frame Send accepts must be delivered, and a
-  // stopped transport must accept none. A watchdog turns a hang into a
-  // failure instead of stalling the suite.
-  constexpr int kCycles = 20000;
-  std::atomic<int> cycle{0};
-  std::mutex mutex;
-  std::condition_variable finished_cv;
-  bool finished = false;
-  std::thread watchdog([&] {
-    // A hang is no progress for 30 s: one cycle takes microseconds, so this
-    // holds however slowly a sanitizer build runs the whole loop.
-    std::unique_lock<std::mutex> lock(mutex);
-    int last = -1;
-    while (!finished_cv.wait_for(lock, std::chrono::seconds(30),
-                                 [&] { return finished; })) {
-      const int now = cycle.load();
-      if (now == last) {
-        std::fprintf(stderr, "InProcessTransport::Stop hung in cycle %d\n",
-                     now);
-        std::_Exit(EXIT_FAILURE);
+TEST(ShardRouter, StitchedStopsMatchASerialDfs) {
+  // Over stitched queries only: a work budget below the query's edge reads,
+  // a deadline already expired, and a sink refusing its 7th path each stop
+  // the search with a serial IDX-DFS's state and flags.
+  const Graph g = ErdosRenyi(300, 4500, /*seed=*/43);
+  RouterOptions opts;
+  opts.partition.num_shards = 4;
+  ShardRouter router(g, opts);
+  std::mt19937_64 rng(79);
+  std::uniform_int_distribution<VertexId> pick(0, g.num_vertices() - 1);
+
+  class RefuseSeventh : public PathSink {
+   public:
+    bool OnPath(std::span<const VertexId>) override { return ++calls < 7; }
+    int calls = 0;
+  };
+
+  int checked = 0;
+  for (int i = 0; i < 100 && checked < 10; ++i) {
+    const Query q{pick(rng), pick(rng), 5};
+    if (q.source == q.target) continue;
+    CountingSink full_sink;
+    const RouterResult full = router.Run(q, full_sink);
+    if (full.delegated || full.state == QueryState::kUnsatisfiable) continue;
+    ASSERT_EQ(full.state, QueryState::kOk);
+    // Control is polled every 4,096 edge reads: with 16 polls or more, a
+    // budget of half the reads runs out well before the search ends.
+    const uint64_t reads = full.stats.counters.edges_accessed;
+    if (reads < 16 * 4096 || full_sink.count() < 7) continue;
+    const std::string at = "q(" + std::to_string(q.source) + "," +
+                           std::to_string(q.target) + ")";
+
+    EnumOptions budget;
+    budget.work_budget_edges = reads / 2;
+    RouterResult r;
+    CollectingSink collected;
+    r = router.Run(q, collected, budget);
+    EXPECT_EQ(r.state, QueryState::kTruncated) << at;
+    EXPECT_TRUE(r.stats.counters.work_exceeded) << at;
+    EXPECT_EQ(r.stats.counters.num_results, collected.paths().size()) << at;
+    const PathSet want = ToSet(BruteForcePaths(g, q));
+    for (const auto& path : collected.paths()) {
+      EXPECT_TRUE(want.count(path)) << at;
+    }
+
+    EnumOptions expired;
+    expired.time_limit_ms = 0;
+    CountingSink none;
+    r = router.Run(q, none, expired);
+    EXPECT_EQ(r.state, QueryState::kDeadlineExceeded) << at;
+    EXPECT_EQ(none.count(), 0u) << at;
+    EXPECT_EQ(r.stats.counters.num_results, 0u) << at;
+
+    RefuseSeventh refuse;
+    r = router.Run(q, refuse);
+    EXPECT_EQ(refuse.calls, 7) << at;
+    EXPECT_TRUE(r.stats.counters.stopped_by_sink) << at;
+    EXPECT_FALSE(r.stats.counters.hit_result_limit) << at;
+    EXPECT_EQ(r.state, QueryState::kTruncated) << at;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 10);
+}
+
+TEST(ShardRouter, CutSizeTracksTheLiveCutUnderChurn) {
+  // cut_size() against a recount of the materialized reference's
+  // cross-shard edges after every round. Each delta deletes existing edges
+  // and inserts new ones, repeats some ops, and inserts and deletes one
+  // cross-shard pair in the same delta (deletions apply last).
+  const Graph base = ErdosRenyi(80, 400, /*seed=*/29);
+  for (const uint32_t shards : {2u, 4u}) {
+    RouterOptions opts;
+    opts.partition.num_shards = shards;
+    ShardRouter router(base, opts);
+    const auto recount = [&](const Graph& g) {
+      size_t cut = 0;
+      for (VertexId u = 0; u < g.num_vertices(); ++u) {
+        for (const VertexId v : g.OutNeighbors(u)) {
+          cut += router.ShardOf(u) != router.ShardOf(v);
+        }
       }
-      last = now;
+      return cut;
+    };
+    ASSERT_EQ(router.cut_size(), recount(base));
+    GraphView reference(base);
+    std::mt19937_64 rng(600 + shards);
+    std::uniform_int_distribution<VertexId> pick(0, base.num_vertices() - 1);
+    for (uint32_t round = 1; round <= 30; ++round) {
+      GraphDelta delta;
+      for (int i = 0; i < 12; ++i) {
+        const VertexId u = pick(rng);
+        const auto out = reference.OutNeighbors(u);
+        if (rng() % 2 == 0 && !out.empty()) {
+          delta.Delete(u, out[rng() % out.size()]);
+        } else {
+          const VertexId v = pick(rng);
+          if (u != v) delta.Insert(u, v);
+        }
+      }
+      if (!delta.insertions.empty()) {
+        const auto [u, v] = delta.insertions[0];
+        delta.Insert(u, v);
+      }
+      if (!delta.deletions.empty()) {
+        const auto [u, v] = delta.deletions[0];
+        delta.Delete(u, v);
+      }
+      const VertexId u = pick(rng);
+      VertexId v = pick(rng);
+      while (router.ShardOf(u) == router.ShardOf(v)) v = pick(rng);
+      delta.Insert(u, v).Delete(u, v);
+      ASSERT_TRUE(router.SubmitUpdate(delta).ok());
+      reference = reference.Apply(delta, round);
+      EXPECT_EQ(router.cut_size(), recount(reference.Materialize()))
+          << "shards " << shards << " round " << round;
     }
-  });
-  std::atomic<uint64_t> delivered{0};
-  uint64_t accepted = 0;
-  uint64_t accepted_after_stop = 0;
-  for (; cycle.load() < kCycles; ++cycle) {
-    InProcessTransport transport;
-    transport.Start(4, [&](uint32_t, std::vector<uint8_t>) {
-      delivered.fetch_add(1, std::memory_order_relaxed);
-    });
-    accepted += transport.Send(cycle.load() % 4, {1, 2, 3});
-    transport.Stop();
-    accepted_after_stop += transport.Send(0, {1});
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    finished = true;
-  }
-  finished_cv.notify_all();
-  watchdog.join();
-  EXPECT_EQ(delivered.load(), accepted);
-  EXPECT_EQ(accepted_after_stop, 0u);
-}
-
-
-TEST(ShardTransport, FrameCodecRoundTrips) {
-  PathBlock block;
-  const uint32_t p1[] = {0, 3, 7, 9};
-  const uint32_t p2[] = {0, 3, 8};
-  const uint32_t p3[] = {1, 2};
-  block.Append(p1);
-  block.Append(p2);
-  block.Append(p3);
-  const std::vector<uint8_t> frame =
-      EncodeFrame(/*query_id=*/99, /*src_shard=*/2, PathBlockView(block));
-
-  FrameHeader header;
-  std::vector<PathBlock::Entry> entries;
-  std::vector<VertexId> verts;
-  ASSERT_TRUE(DecodeFrame(frame, header, entries, verts));
-  EXPECT_EQ(header.query_id, 99u);
-  EXPECT_EQ(header.src_shard, 2u);
-  EXPECT_EQ(header.num_paths, 3u);
-
-  std::vector<std::vector<VertexId>> decoded;
-  ForEachPathInBlock(
-      PathBlockView(entries.data(), verts.data(), header.num_paths,
-                    header.total_path_verts),
-      [&](std::span<const VertexId> p) {
-        decoded.emplace_back(p.begin(), p.end());
-        return true;
-      });
-  ASSERT_EQ(decoded.size(), 3u);
-  EXPECT_EQ(decoded[0], (std::vector<VertexId>{0, 3, 7, 9}));
-  EXPECT_EQ(decoded[1], (std::vector<VertexId>{0, 3, 8}));
-  EXPECT_EQ(decoded[2], (std::vector<VertexId>{1, 2}));
-
-  // Truncated frames are rejected, not misread.
-  std::vector<uint8_t> cut(frame.begin(), frame.end() - 1);
-  EXPECT_FALSE(DecodeFrame(cut, header, entries, verts));
 }
 
 }  // namespace
