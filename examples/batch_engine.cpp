@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
             << stats.batches_run << " batches; steady-state scratch "
             << stats.scratch_bytes / 1024.0 << " KiB\n";
 
-  // Few heavy queries? Let each query fan its DFS branches across the
-  // whole pool instead (forces IDX-DFS).
+  // Few heavy queries? Let each query fan its work out over the idle
+  // workers instead (DFS branches or split-join units, as planned).
   BatchOptions split = opts;
   split.split_branches = true;
   const std::vector<Query> heavy(queries.begin(),

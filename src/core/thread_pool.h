@@ -2,8 +2,9 @@
 // parked on a condition variable between jobs, so issuing a batch costs a
 // wake-up instead of thread creation — the per-query thread spawn of the
 // original ParallelDfsEnumerator is exactly what this amortizes away.
-// Lives in core/ (not engine/) because every branch-parallel driver —
-// ParallelDfsEnumerator included — fans out through it (DESIGN.md §8).
+// Lives in core/ (not engine/) because ParallelDfsEnumerator fans out
+// through it (DESIGN.md §8); the engines run on their query queue
+// (engine/query_queue.h) instead.
 #ifndef PATHENUM_CORE_THREAD_POOL_H_
 #define PATHENUM_CORE_THREAD_POOL_H_
 
@@ -61,10 +62,8 @@ class ThreadPool {
   void RunOnAllWorkers(const std::function<void(uint32_t)>& job);
 
   /// Like RunOnAllWorkers, but only workers with id < `active` execute the
-  /// job; the rest wake, skip it, and park again. The engine uses this to
-  /// clamp a batch to min(workers, queries, hardware cores) — parking the
-  /// surplus instead of oversubscribing the host (the 8-worker-on-1-core
-  /// warm regression in BENCH_throughput.json).
+  /// job; the rest wake, skip it, and park again. ParallelDfsEnumerator
+  /// uses this to run no more workers than a query has branches.
   void RunOnWorkers(uint32_t active, const std::function<void(uint32_t)>& job);
 
  private:

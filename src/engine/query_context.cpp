@@ -10,20 +10,11 @@ QueryState FailedRunState(const std::exception& e) {
              : QueryState::kError;
 }
 
-QueryStats QueryContext::Run(const Query& q, PathSink& sink,
-                             const EnumOptions& opts) {
-  // Count only queries that actually executed: validation throws before
-  // any work happens.
-  const QueryStats stats = enumerator_.Run(q, sink, opts);
-  ++queries_run_;
-  return stats;
-}
-
 QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
                                    const EnumOptions& opts, IndexCache* cache,
                                    obs::QuerySpan* span) {
   if (cache == nullptr) {
-    const QueryStats stats = Run(q, sink, opts);
+    const QueryStats stats = enumerator_.Run(q, sink, opts);
     // No cache: acquire and enumeration are fused inside Run; the whole
     // run is attributed to the enumerate stage.
     if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
@@ -47,7 +38,6 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
       }
       const QueryStats stats = ReplayCachedResult(*cached, sink, opts);
       if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
-      ++queries_run_;
       return stats;
     }
   }
@@ -64,7 +54,6 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
     // This query's own deadline/cancel tripped mid-build (an interrupted
     // build is never published or handed to waiters, so it is always ours).
     FinalizeInterruptedBuild(acquired, *index, acquired.index_ms);
-    ++queries_run_;
     return acquired;
   }
 
@@ -88,7 +77,6 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
   stats.index_ms = acquired.index_ms;
   stats.total_ms += stats.index_ms;
   stats.response_ms += stats.index_ms;
-  ++queries_run_;
   return stats;
 }
 
@@ -118,16 +106,6 @@ std::shared_ptr<const LightweightIndex> QueryContext::AcquireIndex(
   stats.index_edges = index->num_edges();
   stats.index_bytes = index->MemoryBytes();
   return index;
-}
-
-QueryStats QueryContext::RunConstrained(const Query& q,
-                                        const PathConstraints& constraints,
-                                        PathSink& sink,
-                                        const EnumOptions& opts) {
-  const QueryStats stats =
-      enumerator_.RunConstrained(q, constraints, sink, opts);
-  ++queries_run_;
-  return stats;
 }
 
 }  // namespace pathenum

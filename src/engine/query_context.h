@@ -54,28 +54,18 @@ class QueryContext {
   /// Runs one query through the full PathEnum pipeline with this context's
   /// pooled scratch. Every per-run limit (deadline, result limit, sink
   /// stop) is re-armed from `opts`, so a limit hit by one query can never
-  /// leak into the next one on the same context.
-  QueryStats Run(const Query& q, PathSink& sink, const EnumOptions& opts);
-
-  /// Like Run, but under the Appendix-E constraint extensions.
-  QueryStats RunConstrained(const Query& q, const PathConstraints& constraints,
-                            PathSink& sink, const EnumOptions& opts);
-
-  /// Cache-aware Run (DESIGN.md §6): consults `cache` for a replayable
-  /// result set first, then for a shared prebuilt index (building and
-  /// publishing on miss, coalescing with concurrent builders of the same
-  /// key), and records completed runs back into the result cache. Falls
-  /// back to Run when `cache` is null. The cache may be shared across
+  /// leak into the next one on the same context. Cache-aware (DESIGN.md
+  /// §6): consults `cache` for a replayable result set first, then for a
+  /// shared prebuilt index (building and publishing on miss, coalescing
+  /// with concurrent builders of the same key), and records completed runs
+  /// back into the result cache. Without a cache it is
+  /// PathEnumerator::Run. The cache may be shared across
   /// contexts/threads; everything else in the context stays single-owner.
   /// `span` (optional) gets the index-acquire/enumerate stage marks and the
   /// cache-outcome flags (DESIGN.md §12); the caller owns its lifecycle
   /// (Begin before, Finish after).
   QueryStats RunCached(const Query& q, PathSink& sink, const EnumOptions& opts,
                        IndexCache* cache, obs::QuerySpan* span = nullptr);
-
-  /// Accounts duplicate queries served through one fanned-out run (batch
-  /// dedup): each duplicate counts as a served query.
-  void NoteFanout(uint64_t extra_served) { queries_run_ += extra_served; }
 
   /// Builds — or fetches from `cache`, when one is given — the per-query
   /// index RunCached and the split executor (DESIGN.md §8) run on.
@@ -97,9 +87,6 @@ class QueryContext {
 
   PathEnumerator& enumerator() { return enumerator_; }
 
-  /// Queries executed through this context since construction.
-  uint64_t queries_run() const { return queries_run_; }
-
   /// Bytes of reusable scratch currently held (see
   /// PathEnumerator::ScratchBytes).
   size_t ScratchBytes() const { return enumerator_.ScratchBytes(); }
@@ -107,7 +94,6 @@ class QueryContext {
  private:
   PathEnumerator enumerator_;
   SplitJoinScratch split_join_scratch_;
-  uint64_t queries_run_ = 0;
 };
 
 }  // namespace pathenum

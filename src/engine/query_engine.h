@@ -1,24 +1,24 @@
-// The batch QueryEngine: a persistent worker pool serving hop-constrained
-// path queries at service scale. Where PathEnumerator answers one query on
-// the calling thread, the engine keeps N workers alive across batches, each
-// with a reusable QueryContext, and schedules a batch of queries over them
-// with work stealing. Optionally a batch runs with intra-query parallelism:
-// one query at a time, its units — first-level DFS branches, or the split
-// IDX-JOIN's half/probe units — fan out across the whole pool, which is
-// the right shape for a few heavy queries rather than many small ones.
-// Split queries run through the split executor AsyncEngine shares
-// (engine/split_executor.h); this engine's part is recruiting its clamped
-// pool workers for each phase. See DESIGN.md §5/§8.
+// The batch QueryEngine: a persistent worker pool serving hop-constrained path
+// queries at service scale. Where PathEnumerator answers one query on the
+// calling thread, the engine keeps N workers alive across batches, each with a
+// reusable QueryContext, on a QueryQueue (engine/query_queue.h, the queue
+// AsyncEngine also runs on): RunBatch enqueues the batch and waits on its
+// tickets, and each query runs entirely on the worker that claims it.
+// Optionally a batch runs with intra-query parallelism: each query's units —
+// first-level DFS branches, or the split IDX-JOIN's half/probe units — fan out
+// through the split executor (engine/split_executor.h), its claiming worker
+// leading and idle workers helping, which is the right shape for a few heavy
+// queries rather than many small ones. See DESIGN.md §5/§8.
 //
 // With `EngineOptions::enable_cache` the engine additionally keeps a
 // cross-query IndexCache shared by all workers (DESIGN.md §6): batches
 // deduplicate identical queries (one run fans its results out to every
-// duplicate's sink), cache hits are scheduled ahead of misses, and
+// duplicate's sink), cache hits are queued ahead of misses, and
 // concurrent workers on the same missing key build the index exactly once.
 // Every cache miss is one solo build on the worker that runs the query.
 //
 // Every batch passes one admission pre-pass before grouping and
-// scheduling, in both modes: invalid queries are rejected, and with a live
+// queueing, in both modes: invalid queries are rejected, and with a live
 // oracle attached (SetLiveOracle) queries it certifies unsatisfiable
 // (dist(s,t) > k) complete as kUnsatisfiable without any per-query work.
 #ifndef PATHENUM_ENGINE_QUERY_ENGINE_H_
@@ -33,9 +33,8 @@
 #include "core/query.h"
 #include "core/sink.h"
 #include "engine/index_cache.h"
+#include "engine/query_queue.h"
 #include "graph/view.h"
-#include "engine/query_context.h"
-#include "core/thread_pool.h"
 #include "live/live_oracle.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -44,7 +43,8 @@ namespace pathenum {
 
 /// Engine construction knobs.
 struct EngineOptions {
-  /// Worker threads (and contexts). 0 picks hardware_concurrency().
+  /// Worker threads (and contexts). 0 picks hardware_concurrency(); more
+  /// than hardware_concurrency() are capped to it.
   uint32_t num_workers = 0;
 
   /// When true the engine keeps a cross-query cache of per-query indexes
@@ -61,13 +61,12 @@ struct BatchOptions {
   /// Applied to every query of the batch.
   EnumOptions query;
 
-  /// When true, queries execute one at a time with their work spread
-  /// across the whole pool (serializing sink calls per query): the planned
-  /// method — the same PlanExecution decision the serial path makes — runs
-  /// either as fanned-out first-level DFS branches or as the split
+  /// When true, each query's work spreads across the pool (serializing
+  /// sink calls per query): its claiming worker leads and idle workers help
+  /// drain the planned method — the same PlanExecution decision the serial
+  /// path makes — as fanned-out first-level DFS branches or as the split
   /// IDX-JOIN's independent half/probe units (DESIGN.md §8). When false
-  /// (default), each query runs entirely on one worker and workers steal
-  /// whole queries from each other.
+  /// (default), each query runs entirely on the one worker that claims it.
   bool split_branches = false;
 
   /// Consult/populate the engine's cross-query cache (no-op when the
@@ -103,8 +102,8 @@ struct BatchResult {
   std::vector<std::string> errors;
   std::vector<QueryState> states;
   double wall_ms = 0.0;
-  /// Workers that actually executed the batch — clamped to
-  /// min(pool, tasks, hardware cores), not the pool size.
+  /// Workers that could claim the batch's queries: min(pool, queries after
+  /// dedup). Idle workers helping a split query are not counted.
   uint32_t workers = 0;
   /// Cache activity during this batch (all zeros without a cache): hits,
   /// misses, evictions and current byte gauges.
@@ -147,7 +146,7 @@ class QueryEngine {
   explicit QueryEngine(const GraphView& view, const EngineOptions& opts = {});
   ~QueryEngine();
 
-  uint32_t num_workers() const { return pool_.num_workers(); }
+  uint32_t num_workers() const { return queue_.num_workers(); }
   const Graph& graph() const { return view_.base(); }
   const GraphView& view() const { return view_; }
 
@@ -156,22 +155,21 @@ class QueryEngine {
   /// (calls are serialized by the engine, so plain sinks are safe); without
   /// it, sink i is only ever touched by the single worker running query i.
   /// With dedup_identical, the sinks of identical queries are all fed from
-  /// one run on one worker.
+  /// one run.
   BatchResult RunBatch(std::span<const Query> queries,
                        std::span<PathSink* const> sinks,
                        const BatchOptions& opts = {});
 
   /// Live-graph form: runs the whole batch against `view` (every query
-  /// observes exactly that snapshot), rebinding the worker contexts when
-  /// the snapshot differs from the currently bound one — cheap, scratch
-  /// survives, and within one snapshot lineage the caches are NOT cleared:
-  /// cache entries carry snapshot versions and epochs invalidate them
-  /// incrementally (see IndexCache::BeginEpoch / DESIGN.md §7). Safety
-  /// nets for callers outside that discipline: a version advance the cache
-  /// never saw an epoch for, and a base-graph swap without a version
-  /// advance, each degrade to a full clear. Successive views should come
-  /// from one SnapshotManager (monotone versions); use RebindGraph for an
-  /// unrelated graph.
+  /// observes exactly that snapshot; each worker context rebinds to it at
+  /// claim — cheap, scratch survives), and within one snapshot lineage the
+  /// caches are NOT cleared: cache entries carry snapshot versions and
+  /// epochs invalidate them incrementally (see IndexCache::BeginEpoch /
+  /// DESIGN.md §7). Safety nets for callers outside that discipline: a
+  /// version advance the cache never saw an epoch for, and a base-graph
+  /// swap without a version advance, each degrade to a full clear.
+  /// Successive views should come from one SnapshotManager (monotone
+  /// versions); use RebindGraph for an unrelated graph.
   BatchResult RunBatch(const GraphView& view, std::span<const Query> queries,
                        std::span<PathSink* const> sinks,
                        const BatchOptions& opts = {});
@@ -200,11 +198,12 @@ class QueryEngine {
   /// IndexCache::Clear). No-op without a cache.
   void InvalidateCaches();
 
-  /// Points the engine at a different graph snapshot: recreates every
-  /// worker context and invalidates the caches (a cached index describes
-  /// the old topology). Must not race RunBatch. The new graph must outlive
-  /// the engine. For incremental updates prefer RunBatch(view, ...) +
-  /// IndexCache::BeginEpoch, which keep unaffected cache entries alive.
+  /// Points the engine at a different graph snapshot and invalidates the
+  /// caches (a cached index describes the old topology); each worker
+  /// context rebinds to it at its next claim. Must not race RunBatch. The
+  /// new graph must outlive the engine. For incremental updates prefer
+  /// RunBatch(view, ...) + IndexCache::BeginEpoch, which keep unaffected
+  /// cache entries alive.
   void RebindGraph(const Graph& g);
 
   /// Aggregate footprint/usage over all worker contexts.
@@ -212,8 +211,9 @@ class QueryEngine {
     size_t scratch_bytes = 0;    // reusable scratch across all contexts
     uint64_t queries_run = 0;    // queries executed since construction
     uint64_t batches_run = 0;
-    /// Whole-query steals in RunStealing (a worker claiming a task from
-    /// another worker's deque).
+    /// Always zero: the one query queue has no per-worker deques to steal
+    /// from. Kept only because the serving benchmark (servebench/) still
+    /// reads it.
     uint64_t steals = 0;
     /// Queries shed as kUnsatisfiable by the live oracle at admission,
     /// duplicates included.
@@ -222,28 +222,15 @@ class QueryEngine {
   EngineStats Stats() const;
 
  private:
-  /// Inter-query mode: workers claim whole (deduplicated) groups of the
-  /// `admitted` queries, stealing across per-worker deques; cache hits are
-  /// scheduled first.
-  void RunStealing(std::span<const Query> queries,
-                   std::span<PathSink* const> sinks,
-                   std::span<const size_t> admitted, const BatchOptions& opts,
-                   IndexCache* cache, BatchResult& result);
-
-  /// min(pool, tasks, hardware cores), at least 1.
-  uint32_t ClampedWorkers(size_t tasks) const;
-
   GraphView view_;
   const LiveDistanceOracle* live_oracle_ = nullptr;  // see SetLiveOracle
-  ThreadPool pool_;
-  std::vector<std::unique_ptr<QueryContext>> contexts_;  // one per worker
   std::unique_ptr<IndexCache> cache_;  // null unless opts.enable_cache
   /// ShardedCounter storage (DESIGN.md §12): Stats() and the registry's
   /// `pathenum_engine_*` metrics read the same slots.
   obs::ShardedCounter batches_run_;
-  obs::ShardedCounter split_queries_run_;
-  obs::ShardedCounter steals_;
+  obs::ShardedCounter queries_run_;  // duplicates served by a fan-out count
   obs::ShardedCounter oracle_rejects_;
+  QueryQueue queue_;  // last: its workers stop before the cache goes
 };
 
 }  // namespace pathenum

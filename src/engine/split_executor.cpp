@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/parallel_dfs.h"
+#include "engine/query_queue.h"
 #include "util/timer.h"
 
 namespace pathenum {
@@ -45,22 +46,22 @@ bool Tripped(const EnumCounters& c) {
 
 /// One split query's fan-out state, shared by all of its phases: the gate
 /// and the serialized adapter over the caller's sink, the one absolute
-/// deadline every unit derives its budget from, and the engine's
-/// recruitment.
+/// deadline every unit derives its budget from, and the queue whose idle
+/// workers help the leader.
 struct Fanout {
   const LightweightIndex& index;
   const EnumOptions& opts;
   const Deadline deadline;
   BranchGate& gate;
   BranchSink& sink;
-  const uint32_t max_participants;
-  const RecruitParticipants& recruit;
+  QueryQueue& queue;
+  const uint32_t leader;
   obs::QuerySpan& span;
 
   EnumCounters RunPhase(size_t num_units, SplitPhase::UnitFn run_unit) const {
-    SplitPhase phase(static_cast<uint32_t>(num_units), max_participants, gate,
-                     std::move(run_unit));
-    recruit(phase);
+    SplitPhase phase(static_cast<uint32_t>(num_units), queue.num_workers(),
+                     gate, std::move(run_unit));
+    queue.RecruitIdleWorkers(leader, phase);
     return phase.Result();
   }
 
@@ -109,7 +110,9 @@ void Fanout::Join(uint32_t cut, SplitJoinScratch& t,
   index.ForEachSlotInLevel(cut,
                            [&](uint32_t slot) { t.starts.push_back(slot); });
   t.left.clear();
-  if (t.right.size() < max_participants) t.right.resize(max_participants);
+  if (t.right.size() < queue.num_workers()) {
+    t.right.resize(queue.num_workers());
+  }
   for (std::vector<uint32_t>& buf : t.right) buf.clear();
   t.ranges.assign(t.starts.size(), {0, 0});
   t.range_owner.assign(t.starts.size(), 0);
@@ -201,12 +204,11 @@ void Fanout::Join(uint32_t cut, SplitJoinScratch& t,
 
 }  // namespace
 
-QueryStats RunSplitQuery(QueryContext& leader, const Query& q, PathSink& sink,
-                         const EnumOptions& opts, IndexCache* cache,
-                         uint32_t max_participants,
-                         const RecruitParticipants& recruit,
-                         obs::QuerySpan& span) {
-  ValidateQuery(leader.enumerator().view(), q);
+QueryStats RunSplitQuery(QueryQueue& queue, uint32_t leader, const Query& q,
+                         PathSink& sink, const EnumOptions& opts,
+                         IndexCache* cache, obs::QuerySpan& span) {
+  QueryContext& ctx = queue.context(leader);
+  ValidateQuery(ctx.enumerator().view(), q);
   span.SetSplit();
   QueryStats stats;
   Timer total;
@@ -219,7 +221,7 @@ QueryStats RunSplitQuery(QueryContext& leader, const Query& q, PathSink& sink,
   // replay order would be, too). The index is immutable from here on: every
   // unit, whichever worker runs it and however many snapshots publish
   // meanwhile, observes exactly the leader's snapshot.
-  const std::shared_ptr<const LightweightIndex> index = leader.AcquireIndex(
+  const std::shared_ptr<const LightweightIndex> index = ctx.AcquireIndex(
       q, PathEnumerator::BuildOptionsFor(q, opts), cache, stats);
   span.SetIndexOutcome(stats.index_cache_hit, false);
   span.Mark(obs::SpanStage::kIndexAcquire);
@@ -241,9 +243,9 @@ QueryStats RunSplitQuery(QueryContext& leader, const Query& q, PathSink& sink,
     BranchGate gate(opts.result_limit, opts.response_target, enum_timer);
     BranchSink shared(gate, sink, BranchSink::Mode::kSerialized);
     const Fanout fanout{*index, opts, Deadline::AfterMs(opts.time_limit_ms),
-                        gate, shared, max_participants, recruit, span};
+                        gate, shared, queue, leader, span};
     if (plan.method == Method::kJoin) {
-      fanout.Join(plan.cut, leader.split_join_scratch(), counters);
+      fanout.Join(plan.cut, ctx.split_join_scratch(), counters);
     } else {
       fanout.Dfs(counters);
     }

@@ -1,11 +1,11 @@
-// The split executor both engines run a split query through (DESIGN.md
-// §8): one query's work — IDX-DFS first-level branches, or the split
-// IDX-JOIN's left half, right-half starts and probe chunks — is cut into
+// The split executor every split query runs through (DESIGN.md §8): one
+// query's work — IDX-DFS first-level branches, or the split IDX-JOIN's left
+// half, right-half starts and probe chunks — is cut into
 // dependence-disjoint units that every participating worker claims off one
 // cursor. RunSplitQuery acquires the index, plans, fans out phase by phase,
-// merges, and marks the span's stages; the only per-engine code is how
-// participants are recruited for a phase: QueryEngine runs the phase on
-// its clamped pool workers, AsyncEngine publishes it to idle workers.
+// merges, and marks the span's stages. The query's claiming worker on the
+// one query queue (engine/query_queue.h) leads, and the queue publishes each
+// phase to its idle workers, for both engines.
 #ifndef PATHENUM_ENGINE_SPLIT_EXECUTOR_H_
 #define PATHENUM_ENGINE_SPLIT_EXECUTOR_H_
 
@@ -25,10 +25,12 @@
 
 namespace pathenum {
 
+class QueryQueue;
+
 /// One fan-out phase of a split query: `num_units` units claimed off one
-/// atomic cursor by every participant an engine recruits. Participants
+/// atomic cursor by every participant the queue recruits. Participants
 /// enter through Drain; the phase ends when every Drain call has returned
-/// (the engine's barrier).
+/// (the leader's barrier).
 class SplitPhase {
  public:
   /// Runs unit `unit` on `ctx`'s scratch for `participant` (see Drain).
@@ -44,7 +46,7 @@ class SplitPhase {
         run_unit_(std::move(run_unit)) {}
 
   /// True while unclaimed units remain and nothing stopped the phase — the
-  /// async engine's predicate for recruiting an idle worker.
+  /// queue's predicate for recruiting an idle worker.
   bool HasUnclaimedUnits() const {
     return !stop_.load(std::memory_order_relaxed) &&
            cursor_.load(std::memory_order_relaxed) < num_units_;
@@ -52,7 +54,7 @@ class SplitPhase {
 
   /// One participant's share: claims and runs units on `ctx` until the
   /// phase is drained or stopped, then folds its counters into the phase
-  /// total. `participant` is the engine's id for the worker owning `ctx`
+  /// total. `participant` is the queue's id for the worker owning `ctx`
   /// (< max_participants, one Drain per id and phase), so a participant
   /// reuses the same per-participant buffers query after query. Never
   /// throws: a failure stops the units and the query's gate, and the
@@ -75,24 +77,18 @@ class SplitPhase {
   std::exception_ptr failure_;
 };
 
-/// How an engine recruits participants for one phase: call
-/// `phase.Drain(ctx, worker)` once per participating worker and return
-/// only after every call has returned.
-using RecruitParticipants = std::function<void(SplitPhase& phase)>;
-
-/// Runs `q` split across the participants `recruit` brings in, at most
-/// `max_participants` per phase. `leader` acquires the index (through
-/// `cache` when given, sharing entries with the serial path), plans with
-/// PathEnumerator::PlanExecution and owns the split join's tables; the
-/// span gets the split flag and its index_acquire / enumerate / merge
+/// Runs `q` split across `queue`'s workers: worker `leader` (the one that
+/// claimed the query) acquires the index on its context (through `cache`
+/// when given, sharing entries with the serial path), plans with
+/// PathEnumerator::PlanExecution, owns the split join's tables and drains
+/// every phase, and idle workers help (QueryQueue::RecruitIdleWorkers).
+/// The span gets the split flag and its index_acquire / enumerate / merge
 /// marks (the caller begins and finishes it). Delivery into `sink` is
 /// serialized. Throws what ValidateQuery throws, and rethrows a failed
 /// participant's first exception after the barrier.
-QueryStats RunSplitQuery(QueryContext& leader, const Query& q, PathSink& sink,
-                         const EnumOptions& opts, IndexCache* cache,
-                         uint32_t max_participants,
-                         const RecruitParticipants& recruit,
-                         obs::QuerySpan& span);
+QueryStats RunSplitQuery(QueryQueue& queue, uint32_t leader, const Query& q,
+                         PathSink& sink, const EnumOptions& opts,
+                         IndexCache* cache, obs::QuerySpan& span);
 
 }  // namespace pathenum
 

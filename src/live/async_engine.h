@@ -1,15 +1,17 @@
-// Asynchronous streaming front-end over the live-graph subsystem
-// (DESIGN.md §7): Submit(query, sink) -> QueryTicket enqueues work onto the
-// persistent ThreadPool and returns immediately; paths stream into the
-// caller's PathSink from a worker thread as they are found (the standard
-// sink contract — return false to stop early). SubmitUpdate(delta) applies
-// an update epoch: it prepares the next snapshot, incrementally invalidates
-// the shared cache for the new version (IndexCache::BeginEpoch with the
-// epoch's UpdateImpact), and only then publishes — so every query observes
-// exactly the snapshot that was current when it was submitted, updates
-// never corrupt in-flight enumerations, and unaffected hot keys keep their
-// cached indexes across updates. A cache miss is one solo index build on
-// the worker that claims the ticket.
+// Asynchronous streaming front-end over the live-graph subsystem (DESIGN.md
+// §7): Submit(query, sink) -> QueryTicket enqueues the query on the engine's
+// QueryQueue (engine/query_queue.h, the queue QueryEngine also runs on) and
+// returns immediately; paths stream into the caller's PathSink from a worker
+// thread as they are found (the standard sink contract — return false to stop
+// early). SubmitUpdate(delta) applies an update epoch: it prepares the next
+// snapshot, incrementally invalidates the shared cache for the new version
+// (IndexCache::BeginEpoch with the epoch's UpdateImpact), and only then
+// publishes — so every query observes exactly the snapshot that was current
+// when it was submitted, updates never corrupt in-flight enumerations, and
+// unaffected hot keys keep their cached indexes across updates. A cache miss is
+// one solo index build on the worker that claims the ticket. This engine's own
+// part is admission policy: the queue bound and shed policy, the oracle gate,
+// snapshot capture and cancel wiring.
 //
 // Threading contract: Submit/TrySubmit and SubmitUpdate may be called from
 // any thread (updates serialize internally). A plain query's sink is
@@ -17,9 +19,6 @@
 // split query's sink (SubmitOptions::split_branches) may be invoked from
 // several workers but calls are serialized through the shared BranchSink
 // with its per-ticket stop latch (DESIGN.md §8), so plain sinks stay safe.
-// Split tickets run through the split executor QueryEngine shares
-// (engine/split_executor.h); this engine's part is recruiting idle workers
-// to help the claiming worker drain each published phase.
 // Paths stream as delta-encoded blocks (DESIGN.md §9): a sink overriding
 // OnBlock consumes whole blocks — one serialized delivery per ~256 paths
 // on a split ticket — while OnPath-only sinks transparently receive the
@@ -30,29 +29,20 @@
 #ifndef PATHENUM_LIVE_ASYNC_ENGINE_H_
 #define PATHENUM_LIVE_ASYNC_ENGINE_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "core/options.h"
 #include "core/query.h"
 #include "core/sink.h"
 #include "engine/index_cache.h"
-#include "engine/query_context.h"
-#include "core/thread_pool.h"
+#include "engine/query_queue.h"
 #include "live/live_oracle.h"
 #include "live/snapshot.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace pathenum {
-
-class SplitPhase;
 
 struct AsyncEngineOptions {
   /// What happens when a submission finds the admission queue full.
@@ -100,70 +90,8 @@ struct SubmitOptions {
   /// update stream, and every branch unit observes exactly the ticket's
   /// snapshot (the units run on the immutable per-query index). Limit and
   /// truncation semantics are identical to the serial path via the shared
-  /// BranchGate's per-ticket stop latch. Forces IDX-DFS.
+  /// BranchGate's per-ticket stop latch. Forces IDX-DFS at admission.
   bool split_branches = false;
-};
-
-/// Completion handle for one submitted query. Cheap to copy; all copies
-/// share the completion state.
-class QueryTicket {
- public:
-  QueryTicket() = default;
-
-  bool valid() const { return state_ != nullptr; }
-
-  /// Blocks until the query finished (or was rejected); returns its stats.
-  /// A rejected/failed query returns default stats — check ok()/error().
-  const QueryStats& Wait() const;
-
-  /// Non-blocking completion probe.
-  bool Done() const;
-
-  /// After Wait: empty on success, else the rejection/failure message.
-  const std::string& error() const;
-  bool ok() const { return error().empty(); }
-
-  /// The query's terminal state (DESIGN.md §10). kOk until Done(); after
-  /// completion: kOk / kTruncated / kDeadlineExceeded / kCancelled for runs
-  /// that delivered a (possibly empty) well-formed result, kRejected /
-  /// kError when nothing ran / the run failed.
-  QueryState state() const;
-
-  /// Requests cooperative cancellation of this query: a queued submission
-  /// completes as kCancelled without running; a running one winds down at
-  /// its next cancellation checkpoint, keeping everything delivered so far.
-  /// Idempotent; safe from any thread. When the submission carried a
-  /// caller-provided cancel token, this fires that token (cancelling
-  /// whatever else shares it).
-  void Cancel() const;
-
-  /// The snapshot version this query observes (assigned at Submit).
-  uint64_t snapshot_version() const;
-
-  /// The query's lifecycle span record (DESIGN.md §12): stage durations
-  /// from admission to completion. Meaningful after Done(); zeroed under
-  /// PATHENUM_OBS=0.
-  obs::QuerySpanData span() const;
-
- private:
-  friend class AsyncEngine;
-
-  struct State {
-    mutable std::mutex mutex;
-    mutable std::condition_variable cv;
-    bool done = false;
-    QueryStats stats;
-    std::string error;
-    QueryState query_state = QueryState::kOk;
-    CancelToken cancel;  // always cancellable; set at Submit
-    uint64_t snapshot_version = 0;
-    obs::QuerySpanData span_data;  // copied from the finished span
-  };
-
-  explicit QueryTicket(std::shared_ptr<State> state)
-      : state_(std::move(state)) {}
-
-  std::shared_ptr<State> state_;
 };
 
 class AsyncEngine {
@@ -220,10 +148,10 @@ class AsyncEngine {
   }
 
   uint64_t version() const { return snapshots_.version(); }
-  uint32_t num_workers() const { return pool_.num_workers(); }
+  uint32_t num_workers() const { return queue_.num_workers(); }
 
   /// Blocks until every already-submitted query has completed.
-  void Drain();
+  void Drain() { queue_.Drain(); }
 
   /// Stops the workers. By default the queue drains first (every queued
   /// ticket runs to completion); with `cancel_pending` the queued tickets
@@ -231,7 +159,9 @@ class AsyncEngine {
   /// bounded-time teardown under load. In-flight queries always finish
   /// (cancel them through their tickets for a faster exit). Further
   /// Submits return errored tickets. Idempotent.
-  void Shutdown(bool cancel_pending = false);
+  void Shutdown(bool cancel_pending = false) {
+    queue_.Shutdown(cancel_pending);
+  }
 
   struct Stats {
     uint64_t submitted = 0;
@@ -265,60 +195,10 @@ class AsyncEngine {
   LiveDistanceOracle* oracle() { return oracle_.get(); }
 
  private:
-  struct Submission {
-    Query query;
-    PathSink* sink = nullptr;
-    EnumOptions opts;
-    bool split = false;
-    std::shared_ptr<const GraphView> snapshot;
-    std::shared_ptr<QueryTicket::State> state;
-    /// Lifecycle span: begun at admission (queue_wait runs until a worker
-    /// claims the task) and finished on every completion path — run,
-    /// shed, pre-run cancel, or shutdown orphan.
-    obs::QuerySpan span;
-  };
-
-  /// A split phase published to idle workers (RecruitIdleWorkers) and the
-  /// helpers currently inside it; lives on the leader's stack, registered
-  /// in split_phases_, and `helpers` is guarded by queue_mutex_.
-  struct PublishedPhase {
-    SplitPhase* phase;
-    uint32_t helpers = 0;
-  };
-
   /// The one admission path behind Submit (`blocking`) and TrySubmit; see
   /// TrySubmit for the order of its checks.
   QueryTicket Admit(const Query& q, PathSink& sink, const SubmitOptions& opts,
                     bool blocking, double* retry_after_ms);
-
-  void WorkerLoop(uint32_t worker);
-  void Execute(uint32_t worker, Submission& task);
-
-  /// A split ticket's recruitment (RunSplitQuery): publishes `phase` so
-  /// idle workers help between queue pops, drains it on worker `leader`
-  /// too, then retires it and waits out the registered helpers.
-  void RecruitIdleWorkers(uint32_t leader, SplitPhase& phase);
-  /// A published split phase with unclaimed units, or null; queue_mutex_
-  /// must be held.
-  PublishedPhase* OpenSplitPhaseLocked() const;
-
-  /// Finishes `span` with `query_state` (recording metrics / trace), copies
-  /// its record into the ticket state, and signals the waiters.
-  static void Complete(QueryTicket::State& state, const QueryStats& stats,
-                       std::string error, QueryState query_state,
-                       obs::QuerySpan* span = nullptr);
-
-  /// Finishes an admission-time oracle rejection: terminal kUnsatisfiable
-  /// span + ticket completion. Called outside queue_mutex_.
-  static void CompleteUnsatisfiable(Submission& task);
-
-  /// Completes the oldest queued submission as kCancelled (the
-  /// kCancelOldest shed); queue_mutex_ must be held and queue_ non-empty.
-  void ShedOldestLocked();
-
-  /// Backlog-derived retry hint for a rejected TrySubmit; queue_mutex_
-  /// must be held.
-  double RetryAfterLockedMs() const;
 
   AsyncEngineOptions opts_;
   SnapshotManager snapshots_;
@@ -328,37 +208,16 @@ class AsyncEngine {
   /// once ~AsyncEngine has shut the engine down.
   std::unique_ptr<LiveDistanceOracle> oracle_;
   std::unique_ptr<IndexCache> cache_;  // null unless enable_cache
-  ThreadPool pool_;
-  std::vector<std::unique_ptr<QueryContext>> contexts_;  // one per worker
-
-  mutable std::mutex queue_mutex_;
-  std::condition_variable queue_not_empty_;
-  std::condition_variable queue_not_full_;
-  std::condition_variable idle_;
-  std::deque<Submission> queue_;
-  /// Split phases idle workers may help with (guarded by queue_mutex_; the
-  /// phases' own state is synchronized by their atomics/mutex).
-  std::vector<PublishedPhase*> split_phases_;
-  std::condition_variable split_helpers_done_;  // a helper left a phase
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-  /// Lifecycle counters, registered as pathenum_async_* metrics. The first
-  /// four are only ever written under queue_mutex_; ShardedCounter storage
-  /// keeps them registry-readable without the lock.
+  /// Admission counters, registered as pathenum_async_* metrics beside the
+  /// queue's executed / sheds / cancelled_before_run; written under the
+  /// queue lock, and ShardedCounter storage keeps them registry-readable
+  /// without it.
   obs::ShardedCounter submitted_;
-  obs::ShardedCounter executed_;
   obs::ShardedCounter queue_rejects_;
-  obs::ShardedCounter sheds_;
-  /// EWMA of per-query wall time, feeding the retry-after hint.
-  double avg_exec_ms_ = 0.0;
-  obs::ShardedCounter cancelled_before_run_;
-  /// Admission-time oracle rejections (written under queue_mutex_).
   obs::ShardedCounter oracle_rejects_;
 
   std::mutex update_mutex_;  // serializes Prepare..BeginEpoch..Publish
-  std::mutex shutdown_mutex_;  // serializes the runner join
-
-  std::thread runner_;  // drives pool_.RunOnAllWorkers(WorkerLoop)
+  QueryQueue queue_;  // last: its workers stop before the cache goes
 };
 
 }  // namespace pathenum

@@ -29,10 +29,10 @@
 namespace pathenum::obs {
 
 enum class SpanStage : uint8_t {
-  kQueueWait = 0,   // admission to worker claim (0 for sync batch reps)
+  kQueueWait = 0,   // admission to worker claim
   kIndexAcquire,    // cache lookup + index build / result replay
   kEnumerate,       // DFS/JOIN enumeration, incl. cooperative split drain
-  kMerge,           // split merge barrier / batch fan-out accounting
+  kMerge,           // split merge barrier
   kSinkComplete,    // everything after the last explicit mark
   kStageCount,
 };

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <span>
 #include <utility>
 
 #include "core/control.h"
+#include "engine/query_context.h"
 #include "util/timer.h"
 
 namespace pathenum {
@@ -368,13 +370,21 @@ RouterResult ShardRouter::RunStitched(const Query& q, PathSink& sink,
                                       const Pinned& pin,
                                       obs::QuerySpan& span) {
   stitched_.Inc();
-  StitchedSearch search(q, opts, pin.views, shard_map_.data(), plan_, sink);
   RouterResult r;
-  r.stats.counters = search.Run();
-  r.stats.enumerate_ms = search.elapsed_ms();
+  try {
+    StitchedSearch search(q, opts, pin.views, shard_map_.data(), plan_, sink);
+    r.stats.counters = search.Run();
+    r.stats.enumerate_ms = search.elapsed_ms();
+    r.state = r.stats.counters.TerminalState();
+    continuations_sent_.Inc(search.continuations());
+  } catch (const std::exception& e) {
+    // A throwing sink fails the query the way a delegated query's failure
+    // does in its shard engine: the state and message, not an exception.
+    r.stats = QueryStats{};
+    r.state = FailedRunState(e);
+    r.error = e.what();
+  }
   r.stats.method = Method::kDfs;
-  r.state = r.stats.counters.TerminalState();
-  continuations_sent_.Inc(search.continuations());
   span.Mark(obs::SpanStage::kEnumerate);
   span.Finish(r.state);
   return r;

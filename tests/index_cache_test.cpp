@@ -5,6 +5,7 @@
 // rule, batch dedup fanout, and the active-worker clamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <memory>
@@ -336,6 +337,14 @@ TEST(EngineCacheTest, RebindToNewGraphInvalidatesCaches) {
 // Batch dedup and worker clamping
 // ---------------------------------------------------------------------------
 
+/// Split mode interleaves branch units, so paths arrive in no fixed order:
+/// compare sorted (duplicates kept).
+std::vector<std::vector<VertexId>> Sorted(
+    std::vector<std::vector<VertexId>> paths) {
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
 TEST(EngineCacheTest, DuplicateQueriesInBatchFanOutToEverySink) {
   const Graph g = testing::PaperExampleGraph();
   const Query q = testing::PaperExampleQuery();
@@ -344,23 +353,33 @@ TEST(EngineCacheTest, DuplicateQueriesInBatchFanOutToEverySink) {
   CollectingSink expected;
   PathEnumerator(g).Run(q, expected);
 
-  for (const bool with_cache : {false, true}) {
-    EngineOptions eopts;
-    eopts.num_workers = 2;
-    eopts.enable_cache = with_cache;
-    QueryEngine engine(g, eopts);
-    std::vector<CollectingSink> collected(queries.size());
-    std::vector<PathSink*> sinks;
-    for (auto& c : collected) sinks.push_back(&c);
-    const BatchResult result = engine.RunBatch(queries, sinks);
-    ASSERT_TRUE(result.ok());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(collected[i].paths(), expected.paths())
-          << "duplicate " << i << " (cache=" << with_cache << ")";
-      EXPECT_EQ(result.stats[i].counters.num_results, expected.paths().size());
+  for (const bool split : {false, true}) {
+    for (const bool with_cache : {false, true}) {
+      EngineOptions eopts;
+      eopts.num_workers = 2;
+      eopts.enable_cache = with_cache;
+      QueryEngine engine(g, eopts);
+      std::vector<CollectingSink> collected(queries.size());
+      std::vector<PathSink*> sinks;
+      for (auto& c : collected) sinks.push_back(&c);
+      BatchOptions bopts;
+      bopts.split_branches = split;
+      const BatchResult result = engine.RunBatch(queries, sinks, bopts);
+      ASSERT_TRUE(result.ok());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        if (split) {
+          EXPECT_EQ(Sorted(collected[i].paths()), Sorted(expected.paths()))
+              << "duplicate " << i << " (cache=" << with_cache << ", split)";
+        } else {
+          EXPECT_EQ(collected[i].paths(), expected.paths())
+              << "duplicate " << i << " (cache=" << with_cache << ")";
+        }
+        EXPECT_EQ(result.stats[i].counters.num_results,
+                  expected.paths().size());
+      }
+      // All three queries count as served even though the group ran once.
+      EXPECT_EQ(engine.Stats().queries_run, queries.size());
     }
-    // All three queries count as served even though the group ran once.
-    EXPECT_EQ(engine.Stats().queries_run, queries.size());
   }
 }
 
@@ -383,22 +402,30 @@ TEST(EngineCacheTest, DedupRespectsPerSinkStopContract) {
     bool stopped_ = false;
   };
 
-  CountingSink keeps_going;
-  Quitting quits;
-  std::vector<PathSink*> sinks = {&keeps_going, &quits};
-  QueryEngine engine(g, {.num_workers = 1});
-  const BatchResult result = engine.RunBatch(queries, sinks);
-  ASSERT_TRUE(result.ok());
-
   CountingSink ref;
   PathEnumerator(g).Run(heavy, ref);
-  EXPECT_EQ(keeps_going.count(), ref.count())
-      << "one duplicate quitting must not stop the others";
-  EXPECT_EQ(quits.n_, 3u);
-  EXPECT_TRUE(result.stats[1].counters.stopped_by_sink);
-  EXPECT_EQ(result.stats[1].counters.num_results, 3u);
-  EXPECT_FALSE(result.stats[0].counters.stopped_by_sink);
-  EXPECT_EQ(result.stats[0].counters.num_results, ref.count());
+  for (const bool split : {false, true}) {
+    for (const uint32_t workers : {1u, 3u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "split=" << split << " workers=" << workers);
+      CountingSink keeps_going;
+      Quitting quits;
+      std::vector<PathSink*> sinks = {&keeps_going, &quits};
+      QueryEngine engine(g, {.num_workers = workers});
+      BatchOptions bopts;
+      bopts.split_branches = split;
+      const BatchResult result = engine.RunBatch(queries, sinks, bopts);
+      ASSERT_TRUE(result.ok());
+
+      EXPECT_EQ(keeps_going.count(), ref.count())
+          << "one duplicate quitting must not stop the others";
+      EXPECT_EQ(quits.n_, 3u);
+      EXPECT_TRUE(result.stats[1].counters.stopped_by_sink);
+      EXPECT_EQ(result.stats[1].counters.num_results, 3u);
+      EXPECT_FALSE(result.stats[0].counters.stopped_by_sink);
+      EXPECT_EQ(result.stats[0].counters.num_results, ref.count());
+    }
+  }
 }
 
 TEST(EngineCacheTest, ActiveWorkersClampedToBatchAndHardware) {

@@ -457,10 +457,11 @@ TEST(TraceExportTest, ChromeJsonParsesAndNestsStages) {
 }
 
 TEST(TraceExportTest, SplitBatchSpansCoverTheirWaitInTheBatch) {
-  // A split batch runs its queries one at a time; each query's span must
+  // A split batch has more queries than workers; each query's span must
   // begin at admission, so a member's wait behind the earlier split queries
   // is inside its span: every query slice starts before the first one ends,
-  // and its stage slices still tile it.
+  // and its stage slices still tile it. The queries are identical, so dedup
+  // is off to keep three runs (and three spans).
   if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
   obs::TraceRecorder& rec = obs::TraceRecorder::Global();
   rec.Clear();
@@ -474,6 +475,7 @@ TEST(TraceExportTest, SplitBatchSpansCoverTheirWaitInTheBatch) {
     for (CountingSink& sink : sinks) ptrs.push_back(&sink);
     BatchOptions opts;
     opts.split_branches = true;
+    opts.dedup_identical = false;
     const BatchResult result = engine.RunBatch(queries, ptrs, opts);
     ASSERT_TRUE(result.ok());
   }

@@ -394,6 +394,84 @@ TEST_F(RobustnessTest, CacheBuildFailureFailsOverAndRecovers) {
   EXPECT_EQ(ToSet(sinks[0].paths()), ToSet(BruteForcePaths(g, q)));
 }
 
+TEST_F(RobustnessTest, ClaimFaultFailsOnlyTheClaimedQuery) {
+  // A fault at the queue's claim step completes the claimed query as
+  // kError with the fault's message; the worker keeps serving. One worker,
+  // so every later query runs on the worker that hit the fault.
+  const Graph g = PaperExampleGraph();
+  const Query q = PaperExampleQuery();
+  std::atomic<bool> fired{false};
+  const auto throw_once = [&fired] {
+    if (!fired.exchange(true)) {
+      throw std::runtime_error("injected: claim failed");
+    }
+  };
+
+  {
+    AsyncEngineOptions opts;
+    opts.num_workers = 1;
+    AsyncEngine engine(g, opts);
+    const fault::ScopedFault boom(fault::Site::kQueueClaim, throw_once);
+    CollectingSink first;
+    CollectingSink second;
+    const QueryTicket t1 = engine.Submit(q, first);
+    const QueryTicket t2 = engine.Submit(q, second);
+    t1.Wait();
+    t2.Wait();
+    EXPECT_EQ(t1.state(), QueryState::kError);
+    EXPECT_EQ(t1.error(), "injected: claim failed");
+    EXPECT_TRUE(first.paths().empty());
+    EXPECT_EQ(t2.state(), QueryState::kOk);
+    EXPECT_EQ(ToSet(second.paths()), ToSet(BruteForcePaths(g, q)));
+    engine.Shutdown();
+  }
+
+  fired = false;
+  const Graph er = ErdosRenyi(40, 300, 5);
+  const std::vector<Query> queries = {{0, 10, 4}, {1, 20, 3}, {2, 30, 4}};
+  std::vector<CountingSink> sinks(queries.size());
+  std::vector<PathSink*> sink_ptrs;
+  for (CountingSink& sink : sinks) sink_ptrs.push_back(&sink);
+  QueryEngine engine(er, {.num_workers = 1});
+  const fault::ScopedFault boom(fault::Site::kQueueClaim, throw_once);
+  const BatchResult result = engine.RunBatch(queries, sink_ptrs);
+  // Without a cache the queue keeps batch order: query 0 is claimed first.
+  EXPECT_EQ(result.states[0], QueryState::kError);
+  EXPECT_EQ(result.errors[0], "injected: claim failed");
+  EXPECT_EQ(sinks[0].count(), 0u);
+  for (size_t i = 1; i < queries.size(); ++i) {
+    CountingSink serial;
+    PathEnumerator(er).Run(queries[i], serial);
+    EXPECT_EQ(result.states[i], QueryState::kOk) << "query " << i;
+    EXPECT_EQ(sinks[i].count(), serial.count()) << "query " << i;
+    EXPECT_EQ(result.stats[i].counters.num_results, serial.count());
+  }
+}
+
+TEST_F(RobustnessTest, NonStandardThrowFailsOnlyItsQuery) {
+  // A sink throwing something that is not a std::exception fails its own
+  // query as kError; the worker survives to serve the next one.
+  class ThrowsInt : public PathSink {
+   public:
+    bool OnPath(std::span<const VertexId>) override { throw 42; }
+  };
+  const Graph g = PaperExampleGraph();
+  const Query q = PaperExampleQuery();
+  AsyncEngineOptions opts;
+  opts.num_workers = 1;
+  AsyncEngine engine(g, opts);
+  ThrowsInt bad;
+  CollectingSink good;
+  const QueryTicket t1 = engine.Submit(q, bad);
+  const QueryTicket t2 = engine.Submit(q, good);
+  t1.Wait();
+  t2.Wait();
+  EXPECT_EQ(t1.state(), QueryState::kError);
+  EXPECT_EQ(t1.error(), "unknown exception");
+  EXPECT_EQ(t2.state(), QueryState::kOk);
+  EXPECT_EQ(ToSet(good.paths()), ToSet(BruteForcePaths(g, q)));
+}
+
 TEST_F(RobustnessTest, ThrowMidAssemblyLeavesTheBuilderClean) {
   // A fault thrown after the builder wrote its staging vertex -> slot
   // lookup must not leak into the next build on the same builder: the

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -546,6 +547,55 @@ TEST(ShardRouter, StitchedSpanCoversThePlanAsIndexAcquire) {
     ++stitched;
   }
   EXPECT_EQ(stitched, 30);
+}
+
+TEST(ShardRouter, ThrowingSinkFailsTheQueryNotTheRouter) {
+  // A sink that throws fails its query as kError carrying the sink's
+  // message, stitched or delegated alike; the router keeps answering.
+  class Throwing : public PathSink {
+   public:
+    bool OnPath(std::span<const VertexId>) override {
+      throw std::runtime_error("sink failed");
+    }
+  };
+  const Graph g = BarabasiAlbert(400, 3, /*back_prob=*/0.5, /*seed=*/7);
+  RouterOptions opts;
+  opts.partition.num_shards = 4;
+  ShardRouter router(g, opts);
+  // Fails `q` through a throwing sink, then checks the next run of it.
+  const auto fail_then_answer = [&](const Query& q, bool delegated) {
+    Throwing throwing;
+    const RouterResult failed = router.Run(q, throwing);
+    EXPECT_EQ(failed.delegated, delegated);
+    EXPECT_EQ(failed.state, QueryState::kError);
+    EXPECT_EQ(failed.error, "sink failed");
+    EXPECT_EQ(RouterCollect(router, q), ToSet(BruteForcePaths(g, q)))
+        << "q(" << q.source << ", " << q.target << ", " << q.hops << ")";
+  };
+
+  int stitched = 0;
+  for (VertexId s = 0; s < g.num_vertices() && stitched < 3; s += 13) {
+    const Query q{s, (s + 211) % g.num_vertices(), 4};
+    CountingSink probe;
+    const RouterResult r = router.Run(q, probe);
+    if (r.delegated || probe.count() == 0) continue;
+    fail_then_answer(q, /*delegated=*/false);
+    ++stitched;
+  }
+  EXPECT_EQ(stitched, 3);
+
+  // A one-hop query over an edge inside one shard has no feasible cut
+  // edge, so it delegates, and its one path reaches the sink.
+  int delegated = 0;
+  for (VertexId u = 0; u < g.num_vertices() && delegated < 3; u += 17) {
+    for (const VertexId w : g.OutNeighbors(u)) {
+      if (router.ShardOf(u) != router.ShardOf(w)) continue;
+      fail_then_answer(Query{u, w, 1}, /*delegated=*/true);
+      ++delegated;
+      break;
+    }
+  }
+  EXPECT_EQ(delegated, 3);
 }
 
 TEST(ShardRouter, StitchedStopsMatchASerialDfs) {
