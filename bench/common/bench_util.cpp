@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "graph/io.h"
+#include "util/rng.h"
 #include "util/timer.h"
 #include "workload/datasets.h"
 
@@ -49,7 +50,7 @@ EnumOptions MakeOptions(const BenchEnv& env) {
   return opts;
 }
 
-Graph CachedDataset(const std::string& name, double scale) {
+Graph CachedDataset(const std::string& name, double scale, uint64_t seed) {
   // Scratch lives under build/ by default so a source checkout stays clean
   // (build/ is gitignored; the old top-level bench_cache/ default is not
   // regenerated but stays ignored for stale trees).
@@ -57,7 +58,9 @@ Graph CachedDataset(const std::string& name, double scale) {
   const std::string dir = dir_env != nullptr ? dir_env : "build/bench_cache";
   char scale_str[32];
   std::snprintf(scale_str, sizeof(scale_str), "%g", scale);
-  const std::string path = dir + "/" + name + "_" + scale_str + ".bin";
+  const std::string instance =
+      seed == 0 ? name : name + "_seed" + std::to_string(seed);
+  const std::string path = dir + "/" + instance + "_" + scale_str + ".bin";
   std::error_code ec;
   if (std::filesystem::exists(path, ec)) {
     try {
@@ -67,8 +70,10 @@ Graph CachedDataset(const std::string& name, double scale) {
     }
   }
   Timer timer;
-  Graph g = MakeDataset(name, scale);
-  std::cerr << "[bench] generated dataset " << name << " (scale " << scale
+  DatasetSpec spec = FindDataset(name);
+  if (seed != 0) spec.seed = SplitMix64(seed ^ spec.seed).Next();
+  Graph g = MakeDataset(spec, scale);
+  std::cerr << "[bench] generated dataset " << instance << " (scale " << scale
             << "): " << g.num_vertices() << " vertices, " << g.num_edges()
             << " edges in " << static_cast<long>(timer.ElapsedMs())
             << " ms\n";

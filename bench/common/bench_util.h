@@ -39,8 +39,10 @@ EnumOptions MakeOptions(const BenchEnv& env);
 
 /// Instantiates a catalog dataset through an on-disk binary cache
 /// (PATHENUM_BENCH_CACHE_DIR, default "build/bench_cache/") so the 19
-/// bench binaries generate each multi-million-edge graph only once.
-Graph CachedDataset(const std::string& name, double scale);
+/// bench binaries generate each multi-million-edge graph only once. A
+/// nonzero `seed` re-seeds the catalog generator the way the serving
+/// benchmark (servebench/) derives its graph instances from a run seed.
+Graph CachedDataset(const std::string& name, double scale, uint64_t seed = 0);
 
 /// Generates the default (s, t in V', dist <= 3) query set at hop count `k`.
 std::vector<Query> MakeQueries(const Graph& g, const BenchEnv& env,

@@ -123,8 +123,8 @@ struct QueryStats {
   double response_ms = 0.0;   // time to the first `response_target` results
 
   double preliminary_estimate = 0.0;  // Eq. 5's T̂ (0 when skipped)
-  double t_dfs_cost = 0.0;            // cost-model T_DFS (when optimized)
-  double t_join_cost = 0.0;           // cost-model T_JOIN (when optimized)
+  double t_dfs_cost = 0.0;            // Eq. 1 size T_DFS (when optimized)
+  double t_join_cost = 0.0;           // Eq. 1 size T_JOIN (when optimized)
   Method method = Method::kDfs;       // what actually ran
   uint32_t cut_position = 0;          // i* (join only)
 

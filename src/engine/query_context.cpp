@@ -13,13 +13,6 @@ QueryState FailedRunState(const std::exception& e) {
 QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
                                    const EnumOptions& opts, IndexCache* cache,
                                    obs::QuerySpan* span) {
-  if (cache == nullptr) {
-    const QueryStats stats = enumerator_.Run(q, sink, opts);
-    // No cache: acquire and enumeration are fused inside Run; the whole
-    // run is attributed to the enumerate stage.
-    if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
-    return stats;
-  }
   // Validation throws before any cache interaction, exactly like Run.
   ValidateQuery(enumerator_.view(), q);
 
@@ -27,7 +20,8 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
   // valid for exactly the snapshot this query observes, and a build/record
   // of a retired snapshot must not publish (DESIGN.md §7).
   const uint64_t view_version = enumerator_.view().version();
-  const bool result_cache_on = cache->options().max_result_bytes > 0;
+  const bool result_cache_on =
+      cache != nullptr && cache->options().max_result_bytes > 0;
   const CacheKey result_key{q.source, q.target, q.hops,
                             ResultOptionsFingerprint(opts)};
   if (result_cache_on) {
@@ -37,7 +31,10 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
         span->Mark(obs::SpanStage::kIndexAcquire);
       }
       const QueryStats stats = ReplayCachedResult(*cached, sink, opts);
-      if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
+      if (span != nullptr) {
+        span->Mark(obs::SpanStage::kEnumerate);
+        span->SetPlan(stats);
+      }
       return stats;
     }
   }
@@ -69,7 +66,10 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
   } else {
     stats = enumerator_.RunWithIndex(*index, sink, opts);
   }
-  if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
+  if (span != nullptr) {
+    span->Mark(obs::SpanStage::kEnumerate);
+    span->SetPlan(stats);
+  }
   // A miss paid for the build inside AcquireIndex; charge it (a hit's
   // build times are zero).
   stats.index_cache_hit = acquired.index_cache_hit;

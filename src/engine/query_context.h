@@ -58,12 +58,12 @@ class QueryContext {
   /// §6): consults `cache` for a replayable result set first, then for a
   /// shared prebuilt index (building and publishing on miss, coalescing
   /// with concurrent builders of the same key), and records completed runs
-  /// back into the result cache. Without a cache it is
+  /// back into the result cache. Without a cache it builds and runs like
   /// PathEnumerator::Run. The cache may be shared across
   /// contexts/threads; everything else in the context stays single-owner.
-  /// `span` (optional) gets the index-acquire/enumerate stage marks and the
-  /// cache-outcome flags (DESIGN.md §12); the caller owns its lifecycle
-  /// (Begin before, Finish after).
+  /// `span` (optional) gets the index-acquire/enumerate stage marks, the
+  /// cache-outcome flags and the plan that ran (DESIGN.md §12); the caller
+  /// owns its lifecycle (Begin before, Finish after).
   QueryStats RunCached(const Query& q, PathSink& sink, const EnumOptions& opts,
                        IndexCache* cache, obs::QuerySpan* span = nullptr);
 

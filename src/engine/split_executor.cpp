@@ -251,6 +251,7 @@ QueryStats RunSplitQuery(QueryQueue& queue, uint32_t leader, const Query& q,
     }
   }
   FinalizeStats(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
+  span.SetPlan(stats);
   return stats;
 }
 

@@ -96,8 +96,6 @@ QueryTicket AsyncEngine::Admit(const Query& q, PathSink& sink,
   task.query = q;
   task.sink = &sink;
   task.opts = opts.query;
-  // Split tickets fan out IDX-DFS branches over whichever workers are idle.
-  if (opts.split_branches) task.opts.method = Method::kDfs;
   task.split = opts.split_branches;
   task.cache = cache_.get();
   const std::shared_ptr<QueryTicket::State> state = task.state;

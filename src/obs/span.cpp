@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "core/estimator.h"
 #include "obs/trace.h"
 
 #if PATHENUM_OBS
@@ -17,11 +18,14 @@ double DurMs(QuerySpan::Clock::time_point from, QuerySpan::Clock::time_point to)
 }
 
 // Registry-owned span metrics, resolved once: the per-stage latency
-// histograms and the terminal-state counters every finished span feeds.
+// histograms and the terminal-state and method counters every finished
+// span feeds.
 struct SpanMetrics {
   RegHistogram* total_ms;
   RegHistogram* stage_ms[static_cast<size_t>(SpanStage::kStageCount)];
   RegCounter* finished[kNumQueryStates];
+  // Indexed by Method; kAuto's (no method ran) stays null.
+  RegCounter* ran[3] = {};
 
   SpanMetrics() {
     MetricRegistry& reg = MetricRegistry::Global();
@@ -37,6 +41,13 @@ struct SpanMetrics {
       label += QueryStateName(static_cast<QueryState>(st));
       label += '"';
       finished[st] = reg.GetCounter("pathenum_query_finished_total", label);
+    }
+    for (const Method method : {Method::kDfs, Method::kJoin}) {
+      std::string label = "method=\"";
+      label += MethodName(method);
+      label += '"';
+      ran[static_cast<size_t>(method)] =
+          reg.GetCounter("pathenum_query_method_total", label);
     }
   }
 };
@@ -76,6 +87,13 @@ void QuerySpan::Mark(SpanStage stage) {
   last_ = now;
 }
 
+void QuerySpan::SetPlan(const QueryStats& stats) {
+  data_.method = stats.method;
+  data_.estimate = stats.preliminary_estimate;
+  data_.dfs_price = stats.t_dfs_cost;
+  data_.join_price = kJoinTupleCost * stats.t_join_cost;
+}
+
 void QuerySpan::Finish(QueryState state) {
   if (!active_) return;
   Mark(SpanStage::kSinkComplete);
@@ -97,6 +115,7 @@ void QuerySpan::Finish(QueryState state) {
   }
   const size_t st = static_cast<size_t>(state);
   if (st < kNumQueryStates) m.finished[st]->Inc();
+  if (RegCounter* c = m.ran[static_cast<size_t>(data_.method)]) c->Inc();
 
   if (data_.sampled) TraceRecorder::Global().EmitSpan(data_);
 }

@@ -12,9 +12,10 @@
 // attribution can be wrong only in *label*, never in *total*. Stages may
 // repeat and may be absent (a shed query has only queue_wait).
 //
-// On Finish the span feeds the per-stage latency histograms and terminal
-// state counters in the global MetricRegistry, and — for the sampled
-// subset (see TraceRecorder::SampleEvery) — emits Chrome trace events.
+// On Finish the span feeds the per-stage latency histograms and the
+// terminal-state and method counters in the global MetricRegistry, and —
+// for the sampled subset (see TraceRecorder::SampleEvery) — emits Chrome
+// trace events.
 // Everything here is fixed-size and allocation-free; under PATHENUM_OBS=0
 // QuerySpan is an empty no-op and only the QuerySpanData POD remains.
 #ifndef PATHENUM_OBS_SPAN_H_
@@ -24,6 +25,7 @@
 #include <cstdint>
 
 #include "core/control.h"
+#include "core/options.h"
 #include "obs/metrics.h"
 
 namespace pathenum::obs {
@@ -68,6 +70,15 @@ struct QuerySpanData {
   bool index_cache_hit = false;
   bool result_cache_hit = false;
   bool split = false;
+  /// The plan (DESIGN.md §3): the method that ran — kAuto when none ran
+  /// (shed, cancelled while queued, build interrupted); a result-cache
+  /// replay reports the method that produced the cached set. `estimate` is
+  /// Eq. 5's T̂, and the two prices are Eq. 1's plans in DFS-partial time
+  /// as JoinPlan::PreferJoin compares them, 0 unless Alg. 5 ran.
+  Method method = Method::kAuto;
+  double estimate = 0.0;
+  double dfs_price = 0.0;
+  double join_price = 0.0;
   uint32_t num_segments = 0;
   Segment segments[kMaxSegments] = {};
   double total_ms = 0.0;     // admit → Finish wall time (== segment sum)
@@ -111,9 +122,12 @@ class QuerySpan {
 
   void SetSplit() { data_.split = true; }
 
+  /// Records the plan of a query that ran (or replayed) into the span.
+  void SetPlan(const QueryStats& stats);
+
   /// Ends the span: the trailing segment becomes kSinkComplete, the stage
-  /// histograms / terminal-state counters are fed, and — if sampled — the
-  /// span is emitted to the TraceRecorder. Idempotent.
+  /// histograms / terminal-state and method counters are fed, and — if
+  /// sampled — the span is emitted to the TraceRecorder. Idempotent.
   void Finish(QueryState state);
 
   bool active() const { return active_; }
@@ -134,6 +148,7 @@ class QuerySpan {
   void Mark(SpanStage) {}
   void SetIndexOutcome(bool, bool) {}
   void SetSplit() {}
+  void SetPlan(const QueryStats&) {}
   void Finish(QueryState) {}
   bool active() const { return false; }
   const QuerySpanData& data() const {

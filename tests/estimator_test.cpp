@@ -1,6 +1,7 @@
-// Tests for the preliminary estimator (Eq. 5) and the full-fledged
-// join-order optimizer (Alg. 5). Key property: the "full-fledged estimator"
-// is *exact* walk counting over the index, so |Q| must equal delta_W.
+// Tests for the preliminary estimator (Eq. 5), the full-fledged join-order
+// optimizer (Alg. 5) and the measured pricing of its two plans.
+// Key property: the "full-fledged estimator" is *exact* walk counting over
+// the index, so |Q| must equal delta_W.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,8 +11,10 @@
 
 #include "core/estimator.h"
 #include "core/index.h"
+#include "core/path_enum.h"
 #include "core/reference.h"
 #include "graph/bfs.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -245,6 +248,86 @@ TEST(FullEstimatorTest, LevelSizesMatchGraphWalkCounts) {
       }
     }
   }
+}
+
+// --- Measured pricing: Eq. 1 in DFS-partial time -------------------------
+
+/// A plan with hand-set Eq. 1 sizes.
+JoinPlan SizedPlan(double t_dfs, double t_join, uint32_t cut = 2) {
+  JoinPlan plan;
+  plan.cut = cut;
+  plan.t_dfs = t_dfs;
+  plan.t_join = t_join;
+  return plan;
+}
+
+TEST(PlanPricingTest, JoinTupleCostsKJoinTupleCostDfsPartials) {
+  // The choice is T_DFS against kJoinTupleCost · T_JOIN: a size ratio
+  // T_DFS / T_JOIN below the constant keeps IDX-DFS, one above it picks
+  // IDX-JOIN.
+  const double t_join = 1000.0;
+  const JoinPlan below = SizedPlan(0.9 * kJoinTupleCost * t_join, t_join);
+  const JoinPlan above = SizedPlan(1.1 * kJoinTupleCost * t_join, t_join);
+  EXPECT_LT(below.t_join, below.t_dfs);  // unit prices would have joined
+  EXPECT_FALSE(below.PreferJoin());
+  EXPECT_TRUE(above.PreferJoin());
+}
+
+TEST(PlanPricingTest, NoCutNeverJoins) {
+  // Without a proper cut there is no bushy plan, however cheap its sizes.
+  EXPECT_FALSE(SizedPlan(1e9, 1.0, /*cut=*/0).PreferJoin());
+  const JoinPlan one_hop =
+      PlanFor(testing::PaperExampleGraph(),
+              {testing::PaperExampleQuery().source,
+               testing::PaperExampleQuery().target, 1});
+  EXPECT_EQ(one_hop.cut, 0u);
+  EXPECT_FALSE(one_hop.PreferJoin());
+}
+
+TEST(PlanPricingTest, PlanExecutionJoinsPastTheConstant) {
+  // s fans out to 60 vertices that meet at m, which fans out to 60 chains
+  // of 17 vertices into t: k = 20, |Q| = 3600. Every DFS level past the
+  // second fan holds all 3600 partials, while the cut at m joins two
+  // 60-wide halves, so T_DFS / T_JOIN is about 13.5. Since
+  // T_DFS <= k · T_JOIN, only a k above kJoinTupleCost can get there.
+  constexpr VertexId kFan = 60, kChain = 17;
+  const VertexId m = kFan + 1, t = m + kFan * kChain + 1;
+  GraphBuilder b(t + 1);
+  for (VertexId a = 1; a <= kFan; ++a) {
+    b.AddEdge(0, a);
+    b.AddEdge(a, m);
+  }
+  for (VertexId j = 0; j < kFan; ++j) {
+    VertexId prev = m;
+    for (VertexId c = 0; c < kChain; ++c) {
+      const VertexId v = m + 1 + j * kChain + c;
+      b.AddEdge(prev, v);
+      prev = v;
+    }
+    b.AddEdge(prev, t);
+  }
+  const Graph g = b.Build();
+  IndexBuilder builder;
+  const LightweightIndex idx = builder.Build(g, {0, t, 20});
+  const JoinPlan plan = OptimizeJoinOrder(idx);
+  ASSERT_DOUBLE_EQ(plan.TotalWalks(), 3600.0);
+  ASSERT_GT(plan.t_dfs, 1.5 * kJoinTupleCost * plan.t_join);
+
+  EnumOptions opts;
+  opts.tau = 0.0;  // always run the full optimizer
+  QueryStats stats;
+  const auto chosen = PathEnumerator::PlanExecution(idx, opts, stats);
+  EXPECT_EQ(chosen.method, Method::kJoin);
+  EXPECT_EQ(chosen.cut, plan.cut);
+  EXPECT_DOUBLE_EQ(stats.t_dfs_cost, plan.t_dfs);  // raw Eq. 1 sizes
+  EXPECT_DOUBLE_EQ(stats.t_join_cost, plan.t_join);
+
+  // The result limit does not move the plan, so a result-cache replay
+  // emits what a fresh run at another limit would.
+  opts.result_limit = 100;
+  QueryStats limited_stats;
+  EXPECT_EQ(PathEnumerator::PlanExecution(idx, opts, limited_stats).method,
+            Method::kJoin);
 }
 
 // --- Preliminary estimator ---------------------------------------------------

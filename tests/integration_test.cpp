@@ -178,13 +178,27 @@ TEST(IntegrationTest, HardQueryRespectsTimeLimitAcrossAlgorithms) {
   qopts.seed = 2;
   const auto queries = GenerateQueries(g, qopts);
   if (queries.empty()) GTEST_SKIP() << "no query found";
+  // The query has over 10^8 paths: finishing inside the 100 ms deadline
+  // would take 10^9 paths a second. So every algorithm must stop at the
+  // deadline and report it. One that ignored its deadline would run on to
+  // completion and fail here, or hang into the suite's ctest TIMEOUT.
+  {
+    PathEnumerator pe(g);
+    CountingSink sink;
+    EnumOptions probe;
+    probe.result_limit = 100'000'000;
+    ASSERT_TRUE(pe.Run(queries[0], sink, probe).counters.hit_result_limit);
+  }
   EnumOptions opts;
   opts.time_limit_ms = 100.0;
   for (const std::string& name : Table3AlgorithmNames()) {
     const auto algo = MakeAlgorithm(name, g);
     CountingSink sink;
     const QueryStats stats = algo->Run(queries[0], sink, opts);
-    EXPECT_LT(stats.total_ms, 5000.0) << name << " ignored the time limit";
+    const EnumCounters& c = stats.counters;
+    EXPECT_FALSE(c.completed()) << name;
+    EXPECT_TRUE(c.timed_out) << name << " did not report its deadline";
+    EXPECT_EQ(c.TerminalState(), QueryState::kDeadlineExceeded) << name;
   }
 }
 

@@ -1003,11 +1003,15 @@ TEST(AsyncEngineTest, BoundedQueueRejectsTrySubmitWhenFull) {
 TEST(AsyncEngineTest, SplitSubmitMatchesSerialAnswer) {
   // A split ticket must deliver exactly the serial result set's count, with
   // sink calls serialized (a plain CollectingSink is safe), across worker
-  // counts including the degenerate single-worker pool (leader-only).
+  // counts including the degenerate single-worker pool (leader-only). It
+  // plans like the serial path, so it runs the method serial Run picks.
   const VertexId n = 40;
   const Graph base = ErdosRenyi(n, 260, /*seed=*/9);
   const Query heavy{0, n - 1, 5};
   const PathSet expected = Reference(base, heavy);
+  CountingSink serial_sink;
+  const Method serial_method =
+      PathEnumerator(base).Run(heavy, serial_sink).method;
   for (const uint32_t workers : {1u, 3u}) {
     AsyncEngineOptions opts;
     opts.num_workers = workers;
@@ -1019,7 +1023,39 @@ TEST(AsyncEngineTest, SplitSubmitMatchesSerialAnswer) {
     ASSERT_TRUE(ticket.ok()) << ticket.error();
     EXPECT_EQ(ToSet(sink.paths()), expected) << workers << " workers";
     EXPECT_EQ(stats.counters.num_results, expected.size());
-    EXPECT_EQ(stats.method, Method::kDfs);
+    EXPECT_EQ(stats.method, serial_method);
+  }
+}
+
+TEST(AsyncEngineTest, SplitJoinTicketMatchesReference) {
+  // A split ticket forced to IDX-JOIN runs the split join through the
+  // queue — the left half and the right-half starts as units, the merge
+  // barrier, then the probe chunks — and must deliver exactly the
+  // brute-force answer, with idle workers helping or with the leader alone.
+  const VertexId n = 40;
+  const Graph base = ErdosRenyi(n, 260, /*seed=*/9);
+  for (const Query& q : {Query{0, n - 1, 5}, Query{3, 17, 4}}) {
+    const PathSet expected = Reference(base, q);
+    ASSERT_FALSE(expected.empty());
+    for (const uint32_t workers : {1u, 3u}) {
+      AsyncEngineOptions opts;
+      opts.num_workers = workers;
+      AsyncEngine engine(base, opts);
+      CollectingSink sink;
+      EnumOptions join;
+      join.method = Method::kJoin;
+      QueryTicket ticket = engine.Submit(
+          q, sink, SubmitOptions{.query = join, .split_branches = true});
+      const QueryStats& stats = ticket.Wait();
+      ASSERT_TRUE(ticket.ok()) << ticket.error();
+      EXPECT_EQ(stats.method, Method::kJoin);
+      EXPECT_GE(stats.cut_position, 1u);
+      EXPECT_EQ(ToSet(sink.paths()), expected)
+          << "q(" << q.source << "," << q.target << "," << q.hops << ") at "
+          << workers << " workers";
+      EXPECT_EQ(stats.counters.num_results, expected.size());
+      EXPECT_TRUE(stats.counters.completed());
+    }
   }
 }
 

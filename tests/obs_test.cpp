@@ -11,10 +11,12 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/estimator.h"
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "live/async_engine.h"
@@ -220,6 +222,84 @@ TEST(QuerySpanTest, AsyncEngineSpanMatchesMeasuredWall) {
               "unattributed\n",
               span_us, static_cast<unsigned long long>(wall_us),
               static_cast<double>(wall_us) - span_us);
+}
+
+// The span explains the plan (DESIGN.md §3, §12): the method that ran,
+// Eq. 5's estimate and both prices as kAuto compares them — for a serial
+// query, a split query and a result-cache replay, which reports the cached
+// method. Every finished span that ran a method counts once in
+// pathenum_query_method_total.
+TEST(QuerySpanTest, SpanCarriesThePlanThatRan) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  const auto ran = [&reg](Method method) {
+    std::string label = "method=\"";
+    label += MethodName(method);
+    label += '"';
+    return reg.GetCounter("pathenum_query_method_total", label)->Value();
+  };
+  const uint64_t dfs_before = ran(Method::kDfs);
+  const uint64_t join_before = ran(Method::kJoin);
+
+  AsyncEngineOptions opts;
+  opts.num_workers = 2;
+  AsyncEngine engine(LayeredGraph(4, 5), opts);  // 5^4 = 625 paths
+  const Query q{0, 4 * 5 + 1, 5};
+  EnumOptions priced;
+  priced.tau = 0.0;  // always run the optimizer, so both prices exist
+  const auto run = [&](const SubmitOptions& submit) {
+    CountingSink sink;
+    QueryTicket ticket = engine.Submit(q, sink, submit);
+    const QueryStats stats = ticket.Wait();
+    EXPECT_TRUE(ticket.ok()) << ticket.error();
+    EXPECT_EQ(sink.count(), 625u);
+    return std::make_pair(stats, ticket.span());
+  };
+
+  const auto [serial, serial_span] = run(SubmitOptions{.query = priced});
+  EXPECT_FALSE(serial_span.result_cache_hit);
+  EXPECT_FALSE(serial_span.split);
+  EXPECT_EQ(serial_span.method, serial.method);
+  EXPECT_GT(serial_span.estimate, 0.0);
+  EXPECT_DOUBLE_EQ(serial_span.estimate, serial.preliminary_estimate);
+  EXPECT_GT(serial_span.dfs_price, 0.0);
+  EXPECT_GT(serial_span.join_price, 0.0);
+  EXPECT_DOUBLE_EQ(serial_span.dfs_price, serial.t_dfs_cost);
+  EXPECT_DOUBLE_EQ(serial_span.join_price,
+                   kJoinTupleCost * serial.t_join_cost);
+  EXPECT_EQ(serial_span.method == Method::kJoin,
+            serial_span.join_price < serial_span.dfs_price);
+
+  const auto [replay, replay_span] = run(SubmitOptions{.query = priced});
+  EXPECT_TRUE(replay_span.result_cache_hit);
+  EXPECT_EQ(replay_span.method, serial.method);
+  EXPECT_EQ(replay.method, serial.method);
+  EXPECT_DOUBLE_EQ(replay_span.dfs_price, 0.0);  // nothing was planned
+  EXPECT_DOUBLE_EQ(replay_span.join_price, 0.0);
+
+  const auto [split, split_span] =
+      run(SubmitOptions{.query = priced, .split_branches = true});
+  EXPECT_TRUE(split_span.split);
+  EXPECT_EQ(split.method, serial.method);  // plans like the serial path
+  EXPECT_EQ(split_span.method, split.method);
+  EXPECT_DOUBLE_EQ(split_span.estimate, serial.preliminary_estimate);
+  EXPECT_DOUBLE_EQ(split_span.dfs_price, serial_span.dfs_price);
+  EXPECT_DOUBLE_EQ(split_span.join_price, serial_span.join_price);
+
+  EnumOptions join;
+  join.method = Method::kJoin;
+  const auto [forced, forced_span] =
+      run(SubmitOptions{.query = join, .split_branches = true});
+  EXPECT_EQ(forced_span.method, Method::kJoin);
+  // Forced IDX-JOIN runs Alg. 5 for its cut, so the span still shows what
+  // kAuto would have compared.
+  EXPECT_DOUBLE_EQ(forced_span.dfs_price, serial_span.dfs_price);
+  EXPECT_DOUBLE_EQ(forced_span.join_price, serial_span.join_price);
+
+  // Four finished spans ran a method: three the planned one, one IDX-JOIN.
+  const bool serial_joined = serial.method == Method::kJoin;
+  EXPECT_EQ(ran(Method::kDfs) - dfs_before, serial_joined ? 0u : 3u);
+  EXPECT_EQ(ran(Method::kJoin) - join_before, serial_joined ? 4u : 1u);
 }
 
 // ---------------------------------------------------------------------------
