@@ -118,11 +118,17 @@ void RecordBuildMetrics(const LightweightIndex::BuildStats& bs) {
     obs::RegCounter* edges = reg.GetCounter("pathenum_build_edges_total");
     obs::RegHistogram* build_ms = reg.GetHistogram("pathenum_build_ms",
                                                    "kind=\"solo\"");
+    obs::RegCounter* bottom_up = reg.GetCounter(
+        "pathenum_build_levels_total", "direction=\"bottom_up\"");
+    obs::RegCounter* top_down = reg.GetCounter(
+        "pathenum_build_levels_total", "direction=\"top_down\"");
   };
   static Handles h;
   h.builds->Inc();
   if (bs.interrupted) h.interrupted->Inc();
   h.edges->Inc(bs.edges_scanned);
+  h.bottom_up->Inc(bs.bottom_up_levels);
+  h.top_down->Inc(bs.x_only_levels - bs.bottom_up_levels);
   h.build_ms->Observe(bs.total_ms);
 }
 
@@ -218,9 +224,9 @@ LightweightIndex IndexBuilder::Build(const GraphT& g, const Query& q,
   Timer total_timer;
 
   // --- Line 1 of Alg. 3: v.s and v.t on X. -------------------------------
-  // Meeting in the middle touches two half-depth balls plus X's
-  // neighbourhoods (DESIGN.md §1); the reference runs the two full k-balls,
-  // backward from t first, then forward from s.
+  // Meeting in the middle touches two half-depth balls, then only X's
+  // levels from their cheaper side (DESIGN.md §1); the reference runs the
+  // two full k-balls, backward from t first, then forward from s.
   DistanceField::Interrupt trip = DistanceField::Interrupt::kNone;
   if (opts.prune_forward_bfs) {
     TwoSidedField::Options fo;
@@ -237,6 +243,8 @@ LightweightIndex IndexBuilder::Build(const GraphT& g, const Query& q,
     trip = field_.interrupted();
     idx.build_stats_.edges_scanned = field_.edges_scanned();
     idx.build_stats_.waves = field_.waves();
+    idx.build_stats_.x_only_levels = field_.x_only_levels();
+    idx.build_stats_.bottom_up_levels = field_.bottom_up_levels();
   } else {
     DistanceField::Options bwd;
     bwd.blocked = q.source;  // internal vertices avoid s

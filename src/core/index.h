@@ -18,8 +18,9 @@
 // and only translate back to vertex ids when emitting results.
 //
 // v.s and v.t come from meeting in the middle (TwoSidedField, DESIGN.md
-// §1): two half-depth BFS balls plus X's neighbourhoods, never the whole
-// k-ball around s or t.
+// §1): two half-depth BFS balls, then levels that admit only X, each run
+// from whichever side of it is cheaper — never the whole k-ball around s
+// or t.
 //
 // Storage is arena-fused (DESIGN.md §9): every per-index array lives in one
 // contiguous slab — a single allocation per build, a one-shot free, an
@@ -59,10 +60,16 @@ class LightweightIndex {
     /// IndexCache never publishes such an index.
     bool interrupted = false;
     bool interrupted_by_cancel = false;  // the trip was the cancel token
-    /// Adjacency entries this query's distance passes examined.
+    /// Adjacency entries this query's distance passes examined; a
+    /// bottom-up level counts each candidate's entries up to its early
+    /// exit (graph/bfs.h).
     uint64_t edges_scanned = 0;
     /// BFS levels expanded across the passes.
     uint32_t waves = 0;
+    /// Of those, the levels that admit only X (meet-in-the-middle builds
+    /// only), and how many of them ran bottom-up from their candidates.
+    uint32_t x_only_levels = 0;
+    uint32_t bottom_up_levels = 0;
   };
 
   /// One entry of the slab's vertex -> slot map, sorted by vertex.

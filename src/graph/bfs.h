@@ -6,9 +6,10 @@
 // query endpoint, but only on X = {v : v.s + v.t <= k}. `DistanceField` is
 // one bounded BFS with a "blocked" vertex that is assigned a distance when
 // reached but never expanded. `TwoSidedField` gets both distances on X by
-// meeting in the middle — two half-depth balls plus X's neighbourhoods
-// instead of a whole k-ball — and is what IndexBuilder and the shard
-// router's plan run.
+// meeting in the middle — two half-depth balls, then levels that admit
+// only X, each run top-down from its frontier or bottom-up from its known
+// candidates, whichever its degree sums price lower — and is what
+// IndexBuilder and the shard router's plan run.
 //
 // Buffers are epoch-stamped so a field can be reused across thousands of
 // queries with O(frontier) cost instead of O(|V|) re-initialisation.
@@ -17,6 +18,11 @@
 // based BfsOptions filters (stable public API), while the templated
 // `ComputeWith` accepts concrete callables that inline into the relaxation
 // loop, so the unfiltered case performs zero indirect calls per edge.
+// TwoSidedField::ComputeWith takes the adjacency itself as callables:
+// `out_edges(u, visit)` / `in_edges(u, visit)` call visit(v) for each
+// neighbour the traversal may use, stop as soon as visit returns true and
+// return the adjacency entries examined up to there; `out_degree(u)` /
+// `in_degree(u)` return what a full scan of u would examine.
 #ifndef PATHENUM_GRAPH_BFS_H_
 #define PATHENUM_GRAPH_BFS_H_
 
@@ -220,11 +226,20 @@ class DistanceField {
 /// vertex outside X may stay unset. The split is fixed: a side whose
 /// frontier empties early does not change the other side's stages.
 ///
+/// An X-only level at depth d knows its candidates before it runs: the
+/// other side's reached vertices within k - d of the other root, a prefix
+/// of that side's BFS-ordered list. It runs bottom-up — each unreached
+/// candidate scans its reverse adjacency until it meets an expandable
+/// vertex of depth d - 1 — when those candidates' reverse degrees sum
+/// below the expandable frontier's forward degrees, and top-down
+/// otherwise. Both admit the same set; only the order of the level in
+/// the reached list differs.
+///
 /// Each vertex has one epoch-stamped 8-byte record (stamp, v.s, v.t), so a
-/// query touches two half-depth balls plus X's neighbourhoods and never
-/// pays O(|V|). An unset distance reads as kUnset — above any hop bound —
-/// without a branch, so `FromSource(v) + ToTarget(v) <= k` alone tests
-/// membership in X.
+/// query touches two half-depth balls plus what its X-only levels scan and
+/// never pays O(|V|). An unset distance reads as kUnset — above any hop
+/// bound — without a branch, so `FromSource(v) + ToTarget(v) <= k` alone
+/// tests membership in X.
 ///
 /// Every expanded level polls `cancel`/`deadline` and hits
 /// fault::Site::kIndexBuildWave; on a trip `interrupted()` reports which
@@ -255,35 +270,43 @@ class TwoSidedField {
   void Compute(const GraphT& g, const Options& opts, FilterFn&& filter) {
     constexpr bool kHasFilter =
         !std::is_same_v<std::decay_t<FilterFn>, AcceptAllEdges>;
-    const auto out_edges = [&](VertexId u, const auto& visit) {
+    const auto out_edges = [&](VertexId u, const auto& visit) -> size_t {
       const auto nbrs = g.OutNeighbors(u);
       for (size_t j = 0; j < nbrs.size(); ++j) {
         if constexpr (kHasFilter) {
           if (!filter(u, nbrs[j], g.OutEdgeId(u, j))) continue;
         }
-        visit(nbrs[j]);
+        if (visit(nbrs[j])) return j + 1;
       }
       return nbrs.size();
     };
-    const auto in_edges = [&](VertexId u, const auto& visit) {
+    const auto in_edges = [&](VertexId u, const auto& visit) -> size_t {
       const auto nbrs = g.InNeighbors(u);
-      for (const VertexId v : nbrs) {
+      for (size_t j = 0; j < nbrs.size(); ++j) {
         if constexpr (kHasFilter) {
-          if (!filter(v, u, g.FindEdge(v, u))) continue;
+          if (!filter(nbrs[j], u, g.FindEdge(nbrs[j], u))) continue;
         }
-        visit(v);
+        if (visit(nbrs[j])) return j + 1;
       }
       return nbrs.size();
     };
-    ComputeWith(g.num_vertices(), opts, out_edges, in_edges);
+    ComputeWith(
+        g.num_vertices(), opts, out_edges, in_edges,
+        [&](VertexId u) -> size_t { return g.OutDegree(u); },
+        [&](VertexId u) -> size_t { return g.InDegree(u); });
   }
 
-  /// As Compute, over any adjacency: `out_edges(u, visit)` calls visit(v)
-  /// for every out-neighbour v of u the traversal may use and returns the
-  /// adjacency entries it examined; `in_edges` likewise for in-neighbours.
-  template <typename OutEdges, typename InEdges>
+  /// As Compute, over any adjacency (the callable contract in the file
+  /// header): `out_edges(u, visit)` calls visit(v) for every out-neighbour
+  /// v of u the traversal may use until visit returns true, and returns
+  /// the adjacency entries it examined up to there; `in_edges` likewise for
+  /// in-neighbours. `out_degree(u)` / `in_degree(u)` return the entries a
+  /// full scan of u examines; they price each X-only level's direction.
+  template <typename OutEdges, typename InEdges, typename OutDegree,
+            typename InDegree>
   void ComputeWith(VertexId num_vertices, const Options& opts,
-                   const OutEdges& out_edges, const InEdges& in_edges) {
+                   const OutEdges& out_edges, const InEdges& in_edges,
+                   const OutDegree& out_degree, const InDegree& in_degree) {
     PATHENUM_CHECK(opts.source < num_vertices && opts.target < num_vertices);
     PATHENUM_CHECK(opts.source != opts.target && opts.hops < kUnset);
     EnsureSize(num_vertices);
@@ -294,35 +317,35 @@ class TwoSidedField {
     interrupted_ = Interrupt::kNone;
     edges_scanned_ = 0;
     waves_ = 0;
+    x_only_levels_ = 0;
+    bottom_up_levels_ = 0;
     const uint32_t k = opts.hops;
     const VertexId s = opts.source;
     const VertexId t = opts.target;
-    from_s_.Start(s);
-    to_t_.Start(t);
+    from_s_.Start(s, opts.block_endpoints ? t : kInvalidVertex);
+    to_t_.Start(t, opts.block_endpoints ? s : kInvalidVertex);
     records_[t] = {epoch_, kUnset, 0};
     records_[s] = {epoch_, 0, kUnset};
 
-    const VertexId s_blocked = opts.block_endpoints ? s : kInvalidVertex;
-    const VertexId t_blocked = opts.block_endpoints ? t : kInvalidVertex;
     const auto forward = [&](uint32_t admit_all_below) {
-      return ExpandLevel<true>(from_s_, s, t_blocked, admit_all_below, k,
-                               out_edges, opts);
+      return ExpandLevel<true>(from_s_, to_t_, admit_all_below, k, out_edges,
+                               out_degree, in_edges, in_degree, opts);
     };
     const auto backward = [&](uint32_t admit_all_below) {
-      return ExpandLevel<false>(to_t_, t, s_blocked, admit_all_below, k,
-                                in_edges, opts);
+      return ExpandLevel<false>(to_t_, from_s_, admit_all_below, k, in_edges,
+                                in_degree, out_edges, out_degree, opts);
     };
     const uint32_t b = k / 2;
     const uint32_t a = k - b;
     // Stage 1 admits all of depth b; stage 3 expands that level only
     // through X.
-    while (to_t_.depth < b && to_t_.frontier() != 0) {
+    while (to_t_.depth() < b && to_t_.frontier() != 0) {
       if (!backward(b + 1)) return;
     }
-    while (from_s_.depth < k && from_s_.frontier() != 0) {
+    while (from_s_.depth() < k && from_s_.frontier() != 0) {
       if (!forward(a)) return;
     }
-    while (to_t_.depth < k && to_t_.frontier() != 0) {
+    while (to_t_.depth() < k && to_t_.frontier() != 0) {
       if (!backward(b)) return;
     }
   }
@@ -350,12 +373,19 @@ class TwoSidedField {
 
   Interrupt interrupted() const { return interrupted_; }
 
-  /// Adjacency entries examined by the last Compute (each expanded vertex
-  /// contributes its full neighbour-span length, filtered or not).
+  /// Adjacency entries examined by the last Compute: a top-down level adds
+  /// each expanded vertex's full neighbour-span length, filtered or not; a
+  /// bottom-up level adds the entries each candidate's scan examined up to
+  /// its early exit.
   uint64_t edges_scanned() const { return edges_scanned_; }
 
   /// Levels expanded by the last Compute, both sides.
   uint32_t waves() const { return waves_; }
+
+  /// Of those, the levels that admit only X, and how many of them ran
+  /// bottom-up.
+  uint32_t x_only_levels() const { return x_only_levels_; }
+  uint32_t bottom_up_levels() const { return bottom_up_levels_; }
 
  private:
   struct Record {
@@ -366,16 +396,23 @@ class TwoSidedField {
   static_assert(sizeof(Record) == 8);
 
   struct Side {
-    void Start(VertexId root) {
+    void Start(VertexId root, VertexId blocked_vertex) {
       reached.assign(1, root);
-      level_begin = 0;
-      depth = 0;
+      level_starts.assign(1, 0);
+      blocked = blocked_vertex;
     }
-    /// The deepest level, not yet expanded.
-    size_t frontier() const { return reached.size() - level_begin; }
-    std::vector<VertexId> reached;  // BFS order; the deepest level last
-    size_t level_begin = 0;         // the deepest level is reached[this..]
-    uint32_t depth = 0;             // its distance from the side's root
+    /// The deepest level's distance from the root; it is not yet expanded.
+    uint32_t depth() const {
+      return static_cast<uint32_t>(level_starts.size() - 1);
+    }
+    size_t frontier() const { return reached.size() - level_starts.back(); }
+    /// End of the prefix of `reached` within depth j of the root.
+    size_t PrefixEnd(uint32_t j) const {
+      return j < depth() ? level_starts[j + 1] : reached.size();
+    }
+    std::vector<VertexId> reached;      // BFS order; the root first
+    std::vector<size_t> level_starts;   // where each depth begins in reached
+    VertexId blocked = kInvalidVertex;  // reached, never expanded
   };
 
   /// All-ones over a distance when the record predates this epoch.
@@ -392,15 +429,19 @@ class TwoSidedField {
     return kFromSource ? r.dt : r.ds;
   }
 
-  /// Expands the deepest level of `side` (depth d) after one control poll.
-  /// When d >= `admit_all_below`, a level vertex other than the root is
-  /// expanded only if it lies in X; a vertex found at depth d + 1 joins
-  /// when d + 1 < `admit_all_below` or it lies in X. A rejected vertex is
-  /// not written. Returns false on a control trip.
-  template <bool kFromSource, typename Edges>
-  bool ExpandLevel(Side& side, VertexId root, VertexId blocked,
-                   uint32_t admit_all_below, uint32_t k, const Edges& edges,
-                   const Options& opts) {
+  /// Expands the deepest level of `side` (depth du) into depth d = du + 1
+  /// after one control poll. When du >= `admit_all_below`, a level vertex
+  /// other than the root is expanded only if it lies in X; a vertex found
+  /// at depth d joins when d < `admit_all_below` or it lies in X. A
+  /// rejected vertex is not written. `edges`/`degree` follow the side's
+  /// direction, `reverse_edges`/`reverse_degree` the other one. Returns
+  /// false on a control trip.
+  template <bool kFromSource, typename Edges, typename Degree,
+            typename ReverseEdges, typename ReverseDegree>
+  bool ExpandLevel(Side& side, const Side& other, uint32_t admit_all_below,
+                   uint32_t k, const Edges& edges, const Degree& degree,
+                   const ReverseEdges& reverse_edges,
+                   const ReverseDegree& reverse_degree, const Options& opts) {
     ++waves_;
     fault::Hit(fault::Site::kIndexBuildWave);
     if (opts.cancel != nullptr &&
@@ -412,31 +453,85 @@ class TwoSidedField {
       interrupted_ = Interrupt::kDeadline;
       return false;
     }
-    const uint32_t du = side.depth;
+    const uint32_t du = side.depth();
     const uint32_t d = du + 1;
     const bool expand_x_only = du >= admit_all_below;
     const bool admit_x_only = d >= admit_all_below;
+    const VertexId root = side.reached[0];
+    const size_t begin = side.level_starts.back();
     const size_t end = side.reached.size();
-    for (size_t i = side.level_begin; i < end; ++i) {
-      const VertexId u = side.reached[i];
-      if (u == blocked) continue;  // reached, never expanded
-      if (expand_x_only && u != root &&
-          du + Other<kFromSource>(records_[u]) > k) {
-        continue;
+    side.level_starts.push_back(end);
+    const auto expandable = [&](VertexId u) {
+      return u != side.blocked &&
+             (!expand_x_only || u == root ||
+              du + Other<kFromSource>(records_[u]) <= k);
+    };
+
+    if (admit_x_only) {
+      ++x_only_levels_;
+      if (PreferBottomUp<kFromSource>(side, other, begin, end, k - d,
+                                      expandable, degree, reverse_degree)) {
+        ++bottom_up_levels_;
+        // Every candidate is stamped and within k - d of the other root.
+        for (const VertexId v : pending_) {
+          bool met = false;
+          edges_scanned_ += reverse_edges(v, [&](VertexId u) {
+            Record& r = records_[u];
+            met = (Mine<kFromSource>(r) | StaleMask(r)) == du && expandable(u);
+            return met;
+          });
+          if (!met) continue;
+          Mine<kFromSource>(records_[v]) = static_cast<uint16_t>(d);
+          side.reached.push_back(v);
+        }
+        return true;
       }
+    }
+    for (size_t i = begin; i < end; ++i) {
+      const VertexId u = side.reached[i];
+      if (!expandable(u)) continue;
       edges_scanned_ += edges(u, [&](VertexId v) {
         Record& r = records_[v];
         const uint32_t stale = StaleMask(r);
-        if ((Mine<kFromSource>(r) | stale) != kUnset) return;  // reached
-        if (admit_x_only && d + (Other<kFromSource>(r) | stale) > k) return;
+        if ((Mine<kFromSource>(r) | stale) != kUnset) return false;  // reached
+        if (admit_x_only && d + (Other<kFromSource>(r) | stale) > k) {
+          return false;
+        }
         if (stale != 0) r = {epoch_, kUnset, kUnset};
         Mine<kFromSource>(r) = static_cast<uint16_t>(d);
         side.reached.push_back(v);
+        return false;
       });
     }
-    side.level_begin = end;
-    side.depth = d;
     return true;
+  }
+
+  /// The direction rule of an X-only level. Its candidates are `other`'s
+  /// reached vertices within `other_depth` of their root; top-down scans
+  /// the expandable frontier's full spans, bottom-up at most the unreached
+  /// candidates' reverse spans. True (with those candidates in pending_)
+  /// when bottom-up's bound is the smaller.
+  template <bool kFromSource, typename Expandable, typename Degree,
+            typename ReverseDegree>
+  bool PreferBottomUp(const Side& side, const Side& other, size_t begin,
+                      size_t end, uint32_t other_depth,
+                      const Expandable& expandable, const Degree& degree,
+                      const ReverseDegree& reverse_degree) {
+    uint64_t top_down = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const VertexId u = side.reached[i];
+      if (expandable(u)) top_down += degree(u);
+    }
+    pending_.clear();
+    uint64_t bottom_up = 0;
+    const size_t cand_end = other.PrefixEnd(other_depth);
+    for (size_t i = 0; i < cand_end && bottom_up < top_down; ++i) {
+      const VertexId v = other.reached[i];
+      if (Mine<kFromSource>(records_[v]) != kUnset) continue;  // reached
+      bottom_up += reverse_degree(v);
+      pending_.push_back(v);
+    }
+    return bottom_up < top_down;
   }
 
   void EnsureSize(size_t n);
@@ -444,10 +539,13 @@ class TwoSidedField {
   std::vector<Record> records_;
   Side from_s_;
   Side to_t_;
+  std::vector<VertexId> pending_;  // a bottom-up level's unreached candidates
   uint32_t epoch_ = 0;
   Interrupt interrupted_ = Interrupt::kNone;
   uint64_t edges_scanned_ = 0;
   uint32_t waves_ = 0;
+  uint32_t x_only_levels_ = 0;
+  uint32_t bottom_up_levels_ = 0;
 };
 
 /// True iff a path from `from` to `to` of length <= `max_depth` exists.

@@ -137,27 +137,41 @@ bool ShardRouter::ComputePlan(const Pinned& pin, const Query& q) {
   // Out-adjacency of x is complete in its owning shard and empty
   // everywhere else; in-adjacency of x in shard p is exactly the in-edges
   // whose tail p owns, so the per-shard scans union disjointly into the
-  // global in-neighbourhood (see shard/partition.h).
-  const auto out_edges = [&](VertexId x, const auto& visit) {
+  // global in-neighbourhood (see shard/partition.h), and x's in-degree is
+  // the sum of its per-shard in-degrees.
+  const auto out_edges = [&](VertexId x, const auto& visit) -> size_t {
     const auto nbrs = pin.views[shard_map_[x]]->OutNeighbors(x);
-    for (const VertexId y : nbrs) visit(y);
+    for (size_t j = 0; j < nbrs.size(); ++j) {
+      if (visit(nbrs[j])) return j + 1;
+    }
     return nbrs.size();
   };
-  const auto in_edges = [&](VertexId x, const auto& visit) {
+  const auto in_edges = [&](VertexId x, const auto& visit) -> size_t {
     size_t scanned = 0;
     for (const auto& view : pin.views) {
       const auto nbrs = view->InNeighbors(x);
-      for (const VertexId y : nbrs) visit(y);
+      for (size_t j = 0; j < nbrs.size(); ++j) {
+        if (visit(nbrs[j])) return scanned + j + 1;
+      }
       scanned += nbrs.size();
     }
     return scanned;
+  };
+  const auto out_degree = [&](VertexId x) -> size_t {
+    return pin.views[shard_map_[x]]->OutDegree(x);
+  };
+  const auto in_degree = [&](VertexId x) -> size_t {
+    size_t degree = 0;
+    for (const auto& view : pin.views) degree += view->InDegree(x);
+    return degree;
   };
   TwoSidedField::Options fo;
   fo.source = q.source;
   fo.target = q.target;
   fo.hops = q.hops;
   fo.block_endpoints = false;
-  plan_.ComputeWith(num_vertices(), fo, out_edges, in_edges);
+  plan_.ComputeWith(num_vertices(), fo, out_edges, in_edges, out_degree,
+                    in_degree);
   // s is in X exactly when dist(s, t) <= k.
   return plan_.ToTarget(q.source) <= q.hops;
 }

@@ -9,11 +9,13 @@
 //     The backward side from t (each shard contributes exactly the in-edges
 //     it owns) runs ⌊k/2⌋ levels, the forward side from s (each vertex's
 //     out-edges live in its owner shard) the other k - ⌊k/2⌋, and then each
-//     side extends only through X. The field is epoch-stamped, so the plan
-//     costs the two half-depth balls plus X's neighbourhoods, never O(|V|),
-//     and reads no cut list. If dist(s, t) > k the query is kUnsatisfiable
-//     before any per-shard work (the same soundness argument as the live
-//     oracle's lower-bound rejection, §13, with an exact distance).
+//     side extends only through X, each level top-down or bottom-up,
+//     whichever its degree sums price lower. The field is epoch-stamped, so
+//     the plan costs the two half-depth balls plus what those levels scan,
+//     never O(|V|), and reads no cut list. If dist(s, t) > k the query is
+//     kUnsatisfiable before any per-shard work (the same soundness argument
+//     as the live oracle's lower-bound rejection, §13, with an exact
+//     distance).
 //  2. *Delegate or stitch*: a cut edge (u, w) is feasible iff
 //     dist(s, u) + 1 + dist(w, t) <= k, which puts both u and w in X, so
 //     the feasible cut edges are counted on X's own out-edges. When NO cut

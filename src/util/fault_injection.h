@@ -25,6 +25,10 @@
 
 namespace pathenum::fault {
 
+/// Whether the sites are compiled in. Without them an armed hook never
+/// fires, so a test that needs one to fire skips instead.
+inline constexpr bool kCompiledIn = PATHENUM_FAULT_INJECTION != 0;
+
 enum class Site : uint32_t {
   kIndexBuildWave = 0,  // once per BFS wave inside index construction
   kIndexAdjacency,      // periodically during the index adjacency scan

@@ -317,6 +317,9 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
       testing::WithDeadEnds(
           BarabasiAlbert(60, 2, /*back_prob=*/0.3, /*seed=*/73)),
       testing::WithDeadEnds(LayeredGraph(/*layers=*/4, /*width=*/3)),
+      // Hub-heavy: most X-only levels run bottom-up from their candidates.
+      testing::WithDeadEnds(
+          RMat(/*scale=*/7, /*num_edges=*/1200, /*seed=*/75)),
   };
   // Drops about one edge in seven; keyed on the endpoints only, because a
   // view's touched vertices carry no edge ids.
@@ -325,6 +328,13 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
   };
   IndexBuilder builder;
   IndexBuilder reference_builder;
+  // X-only levels run each way across the meet-in-the-middle builds.
+  uint64_t bottom_up = 0, top_down = 0;
+  const auto count_levels = [&](const LightweightIndex& idx) {
+    const LightweightIndex::BuildStats& bs = idx.build_stats();
+    bottom_up += bs.bottom_up_levels;
+    top_down += bs.x_only_levels - bs.bottom_up_levels;
+  };
   for (size_t gi = 0; gi < std::size(graphs); ++gi) {
     const Graph& g = graphs[gi];
     const VertexId n = g.num_vertices();
@@ -349,11 +359,13 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
           {pendant, dead, k}, {fresh, dead, k},   {fresh, pendant, k},
           {dead, pick(rng), k}, {pick(rng), fresh, k},
       };
-      // Pairs at distance exactly k and k + 1 on the base graph.
+      // Pairs at every distance from 1 to k + 1 on the base graph. Below
+      // k - 1, the blocked endpoint sits on a level that expands into an
+      // X-only one.
       for (int round = 0; round < 3; ++round) {
         const VertexId s = pick(rng);
         const std::vector<uint32_t> ds = ForwardDistances(g, s);
-        for (const uint32_t want : {k, k + 1}) {
+        for (uint32_t want = 1; want <= k + 1; ++want) {
           for (VertexId t = 0; t < n; ++t) {
             if (ds[t] == want) {
               queries.push_back({s, t, k});
@@ -373,15 +385,21 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
               "graph " + std::to_string(gi) + " q(" +
               std::to_string(q.source) + "," + std::to_string(q.target) +
               "," + std::to_string(k) + ")" + (filtered ? " filtered" : "");
-          testing::ExpectSameIndex(builder.Build(g, q, opts),
-                          reference_builder.Build(g, q, ref_opts), at);
-          testing::ExpectSameIndex(builder.Build(view, q, opts),
-                          reference_builder.Build(view, q, ref_opts),
-                          at + " view");
+          const LightweightIndex plain = builder.Build(g, q, opts);
+          count_levels(plain);
+          testing::ExpectSameIndex(
+              plain, reference_builder.Build(g, q, ref_opts), at);
+          const LightweightIndex overlay = builder.Build(view, q, opts);
+          count_levels(overlay);
+          testing::ExpectSameIndex(
+              overlay, reference_builder.Build(view, q, ref_opts),
+              at + " view");
         }
       }
     }
   }
+  EXPECT_GT(bottom_up, 0u);
+  EXPECT_GT(top_down, 0u);
 }
 
 TEST(IndexTest, SlabSizeIsIndependentOfTheVertexCount) {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/estimator.h"
+#include "core/index.h"
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "live/async_engine.h"
@@ -300,6 +301,38 @@ TEST(QuerySpanTest, SpanCarriesThePlanThatRan) {
   const bool serial_joined = serial.method == Method::kJoin;
   EXPECT_EQ(ran(Method::kDfs) - dfs_before, serial_joined ? 0u : 3u);
   EXPECT_EQ(ran(Method::kJoin) - join_before, serial_joined ? 4u : 1u);
+}
+
+// Every meet-in-the-middle build counts its X-only levels by direction in
+// pathenum_build_levels_total (DESIGN.md §1, §12), as its stats report
+// them.
+TEST(BuildMetricsTest, LevelDirectionsMatchTheBuildStats) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  const auto levels = [&reg](const std::string& direction) {
+    return reg
+        .GetCounter("pathenum_build_levels_total",
+                    "direction=\"" + direction + '"')
+        ->Value();
+  };
+  const uint64_t bottom_up_before = levels("bottom_up");
+  const uint64_t top_down_before = levels("top_down");
+
+  const Graph g = RMat(/*scale=*/7, /*num_edges=*/1200, /*seed=*/75);
+  IndexBuilder builder;
+  uint64_t bottom_up = 0, top_down = 0;
+  for (VertexId s = 0; s < 16; ++s) {
+    for (uint32_t k = 3; k <= 5; ++k) {
+      const VertexId t = (s * 37 + 5) % g.num_vertices();
+      const LightweightIndex idx = builder.Build(g, {s, t, k});
+      const LightweightIndex::BuildStats& bs = idx.build_stats();
+      bottom_up += bs.bottom_up_levels;
+      top_down += bs.x_only_levels - bs.bottom_up_levels;
+    }
+  }
+  EXPECT_GT(bottom_up, 0u);
+  EXPECT_EQ(levels("bottom_up") - bottom_up_before, bottom_up);
+  EXPECT_EQ(levels("top_down") - top_down_before, top_down);
 }
 
 // ---------------------------------------------------------------------------

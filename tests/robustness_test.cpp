@@ -159,6 +159,7 @@ TEST_F(RobustnessTest, QueryControlTripPrecedence) {
 }
 
 TEST_F(RobustnessTest, FaultHooksSkipAndCount) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   int fired = 0;
   fault::Arm(fault::Site::kIoRead, [&fired] { ++fired; },
              /*skip_hits=*/2);
@@ -223,6 +224,7 @@ TEST_F(RobustnessTest, WorkBudgetTruncatesDeterministically) {
 }
 
 TEST_F(RobustnessTest, DeadlineDuringIndexBuildReturnsEmptyWellFormed) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   // A slow BFS wave (fault hook) against a 1 ms budget: the build itself
   // must trip, returning an empty-but-well-formed result, not enumerate on
   // a half-built index.
@@ -244,6 +246,7 @@ TEST_F(RobustnessTest, DeadlineDuringIndexBuildReturnsEmptyWellFormed) {
 }
 
 TEST_F(RobustnessTest, CancelDuringIndexBuildReportsCancelled) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   const CancelToken token = CancelToken::Cancellable();
   const fault::ScopedFault trip(fault::Site::kIndexBuildWave,
                                 [token] { token.Cancel(); });
@@ -261,6 +264,7 @@ TEST_F(RobustnessTest, CancelDuringIndexBuildReportsCancelled) {
 }
 
 TEST_F(RobustnessTest, DeadlineMidJoinMaterializationDeliversValidPrefix) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   // Force IDX-JOIN and stall tuple materialization: the deadline must trip
   // inside the join, and whatever reached the sink must be real paths.
   const fault::ScopedFault slow(fault::Site::kJoinMaterialize, [] {
@@ -346,6 +350,7 @@ TEST_F(RobustnessTest, CancelRacesSplitFanout) {
 }
 
 TEST_F(RobustnessTest, SplitDeadlineDuringBuildShortCircuits) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   const fault::ScopedFault slow(fault::Site::kIndexBuildWave, [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   });
@@ -364,6 +369,7 @@ TEST_F(RobustnessTest, SplitDeadlineDuringBuildShortCircuits) {
 }
 
 TEST_F(RobustnessTest, CacheBuildFailureFailsOverAndRecovers) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   // An "allocation failure" inside the cached build: every query of the
   // batch gets kError (no deadlock — the single-flight latch must be
   // released on the failure path), and once the fault clears the same
@@ -395,6 +401,7 @@ TEST_F(RobustnessTest, CacheBuildFailureFailsOverAndRecovers) {
 }
 
 TEST_F(RobustnessTest, ClaimFaultFailsOnlyTheClaimedQuery) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   // A fault at the queue's claim step completes the claimed query as
   // kError with the fault's message; the worker keeps serving. One worker,
   // so every later query runs on the worker that hit the fault.
@@ -473,6 +480,7 @@ TEST_F(RobustnessTest, NonStandardThrowFailsOnlyItsQuery) {
 }
 
 TEST_F(RobustnessTest, ThrowMidAssemblyLeavesTheBuilderClean) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   // A fault thrown after the builder wrote its staging vertex -> slot
   // lookup must not leak into the next build on the same builder: the
   // next query's s = v4 lies in the failed query's X but not in its own
@@ -496,6 +504,7 @@ TEST_F(RobustnessTest, ThrowMidAssemblyLeavesTheBuilderClean) {
 }
 
 TEST_F(RobustnessTest, InterruptedCachedBuildIsNotPublished) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   // A deadline-interrupted build must fail over like a throwing one: the
   // query reports kDeadlineExceeded, the stub is never cached, and the next
   // run (fault cleared, no deadline) gets the full result set.

@@ -342,6 +342,8 @@ TEST(ShardRouter, PlanMatchesBruteForce) {
       WithDeadEnds(ErdosRenyi(60, 200, /*seed=*/71)),
       WithDeadEnds(BarabasiAlbert(60, 2, /*back_prob=*/0.3, /*seed=*/73)),
       WithDeadEnds(LayeredGraph(/*layers=*/4, /*width=*/3)),
+      // Hub-heavy: most X-only levels run bottom-up from their candidates.
+      WithDeadEnds(RMat(/*scale=*/7, /*num_edges=*/1200, /*seed=*/75)),
   };
   for (size_t gi = 0; gi < std::size(graphs); ++gi) {
     const Graph& base = graphs[gi];
