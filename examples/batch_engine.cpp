@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
             << stats.batches_run << " batches; steady-state scratch "
             << stats.scratch_bytes / 1024.0 << " KiB\n";
 
-  // Few heavy queries? Let each query fan its work out over the idle
-  // workers instead (DFS branches or split-join units, as planned).
+  // Few heavy queries? Let each query fan its first-level DFS branches out
+  // over the idle workers instead (an IDX-JOIN plan runs on one worker).
   BatchOptions split = opts;
   split.split_branches = true;
   const std::vector<Query> heavy(queries.begin(),

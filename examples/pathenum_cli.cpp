@@ -6,7 +6,8 @@
 //       --limit=N                stop after N results
 //       --time-ms=T              per-query time budget
 //       --print=N                print the first N paths (default 5)
-//       --threads=N              use the parallel enumerator with N threads
+//       --threads=N              run as one split query on an N-worker
+//                                engine (DESIGN.md §8)
 //   pathenum_cli generate <dataset> <scale> <out-file>
 //       instantiate a catalog dataset (up, db, gg, ..., tm) as an edge list
 //   pathenum_cli stats <edge-list>
@@ -15,8 +16,8 @@
 #include <iostream>
 #include <string>
 
-#include "core/parallel_dfs.h"
 #include "core/path_enum.h"
+#include "engine/query_engine.h"
 #include "graph/io.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -80,25 +81,9 @@ int RunQuery(int argc, char** argv) {
     }
   }
 
-  PathEnumerator enumerator(graph);
-  CollectingSink sink(std::max<size_t>(print_count, 1));
-
-  if (threads > 0) {
-    // Parallel counting path: per-thread sinks; keep the first few paths
-    // from one shard for display.
-    IndexBuilder builder;
-    const LightweightIndex index = builder.Build(graph, query);
-    ParallelDfsEnumerator parallel(index, threads);
-    const ParallelEnumResult result = parallel.CountAll(opts);
-    std::cout << result.counters.num_results << " paths ("
-              << result.threads_used << " threads, " << result.wall_ms
-              << " ms)\n";
-    return 0;
-  }
-
-  uint64_t total = 0;
-  CallbackSink counting([&](std::span<const VertexId> p) {
-    if (total++ < print_count) {
+  uint64_t seen = 0;
+  CallbackSink sink([&](std::span<const VertexId> p) {
+    if (seen++ < print_count) {
       for (size_t j = 0; j < p.size(); ++j) {
         std::cout << (j > 0 ? " -> " : "") << p[j];
       }
@@ -106,7 +91,27 @@ int RunQuery(int argc, char** argv) {
     }
     return true;
   });
-  const QueryStats stats = enumerator.Run(query, counting, opts);
+  QueryStats stats;
+  if (threads > 0) {
+    // One split query: its claiming worker builds the index and plans, an
+    // IDX-DFS plan fans its first-level branches out over the idle workers,
+    // an IDX-JOIN plan runs on the claiming worker. Sink calls are
+    // serialized, so the printing sink needs no lock.
+    QueryEngine engine(graph, {.num_workers = threads});
+    BatchOptions batch;
+    batch.query = opts;
+    batch.split_branches = true;
+    PathSink* sinks[] = {&sink};
+    const BatchResult result = engine.RunBatch({&query, 1}, sinks, batch);
+    if (!result.ok()) {
+      std::cerr << "error: " << result.errors[0] << "\n";
+      return 1;
+    }
+    stats = result.stats[0];
+  } else {
+    PathEnumerator enumerator(graph);
+    stats = enumerator.Run(query, sink, opts);
+  }
   std::cout << stats.counters.num_results << " paths in " << stats.total_ms
             << " ms (" << MethodName(stats.method)
             << "; index " << stats.index_ms << " ms, optimize "

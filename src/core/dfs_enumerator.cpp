@@ -87,8 +87,8 @@ EnumCounters DfsEnumerator::RunBranch(const LightweightIndex& index,
   on_path_[s_slot] = epoch_;
   on_path_[branch] = epoch_;
   // Both partial results of the starting chain are on the books: (s) and
-  // (s, branch). Fan-out drivers deduct the shared (s) copy per branch
-  // (internal::RunBranchUnit) and charge it once via root_partials.
+  // (s, branch). The split executor deducts the shared (s) copy per branch
+  // and charges it once when it merges (SplitPhase).
   counters_.partials = 2;
   if (branch == index.target_slot()) {
     AppendPath(1);

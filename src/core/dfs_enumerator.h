@@ -45,12 +45,12 @@ class DfsEnumerator {
                    const EnumOptions& opts = {});
 
   /// Enumerates only the paths whose first edge is s -> VertexAt(branch);
-  /// `branch` must be a slot from I_t(s, k-1). The parallel enumerators
-  /// fan these subtrees out across worker threads. Counts *both* partial
+  /// `branch` must be a slot from I_t(s, k-1). The split executor fans
+  /// these subtrees out across worker threads. Counts *both* partial
   /// results of its starting chain — (s) and (s, branch) — so a standalone
-  /// call is self-consistent; the fan-out drivers deduct the shared (s)
-  /// copy per branch and charge it exactly once (see
-  /// internal::RunBranchUnit).
+  /// call is self-consistent; the split executor deducts the shared (s)
+  /// copy per branch and charges it exactly once (SplitPhase,
+  /// engine/split_executor.h).
   EnumCounters RunBranch(uint32_t branch, PathSink& sink,
                          const EnumOptions& opts = {});
   EnumCounters RunBranch(const LightweightIndex& index, uint32_t branch,

@@ -22,12 +22,16 @@ EnumCounters JoinEnumerator::Run(uint32_t cut, PathSink& sink,
   return Run(*index_, cut, sink, opts);
 }
 
-void JoinEnumerator::Prepare(const LightweightIndex& index,
-                             const EnumOptions& opts) {
+EnumCounters JoinEnumerator::Run(const LightweightIndex& index, uint32_t cut,
+                                 PathSink& sink, const EnumOptions& opts) {
+  const uint32_t k = index.hops();
+  PATHENUM_CHECK_MSG(cut >= 1 && cut < k, "cut position out of range");
   // stack_ holds one slot per tuple position; a full-width tuple has at
   // most k + 1 of them.
   static_assert(sizeof(stack_) / sizeof(stack_[0]) == kMaxHops + 1);
-  assert(index.hops() <= kMaxHops);
+  assert(k <= kMaxHops);
+  // Re-arm every per-run limit, so a limit hit by one run can never leak
+  // into the next.
   index_ = &index;
   counters_ = EnumCounters{};
   timer_.Reset();
@@ -36,25 +40,14 @@ void JoinEnumerator::Prepare(const LightweightIndex& index,
   work_budget_ = opts.work_budget_edges;
   // Each half may use half the budget (tuples are uint32 slots).
   tuple_limit_ = opts.partial_memory_limit_bytes / (2 * sizeof(uint32_t));
-  shared_used_ = nullptr;
-  shared_cap_ = 0;
   check_countdown_ = kCheckInterval;
   tuple_check_countdown_ = kTupleCheckInterval;
   stop_ = false;
-  if (on_path_.size() < index.num_vertices()) {
-    on_path_.resize(index.num_vertices(), 0);
-  }
-}
-
-EnumCounters JoinEnumerator::Run(const LightweightIndex& index, uint32_t cut,
-                                 PathSink& sink, const EnumOptions& opts) {
-  const uint32_t k = index.hops();
-  PATHENUM_CHECK_MSG(cut >= 1 && cut < k, "cut position out of range");
-  Prepare(index, opts);
   emitter_.Arm(&sink, &counters_, &timer_, opts.result_limit,
                opts.response_target);
 
   const uint32_t n = index.num_vertices();
+  if (on_path_.size() < n) on_path_.resize(n, 0);
   left_.clear();
   right_.clear();
   if (arena_ != nullptr) {
@@ -144,50 +137,6 @@ void JoinEnumerator::JoinPair(const uint32_t* left_tuple, uint32_t cut,
   Emit({joined, end + 1});
 }
 
-EnumCounters JoinEnumerator::MaterializeUnit(const LightweightIndex& index,
-                                             uint32_t start, uint32_t base,
-                                             uint32_t len,
-                                             std::vector<uint32_t>& out,
-                                             const EnumOptions& opts,
-                                             std::atomic<size_t>* shared_used,
-                                             size_t shared_cap) {
-  Prepare(index, opts);  // materialization never emits (emitter stays unarmed)
-  shared_used_ = shared_used;
-  shared_cap_ = shared_cap;
-  const size_t before = out.size();
-  Materialize(start, base, len, out);
-  shared_used_ = nullptr;
-  counters_.partials += (out.size() - before) / len;
-  counters_.peak_partial_bytes = (out.size() - before) * sizeof(uint32_t);
-  return counters_;
-}
-
-EnumCounters JoinEnumerator::ProbeUnit(const LightweightIndex& index,
-                                       uint32_t cut,
-                                       std::span<const uint32_t> left,
-                                       size_t tuple_begin, size_t tuple_end,
-                                       std::span<const JoinGroup> groups,
-                                       PathSink& sink,
-                                       const EnumOptions& opts) {
-  const uint32_t k = index.hops();
-  PATHENUM_CHECK_MSG(cut >= 1 && cut < k, "cut position out of range");
-  Prepare(index, opts);
-  emitter_.Arm(&sink, &counters_, &timer_, opts.result_limit,
-               opts.response_target);
-  const uint32_t left_width = cut + 1;
-  const uint32_t right_width = k - cut + 1;
-  for (size_t l = tuple_begin; l < tuple_end && !stop_; ++l) {
-    const uint32_t* lt = left.data() + l * left_width;
-    const JoinGroup& group = groups[lt[cut]];
-    for (uint64_t r = 0; r < group.count; ++r) {
-      if (ShouldStop()) break;
-      JoinPair(lt, cut, group.tuples + r * right_width, right_width);
-    }
-  }
-  emitter_.Flush();
-  return counters_;
-}
-
 size_t JoinEnumerator::ScratchBytes() const {
   return VectorBytes(left_) + VectorBytes(right_) + VectorBytes(is_key_store_) +
          VectorBytes(group_store_) + VectorBytes(on_path_);
@@ -262,10 +211,7 @@ void JoinEnumerator::MaterializeStep(uint32_t depth, uint32_t base,
       CheckControl();
       if (stop_) return;
     }
-    if (out.size() >= tuple_limit_ ||
-        (shared_used_ != nullptr &&
-         shared_used_->fetch_add(len, std::memory_order_relaxed) + len >
-             shared_cap_)) {
+    if (out.size() >= tuple_limit_) {
       counters_.out_of_memory = true;
       stop_ = true;
       return;

@@ -24,15 +24,6 @@
 
 namespace pathenum {
 
-/// Right-half group table of a split IDX-JOIN probe (DESIGN.md §8): per
-/// index slot, the materialized right-half tuples rooted at that slot
-/// (contiguous within the buffer of the worker that ran the slot's unit).
-/// Slots that are not join keys keep count 0.
-struct JoinGroup {
-  const uint32_t* tuples = nullptr;
-  uint64_t count = 0;
-};
-
 /// Index-based join enumerator. Not thread-safe; one instance per worker.
 class JoinEnumerator {
  public:
@@ -55,32 +46,6 @@ class JoinEnumerator {
   EnumCounters Run(const LightweightIndex& index, uint32_t cut, PathSink& sink,
                    const EnumOptions& opts = {});
 
-  /// One independent materialization unit of a split IDX-JOIN (the
-  /// engine's intra-query mode, DESIGN.md §8): appends the padded-walk
-  /// tuples of the half query [base, base + len - 1] rooted at `start` to
-  /// `out`, re-arming every per-run limit from `opts` and using this
-  /// enumerator's scratch — one enumerator per worker, like Run. When
-  /// `shared_used` is given, the unit additionally meters its tuples
-  /// (uint32 units) against the cross-worker half budget `shared_cap`;
-  /// exceeding either budget stops with out_of_memory, exactly like the
-  /// serial half it replaces.
-  EnumCounters MaterializeUnit(const LightweightIndex& index, uint32_t start,
-                               uint32_t base, uint32_t len,
-                               std::vector<uint32_t>& out,
-                               const EnumOptions& opts,
-                               std::atomic<size_t>* shared_used = nullptr,
-                               size_t shared_cap = 0);
-
-  /// One probe unit of a split IDX-JOIN: joins the left tuples
-  /// [tuple_begin, tuple_end) of `left` against the grouped right half and
-  /// emits the valid joined paths into `sink` (a serialized BranchSink in
-  /// the engine; cross-worker limits are delegated to it via
-  /// internal::BranchOptions). `groups` is indexed by slot.
-  EnumCounters ProbeUnit(const LightweightIndex& index, uint32_t cut,
-                         std::span<const uint32_t> left, size_t tuple_begin,
-                         size_t tuple_end, std::span<const JoinGroup> groups,
-                         PathSink& sink, const EnumOptions& opts);
-
   /// Bytes of reusable scratch currently held in member storage (excludes
   /// arena-served tables; those are charged to the arena).
   size_t ScratchBytes() const;
@@ -101,13 +66,8 @@ class JoinEnumerator {
   void MaterializeStep(uint32_t depth, uint32_t base, uint32_t len,
                        std::vector<uint32_t>& out);
 
-  /// Re-arms every per-run limit from `opts` (shared by Run and the split
-  /// units, so a limit hit by one run can never leak into the next).
-  void Prepare(const LightweightIndex& index, const EnumOptions& opts);
-
   /// Joins one left tuple with one right tuple: compose, de-pad, validate,
-  /// and emit — the single implementation behind the serial probe loop and
-  /// ProbeUnit.
+  /// and emit.
   void JoinPair(const uint32_t* left_tuple, uint32_t cut,
                 const uint32_t* right_tuple, uint32_t right_width);
 
@@ -147,8 +107,6 @@ class JoinEnumerator {
   const std::atomic<bool>* cancel_ = nullptr;  // null: never cancels
   uint64_t work_budget_ = 0;
   size_t tuple_limit_ = 0;  // per half, in uint32 units
-  std::atomic<size_t>* shared_used_ = nullptr;  // split units only
-  size_t shared_cap_ = 0;
   uint64_t check_countdown_ = 0;
   /// Separate, tighter countdown at full-tuple granularity: one materialized
   /// tuple is far more work than one search step, so deadlines/cancels must

@@ -49,7 +49,6 @@ IndexBuilder::Options PathEnumerator::BuildOptionsFor(const Query& /*q*/,
 QueryStats PathEnumerator::Run(const Query& q, PathSink& sink,
                                const EnumOptions& opts) {
   ValidateQuery(view_, q);
-  arena_.Reset();  // previous query's arena tables die here
   QueryStats stats;
   Timer total;
   LightweightIndex index = BuildIndex(q, BuildOptionsFor(q, opts));
@@ -71,7 +70,6 @@ QueryStats PathEnumerator::RunWithIndex(const LightweightIndex& index,
   const IndexBuilder::Options need = BuildOptionsFor(q, opts);
   PATHENUM_CHECK_MSG(!need.collect_level_stats || index.has_level_stats(),
                      "cached index lacks level stats required by kAuto");
-  arena_.Reset();
   QueryStats stats;
   Timer total;
   ExecuteOnIndex(index, stats, sink, opts, total);
@@ -132,13 +130,17 @@ void PathEnumerator::ExecuteOnIndex(const LightweightIndex& index,
   stats.cut_position = plan.cut;
 
   Timer enum_timer;
-  EnumCounters counters;
-  if (plan.method == Method::kJoin) {
-    counters = join_.Run(index, plan.cut, sink, opts);
-  } else {
-    counters = dfs_.Run(index, sink, opts);
-  }
+  const EnumCounters counters = Enumerate(index, plan, sink, opts);
   FinalizeStats(stats, counters, enum_timer.ElapsedMs(), total.ElapsedMs());
+}
+
+EnumCounters PathEnumerator::Enumerate(const LightweightIndex& index,
+                                       const ExecutionPlan& plan,
+                                       PathSink& sink,
+                                       const EnumOptions& opts) {
+  arena_.Reset();  // the previous query's arena tables die here
+  return plan.method == Method::kJoin ? join_.Run(index, plan.cut, sink, opts)
+                                      : dfs_.Run(index, sink, opts);
 }
 
 QueryStats PathEnumerator::RunConstrained(const Query& q,

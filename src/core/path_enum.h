@@ -68,6 +68,14 @@ class PathEnumerator {
                                      const EnumOptions& opts,
                                      QueryStats& stats);
 
+  /// Enumerates `index` with `plan` (from PlanExecution) into `sink` on
+  /// this enumerator's scratch, resetting the arena that the join's tables
+  /// come from. The enumeration step of Run/RunWithIndex; the split
+  /// executor (DESIGN.md §8) runs IDX-JOIN plans through it on the leader.
+  EnumCounters Enumerate(const LightweightIndex& index,
+                         const ExecutionPlan& plan, PathSink& sink,
+                         const EnumOptions& opts);
+
   /// Runs the post-construction pipeline (estimate, optimize, enumerate) on
   /// an externally provided index for `index.query()`, skipping the build —
   /// the engine's index cache executes hits through this. `index` must have
@@ -110,8 +118,8 @@ class PathEnumerator {
   const BumpArena& arena() const { return arena_; }
 
  private:
-  // Intra-query splitting (DESIGN.md §8) reuses dfs_/join_ per worker
-  // through QueryContext's split accessors.
+  // Intra-query splitting (DESIGN.md §8) runs branch units on dfs_ per
+  // worker through QueryContext::split_dfs.
   friend class QueryContext;
 
   /// Shared tail of Run/RunWithIndex: method choice and enumeration.

@@ -69,9 +69,9 @@ bool BlockEmitter::Flush() {
 
 namespace {
 
-/// Calls a serialized inner sink under the gate mutex; if it throws, the
-/// stop latch trips before the exception leaves the mutex, so no other
-/// participant waiting on it calls the broken sink again.
+/// Calls the inner sink under the gate mutex; if it throws, the stop latch
+/// trips before the exception leaves the mutex, so no other participant
+/// waiting on it calls the broken sink again.
 template <typename Deliver>
 auto LatchOnThrow(BranchGate& gate, Deliver&& deliver) {
   try {
@@ -93,24 +93,17 @@ bool BranchSink::OnPath(std::span<const VertexId> path) {
       !g.response_recorded_.exchange(true, std::memory_order_relaxed)) {
     g.response_ms_.store(g.timer_.ElapsedMs(), std::memory_order_relaxed);
   }
-  if (mode_ == Mode::kSerialized) {
-    bool keep_going;
-    {
-      const std::lock_guard<std::mutex> lock(g.mutex_);
-      // The latch is re-checked under the serialization mutex: once the
-      // inner sink returns false or throws it must never be called again
-      // (it may have torn down its state on that contract).
-      if (g.stopped_.load(std::memory_order_relaxed)) return false;
-      g.delivered_.fetch_add(1, std::memory_order_relaxed);
-      keep_going = LatchOnThrow(g, [&] { return inner_.OnPath(path); });
-      if (!keep_going) g.stopped_.store(true, std::memory_order_relaxed);
-    }
-    if (!keep_going) return false;
-  } else {
+  {
+    const std::lock_guard<std::mutex> lock(g.mutex_);
+    // The latch is re-checked under the serialization mutex: once the
+    // inner sink returns false or throws it must never be called again
+    // (it may have torn down its state on that contract).
+    if (g.stopped_.load(std::memory_order_relaxed)) return false;
     g.delivered_.fetch_add(1, std::memory_order_relaxed);
-    // A private sink refusing stops only this worker; the other workers'
-    // sinks keep receiving their disjoint shares.
-    if (!inner_.OnPath(path)) return false;
+    if (!LatchOnThrow(g, [&] { return inner_.OnPath(path); })) {
+      g.stopped_.store(true, std::memory_order_relaxed);
+      return false;
+    }
   }
   return n < g.limit_;
 }
@@ -135,21 +128,17 @@ PathSink::BlockResult BranchSink::OnBlock(const PathBlockView& block) {
   const PathBlockView granted =
       block.Prefix(static_cast<uint32_t>(grant));
   BlockResult inner;
-  if (mode_ == Mode::kSerialized) {
+  {
     const std::lock_guard<std::mutex> lock(g.mutex_);
     if (g.stopped_.load(std::memory_order_relaxed)) return {0, true};
     inner = LatchOnThrow(g, [&] { return inner_.OnBlock(granted); });
     g.delivered_.fetch_add(inner.consumed, std::memory_order_relaxed);
     if (inner.stop || inner.consumed < granted.count) {
       g.stopped_.store(true, std::memory_order_relaxed);
+      return {inner.consumed, true};
     }
-  } else {
-    inner = inner_.OnBlock(granted);
-    g.delivered_.fetch_add(inner.consumed, std::memory_order_relaxed);
   }
-  const bool inner_stopped = inner.stop || inner.consumed < granted.count;
-  const bool limit_reached = old + grant >= g.limit_;
-  return {inner.consumed, inner_stopped || limit_reached};
+  return {inner.consumed, old + grant >= g.limit_};
 }
 
 }  // namespace pathenum

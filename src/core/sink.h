@@ -284,20 +284,19 @@ class BlockEmitter {
 
 /// Cross-thread accounting shared by every branch unit of one fanned-out
 /// enumeration (DESIGN.md §8). The gate owns the query-wide state the
-/// branch drivers must agree on: the result-limit reservation counter, the
-/// response-target record, the count of paths actually handed to inner
-/// sinks, and the stop latch. Exactly one gate exists per fanned-out query;
-/// the BranchSink adapters below share it.
+/// branch units must agree on: the result-limit reservation counter, the
+/// response-target record, the count of paths actually handed to the inner
+/// sink, the mutex that serializes it, and the stop latch. Exactly one gate
+/// exists per fanned-out query; the BranchSink adapters below share it.
 ///
 /// Delivery is reservation-based, so `delivered()` is structurally capped
-/// at `result_limit`: paths are only handed to an inner sink after winning
+/// at `result_limit`: paths are only handed to the inner sink after winning
 /// a reservation, and each reservation is delivered at most once. With
 /// block emission a whole block reserves at once (`n..n+count`), is
 /// truncated to the granted share, and the grant is delivered in one inner
-/// OnBlock call — limit accounting at block granularity. A caller merging
-/// several fan-out phases (e.g. the split IDX-JOIN's halves meeting at
-/// their barrier) therefore can never observe limit + 1 — the double-count
-/// regression pinned by sink_test.
+/// OnBlock call — limit accounting at block granularity. The merge at the
+/// fan-out's barrier therefore can never observe limit + 1 — the
+/// double-count regression pinned by sink_test.
 class BranchGate {
  public:
   /// `timer` is the enumeration stopwatch response_ms is measured against;
@@ -322,8 +321,8 @@ class BranchGate {
     return response_ms_.load(std::memory_order_relaxed);
   }
 
-  /// True once the latch tripped: a serialized inner sink refused a path
-  /// or threw, or Stop() was called.
+  /// True once the latch tripped: the inner sink refused a path or threw,
+  /// or Stop() was called.
   bool stopped() const { return stopped_.load(std::memory_order_relaxed); }
 
   /// External stop (a failed split participant): no further path passes
@@ -336,7 +335,7 @@ class BranchGate {
   const uint64_t limit_;
   const uint64_t response_target_;
   const Timer& timer_;
-  std::mutex mutex_;  // serializes a kSerialized inner sink
+  std::mutex mutex_;  // serializes the inner sink
   std::atomic<uint64_t> emitted_{0};    // reservations attempted
   std::atomic<uint64_t> delivered_{0};  // inner OnPath/OnBlock deliveries
   std::atomic<bool> stopped_{false};
@@ -344,31 +343,20 @@ class BranchGate {
   std::atomic<double> response_ms_{-1.0};
 };
 
-/// The single branch fan-out sink adapter (DESIGN.md §8) — every
-/// branch-parallel driver funnels its deliveries through one of its two
-/// modes:
+/// The branch fan-out sink adapter (DESIGN.md §8): every participant of a
+/// split query shares one adapter over the one caller-owned sink.
+/// Deliveries serialize under the gate's mutex, and the stop latch
+/// guarantees the inner sink is never called again after it returns false
+/// or throws (it may tear down on that signal).
 ///
-///  - kPerWorker: each worker wraps its *own* private inner sink
-///    (ParallelDfsEnumerator's per-worker fan-in contract). Deliveries are
-///    lock-free; an inner sink returning false stops only that worker, and
-///    the union of the per-sink path sets is the result.
-///  - kSerialized: every worker shares *one* adapter over one caller-owned
-///    sink (the engines' contract). Deliveries serialize under the gate's
-///    mutex, and the stop latch guarantees the inner sink is never called
-///    again after it returns false or throws (it may tear down on that
-///    signal).
-///
-/// In both modes the adapter signals stop once the shared result limit is
-/// reached, which the enumerators report as a sink stop; the fan-out
-/// drivers rebuild the exact hit_result_limit/stopped_by_sink flags from
-/// the gate in internal::FinishFanout. Blocks reserve, truncate to the
-/// granted share, and deliver in one inner OnBlock call.
+/// The adapter also signals stop once the shared result limit is reached,
+/// which the enumerators report as a sink stop; the split executor rebuilds
+/// the exact hit_result_limit/stopped_by_sink flags from the gate when it
+/// merges. Blocks reserve, truncate to the granted share, and deliver in
+/// one inner OnBlock call.
 class BranchSink : public PathSink {
  public:
-  enum class Mode { kPerWorker, kSerialized };
-
-  BranchSink(BranchGate& gate, PathSink& inner, Mode mode)
-      : gate_(gate), inner_(inner), mode_(mode) {}
+  BranchSink(BranchGate& gate, PathSink& inner) : gate_(gate), inner_(inner) {}
 
   bool OnPath(std::span<const VertexId> path) override;
   BlockResult OnBlock(const PathBlockView& block) override;
@@ -376,7 +364,6 @@ class BranchSink : public PathSink {
  private:
   BranchGate& gate_;
   PathSink& inner_;
-  const Mode mode_;
 };
 
 }  // namespace pathenum

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <exception>
-#include <utility>
-#include <vector>
 
 #include "core/path_enum.h"
 #include "engine/index_cache.h"
@@ -23,23 +21,6 @@ namespace pathenum {
 /// throwing sink, an injected fault — is kError. Every front end maps its
 /// failed runs through this.
 QueryState FailedRunState(const std::exception& e);
-
-/// Grow-only split IDX-JOIN tables (DESIGN.md §8), owned by the context
-/// that leads a split query: concurrent leaders never share them, and a
-/// leader's repeated split joins reach the §5 no-steady-state-allocation
-/// discipline the serial join's member/arena tables keep. Cache-line
-/// aligned: every participant reads these vector headers per unit while
-/// the leader's own enumerator state, right before them in QueryContext,
-/// is written per tuple by the worker running on that context.
-struct alignas(64) SplitJoinScratch {
-  std::vector<uint32_t> starts;  // the cut level set C_cut
-  std::vector<uint32_t> left;    // left-half tuples
-  std::vector<std::vector<uint32_t>> right;  // one buffer per participant
-  std::vector<std::pair<size_t, size_t>> ranges;  // per start, in its buffer
-  std::vector<uint32_t> range_owner;  // per start: the participant's buffer
-  std::vector<uint8_t> is_key;        // slot-indexed join-key set
-  std::vector<JoinGroup> groups;      // slot-indexed right-half groups
-};
 
 /// One worker's reusable execution state. Not thread-safe: a context is
 /// owned by exactly one worker at a time.
@@ -77,13 +58,10 @@ class QueryContext {
       const Query& q, const IndexBuilder::Options& build_opts,
       IndexCache* cache, QueryStats& stats);
 
-  /// Per-worker enumerator handles for intra-query splitting (DESIGN.md
-  /// §8): each branch/materialization/probe unit runs on the scratch of
-  /// the worker that claimed it. Single-owner like everything else here.
+  /// The DFS scratch a split query's branch units run on (DESIGN.md §8):
+  /// each branch runs on the context of the worker that claimed it.
+  /// Single-owner like everything else here.
   DfsEnumerator& split_dfs() { return enumerator_.dfs_; }
-  JoinEnumerator& split_join() { return enumerator_.join_; }
-  /// The split join's tables while this context leads a split query.
-  SplitJoinScratch& split_join_scratch() { return split_join_scratch_; }
 
   PathEnumerator& enumerator() { return enumerator_; }
 
@@ -93,7 +71,6 @@ class QueryContext {
 
  private:
   PathEnumerator enumerator_;
-  SplitJoinScratch split_join_scratch_;
 };
 
 }  // namespace pathenum

@@ -4,11 +4,11 @@
 // reusable QueryContext, on a QueryQueue (engine/query_queue.h, the queue
 // AsyncEngine also runs on): RunBatch enqueues the batch and waits on its
 // tickets, and each query runs entirely on the worker that claims it.
-// Optionally a batch runs with intra-query parallelism: each query's units —
-// first-level DFS branches, or the split IDX-JOIN's half/probe units — fan out
-// through the split executor (engine/split_executor.h), its claiming worker
-// leading and idle workers helping, which is the right shape for a few heavy
-// queries rather than many small ones. See DESIGN.md §5/§8.
+// Optionally a batch runs with intra-query parallelism: each IDX-DFS query's
+// first-level branches fan out through the split executor
+// (engine/split_executor.h), its claiming worker leading and idle workers
+// helping, which is the right shape for a few heavy queries rather than many
+// small ones. See DESIGN.md §5/§8.
 //
 // With `EngineOptions::enable_cache` the engine additionally keeps a
 // cross-query IndexCache shared by all workers (DESIGN.md §6): batches
@@ -62,11 +62,11 @@ struct BatchOptions {
   EnumOptions query;
 
   /// When true, each query's work spreads across the pool (serializing
-  /// sink calls per query): its claiming worker leads and idle workers help
-  /// drain the planned method — the same PlanExecution decision the serial
-  /// path makes — as fanned-out first-level DFS branches or as the split
-  /// IDX-JOIN's independent half/probe units (DESIGN.md §8). When false
-  /// (default), each query runs entirely on the one worker that claims it.
+  /// sink calls per query): its claiming worker plans like the serial path
+  /// (the same PlanExecution decision), and an IDX-DFS plan's first-level
+  /// branches fan out with idle workers helping, while an IDX-JOIN plan
+  /// runs on the claiming worker (DESIGN.md §8). When false (default),
+  /// each query runs entirely on the one worker that claims it.
   bool split_branches = false;
 
   /// Consult/populate the engine's cross-query cache (no-op when the

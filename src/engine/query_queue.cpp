@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/control.h"
-#include "core/thread_pool.h"
 #include "engine/split_executor.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
@@ -68,7 +67,7 @@ QueryQueue::QueryQueue(const GraphView& view, uint32_t num_workers) {
                        : std::max(1u, std::thread::hardware_concurrency());
   // A mistyped worker count must fail with a diagnosable error, not an
   // attempt to spawn billions of threads.
-  PATHENUM_CHECK_MSG(n <= ThreadPool::kMaxWorkers, "implausible worker count");
+  PATHENUM_CHECK_MSG(n <= kMaxWorkers, "implausible worker count");
   contexts_.reserve(n);
   for (uint32_t w = 0; w < n; ++w) {
     contexts_.push_back(std::make_unique<QueryContext>(view));
@@ -186,7 +185,7 @@ void QueryQueue::WorkerLoop(uint32_t worker) {
       }
     }
     if (help != nullptr) {
-      help->phase->Drain(*contexts_[worker], worker);
+      help->phase->Drain(*contexts_[worker]);
       {
         const std::lock_guard<std::mutex> lock(mutex_);
         --help->helpers;
@@ -268,7 +267,7 @@ void QueryQueue::RecruitIdleWorkers(uint32_t leader, SplitPhase& phase) {
     split_phases_.push_back(&published);
   }
   not_empty_.notify_all();
-  phase.Drain(*contexts_[leader], leader);  // the leader participates too
+  phase.Drain(*contexts_[leader]);  // the leader participates too
   // Retire the phase so no further helper registers, then wait out the
   // ones already inside — the phase's barrier.
   std::unique_lock<std::mutex> lock(mutex_);

@@ -3,7 +3,7 @@
 // reusable QueryContext. A worker claims the oldest submission, rebinds its
 // context to the submission's snapshot and runs it — one query on one
 // worker, or a split query led by the claiming worker while idle workers
-// help drain each phase it publishes — then completes the submission's
+// help drain the branches it publishes — then completes the submission's
 // ticket and span together. QueryEngine::RunBatch enqueues a batch and
 // waits on its tickets; AsyncEngine enqueues each admitted submission and
 // hands the ticket to its caller. Admission policy (bounds, shedding, the
@@ -116,8 +116,13 @@ class QueryQueue {
         std::make_shared<QueryTicket::State>();
   };
 
+  /// Upper bound on `num_workers`; requests beyond it are configuration
+  /// errors (PATHENUM_CHECK), not capacity planning.
+  static constexpr uint32_t kMaxWorkers = 4096;
+
   /// Starts `num_workers` worker threads (0 picks hardware_concurrency()),
-  /// each with a context on `view` until its first claim rebinds it.
+  /// each with a context on `view` until its first claim rebinds it. Throws
+  /// std::logic_error above kMaxWorkers.
   QueryQueue(const GraphView& view, uint32_t num_workers);
   /// Shutdown(): drains the queue, then joins the workers.
   ~QueryQueue();

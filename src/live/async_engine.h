@@ -84,14 +84,14 @@ struct SubmitOptions {
   EnumOptions query;
 
   /// Heavy-ticket mode (DESIGN.md §8): the claiming worker builds the
-  /// index on the submission's snapshot, plans it like the serial path,
-  /// then fans the planned method's units (first-level DFS branches, or the
-  /// join's halves and probe chunks) out to *idle* workers that
-  /// cooperatively drain them between queue pops — one straggler query no
-  /// longer serializes behind the update stream, and every unit observes
-  /// exactly the ticket's snapshot (the units run on the immutable
-  /// per-query index). Limit and truncation semantics are identical to the
-  /// serial path via the shared BranchGate's per-ticket stop latch.
+  /// index on the submission's snapshot and plans it like the serial path;
+  /// an IDX-DFS plan then fans its first-level branches out to *idle*
+  /// workers that cooperatively drain them between queue pops — one
+  /// straggler query no longer serializes behind the update stream, and
+  /// every branch observes exactly the ticket's snapshot (the branches run
+  /// on the immutable per-query index) — while an IDX-JOIN plan runs on
+  /// the claiming worker. Limit and truncation semantics are identical to
+  /// the serial path via the shared BranchGate's per-ticket stop latch.
   bool split_branches = false;
 };
 

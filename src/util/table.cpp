@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/common.h"
 
@@ -11,9 +12,15 @@ std::string FormatSci(double v) {
   if (!std::isfinite(v)) return v > 0 ? "inf" : (v < 0 ? "-inf" : "nan");
   if (v == 0.0) return "0.00e+0";
   char buf[32];
-  const int exponent =
-      static_cast<int>(std::floor(std::log10(std::fabs(v))));
-  const double mantissa = v / std::pow(10.0, exponent);
+  int exponent = static_cast<int>(std::floor(std::log10(std::fabs(v))));
+  double mantissa = v / std::pow(10.0, exponent);
+  // A mantissa that rounds up to 10.00 at two decimals (9.9999, say)
+  // belongs to the next decade: print 1.00e+1, not 10.00e+0.
+  std::snprintf(buf, sizeof(buf), "%.2f", mantissa);
+  if (std::fabs(std::strtod(buf, nullptr)) >= 10.0) {
+    mantissa /= 10.0;
+    ++exponent;
+  }
   std::snprintf(buf, sizeof(buf), "%.2fe%+d", mantissa, exponent);
   return buf;
 }

@@ -1,10 +1,9 @@
-// Tests for the batch QueryEngine subsystem: the thread pool, batch-vs-
-// sequential result equivalence (both scheduling modes), context reuse
-// across hundreds of queries, per-query limit isolation, and the
-// zero-allocation steady state of the pooled scratch.
+// Tests for the batch QueryEngine subsystem: batch-vs-sequential result
+// equivalence (serial and split queries), context reuse across hundreds of
+// queries, per-query limit isolation, and the zero-allocation steady state
+// of the pooled scratch.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -12,7 +11,6 @@
 
 #include "core/path_enum.h"
 #include "engine/query_engine.h"
-#include "core/thread_pool.h"
 #include "graph/generators.h"
 #include "live/live_oracle.h"
 #include "live/snapshot.h"
@@ -26,36 +24,6 @@ namespace {
 
 using testing::PathSet;
 using testing::ToSet;
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsJobOnEveryWorker) {
-  ThreadPool pool(4);
-  ASSERT_EQ(pool.num_workers(), 4u);
-  std::vector<std::atomic<int>> hits(4);
-  pool.RunOnAllWorkers([&](uint32_t w) { hits[w]++; });
-  pool.RunOnAllWorkers([&](uint32_t w) { hits[w]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
-}
-
-TEST(ThreadPoolTest, DefaultsToAtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.num_workers(), 1u);
-}
-
-TEST(ThreadPoolTest, PropagatesWorkerExceptions) {
-  ThreadPool pool(3);
-  EXPECT_THROW(pool.RunOnAllWorkers([](uint32_t w) {
-    if (w == 1) throw std::runtime_error("boom");
-  }),
-               std::runtime_error);
-  // The pool survives a throwing job.
-  std::atomic<int> sum{0};
-  pool.RunOnAllWorkers([&](uint32_t) { sum++; });
-  EXPECT_EQ(sum.load(), 3);
-}
 
 // ---------------------------------------------------------------------------
 // BumpArena
@@ -166,9 +134,9 @@ TEST(QueryEngineTest, SplitBranchesMatchesSequentialPathSets) {
 }
 
 TEST(QueryEngineTest, SplitJoinMatchesSequentialPathSets) {
-  // Forced IDX-JOIN through split mode: the two halves materialize as
-  // independent units, meet at the merge barrier, and the parallel probe
-  // must produce exactly the serial join's path set.
+  // Forced IDX-JOIN through split mode runs the serial join on the
+  // claiming worker, so it must emit exactly the serial join's paths, in
+  // the serial join's order.
   const Graph g = ErdosRenyi(50, 500, 11);
   const std::vector<Query> queries = {{0, 20, 5}, {3, 40, 4}, {7, 13, 6}};
 
@@ -188,7 +156,7 @@ TEST(QueryEngineTest, SplitJoinMatchesSequentialPathSets) {
       EnumOptions seq_opts;
       seq_opts.method = Method::kJoin;
       sequential.Run(queries[i], expected, seq_opts);
-      EXPECT_EQ(ToSet(collected[i].paths()), ToSet(expected.paths()))
+      EXPECT_EQ(collected[i].paths(), expected.paths())
           << "split join query " << i << " at " << workers << " workers";
       EXPECT_EQ(result.stats[i].counters.num_results,
                 expected.paths().size());
@@ -225,8 +193,8 @@ TEST(QueryEngineTest, SplitModeExactLimitNeverDeliversLimitPlusOne) {
   // The merge-barrier double-count regression, end to end: with the result
   // limit exactly at / one under the full count, the caller's sink must
   // see exactly `limit` paths — never limit + 1 — for both the DFS branch
-  // fan-out and the split join's barrier, and the truncation flags must
-  // match the serial run's.
+  // fan-out and a split query's IDX-JOIN plan, and the truncation flags
+  // must match the serial run's.
   const Graph g = ErdosRenyi(50, 500, 11);
   const Query q{0, 20, 5};
   PathEnumerator sequential(g);
@@ -463,14 +431,28 @@ TEST(QueryEngineTest, ScratchStopsGrowingAcrossRepeatedBatches) {
   // run to run even though each context individually stops growing).
   QueryEngine engine(g, {.num_workers = 1});
 
+  // Each pass also runs the queries split under IDX-DFS and forced
+  // IDX-JOIN: a split join plan runs the serial join, whose tables come
+  // from the context's arena, so a missed arena reset grows the scratch.
+  BatchOptions split_dfs;
+  split_dfs.split_branches = true;
+  split_dfs.query.method = Method::kDfs;
+  BatchOptions split_join = split_dfs;
+  split_join.query.method = Method::kJoin;
+  const auto pass = [&] {
+    engine.CountBatch(queries);
+    engine.CountBatch(queries, split_dfs);
+    engine.CountBatch(queries, split_join);
+  };
+
   // Warm-up: two passes let every buffer reach workload size and the
   // arenas consolidate.
-  engine.CountBatch(queries);
-  engine.CountBatch(queries);
+  pass();
+  pass();
   const size_t warm = engine.Stats().scratch_bytes;
   ASSERT_GT(warm, 0u);
 
-  for (int rep = 0; rep < 5; ++rep) engine.CountBatch(queries);
+  for (int rep = 0; rep < 5; ++rep) pass();
   EXPECT_EQ(engine.Stats().scratch_bytes, warm)
       << "per-query scratch kept growing after warm-up";
 }

@@ -1028,10 +1028,9 @@ TEST(AsyncEngineTest, SplitSubmitMatchesSerialAnswer) {
 }
 
 TEST(AsyncEngineTest, SplitJoinTicketMatchesReference) {
-  // A split ticket forced to IDX-JOIN runs the split join through the
-  // queue — the left half and the right-half starts as units, the merge
-  // barrier, then the probe chunks — and must deliver exactly the
-  // brute-force answer, with idle workers helping or with the leader alone.
+  // A split ticket forced to IDX-JOIN runs the serial join on the worker
+  // that claimed it and must deliver exactly the brute-force answer,
+  // whether the engine has idle workers or only the leader.
   const VertexId n = 40;
   const Graph base = ErdosRenyi(n, 260, /*seed=*/9);
   for (const Query& q : {Query{0, n - 1, 5}, Query{3, 17, 4}}) {

@@ -1,17 +1,16 @@
-// Tests for the parallel IDX-DFS enumerator and the triggered-cycle API.
+// Tests for the split IDX-DFS fan-out — one query run through
+// QueryEngine::RunBatch with split_branches, its first-level branches
+// drained by every worker of the engine — and the triggered-cycle API.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <vector>
 
 #include "core/cycles.h"
 #include "core/dfs_enumerator.h"
-#include "core/parallel_dfs.h"
 #include "core/path_enum.h"
 #include "core/reference.h"
+#include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -21,50 +20,46 @@ namespace {
 using testing::PathSet;
 using testing::ToSet;
 
-/// Runs the parallel enumerator with per-thread collecting sinks merged
-/// into one set.
-PathSet ParallelCollect(const LightweightIndex& idx, uint32_t threads,
-                        ParallelEnumResult* out_result = nullptr,
-                        const EnumOptions& opts = {}) {
-  ParallelDfsEnumerator parallel(idx, threads);
-  std::mutex mutex;
-  std::vector<std::vector<std::vector<VertexId>>> shards;
-  shards.reserve(64);  // stable addresses: one shard per worker at most
-  const ParallelEnumResult result = parallel.Run(
-      [&]() -> std::unique_ptr<PathSink> {
-        const std::lock_guard<std::mutex> lock(mutex);
-        shards.emplace_back();
-        auto* shard = &shards.back();
-        return std::make_unique<CallbackSink>(
-            [shard](std::span<const VertexId> p) {
-              shard->emplace_back(p.begin(), p.end());
-              return true;
-            });
-      },
-      opts);
-  if (out_result != nullptr) *out_result = result;
-  PathSet merged;
-  size_t total = 0;
-  for (const auto& shard : shards) {
-    total += shard.size();
-    for (const auto& p : shard) merged.insert(p);
-  }
-  EXPECT_EQ(total, merged.size()) << "shards must be disjoint";
+/// Runs `q` as one split IDX-DFS query on a `workers`-worker engine (the
+/// engine caps the count at the host's cores) into `sink`.
+QueryStats RunSplitDfs(const Graph& g, const Query& q, uint32_t workers,
+                       PathSink& sink, const EnumOptions& opts = {}) {
+  QueryEngine engine(g, {.num_workers = workers});
+  BatchOptions batch;
+  batch.query = opts;
+  batch.query.method = Method::kDfs;  // the branch fan-out under test
+  batch.split_branches = true;
+  PathSink* sinks[] = {&sink};
+  const BatchResult result =
+      engine.RunBatch(std::span<const Query>{&q, 1}, sinks, batch);
+  EXPECT_TRUE(result.ok()) << result.errors[0];
+  EXPECT_EQ(result.stats[0].method, Method::kDfs);
+  return result.stats[0];
+}
+
+/// The split run's paths as a set; every path is delivered exactly once.
+PathSet SplitCollect(const Graph& g, const Query& q, uint32_t workers,
+                     QueryStats* out_stats = nullptr,
+                     const EnumOptions& opts = {}) {
+  CollectingSink sink;
+  const QueryStats stats = RunSplitDfs(g, q, workers, sink, opts);
+  if (out_stats != nullptr) *out_stats = stats;
+  const PathSet merged = ToSet(sink.paths());
+  EXPECT_EQ(sink.paths().size(), merged.size())
+      << "branches must deliver disjoint path sets";
   return merged;
 }
 
-class ParallelDfsTest : public ::testing::TestWithParam<uint32_t> {};
+class SplitDfsTest : public ::testing::TestWithParam<uint32_t> {};
 
-TEST_P(ParallelDfsTest, MatchesSequentialOnExample) {
+TEST_P(SplitDfsTest, MatchesSequentialOnExample) {
   const Graph g = testing::PaperExampleGraph();
   const Query q = testing::PaperExampleQuery();
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
   const PathSet expected = ToSet(BruteForcePaths(g, q));
-  EXPECT_EQ(ParallelCollect(idx, GetParam()), expected);
+  EXPECT_EQ(SplitCollect(g, q, GetParam()), expected);
 }
 
-TEST_P(ParallelDfsTest, MatchesSequentialOnRandomGraphs) {
+TEST_P(SplitDfsTest, MatchesSequentialOnRandomGraphs) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     const Graph g = RMat(6, 300, seed * 7);
     const Query q{static_cast<VertexId>(seed % 64),
@@ -75,15 +70,15 @@ TEST_P(ParallelDfsTest, MatchesSequentialOnRandomGraphs) {
     DfsEnumerator sequential(idx);
     CollectingSink seq_sink;
     sequential.Run(seq_sink, {});
-    EXPECT_EQ(ParallelCollect(idx, GetParam()), ToSet(seq_sink.paths()))
+    EXPECT_EQ(SplitCollect(g, q, GetParam()), ToSet(seq_sink.paths()))
         << "seed=" << seed;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelDfsTest,
+INSTANTIATE_TEST_SUITE_P(Workers, SplitDfsTest,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
-TEST(ParallelDfsTest, CountAllAgreesWithSequentialCounters) {
+TEST(SplitDfsTest, CountersAgreeWithSequential) {
   const Graph g = CompleteDigraph(10);
   const Query q{0, 9, 4};
   IndexBuilder builder;
@@ -91,28 +86,26 @@ TEST(ParallelDfsTest, CountAllAgreesWithSequentialCounters) {
   DfsEnumerator sequential(idx);
   CountingSink seq_sink;
   const EnumCounters seq = sequential.Run(seq_sink, {});
-  ParallelDfsEnumerator parallel(idx, 4);
-  const ParallelEnumResult par = parallel.CountAll();
-  EXPECT_EQ(par.counters.num_results, seq.num_results);
-  EXPECT_EQ(par.counters.partials, seq.partials);
-  EXPECT_EQ(par.counters.edges_accessed, seq.edges_accessed);
-  EXPECT_EQ(par.threads_used, 4u);
+  CountingSink split_sink;
+  const QueryStats split = RunSplitDfs(g, q, 4, split_sink);
+  EXPECT_EQ(split.counters.num_results, seq.num_results);
+  EXPECT_EQ(split_sink.count(), seq.num_results);
+  EXPECT_EQ(split.counters.partials, seq.partials);
+  EXPECT_EQ(split.counters.edges_accessed, seq.edges_accessed);
 }
 
-TEST(ParallelDfsTest, ResultLimitIsExactAcrossThreads) {
+TEST(SplitDfsTest, ResultLimitIsExactAcrossWorkers) {
   const Graph g = LayeredGraph(3, 5);  // 125 paths
   const Query q{0, static_cast<VertexId>(g.num_vertices() - 1), 4};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
   EnumOptions opts;
   opts.result_limit = 40;
-  ParallelEnumResult result;
-  const PathSet got = ParallelCollect(idx, 4, &result, opts);
+  QueryStats stats;
+  const PathSet got = SplitCollect(g, q, 4, &stats, opts);
   EXPECT_EQ(got.size(), 40u);
-  EXPECT_TRUE(result.counters.hit_result_limit);
+  EXPECT_TRUE(stats.counters.hit_result_limit);
 }
 
-TEST(ParallelDfsTest, ExactLimitBoundaryNeverOvershoots) {
+TEST(SplitDfsTest, ExactLimitBoundaryNeverOvershoots) {
   // The merge-barrier regression: at limits exactly at / one under the
   // full result count, delivered must equal the limit — never limit + 1 —
   // and the truncation flags must match the sequential enumerator's.
@@ -126,109 +119,43 @@ TEST(ParallelDfsTest, ExactLimitBoundaryNeverOvershoots) {
     DfsEnumerator sequential(idx);
     CountingSink seq_sink;
     const EnumCounters seq = sequential.Run(seq_sink, opts);
-    ParallelEnumResult result;
-    const PathSet got = ParallelCollect(idx, 4, &result, opts);
+    QueryStats stats;
+    const PathSet got = SplitCollect(g, q, 4, &stats, opts);
     EXPECT_EQ(got.size(), limit) << "limit=" << limit;
-    EXPECT_EQ(result.counters.num_results, seq.num_results);
-    EXPECT_EQ(result.counters.hit_result_limit, seq.hit_result_limit)
+    EXPECT_EQ(stats.counters.num_results, seq.num_results);
+    EXPECT_EQ(stats.counters.hit_result_limit, seq.hit_result_limit)
         << "limit=" << limit;
-    EXPECT_EQ(result.counters.stopped_by_sink, seq.stopped_by_sink)
+    EXPECT_EQ(stats.counters.stopped_by_sink, seq.stopped_by_sink)
         << "limit=" << limit;
   }
 }
 
-TEST(ParallelDfsTest, OneSinkRefusingStopsOnlyItsOwnWorker) {
-  // Per-worker fan-in contract: a private sink returning false stops that
-  // worker alone. With 2 workers on 5 first-level branches (25 paths
-  // each), the refusing worker abandons at most its single claimed branch
-  // — the steady worker must still drain the remaining >= 4 branches.
-  const Graph g = LayeredGraph(3, 5);  // 5 branches x 25 paths
-  const Query q{0, static_cast<VertexId>(g.num_vertices() - 1), 4};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
-  ParallelDfsEnumerator parallel(idx, 2);
-  std::atomic<uint64_t> steady_total{0};
-  std::atomic<int> nth{0};
-  const ParallelEnumResult result = parallel.Run([&] {
-    const bool refuser = nth.fetch_add(1) == 0;
-    return std::make_unique<CallbackSink>(
-        [&steady_total, refuser](std::span<const VertexId>) {
-          if (refuser) return false;
-          steady_total.fetch_add(1);
-          return true;
-        });
-  });
-  // In every interleaving the refuser consumes at most one branch (its
-  // first emission aborts it), so the steady worker's share is >= 4
-  // branches; whether the refuser got to refuse at all is scheduling-
-  // dependent, so only the lower bound is asserted.
-  EXPECT_GE(steady_total.load(), 100u)
-      << "a refusing sink must not halt the other worker's claiming";
-  EXPECT_LE(result.counters.num_results, 125u);
-}
-
-TEST(ParallelDfsTest, SharedPoolFormReusesTheCallersPool) {
-  // Post-migration contract: no private threads — several enumerations can
-  // ride one pool, and results stay exact.
-  const Graph g = RMat(6, 300, 17);
-  ThreadPool pool(4);
-  for (const Query q : {Query{0, 30, 5}, Query{2, 40, 4}}) {
-    IndexBuilder builder;
-    const LightweightIndex idx = builder.Build(g, q);
-    DfsEnumerator sequential(idx);
-    CollectingSink seq_sink;
-    sequential.Run(seq_sink, {});
-    ParallelDfsEnumerator parallel(idx, pool);
-    std::mutex mutex;
-    std::vector<std::vector<std::vector<VertexId>>> shards;
-    shards.reserve(8);
-    parallel.Run([&]() -> std::unique_ptr<PathSink> {
-      const std::lock_guard<std::mutex> lock(mutex);
-      shards.emplace_back();
-      auto* shard = &shards.back();
-      return std::make_unique<CallbackSink>(
-          [shard](std::span<const VertexId> p) {
-            shard->emplace_back(p.begin(), p.end());
-            return true;
-          });
-    });
-    PathSet merged;
-    for (const auto& shard : shards) {
-      for (const auto& p : shard) merged.insert(p);
-    }
-    EXPECT_EQ(merged, ToSet(seq_sink.paths()));
-  }
-}
-
-TEST(ParallelDfsTest, ResponseTargetRecordedOnce) {
+TEST(SplitDfsTest, ResponseTargetRecordedOnce) {
   const Graph g = LayeredGraph(3, 5);
   const Query q{0, static_cast<VertexId>(g.num_vertices() - 1), 4};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
   EnumOptions opts;
   opts.response_target = 50;
-  ParallelDfsEnumerator parallel(idx, 4);
-  const ParallelEnumResult result = parallel.CountAll(opts);
-  EXPECT_EQ(result.counters.num_results, 125u);
-  EXPECT_GE(result.counters.response_ms, 0.0);
+  CountingSink sink;
+  const QueryStats stats = RunSplitDfs(g, q, 4, sink, opts);
+  EXPECT_EQ(stats.counters.num_results, 125u);
+  EXPECT_GE(stats.counters.response_ms, 0.0);
 }
 
-TEST(ParallelDfsTest, EmptyIndexYieldsNothing) {
+TEST(SplitDfsTest, EmptyIndexYieldsNothing) {
   const Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, {0, 3, 4});
-  ParallelDfsEnumerator parallel(idx, 4);
-  const ParallelEnumResult result = parallel.CountAll();
-  EXPECT_EQ(result.counters.num_results, 0u);
-  EXPECT_EQ(result.threads_used, 0u);
+  CountingSink sink;
+  const QueryStats stats = RunSplitDfs(g, {0, 3, 4}, 4, sink);
+  EXPECT_EQ(stats.counters.num_results, 0u);
+  EXPECT_EQ(sink.count(), 0u);
+  // No fan-out ran: not even the root partial was charged.
+  EXPECT_EQ(stats.counters.partials, 0u);
+  EXPECT_EQ(stats.counters.edges_accessed, 0u);
 }
 
-TEST(ParallelDfsTest, DirectEdgeBranchHandled) {
+TEST(SplitDfsTest, DirectEdgeBranchHandled) {
   // t itself is a first-level branch when the edge (s, t) exists.
   const Graph g = Graph::FromEdges(3, {{0, 2}, {0, 1}, {1, 2}});
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, {0, 2, 2});
-  EXPECT_EQ(ParallelCollect(idx, 2), (PathSet{{0, 2}, {0, 1, 2}}));
+  EXPECT_EQ(SplitCollect(g, {0, 2, 2}, 2), (PathSet{{0, 2}, {0, 1, 2}}));
 }
 
 // --- Triggered cycles ---------------------------------------------------------

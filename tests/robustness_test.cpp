@@ -1,9 +1,9 @@
 // Query-lifecycle robustness tests (DESIGN.md §10): cooperative
 // cancellation and deadlines across the serial, split and async front-ends,
 // work budgets, terminal-state reporting, overload shedding, Status-based
-// ingestion of untrusted graphs/deltas, ThreadPool teardown under load, and
-// the deterministic fault-injection harness that drives the failure
-// scenarios (slow index builds, allocation failures, mid-block trips).
+// ingestion of untrusted graphs/deltas, and the deterministic
+// fault-injection harness that drives the failure scenarios (slow index
+// builds, allocation failures, mid-block trips).
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -24,7 +25,6 @@
 #include "core/index.h"
 #include "core/path_enum.h"
 #include "core/reference.h"
-#include "core/thread_pool.h"
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -366,6 +366,49 @@ TEST_F(RobustnessTest, SplitDeadlineDuringBuildShortCircuits) {
 
   EXPECT_EQ(result.states[0], QueryState::kDeadlineExceeded);
   EXPECT_TRUE(sink.paths().empty());
+}
+
+TEST_F(RobustnessTest, SplitFanOutPollsControlBetweenSmallBranches) {
+  // s -> v -> t for 500 middle vertices: 500 first-level branches of one
+  // path each, far fewer search steps than the enumerator's control
+  // countdown, so only the fan-out's per-claim poll can see a deadline or
+  // a cancel before every branch has run.
+  constexpr VertexId kBranches = 500;
+  GraphBuilder b(kBranches + 2);
+  for (VertexId v = 2; v < kBranches + 2; ++v) {
+    b.AddEdge(0, v);
+    b.AddEdge(v, 1);
+  }
+  const Graph g = b.Build();
+  const Query q{0, 1, 2};
+  QueryEngine engine(g, {.num_workers = 4});
+  BatchOptions opts;
+  opts.split_branches = true;
+  std::vector<Query> queries = {q};
+
+  // A 1 ms sink under a 20 ms deadline: all branches would take 500 ms.
+  std::vector<std::vector<VertexId>> slow_paths;
+  CallbackSink slow([&](std::span<const VertexId> p) {
+    slow_paths.emplace_back(p.begin(), p.end());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return true;
+  });
+  opts.query.time_limit_ms = 20.0;
+  std::vector<PathSink*> slow_sinks = {&slow};
+  const BatchResult timed = engine.RunBatch(queries, slow_sinks, opts);
+  EXPECT_EQ(timed.states[0], QueryState::kDeadlineExceeded);
+  EXPECT_LT(slow_paths.size(), kBranches);
+  ExpectValidPaths(g, slow_paths, q);
+
+  const CancelToken token = CancelToken::Cancellable();
+  CancelAfterSink cancelling(token, 1);
+  opts.query.time_limit_ms = std::numeric_limits<double>::infinity();
+  opts.query.cancel = token;
+  std::vector<PathSink*> cancel_sinks = {&cancelling};
+  const BatchResult cancelled = engine.RunBatch(queries, cancel_sinks, opts);
+  EXPECT_EQ(cancelled.states[0], QueryState::kCancelled);
+  EXPECT_LT(cancelling.paths().size(), kBranches);
+  ExpectValidPaths(g, cancelling.paths(), q);
 }
 
 TEST_F(RobustnessTest, CacheBuildFailureFailsOverAndRecovers) {
@@ -782,34 +825,6 @@ TEST_F(RobustnessTest, TrySubmitUpdateValidatesDelta) {
   engine.Shutdown();
   const Status after = engine.TrySubmitUpdate(good);
   EXPECT_EQ(after.code(), StatusCode::kUnavailable);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool teardown
-// ---------------------------------------------------------------------------
-
-TEST_F(RobustnessTest, ThreadPoolShutdownIsIdempotent) {
-  ThreadPool pool(2);
-  pool.Shutdown();
-  pool.Shutdown();  // second call is a no-op, destructor another
-}
-
-TEST_F(RobustnessTest, ThreadPoolShutdownUnderLoadRunsPendingGeneration) {
-  ThreadPool pool(4);
-  std::atomic<int> started{0};
-  std::atomic<int> finished{0};
-  std::thread caller([&] {
-    pool.RunOnAllWorkers([&](uint32_t) {
-      started.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      finished.fetch_add(1);
-    });
-  });
-  while (started.load() == 0) std::this_thread::sleep_for(
-      std::chrono::milliseconds(1));
-  pool.Shutdown();  // races the in-flight generation
-  caller.join();    // must unblock normally, all invocations complete
-  EXPECT_EQ(finished.load(), 4);
 }
 
 // ---------------------------------------------------------------------------

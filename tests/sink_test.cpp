@@ -3,7 +3,6 @@
 // delivered() must pin to the limit, never limit + 1, under concurrency.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -68,7 +67,7 @@ TEST(BranchSinkTest, SerializedModeStopsAtTheLimitExactly) {
   Timer timer;
   BranchGate gate(/*result_limit=*/3, /*response_target=*/2, timer);
   CountingSink inner;
-  BranchSink sink(gate, inner, BranchSink::Mode::kSerialized);
+  BranchSink sink(gate, inner);
   const auto path = P({0, 1});
   EXPECT_TRUE(sink.OnPath(path));
   EXPECT_TRUE(sink.OnPath(path));
@@ -84,7 +83,7 @@ TEST(BranchSinkTest, SerializedModeLatchesOnInnerRefusal) {
   Timer timer;
   BranchGate gate(/*result_limit=*/100, /*response_target=*/0, timer);
   CollectingSink inner(2);
-  BranchSink sink(gate, inner, BranchSink::Mode::kSerialized);
+  BranchSink sink(gate, inner);
   EXPECT_TRUE(sink.OnPath(P({0, 1})));
   EXPECT_FALSE(sink.OnPath(P({0, 2, 1})));
   EXPECT_TRUE(gate.stopped());
@@ -115,8 +114,8 @@ TEST(BranchSinkTest, SerializedModeLatchesOnInnerThrow) {
     Timer timer;
     BranchGate gate(/*result_limit=*/100, /*response_target=*/0, timer);
     ThrowingSink inner;
-    BranchSink a(gate, inner, BranchSink::Mode::kSerialized);
-    BranchSink b(gate, inner, BranchSink::Mode::kSerialized);
+    BranchSink a(gate, inner);
+    BranchSink b(gate, inner);
     if (blocks) {
       EXPECT_THROW(a.OnBlock(view), std::runtime_error);
     } else {
@@ -134,72 +133,40 @@ TEST(BranchSinkTest, SerializedModeLatchesOnInnerThrow) {
   }
 }
 
-TEST(BranchSinkTest, ExternalStopCutsDeliveryInBothModes) {
-  for (const auto mode :
-       {BranchSink::Mode::kPerWorker, BranchSink::Mode::kSerialized}) {
-    Timer timer;
-    BranchGate gate(100, 0, timer);
-    CountingSink inner;
-    BranchSink sink(gate, inner, mode);
-    EXPECT_TRUE(sink.OnPath(P({0, 1})));
-    gate.Stop();
-    EXPECT_FALSE(sink.OnPath(P({0, 1})));
-    EXPECT_EQ(inner.count(), 1u);
-  }
-}
-
-TEST(BranchSinkTest, PerWorkerInnerRefusalStopsOnlyThatWorker) {
+TEST(BranchSinkTest, ExternalStopCutsDelivery) {
   Timer timer;
   BranchGate gate(100, 0, timer);
-  CollectingSink quitter(1);
-  CountingSink steady;
-  BranchSink a(gate, quitter, BranchSink::Mode::kPerWorker);
-  BranchSink b(gate, steady, BranchSink::Mode::kPerWorker);
-  EXPECT_FALSE(a.OnPath(P({0, 1}))) << "worker a's private sink is full";
-  EXPECT_TRUE(b.OnPath(P({0, 2, 1}))) << "worker b keeps going";
-  EXPECT_FALSE(gate.stopped());
-  EXPECT_EQ(gate.delivered(), 2u);
+  CountingSink inner;
+  BranchSink sink(gate, inner);
+  EXPECT_TRUE(sink.OnPath(P({0, 1})));
+  gate.Stop();
+  EXPECT_FALSE(sink.OnPath(P({0, 1})));
+  EXPECT_EQ(inner.count(), 1u);
 }
 
-/// The merge-barrier double-count regression: many threads hammer one gate
-/// (per-worker and serialized), and delivered() must equal the limit
-/// exactly — never limit + 1, which the pre-unification accounting could
-/// report when a branch hit the limit exactly at a merge barrier (the raw
-/// reservation counter overshoots by up to the number of workers).
+/// The merge-barrier double-count regression: many threads hammer one
+/// adapter, and delivered() must equal the limit exactly — never limit + 1,
+/// which the pre-unification accounting could report when a branch hit the
+/// limit exactly at a merge barrier (the raw reservation counter overshoots
+/// by up to the number of workers).
 TEST(BranchSinkTest, ConcurrentDeliveryPinsDeliveredToLimitExactly) {
-  for (const auto mode :
-       {BranchSink::Mode::kPerWorker, BranchSink::Mode::kSerialized}) {
-    constexpr uint64_t kLimit = 1000;
-    constexpr int kThreads = 8;
-    Timer timer;
-    BranchGate gate(kLimit, 0, timer);
-    CountingSink shared_inner;
-    BranchSink shared_sink(gate, shared_inner,
-                           BranchSink::Mode::kSerialized);
-    std::vector<CountingSink> inners(kThreads);
-    std::atomic<uint64_t> private_total{0};
-    std::vector<std::thread> threads;
-    for (int w = 0; w < kThreads; ++w) {
-      threads.emplace_back([&, w] {
-        const auto path = P({0, 1});
-        if (mode == BranchSink::Mode::kSerialized) {
-          while (shared_sink.OnPath(path)) {
-          }
-        } else {
-          BranchSink mine(gate, inners[w], BranchSink::Mode::kPerWorker);
-          while (mine.OnPath(path)) {
-          }
-          private_total.fetch_add(inners[w].count());
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(gate.delivered(), kLimit) << "never limit + 1";
-    const uint64_t inner_total = mode == BranchSink::Mode::kSerialized
-                                     ? shared_inner.count()
-                                     : private_total.load();
-    EXPECT_EQ(inner_total, kLimit);
+  constexpr uint64_t kLimit = 1000;
+  constexpr int kThreads = 8;
+  Timer timer;
+  BranchGate gate(kLimit, 0, timer);
+  CountingSink inner;
+  BranchSink sink(gate, inner);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&] {
+      const auto path = P({0, 1});
+      while (sink.OnPath(path)) {
+      }
+    });
   }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(gate.delivered(), kLimit) << "never limit + 1";
+  EXPECT_EQ(inner.count(), kLimit);
 }
 
 }  // namespace

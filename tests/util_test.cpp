@@ -215,10 +215,14 @@ TEST(FormatSciTest, MatchesPaperStyle) {
   EXPECT_EQ(FormatSci(1460.0), "1.46e+3");
   EXPECT_EQ(FormatSci(0.275), "2.75e-1");
   EXPECT_EQ(FormatSci(0.0), "0.00e+0");
+  // A mantissa that rounds up to 10 moves to the next decade.
+  EXPECT_EQ(FormatSci(0.9999), "1.00e+0");
+  EXPECT_EQ(FormatSci(99.999), "1.00e+2");
 }
 
 TEST(FormatSciTest, NegativeAndNonFinite) {
   EXPECT_EQ(FormatSci(-250.0), "-2.50e+2");
+  EXPECT_EQ(FormatSci(-9.9999), "-1.00e+1");
   EXPECT_EQ(FormatSci(std::numeric_limits<double>::infinity()), "inf");
 }
 
