@@ -5,11 +5,15 @@
 // (IndexBuildOptions::prune_forward_bfs = false). This harness measures
 // what meeting in the middle is worth on the representative graphs and
 // cross-checks that both variants build the same index: the same X, the
-// same (v.s, v.t) per vertex, the same edge count. It exits 1 on any
-// mismatch. Besides the times it prints the mean adjacency entries each
-// variant's distance passes examined per build and the share of X-only
-// levels that ran bottom-up: both are exact counts that repeat on any
-// host, so they show the scan reduction without a timing gate.
+// same (v.s, v.t) per vertex, the same edge count, and the same ordered
+// adjacency list per vertex. Slot numbers inside a cell differ between the
+// variants, so an adjacency order that leaks slot numbering fails the
+// check. It exits 1 on any mismatch. Besides the times it prints the mean
+// adjacency entries each variant's distance passes examined per build, the
+// share of X-only levels that ran bottom-up and the mean entries the
+// adjacency assembly examined (each row from its cheaper side): all exact
+// counts that repeat on any host, so they show the scan reductions without
+// a timing gate.
 #include <iostream>
 
 #include "common/bench_util.h"
@@ -22,15 +26,18 @@ using namespace pathenum::bench;
 
 namespace {
 
-/// The same X, the same (v.s, v.t) for every vertex, the same edge count.
+/// The same X, the same (v.s, v.t) for every vertex, the same edge count,
+/// the same ordered I_t(v, k) for every vertex.
 bool SameIndex(const LightweightIndex& a, const LightweightIndex& b) {
   if (a.num_vertices() != b.num_vertices() || a.num_edges() != b.num_edges())
     return false;
   for (uint32_t slot = 0; slot < b.num_vertices(); ++slot) {
-    const uint32_t other = a.SlotOf(b.VertexAt(slot));
+    const VertexId v = b.VertexAt(slot);
+    const uint32_t other = a.SlotOf(v);
     if (other == kInvalidSlot ||
         a.DistFromSource(other) != b.DistFromSource(slot) ||
-        a.DistToTarget(other) != b.DistToTarget(slot)) {
+        a.DistToTarget(other) != b.DistToTarget(slot) ||
+        a.OutVerticesWithin(v, a.hops()) != b.OutVerticesWithin(v, b.hops())) {
       return false;
     }
   }
@@ -49,9 +56,11 @@ int main() {
     const Graph g = CachedDataset(name, env.scale);
     std::cout << "\nDataset " << name
               << " (mean ms and adjacency entries examined per index build; "
-                 "share of X-only levels run bottom-up)\n";
+                 "share of X-only levels run bottom-up; mean entries the "
+                 "assembly examined)\n";
     TablePrinter table({"k", "mitm", "full balls", "speedup", "mitm scan",
-                        "full scan", "bottom-up", "identical"});
+                        "full scan", "bottom-up", "assembly scan",
+                        "identical"});
     IndexBuilder builder;
     for (uint32_t k = 3; k <= 8; ++k) {
       const auto queries = MakeQueries(g, env, k);
@@ -59,6 +68,7 @@ int main() {
       double mitm_ms = 0, full_ms = 0;
       uint64_t mitm_scan = 0, full_scan = 0;
       uint64_t x_only_levels = 0, bottom_up_levels = 0;
+      uint64_t assembly_scan = 0;
       bool identical = true;
       for (const Query& q : queries) {
         const LightweightIndex a = builder.Build(g, q);
@@ -66,6 +76,7 @@ int main() {
         mitm_scan += a.build_stats().edges_scanned;
         x_only_levels += a.build_stats().x_only_levels;
         bottom_up_levels += a.build_stats().bottom_up_levels;
+        assembly_scan += a.build_stats().adjacency_scanned;
         IndexBuildOptions full_opts;
         full_opts.prune_forward_bfs = false;
         const LightweightIndex b = builder.Build(g, q, full_opts);
@@ -85,6 +96,7 @@ int main() {
                                  static_cast<double>(x_only_levels),
                              2)
                : "-",
+           FormatSci(static_cast<double>(assembly_scan) / n),
            identical ? "yes" : "NO (BUG)"});
     }
     table.Print(std::cout);
@@ -93,9 +105,10 @@ int main() {
       "Expected: identical indexes (meeting in the middle is exact — a "
       "vertex of X deeper than one side's split is within the other side's "
       "split, and every vertex on a shortest path to a vertex of X is in "
-      "X, and both directions of an X-only level admit the same set), with "
-      "build speedups and smaller scans wherever the full k-balls outgrow "
-      "the two half-depth balls plus X's levels.");
+      "X, and both directions of an X-only level admit the same set; both "
+      "directions of an assembly row write the same (v'.t, id)-ordered "
+      "lists), with build speedups and smaller scans wherever the full "
+      "k-balls outgrow the two half-depth balls plus X's levels.");
   if (!all_identical) {
     std::cerr << "bench_ablation_bfsprune: meet-in-the-middle and full-ball "
                  "builds differ\n";

@@ -367,8 +367,9 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
 }
 
 /// Lines 5-11 of Alg. 3: the slot maps and the staged adjacency of X's
-/// slots. Returns the control trip (0 = none, 1 = cancel, 2 = deadline)
-/// that stopped it early.
+/// slots, one row (the slots of one v.s) at a time, each from its cheaper
+/// side (DESIGN.md §1). Returns the control trip (0 = none, 1 = cancel,
+/// 2 = deadline) that stopped it early.
 template <typename GraphT, typename DistT>
 int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
                                  const Options& opts, const DistT& dist_t,
@@ -391,7 +392,6 @@ int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
                const LightweightIndex::VertexSlot& b) {
               return a.vertex < b.vertex;
             });
-  const auto slot_of = [&](VertexId v) { return slot_lookup_[v]; };
   idx.source_slot_ = slot_lookup_[q.source];
   idx.target_slot_ = slot_lookup_[q.target];
 
@@ -406,13 +406,38 @@ int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
     level_count_.assign(k, 0);
   }
 
-  // --- Lines 5-11: out-direction adjacency H_t, sorted by v'.t. ---------
+  // --- Lines 5-11: out-direction adjacency H_t, sorted by (v'.t, id). ---
+  // Row a is the cells (a, 0..k - a): one contiguous slot range.
+  for (uint32_t a = 0; a <= k; ++a) {
+    const uint32_t first = cell_offsets_[static_cast<size_t>(a) * (k + 1)];
+    const uint32_t last = cell_offsets_[static_cast<size_t>(a + 1) * (k + 1)];
+    if (first == last) continue;
+    int trip;
+    if (PreferBottomUpRow(g, k, a, first, last, idx.target_slot_)) {
+      ++idx.build_stats_.bottom_up_rows;
+      trip = BottomUpRow(g, opts, k, first, last, idx);
+    } else {
+      trip = TopDownRow(g, q, opts, dist_t, first, last, idx);
+    }
+    if (trip != 0) return trip;
+  }
+  return 0;
+}
+
+/// Row [first, last) of H_t from each slot's out-list: keep v' with
+/// v.s + v'.t + 1 <= k, then a stable counting sort by v'.t, which over a
+/// sorted out-list leaves the (v'.t, id) order.
+template <typename GraphT, typename DistT>
+int IndexBuilder::TopDownRow(const GraphT& g, const Query& q,
+                             const Options& opts, const DistT& dist_t,
+                             uint32_t first, uint32_t last,
+                             LightweightIndex& idx) {
+  const uint32_t k = q.hops;
   uint32_t key_counts[kMaxHops + 2];
-  int trip = 0;
-  for (uint32_t slot = 0; slot < num_x; ++slot) {
+  for (uint32_t slot = first; slot < last; ++slot) {
     if ((slot & 4095u) == 0) {
       fault::Hit(fault::Site::kIndexAdjacency);
-      if ((trip = ControlTrip(opts)) != 0) break;
+      if (const int trip = ControlTrip(opts)) return trip;
     }
     const VertexId v = x_vertices_[slot];
     const uint32_t ds = slot_ds_[slot];
@@ -422,6 +447,7 @@ int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
       scratch_.push_back({0, slot, kInvalidEdge});
     } else {
       const auto nbrs = g.OutNeighbors(v);
+      idx.build_stats_.adjacency_scanned += nbrs.size();
       for (size_t j = 0; j < nbrs.size(); ++j) {
         const VertexId w = nbrs[j];
         if (w == q.source) continue;  // s is never a tuple destination
@@ -440,7 +466,7 @@ int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
         }
         if (opts.filter != nullptr && !(*opts.filter)(v, w, e)) continue;
         // Reachability arithmetic guarantees w is in X (see DESIGN.md).
-        scratch_.push_back({dt_w, slot_of(w), e});
+        scratch_.push_back({dt_w, slot_lookup_[w], e});
       }
     }
     // Counting sort by distance key (stable: preserves adjacency order).
@@ -467,7 +493,126 @@ int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
       idx.num_out_edges_ += scratch_.size();
     }
   }
-  return trip;
+  return 0;
+}
+
+/// The direction rule of row a (slots [first, last)): bottom-up when its
+/// admissible destinations' in-degrees, scanned twice, sum below its
+/// slots' out-degrees, scanned once; the destination sum stops as soon as
+/// it reaches that. True leaves the destinations in row_dests_, sorted by
+/// (v'.t, vertex id).
+template <typename GraphT>
+bool IndexBuilder::PreferBottomUpRow(const GraphT& g, uint32_t k, uint32_t a,
+                                     uint32_t first, uint32_t last,
+                                     uint32_t target_slot) {
+  if (a == k) return false;  // row k is at most t, whose entry is padding
+  uint64_t top_down = 0;
+  for (uint32_t slot = first; slot < last; ++slot) {
+    if (slot != target_slot) top_down += g.OutDegree(x_vertices_[slot]);
+  }
+  // An out-edge of row a reaches v'.s <= a + 1 and may keep only
+  // v'.t <= k - a - 1: the cells (a', b') with a' <= a + 1, b' < k - a.
+  // Cell (0, *) is s alone, never a destination.
+  row_dests_.clear();
+  uint64_t bottom_up = 0;
+  for (uint32_t b = 0; a + b < k; ++b) {
+    for (uint32_t a2 = 1; a2 <= a + 1; ++a2) {
+      const size_t c = static_cast<size_t>(a2) * (k + 1) + b;
+      for (uint32_t slot = cell_offsets_[c]; slot < cell_offsets_[c + 1];
+           ++slot) {
+        if (2 * bottom_up >= top_down) return false;
+        const VertexId w = x_vertices_[slot];
+        bottom_up += g.InDegree(w);
+        row_dests_.push_back(uint64_t{b} << 32 | w);
+      }
+    }
+  }
+  if (2 * bottom_up >= top_down) return false;
+  std::sort(row_dests_.begin(), row_dests_.end());
+  return true;
+}
+
+/// Row [first, last) of H_t from its destinations' in-lists (row_dests_),
+/// in two passes over them: the first counts each slot's entries per key
+/// into out_ends_, the second writes them straight into out_slots_ /
+/// out_edge_ids_. Each slot receives its entries in destination order,
+/// (v'.t, id) — the order TopDownRow leaves — so the result is the same
+/// byte for byte. Polls control at the row start and every 4,096
+/// destinations of each pass.
+template <typename GraphT>
+int IndexBuilder::BottomUpRow(const GraphT& g, const Options& opts,
+                              uint32_t k, uint32_t first, uint32_t last,
+                              LightweightIndex& idx) {
+  const uint32_t row_len = last - first;
+  const uint32_t t_slot = idx.target_slot_;
+  const bool has_t = t_slot - first < row_len;
+  // Calls emit(slot, w_slot, key, e) for every entry of the row: an
+  // in-neighbour u of destination w whose slot lies in the row and passes
+  // the filter. t's out-edges are skipped: its padding entry is its only
+  // one. Edge ids as TopDownRow takes them (plain Graph only), looked up
+  // when `with_ids` or the filter needs them.
+  const auto for_each_entry = [&](bool with_ids, const auto& emit) -> int {
+    const bool need_id = with_ids || opts.filter != nullptr;
+    for (size_t i = 0; i < row_dests_.size(); ++i) {
+      if ((i & 4095u) == 0) {
+        fault::Hit(fault::Site::kIndexAdjacency);
+        if (const int trip = ControlTrip(opts)) return trip;
+      }
+      const VertexId w = static_cast<VertexId>(row_dests_[i]);
+      const uint32_t key = static_cast<uint32_t>(row_dests_[i] >> 32);
+      const uint32_t w_slot = slot_lookup_[w];
+      const auto nbrs = g.InNeighbors(w);
+      idx.build_stats_.adjacency_scanned += nbrs.size();
+      for (const VertexId u : nbrs) {
+        const uint32_t slot = slot_lookup_[u];
+        // kInvalidSlot - first is never below row_len.
+        if (slot - first >= row_len || slot == t_slot) continue;
+        EdgeId e = kInvalidEdge;
+        if constexpr (std::is_same_v<GraphT, Graph>) {
+          if (need_id) e = g.FindEdge(u, w);
+        }
+        if (opts.filter != nullptr && !(*opts.filter)(u, w, e)) continue;
+        emit(slot, w_slot, key, e);
+      }
+    }
+    return 0;
+  };
+
+  // Pass 1: per-slot counts per key, then prefix sums into the ends.
+  if (const int trip = for_each_entry(
+          false, [&](uint32_t slot, uint32_t, uint32_t key, EdgeId) {
+            out_ends_[static_cast<size_t>(slot) * (k + 1) + key]++;
+          })) {
+    return trip;
+  }
+  if (has_t) out_ends_[static_cast<size_t>(t_slot) * (k + 1)] = 1;
+  const uint64_t row_begin = out_slots_.size();
+  uint64_t end = row_begin;
+  for (uint32_t slot = first; slot < last; ++slot) {
+    uint32_t* ends = &out_ends_[static_cast<size_t>(slot) * (k + 1)];
+    for (uint32_t b = 1; b <= k; ++b) ends[b] += ends[b - 1];
+    // out_begin_[slot + 1] holds the slot's start here and serves as its
+    // write cursor in pass 2, which leaves it at the slot's end.
+    out_begin_[slot + 1] = end;
+    end += ends[k];
+  }
+  out_slots_.resize(end);
+  if (opts.build_edge_ids) out_edge_ids_.resize(end);
+  if (has_t) {
+    const uint64_t at = out_begin_[t_slot + 1]++;
+    out_slots_[at] = t_slot;
+    if (opts.build_edge_ids) out_edge_ids_[at] = kInvalidEdge;
+  }
+  idx.num_out_edges_ += end - row_begin - (has_t ? 1 : 0);
+
+  // Pass 2: each entry straight into its slot's next position.
+  return for_each_entry(
+      opts.build_edge_ids,
+      [&](uint32_t slot, uint32_t w_slot, uint32_t, EdgeId e) {
+        const uint64_t at = out_begin_[slot + 1]++;
+        out_slots_[at] = w_slot;
+        if (opts.build_edge_ids) out_edge_ids_[at] = e;
+      });
 }
 
 // The two graph types an index is ever built over: the immutable CSR Graph

@@ -5,11 +5,11 @@
 //     X = { v : v.s + v.t <= k },   v.s = S(s,v | G-{t}), v.t = S(v,t | G-{s})
 // bucketed into the (k+1) x (k+1) partition matrix of Figure 4a, plus one
 // sorted adjacency structure, the out-direction H_t: for v in X, the
-// out-neighbors v' with v.s + v'.t + 1 <= k, sorted ascending by v'.t, with
-// per-vertex offset slots so that I_t(v, b) — "neighbors within distance b
-// of t" — is an O(1) span lookup (Figure 4b). Every consumer reads H_t
-// only: the enumerators, and both DPs of the join-order optimizer (the
-// forward one pushes along I_t; see DESIGN.md §3). The join model's (t,t)
+// out-neighbors v' with v.s + v'.t + 1 <= k, sorted by (v'.t, vertex id),
+// with per-vertex offset slots so that I_t(v, b) — "neighbors within
+// distance b of t" — is an O(1) span lookup (Figure 4b). Every consumer
+// reads H_t only: the enumerators, and both DPs of the join-order optimizer
+// (the forward one pushes along I_t; see DESIGN.md §3). The join model's (t,t)
 // padding tuple appears as a self-entry of t. s never appears as an
 // out-destination (no relation of Q contains such a tuple; see DESIGN.md).
 //
@@ -20,7 +20,10 @@
 // v.s and v.t come from meeting in the middle (TwoSidedField, DESIGN.md
 // §1): two half-depth BFS balls, then levels that admit only X, each run
 // from whichever side of it is cheaper — never the whole k-ball around s
-// or t.
+// or t. H_t is then assembled one row (the slots of one v.s) at a time,
+// each from its cheaper side: top-down from the row's out-lists, or
+// bottom-up from its admissible destinations' in-lists in two passes
+// (DESIGN.md §1). Both leave the same bytes.
 //
 // Storage is arena-fused (DESIGN.md §9): every per-index array lives in one
 // contiguous slab — a single allocation per build, a one-shot free, an
@@ -70,6 +73,11 @@ class LightweightIndex {
     /// only), and how many of them ran bottom-up from their candidates.
     uint32_t x_only_levels = 0;
     uint32_t bottom_up_levels = 0;
+    /// Adjacency entries the assembly of H_t examined: a top-down row's
+    /// out-lists, a bottom-up row's destination in-lists once per pass.
+    uint64_t adjacency_scanned = 0;
+    /// Rows of H_t (the slots of one v.s) assembled bottom-up.
+    uint32_t bottom_up_rows = 0;
   };
 
   /// One entry of the slab's vertex -> slot map, sorted by vertex.
@@ -119,7 +127,7 @@ class LightweightIndex {
   uint32_t target_slot() const { return target_slot_; }
 
   /// I_t(v, b) in slot space: out-neighbor slots whose distance to t is at
-  /// most b, sorted ascending by that distance. O(1).
+  /// most b, sorted by (that distance, vertex id). O(1).
   std::span<const uint32_t> OutSlotsWithin(uint32_t slot, uint32_t b) const {
     return {out_slots_.data() + out_begin_[slot], OutEnd(slot, b)};
   }
@@ -232,7 +240,7 @@ class LightweightIndex {
 
   bool edge_ids_built_ = false;
   std::span<const uint64_t> out_begin_;    // per slot, into out_slots_
-  std::span<const uint32_t> out_slots_;    // neighbors, ascending by v'.t
+  std::span<const uint32_t> out_slots_;    // neighbors, by (v'.t, id)
   std::span<const EdgeId> out_edge_ids_;   // aligned with out_slots_
   std::span<const uint16_t> out_ends16_;   // (k+1) cumulative counts per
   std::span<const uint32_t> out_ends32_;   //   slot; exactly one is set
@@ -260,9 +268,11 @@ struct IndexBuildOptions {
   /// k-balls, the reference the ablation bench and the differential
   /// tests compare against.
   bool prune_forward_bfs = true;
-  /// Cooperative build control (DESIGN.md §10): polled once per BFS wave
-  /// and periodically during the adjacency scan. A tripped build returns
-  /// an empty-but-well-formed index with build_stats().interrupted set
+  /// Cooperative build control (DESIGN.md §10), polled once per expanded
+  /// BFS level, then during the assembly at every 4,096th slot of a
+  /// top-down row, and at the start of each bottom-up row and every 4,096
+  /// destinations of its two passes. A tripped build returns an
+  /// empty-but-well-formed index with build_stats().interrupted set
   /// instead of running to completion.
   const std::atomic<bool>* cancel = nullptr;
   Deadline deadline = Deadline::Unlimited();
@@ -310,12 +320,22 @@ class IndexBuilder {
                     const DistT& dist_t, LightweightIndex& idx,
                     Timer& total_timer);
 
-  /// AssembleFrom's slot maps and adjacency scans over the staged X;
-  /// returns the control trip (0 = none, 1 = cancel, 2 = deadline) that
-  /// stopped them early.
+  /// AssembleFrom's slot maps and adjacency scans over the staged X, row
+  /// by row through the three helpers below; returns the control trip
+  /// (0 = none, 1 = cancel, 2 = deadline) that stopped them early.
   template <typename GraphT, typename DistT>
   int BuildAdjacency(const GraphT& g, const Query& q, const Options& opts,
                      const DistT& dist_t, LightweightIndex& idx);
+  template <typename GraphT, typename DistT>
+  int TopDownRow(const GraphT& g, const Query& q, const Options& opts,
+                 const DistT& dist_t, uint32_t first, uint32_t last,
+                 LightweightIndex& idx);
+  template <typename GraphT>
+  bool PreferBottomUpRow(const GraphT& g, uint32_t k, uint32_t a,
+                         uint32_t first, uint32_t last, uint32_t target_slot);
+  template <typename GraphT>
+  int BottomUpRow(const GraphT& g, const Options& opts, uint32_t k,
+                  uint32_t first, uint32_t last, LightweightIndex& idx);
 
   /// Replaces the staged parts with an empty-but-well-formed index (zero
   /// slots, zero paths on enumeration) and stamps the interruption into
@@ -332,6 +352,8 @@ class IndexBuilder {
     EdgeId edge;
   };
   std::vector<ScratchEntry> scratch_;
+  // A bottom-up row's destinations as (v'.t << 32 | vertex), sorted.
+  std::vector<uint64_t> row_dests_;
 
   // Staging arrays (reused across builds; Fuse copies them into the slab).
   std::vector<VertexId> x_vertices_;

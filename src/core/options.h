@@ -47,7 +47,8 @@ struct EnumOptions {
 
   /// Cooperative cancellation (core/control.h). The default token is null
   /// and can never fire. Enumerators poll it at block-emission and
-  /// cursor-refill granularity; the index builder polls once per BFS wave.
+  /// cursor-refill granularity; the index builder at the points
+  /// IndexBuildOptions::cancel names.
   CancelToken cancel;
 
   /// Cap on neighbor entries examined (edges_accessed) — a deterministic,

@@ -13,12 +13,15 @@ namespace {
 /// Options for one branch unit: the result limit and the response target
 /// are delegated to the shared gate; the time budget is re-derived from the
 /// query's one absolute deadline, so every unit — whenever and on whichever
-/// worker it starts — observes the same end instant.
-EnumOptions BranchOptions(const EnumOptions& opts, const Deadline& deadline) {
+/// worker it starts — observes the same end instant; the work budget is
+/// what the query's budget has left, `work_left`.
+EnumOptions BranchOptions(const EnumOptions& opts, const Deadline& deadline,
+                          uint64_t work_left) {
   EnumOptions branch_opts = opts;
   branch_opts.result_limit = std::numeric_limits<uint64_t>::max();
   branch_opts.response_target = 0;
   branch_opts.time_limit_ms = deadline.RemainingMs();
+  branch_opts.work_budget_edges = work_left;
   return branch_opts;
 }
 
@@ -57,18 +60,24 @@ void SplitPhase::Drain(QueryContext& ctx) {
     while (!stop_.load(std::memory_order_relaxed)) {
       const uint32_t b = cursor_.fetch_add(1, std::memory_order_relaxed);
       if (b >= branches_.size()) break;
-      // A branch polls the query's cancel and deadline only every few
-      // thousand search steps, from a fresh countdown, so a query of many
-      // small branches would never poll them: poll once per claim too.
+      // A branch polls the query's cancel, deadline and work budget only
+      // every few thousand search steps, from a fresh countdown, so a query
+      // of many small branches would never poll them: poll once per claim
+      // too. The work budget is the query's: a claim gets what the
+      // finished branches left of it.
       EnumCounters c;
+      const uint64_t spent = spent_edges_.load(std::memory_order_relaxed);
       c.cancelled = opts_.cancel.cancelled();
       c.timed_out = deadline_.Expired();
-      if (!c.cancelled && !c.timed_out) {
+      c.work_exceeded = spent >= opts_.work_budget_edges;
+      if (!c.cancelled && !c.timed_out && !c.work_exceeded) {
         // The immediate target arrival and the duplicate check for s are
         // the root frame's job in the sequential code; RunBranch handles
         // them.
-        c = dfs.RunBranch(index_, branches_[b], sink_,
-                          BranchOptions(opts_, deadline_));
+        c = dfs.RunBranch(
+            index_, branches_[b], sink_,
+            BranchOptions(opts_, deadline_, opts_.work_budget_edges - spent));
+        spent_edges_.fetch_add(c.edges_accessed, std::memory_order_relaxed);
         // RunBranch charges both partials of its chain, (s) and
         // (s, branch); the root (s) is shared by every branch and Result
         // charges it once.

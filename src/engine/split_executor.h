@@ -68,6 +68,9 @@ class SplitPhase {
   BranchSink sink_;
   std::atomic<uint32_t> cursor_{0};
   std::atomic<bool> stop_{false};
+  // Edges the finished branches examined, against the query's
+  // EnumOptions::work_budget_edges.
+  std::atomic<uint64_t> spent_edges_{0};
   std::mutex mutex_;  // guards the fields below
   EnumCounters total_;
   std::exception_ptr failure_;

@@ -7,6 +7,8 @@
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "core/index.h"
@@ -234,6 +236,64 @@ TEST(IndexTest, BuilderReuseAcrossQueries) {
   EXPECT_NE(a.num_vertices(), b.num_vertices());
 }
 
+/// Every slot's I_t(v, b) lists and edge ids against an independent scan of
+/// its out-list: the v' != s in X with v.s + v'.t + 1 <= k that pass
+/// `filter`, in (v'.t, vertex id) order, each with its edge id (none on an
+/// overlay view, whose builds take no ids, nor for t's padding entry). X and
+/// the distances are the index's own; the callers pin those separately.
+template <typename GraphT>
+void ExpectOrderedAdjacency(const GraphT& g, const LightweightIndex& idx,
+                            const EdgeFilter* filter, const std::string& at) {
+  const Query& q = idx.query();
+  const uint32_t k = q.hops;
+  ASSERT_TRUE(idx.has_edge_ids()) << at;
+  for (uint32_t slot = 0; slot < idx.num_vertices(); ++slot) {
+    const VertexId v = idx.VertexAt(slot);
+    std::vector<std::tuple<uint32_t, VertexId, EdgeId>> expected;
+    if (v == q.target) {
+      expected.emplace_back(0, v, kInvalidEdge);  // the padding self-entry
+    } else {
+      const auto nbrs = g.OutNeighbors(v);
+      for (size_t j = 0; j < nbrs.size(); ++j) {
+        const VertexId w = nbrs[j];
+        const uint32_t w_slot = idx.SlotOf(w);
+        if (w == q.source || w_slot == kInvalidSlot) continue;
+        const uint32_t dt_w = idx.DistToTarget(w_slot);
+        if (idx.DistFromSource(slot) + dt_w + 1 > k) continue;
+        EdgeId e = kInvalidEdge;
+        if constexpr (std::is_same_v<GraphT, Graph>) e = g.OutEdgeId(v, j);
+        if (filter != nullptr && !(*filter)(v, w, e)) continue;
+        expected.emplace_back(dt_w, w, e);
+      }
+      std::sort(expected.begin(), expected.end());
+    }
+    for (uint32_t b = 0; b <= k; ++b) {
+      std::vector<VertexId> want_vertices;
+      std::vector<EdgeId> want_edges;
+      for (const auto& [dt_w, w, e] : expected) {
+        if (dt_w > b) break;
+        want_vertices.push_back(w);
+        want_edges.push_back(e);
+      }
+      EXPECT_EQ(idx.OutVerticesWithin(v, b), want_vertices)
+          << at << " v=" << v << " b=" << b;
+      const auto edges = idx.OutEdgeIdsWithin(slot, b);
+      EXPECT_EQ(std::vector<EdgeId>(edges.begin(), edges.end()), want_edges)
+          << at << " v=" << v << " b=" << b;
+    }
+  }
+}
+
+/// Rows of H_t (the slots of one v.s) that hold at least one slot.
+uint32_t NonEmptyRows(const LightweightIndex& idx) {
+  const uint32_t k = idx.hops();
+  uint32_t rows = 0;
+  for (uint32_t a = 0; a <= k; ++a) {
+    if (idx.CellSlots(a, 0).first < idx.CellSlots(a, k).second) ++rows;
+  }
+  return rows;
+}
+
 // Randomized consistency: every index invariant recomputed naively.
 class IndexRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -270,29 +330,14 @@ TEST_P(IndexRandomTest, MatchesNaiveConstruction) {
   }
   ASSERT_EQ(idx.num_vertices(), expected_members);
 
-  // Adjacency, for every vertex and bound.
+  // Distances, then the adjacency for every vertex and bound, in order and
+  // with edge ids.
   for (uint32_t slot = 0; slot < idx.num_vertices(); ++slot) {
     const VertexId v = idx.VertexAt(slot);
     EXPECT_EQ(idx.DistFromSource(slot), fs.Distance(v));
     EXPECT_EQ(idx.DistToTarget(slot), ft.Distance(v));
-    for (uint32_t b = 0; b <= k; ++b) {
-      std::multiset<VertexId> expected;
-      if (v == q.target) {
-        expected.insert(q.target);  // the padding self-entry
-      } else {
-        for (const VertexId w : g.OutNeighbors(v)) {
-          if (w == q.source) continue;
-          const uint32_t dt_w = ft.Distance(w);
-          if (dt_w == kInfDistance || dt_w > b) continue;
-          if (fs.Distance(v) + dt_w + 1 > k) continue;
-          expected.insert(w);
-        }
-      }
-      const auto got_v = idx.OutVerticesWithin(v, b);
-      EXPECT_EQ(std::multiset<VertexId>(got_v.begin(), got_v.end()), expected)
-          << "v=" << v << " b=" << b;
-    }
   }
+  ExpectOrderedAdjacency(g, idx, nullptr, "seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexRandomTest,
@@ -328,12 +373,16 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
   };
   IndexBuilder builder;
   IndexBuilder reference_builder;
-  // X-only levels run each way across the meet-in-the-middle builds.
+  // X-only levels, and rows of H_t, run each way across the
+  // meet-in-the-middle builds.
   uint64_t bottom_up = 0, top_down = 0;
+  uint64_t bottom_up_rows = 0, top_down_rows = 0;
   const auto count_levels = [&](const LightweightIndex& idx) {
     const LightweightIndex::BuildStats& bs = idx.build_stats();
     bottom_up += bs.bottom_up_levels;
     top_down += bs.x_only_levels - bs.bottom_up_levels;
+    bottom_up_rows += bs.bottom_up_rows;
+    top_down_rows += NonEmptyRows(idx) - bs.bottom_up_rows;
   };
   for (size_t gi = 0; gi < std::size(graphs); ++gi) {
     const Graph& g = graphs[gi];
@@ -389,17 +438,21 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
           count_levels(plain);
           testing::ExpectSameIndex(
               plain, reference_builder.Build(g, q, ref_opts), at);
+          ExpectOrderedAdjacency(g, plain, opts.filter, at);
           const LightweightIndex overlay = builder.Build(view, q, opts);
           count_levels(overlay);
           testing::ExpectSameIndex(
               overlay, reference_builder.Build(view, q, ref_opts),
               at + " view");
+          ExpectOrderedAdjacency(view, overlay, opts.filter, at + " view");
         }
       }
     }
   }
   EXPECT_GT(bottom_up, 0u);
   EXPECT_GT(top_down, 0u);
+  EXPECT_GT(bottom_up_rows, 0u);
+  EXPECT_GT(top_down_rows, 0u);
 }
 
 TEST(IndexTest, SlabSizeIsIndependentOfTheVertexCount) {

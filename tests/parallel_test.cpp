@@ -152,6 +152,49 @@ TEST(SplitDfsTest, EmptyIndexYieldsNothing) {
   EXPECT_EQ(stats.counters.edges_accessed, 0u);
 }
 
+TEST(SplitDfsTest, WorkBudgetIsPerQuery) {
+  // s -> 500 middle vertices -> 20 leaves each -> t: 10,000 paths of three
+  // hops over 500 small branches (about 41 edges each). A 5,000-edge
+  // budget truncates the serial run, and must truncate the split one too:
+  // each branch alone stays far inside the budget, the query does not.
+  constexpr VertexId kMiddle = 500, kLeaves = 20;
+  const VertexId s = 0, t = 1 + kMiddle + kMiddle * kLeaves;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId m = 1; m <= kMiddle; ++m) {
+    edges.push_back({s, m});
+    for (VertexId j = 0; j < kLeaves; ++j) {
+      const VertexId leaf = 1 + kMiddle + (m - 1) * kLeaves + j;
+      edges.push_back({m, leaf});
+      edges.push_back({leaf, t});
+    }
+  }
+  const Graph g = Graph::FromEdges(t + 1, edges);
+  const Query q{s, t, 3};
+  EnumOptions opts;
+  opts.method = Method::kDfs;
+  opts.work_budget_edges = 5000;
+
+  PathEnumerator serial(g);
+  CountingSink serial_sink;
+  const QueryStats serial_stats = serial.Run(q, serial_sink, opts);
+  EXPECT_EQ(serial_stats.counters.TerminalState(), QueryState::kTruncated);
+  EXPECT_LT(serial_sink.count(), 10'000u);
+
+  for (const uint32_t workers : {1u, 4u}) {
+    CountingSink sink;
+    const QueryStats stats = RunSplitDfs(g, q, workers, sink, opts);
+    EXPECT_TRUE(stats.counters.work_exceeded) << workers << " workers";
+    EXPECT_EQ(stats.counters.TerminalState(), QueryState::kTruncated)
+        << workers << " workers";
+    EXPECT_LT(sink.count(), 10'000u) << workers << " workers";
+  }
+  // Without a budget the same split query delivers every path.
+  CountingSink all;
+  EXPECT_EQ(RunSplitDfs(g, q, 4, all).counters.TerminalState(),
+            QueryState::kOk);
+  EXPECT_EQ(all.count(), 10'000u);
+}
+
 TEST(SplitDfsTest, DirectEdgeBranchHandled) {
   // t itself is a first-level branch when the edge (s, t) exists.
   const Graph g = Graph::FromEdges(3, {{0, 2}, {0, 1}, {1, 2}});

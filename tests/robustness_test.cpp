@@ -546,6 +546,49 @@ TEST_F(RobustnessTest, ThrowMidAssemblyLeavesTheBuilderClean) {
   EXPECT_EQ(full.num_edges(), 13u);
 }
 
+TEST_F(RobustnessTest, CancelAtABottomUpAssemblyRowInterruptsTheBuild) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
+  // s -> m1..m4 -> {x1, x2} -> t, and every m also points at 20 dead ends
+  // outside X: at k = 3 the m row prices bottom-up (its two destinations'
+  // in-degrees sum to 8, scanned twice, against 88 out-entries). The
+  // row's start is the second assembly poll, after row {s}'s top-down
+  // one, and no later row polls: only a bottom-up row's own poll can
+  // see the cancel.
+  constexpr VertexId kS = 0, kT = 1, kM = 2, kX = 6, kDead = 8, kN = 28;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId m = kM; m < kM + 4; ++m) {
+    edges.push_back({kS, m});
+    for (VertexId x = kX; x < kX + 2; ++x) edges.push_back({m, x});
+    for (VertexId d = kDead; d < kN; ++d) edges.push_back({m, d});
+  }
+  for (VertexId x = kX; x < kX + 2; ++x) edges.push_back({x, kT});
+  const Graph g = Graph::FromEdges(kN, edges);
+  const Query q{kS, kT, 3};
+  IndexBuilder builder;
+  const LightweightIndex full = builder.Build(g, q);
+  ASSERT_EQ(full.build_stats().bottom_up_rows, 1u);
+  EXPECT_EQ(full.num_edges(), 4u + 8u + 2u);
+
+  std::atomic<bool> cancel{false};
+  IndexBuildOptions opts;
+  opts.cancel = &cancel;
+  {
+    const fault::ScopedFault trip(
+        fault::Site::kIndexAdjacency,
+        [&cancel] { cancel.store(true, std::memory_order_relaxed); },
+        /*skip_hits=*/1);
+    const LightweightIndex idx = builder.Build(g, q, opts);
+    EXPECT_TRUE(idx.build_stats().interrupted);
+    EXPECT_TRUE(idx.build_stats().interrupted_by_cancel);
+    EXPECT_EQ(idx.build_stats().bottom_up_rows, 1u);
+    EXPECT_EQ(idx.num_vertices(), 0u);
+  }
+  cancel.store(false);
+  const LightweightIndex again = builder.Build(g, q, opts);
+  EXPECT_FALSE(again.build_stats().interrupted);
+  EXPECT_EQ(again.num_edges(), full.num_edges());
+}
+
 TEST_F(RobustnessTest, InterruptedCachedBuildIsNotPublished) {
   if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
   // A deadline-interrupted build must fail over like a throwing one: the
