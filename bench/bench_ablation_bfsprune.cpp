@@ -15,6 +15,7 @@
 // counts that repeat on any host, so they show the scan reductions without
 // a timing gate.
 #include <iostream>
+#include <unordered_map>
 
 #include "common/bench_util.h"
 #include "core/index.h"
@@ -27,18 +28,28 @@ using namespace pathenum::bench;
 namespace {
 
 /// The same X, the same (v.s, v.t) for every vertex, the same edge count,
-/// the same ordered I_t(v, k) for every vertex.
+/// the same ordered I_t(v, k) for every vertex. Maps a's vertices to their
+/// slots once, so the check stays linear in the index size.
 bool SameIndex(const LightweightIndex& a, const LightweightIndex& b) {
   if (a.num_vertices() != b.num_vertices() || a.num_edges() != b.num_edges())
     return false;
+  std::unordered_map<VertexId, uint32_t> a_slots;
+  for (uint32_t slot = 0; slot < a.num_vertices(); ++slot) {
+    a_slots.emplace(a.VertexAt(slot), slot);
+  }
   for (uint32_t slot = 0; slot < b.num_vertices(); ++slot) {
-    const VertexId v = b.VertexAt(slot);
-    const uint32_t other = a.SlotOf(v);
-    if (other == kInvalidSlot ||
-        a.DistFromSource(other) != b.DistFromSource(slot) ||
-        a.DistToTarget(other) != b.DistToTarget(slot) ||
-        a.OutVerticesWithin(v, a.hops()) != b.OutVerticesWithin(v, b.hops())) {
+    const auto it = a_slots.find(b.VertexAt(slot));
+    if (it == a_slots.end()) return false;
+    const uint32_t other = it->second;
+    if (a.DistFromSource(other) != b.DistFromSource(slot) ||
+        a.DistToTarget(other) != b.DistToTarget(slot)) {
       return false;
+    }
+    const auto a_out = a.OutSlotsWithin(other, a.hops());
+    const auto b_out = b.OutSlotsWithin(slot, b.hops());
+    if (a_out.size() != b_out.size()) return false;
+    for (size_t j = 0; j < a_out.size(); ++j) {
+      if (a.VertexAt(a_out[j]) != b.VertexAt(b_out[j])) return false;
     }
   }
   return true;

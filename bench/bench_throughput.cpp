@@ -717,7 +717,6 @@ int main() {
     uint64_t cold_results = 0;
     uint64_t delegated = 0;
     uint64_t stitched = 0;
-    uint64_t continuations = 0;
     bool match = true;
   };
   std::vector<ShardedRow> sharded_rows;
@@ -805,7 +804,6 @@ int main() {
       const ShardRouter::Stats rs = router.stats();
       row.delegated = rs.delegated;
       row.stitched = rs.stitched;
-      row.continuations = rs.continuations_sent;
       row.match = row.skew_results == sharded_skew_base_results &&
                   (cold_queries.empty() ||
                    row.cold_results == sharded_cold_base_results);
@@ -899,14 +897,12 @@ int main() {
   for (const ShardedRow& row : sharded_rows) {
     std::printf("  [sharded] %u shards: skew %.2f ms vs %.2f ms unsharded "
                 "(%.2fx), cold %.2f ms vs %.2f ms; %zu cut edges, %llu "
-                "delegated / %llu stitched (%llu continuations), "
-                "differential %s\n",
+                "delegated / %llu stitched, differential %s\n",
                 row.shards, row.skew_ms, sharded_skew_base_ms,
                 row.skew_ms > 0.0 ? sharded_skew_base_ms / row.skew_ms : 0.0,
                 row.cold_ms, sharded_cold_base_ms, row.cut_edges,
                 static_cast<unsigned long long>(row.delegated),
                 static_cast<unsigned long long>(row.stitched),
-                static_cast<unsigned long long>(row.continuations),
                 row.match ? "match" : "MISMATCH");
   }
 
@@ -995,7 +991,6 @@ int main() {
           << ", \"cold_results\": " << row.cold_results
           << ", \"delegated\": " << row.delegated
           << ", \"stitched\": " << row.stitched
-          << ", \"continuations_sent\": " << row.continuations
           << ", \"differential_match\": "
           << (row.match ? "true" : "false") << "}";
     }

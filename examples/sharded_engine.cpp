@@ -1,14 +1,15 @@
 // Sharded serving demo (DESIGN.md §14): a ShardRouter partitions one graph
 // across several shard engines and serves a mixed query/update stream over
-// the union. Shows the planner's three outcomes — O(1) unsatisfiable
-// rejection from the exact distance fields, whole-query delegation to one
-// shard when no cut edge is feasible, and stitched cross-shard execution
-// as one depth-first search over every shard's pinned view — plus update
-// routing (each delta op lands in the shard owning its edge's tail, which
-// publishes its own snapshot epoch) and the per-shard metrics the registry
-// exports.
+// the union. Each query's light-weight index, built over every shard's
+// pinned view, decides its outcome — unsatisfiable when X is empty,
+// delegated to one shard when no index edge crosses shards, stitched
+// otherwise: the paper's pipeline runs on that index on the caller's
+// thread. Also shows update routing (each delta op lands in the shard
+// owning its edge's tail, which publishes its own snapshot epoch) and the
+// per-shard metrics the registry exports. Exits 1 if a query fails.
 //
 // Build: cmake --build build --target sharded_engine && ./build/sharded_engine
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -30,7 +31,8 @@ const char* StateName(QueryState s) {
   }
 }
 
-void ServeOne(ShardRouter& router, const Query& q, uint64_t limit) {
+/// Serves q and prints its outcome; false if it failed.
+bool ServeOne(ShardRouter& router, const Query& q, uint64_t limit) {
   CountingSink sink;
   EnumOptions opts;
   opts.result_limit = limit;
@@ -39,16 +41,26 @@ void ServeOne(ShardRouter& router, const Query& q, uint64_t limit) {
               q.hops,
               static_cast<unsigned long long>(r.stats.counters.num_results),
               StateName(r.state),
-              r.state == QueryState::kUnsatisfiable ? "planner rejection"
-              : r.delegated                         ? "delegated"
-                                                    : "stitched");
+              r.state == QueryState::kRejected        ? r.error.c_str()
+              : r.state == QueryState::kUnsatisfiable ? "empty index"
+              : r.delegated                           ? "delegated"
+                                                      : "stitched");
   if (r.delegated) {
     std::printf(" to shard %u", r.delegate_shard);
-  } else if (r.state != QueryState::kUnsatisfiable) {
-    std::printf(" across %llu feasible cut edges",
+  } else if (r.state != QueryState::kUnsatisfiable &&
+             r.state != QueryState::kRejected) {
+    std::printf(" (%s over %llu index edges, %llu across shards)",
+                std::string(MethodName(r.stats.method)).c_str(),
+                static_cast<unsigned long long>(r.stats.index_edges),
                 static_cast<unsigned long long>(r.feasible_cut_edges));
   }
   std::printf("\n");
+  const bool ok = r.state == QueryState::kOk ||
+                  r.state == QueryState::kTruncated ||
+                  r.state == QueryState::kUnsatisfiable ||
+                  r.state == QueryState::kRejected;
+  if (!ok) std::printf("    failed: %s\n", r.error.c_str());
+  return ok;
 }
 
 }  // namespace
@@ -65,11 +77,24 @@ int main() {
   std::printf("partitioned %u vertices across %u shards, %zu cut edges\n",
               router.num_vertices(), router.num_shards(), router.cut_size());
 
+  bool ok = true;
   std::printf("\nquery stream (epoch 0):\n");
-  ServeOne(router, Query{1, 9, 4}, 100);
-  ServeOne(router, Query{5, 2, 3}, 100);
-  ServeOne(router, Query{0, 399, 2}, 100);  // likely beyond 2 hops: rejected
-  ServeOne(router, Query{3, 7, 5}, 8);      // tight limit: exact truncation
+  ok &= ServeOne(router, Query{1, 9, 4}, 100);
+  ok &= ServeOne(router, Query{5, 2, 3}, 100);
+  ok &= ServeOne(router, Query{0, 399, 2}, 100);  // likely beyond 2 hops
+  ok &= ServeOne(router, Query{3, 7, 5}, 8);  // tight limit: exact truncation
+  ok &= ServeOne(router, Query{3, 3, 4}, 100);  // s == t: rejected
+  // One hop over an edge inside one shard: the index is that edge alone.
+  for (VertexId u = 0; u < router.num_vertices(); ++u) {
+    const auto out = router.shard(router.ShardOf(u)).CurrentView()
+                         ->OutNeighbors(u);
+    const auto w = std::find_if(out.begin(), out.end(), [&](VertexId v) {
+      return router.ShardOf(v) == router.ShardOf(u);
+    });
+    if (w == out.end()) continue;
+    ok &= ServeOne(router, Query{u, *w, 1}, 100);
+    break;
+  }
 
   // Updates route through the partition map: each op is applied by the
   // shard owning its tail, which publishes its own snapshot epoch; a query
@@ -77,14 +102,15 @@ int main() {
   std::printf("\napplying update: +(1 -> 399), +(399 -> 9), -(1 -> 2)\n");
   const Status st = router.SubmitUpdate(
       GraphDelta{}.Insert(1, 399).Insert(399, 9).Delete(1, 2));
+  ok &= st.ok();
   std::printf("  update %s; shard versions now:", st.ok() ? "ok" : "failed");
   for (uint32_t s = 0; s < router.num_shards(); ++s) {
     std::printf(" %llu",
                 static_cast<unsigned long long>(router.shard(s).version()));
   }
   std::printf("\n\nquery stream (after update):\n");
-  ServeOne(router, Query{1, 9, 4}, 100);
-  ServeOne(router, Query{0, 399, 2}, 100);  // the new edges may open this up
+  ok &= ServeOne(router, Query{1, 9, 4}, 100);
+  ok &= ServeOne(router, Query{0, 399, 2}, 100);  // the new edges may open it
 
   std::printf("\nper-shard work:\n");
   for (uint32_t s = 0; s < router.num_shards(); ++s) {
@@ -95,14 +121,12 @@ int main() {
   }
   const ShardRouter::Stats rs = router.stats();
   std::printf("router: %llu queries (%llu delegated, %llu stitched, %llu "
-              "unsatisfiable), %llu updates, %llu partial paths continued "
-              "across the cut\n",
+              "unsatisfiable), %llu updates\n",
               static_cast<unsigned long long>(rs.queries),
               static_cast<unsigned long long>(rs.delegated),
               static_cast<unsigned long long>(rs.stitched),
               static_cast<unsigned long long>(rs.unsatisfiable),
-              static_cast<unsigned long long>(rs.updates),
-              static_cast<unsigned long long>(rs.continuations_sent));
+              static_cast<unsigned long long>(rs.updates));
 
   // Everything above is also exported through the metric registry (the
   // §12 exposition the service scrapes); show the shard/router families.
@@ -119,5 +143,5 @@ int main() {
     }
     pos = eol + 1;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "graph/union_view.h"
 #include "graph/view.h"
 #include "obs/metrics.h"
 #include "util/memory.h"
@@ -12,11 +13,10 @@
 namespace pathenum {
 
 uint32_t LightweightIndex::SlotOf(VertexId v) const {
-  const auto it = std::lower_bound(
-      vertex_slots_.begin(), vertex_slots_.end(), v,
-      [](const VertexSlot& e, VertexId key) { return e.vertex < key; });
-  return it != vertex_slots_.end() && it->vertex == v ? it->slot
-                                                      : kInvalidSlot;
+  const auto it = std::find(x_vertices_.begin(), x_vertices_.end(), v);
+  return it != x_vertices_.end()
+             ? static_cast<uint32_t>(it - x_vertices_.begin())
+             : kInvalidSlot;
 }
 
 std::vector<VertexId> LightweightIndex::OutVerticesWithin(VertexId v,
@@ -156,7 +156,6 @@ void IndexBuilder::Fuse(LightweightIndex& idx, bool edge_ids,
   }
   total += bytes_of(x_vertices_);
   total += bytes_of(cell_offsets_);
-  total += bytes_of(vertex_slots_);
   total += bytes_of(out_slots_);
   total += out_ends_.size() * (out_narrow ? sizeof(uint16_t) : sizeof(uint32_t));
   total += bytes_of(slot_ds_);
@@ -178,7 +177,6 @@ void IndexBuilder::Fuse(LightweightIndex& idx, bool edge_ids,
   // 4-byte.
   idx.x_vertices_ = PlacePart(slab, off, x_vertices_);
   idx.cell_offsets_ = PlacePart(slab, off, cell_offsets_);
-  idx.vertex_slots_ = PlacePart(slab, off, vertex_slots_);
   idx.out_slots_ = PlacePart(slab, off, out_slots_);
   if (!out_narrow) idx.out_ends32_ = PlacePart(slab, off, out_ends_);
   // 2-byte.
@@ -197,7 +195,6 @@ void IndexBuilder::FinishInterrupted(LightweightIndex& idx, const Query& q,
   x_vertices_.clear();
   slot_ds_.clear();
   slot_dt_.clear();
-  vertex_slots_.clear();  // SlotOf finds nothing
   out_begin_.assign(1, 0);
   out_ends_.clear();
   out_slots_.clear();
@@ -366,10 +363,10 @@ void IndexBuilder::AssembleFrom(const GraphT& g, const Query& q,
   idx.build_stats_.total_ms = total_timer.ElapsedMs();
 }
 
-/// Lines 5-11 of Alg. 3: the slot maps and the staged adjacency of X's
-/// slots, one row (the slots of one v.s) at a time, each from its cheaper
-/// side (DESIGN.md §1). Returns the control trip (0 = none, 1 = cancel,
-/// 2 = deadline) that stopped it early.
+/// Lines 5-11 of Alg. 3: the staging vertex -> slot lookup and the staged
+/// adjacency of X's slots, one row (the slots of one v.s) at a time, each
+/// from its cheaper side (DESIGN.md §1). Returns the control trip (0 =
+/// none, 1 = cancel, 2 = deadline) that stopped it early.
 template <typename GraphT, typename DistT>
 int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
                                  const Options& opts, const DistT& dist_t,
@@ -382,16 +379,9 @@ int IndexBuilder::BuildAdjacency(const GraphT& g, const Query& q,
     slot_lookup_.resize(g.num_vertices(), kInvalidSlot);
   }
   const ResetOnExit<uint32_t> reset(slot_lookup_, x_vertices_, kInvalidSlot);
-  vertex_slots_.resize(num_x);
   for (uint32_t slot = 0; slot < num_x; ++slot) {
     slot_lookup_[x_vertices_[slot]] = slot;
-    vertex_slots_[slot] = {x_vertices_[slot], slot};
   }
-  std::sort(vertex_slots_.begin(), vertex_slots_.end(),
-            [](const LightweightIndex::VertexSlot& a,
-               const LightweightIndex::VertexSlot& b) {
-              return a.vertex < b.vertex;
-            });
   idx.source_slot_ = slot_lookup_[q.source];
   idx.target_slot_ = slot_lookup_[q.target];
 
@@ -561,19 +551,21 @@ int IndexBuilder::BottomUpRow(const GraphT& g, const Options& opts,
       const VertexId w = static_cast<VertexId>(row_dests_[i]);
       const uint32_t key = static_cast<uint32_t>(row_dests_[i] >> 32);
       const uint32_t w_slot = slot_lookup_[w];
-      const auto nbrs = g.InNeighbors(w);
-      idx.build_stats_.adjacency_scanned += nbrs.size();
-      for (const VertexId u : nbrs) {
-        const uint32_t slot = slot_lookup_[u];
-        // kInvalidSlot - first is never below row_len.
-        if (slot - first >= row_len || slot == t_slot) continue;
-        EdgeId e = kInvalidEdge;
-        if constexpr (std::is_same_v<GraphT, Graph>) {
-          if (need_id) e = g.FindEdge(u, w);
+      ScanInSpans(g, w, [&](std::span<const VertexId> nbrs) {
+        idx.build_stats_.adjacency_scanned += nbrs.size();
+        for (const VertexId u : nbrs) {
+          const uint32_t slot = slot_lookup_[u];
+          // kInvalidSlot - first is never below row_len.
+          if (slot - first >= row_len || slot == t_slot) continue;
+          EdgeId e = kInvalidEdge;
+          if constexpr (std::is_same_v<GraphT, Graph>) {
+            if (need_id) e = g.FindEdge(u, w);
+          }
+          if (opts.filter != nullptr && !(*opts.filter)(u, w, e)) continue;
+          emit(slot, w_slot, key, e);
         }
-        if (opts.filter != nullptr && !(*opts.filter)(u, w, e)) continue;
-        emit(slot, w_slot, key, e);
-      }
+        return false;
+      });
     }
     return 0;
   };
@@ -615,13 +607,17 @@ int IndexBuilder::BottomUpRow(const GraphT& g, const Options& opts,
       });
 }
 
-// The two graph types an index is ever built over: the immutable CSR Graph
-// and the live subsystem's versioned overlay snapshot. Each instantiation
-// inlines its own adjacency access into the BFS and adjacency-scan loops.
+// The three graph types an index is ever built over: the immutable CSR
+// Graph, the live subsystem's versioned overlay snapshot and the shard
+// router's union of pinned shard snapshots. Each instantiation inlines its
+// own adjacency access into the BFS and adjacency-scan loops.
 template LightweightIndex IndexBuilder::Build<Graph>(const Graph&,
                                                      const Query&,
                                                      const Options&);
 template LightweightIndex IndexBuilder::Build<GraphView>(const GraphView&,
+                                                         const Query&,
+                                                         const Options&);
+template LightweightIndex IndexBuilder::Build<UnionView>(const UnionView&,
                                                          const Query&,
                                                          const Options&);
 

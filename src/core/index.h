@@ -29,9 +29,9 @@
 // contiguous slab — a single allocation per build, a one-shot free, an
 // exact O(1) MemoryBytes() for the engine cache's byte accounting, and the
 // enumeration hot loop's arrays packed together. The slab is O(|X| + index
-// edges): its vertex -> slot map is X's sorted (vertex, slot) pairs, not a
-// |V|-sized table. The per-slot cumulative neighbor counts (`ends`) narrow
-// to u16 whenever every slot degree fits, halving the largest offset table.
+// edges) and holds no vertex -> slot map: every consumer works in slot
+// space. The per-slot cumulative neighbor counts (`ends`) narrow to u16
+// whenever every slot degree fits, halving the largest offset table.
 #ifndef PATHENUM_CORE_INDEX_H_
 #define PATHENUM_CORE_INDEX_H_
 
@@ -80,12 +80,6 @@ class LightweightIndex {
     uint32_t bottom_up_rows = 0;
   };
 
-  /// One entry of the slab's vertex -> slot map, sorted by vertex.
-  struct VertexSlot {
-    VertexId vertex = kInvalidVertex;
-    uint32_t slot = kInvalidSlot;
-  };
-
   LightweightIndex() = default;
   LightweightIndex(LightweightIndex&&) = default;
   LightweightIndex& operator=(LightweightIndex&&) = default;
@@ -102,13 +96,13 @@ class LightweightIndex {
   /// the paper's "index size" metric (Figs. 10, 12; Table 7).
   uint64_t num_edges() const { return num_out_edges_; }
 
+  /// Tests and tools only, O(|X|): whether `v` lies in X.
   bool Contains(VertexId v) const { return SlotOf(v) != kInvalidSlot; }
 
-  /// Slot of `v`, or kInvalidSlot. (The paper describes a hash table; a
-  /// binary search over X's (vertex, slot) pairs sorted by vertex is used
-  /// instead: O(|X|) bytes in the slab whatever |V| is. Only tests and
-  /// OutVerticesWithin look vertices up; the enumerators and the estimator
-  /// work in slot space.)
+  /// Tests and tools only, O(|X|): the slot of `v`, or kInvalidSlot. (The
+  /// paper describes a hash table; the index keeps none, because the
+  /// enumerators and the estimator work in slot space and never look a
+  /// vertex up. A caller with many lookups maps VertexAt once.)
   uint32_t SlotOf(VertexId v) const;
 
   VertexId VertexAt(uint32_t slot) const { return x_vertices_[slot]; }
@@ -165,7 +159,8 @@ class LightweightIndex {
     return a;
   }
 
-  /// Vertex-id convenience wrapper (allocates; meant for tests/tools).
+  /// Tests and tools only: I_t(v, b) as vertex ids, after an O(|X|)
+  /// SlotOf (allocates).
   std::vector<VertexId> OutVerticesWithin(VertexId v, uint32_t b) const;
 
   /// Vertices of partition cell X[a][b] (v.s == a, v.t == b) as a contiguous
@@ -232,7 +227,6 @@ class LightweightIndex {
 
   std::span<const VertexId> x_vertices_;   // bucketed by (v.s, v.t) cell
   std::span<const uint32_t> cell_offsets_; // (k+1)^2 + 1 entries
-  std::span<const VertexSlot> vertex_slots_;  // |X| entries, by vertex
   std::span<const uint8_t> slot_ds_;       // v.s per slot
   std::span<const uint8_t> slot_dt_;       // v.t per slot
   uint32_t source_slot_ = kInvalidSlot;
@@ -293,9 +287,9 @@ class IndexBuilder {
   IndexBuilder() = default;
 
   /// Builds the index for `q` over `g`. The query must be valid. Templated
-  /// over the graph type (the immutable `Graph` or the live subsystem's
-  /// `GraphView`); the definition lives in index.cpp with explicit
-  /// instantiations for both.
+  /// over the graph type (the immutable `Graph`, the live subsystem's
+  /// `GraphView` or the shard router's `UnionView`); the definition lives
+  /// in index.cpp with explicit instantiations for the three.
   template <typename GraphT>
   LightweightIndex Build(const GraphT& g, const Query& q,
                          const Options& opts = {});
@@ -320,9 +314,10 @@ class IndexBuilder {
                     const DistT& dist_t, LightweightIndex& idx,
                     Timer& total_timer);
 
-  /// AssembleFrom's slot maps and adjacency scans over the staged X, row
-  /// by row through the three helpers below; returns the control trip
-  /// (0 = none, 1 = cancel, 2 = deadline) that stopped them early.
+  /// AssembleFrom's staging slot lookup and adjacency scans over the
+  /// staged X, row by row through the three helpers below; returns the
+  /// control trip (0 = none, 1 = cancel, 2 = deadline) that stopped them
+  /// early.
   template <typename GraphT, typename DistT>
   int BuildAdjacency(const GraphT& g, const Query& q, const Options& opts,
                      const DistT& dist_t, LightweightIndex& idx);
@@ -361,7 +356,6 @@ class IndexBuilder {
   // Vertex -> slot for the adjacency scans: |V|-sized, kInvalidSlot
   // everywhere between builds (a build writes and resets only X's entries).
   std::vector<uint32_t> slot_lookup_;
-  std::vector<LightweightIndex::VertexSlot> vertex_slots_;  // sorted by vertex
   std::vector<uint8_t> slot_ds_;
   std::vector<uint8_t> slot_dt_;
   std::vector<uint64_t> out_begin_;

@@ -9,7 +9,7 @@
 // meeting in the middle — two half-depth balls, then levels that admit
 // only X, each run top-down from its frontier or bottom-up from its known
 // candidates, whichever its degree sums price lower — and is what
-// IndexBuilder and the shard router's plan run.
+// IndexBuilder runs.
 //
 // Buffers are epoch-stamped so a field can be reused across thousands of
 // queries with O(frontier) cost instead of O(|V|) re-initialisation.
@@ -18,11 +18,8 @@
 // based BfsOptions filters (stable public API), while the templated
 // `ComputeWith` accepts concrete callables that inline into the relaxation
 // loop, so the unfiltered case performs zero indirect calls per edge.
-// TwoSidedField::ComputeWith takes the adjacency itself as callables:
-// `out_edges(u, visit)` / `in_edges(u, visit)` call visit(v) for each
-// neighbour the traversal may use, stop as soon as visit returns true and
-// return the adjacency entries examined up to there; `out_degree(u)` /
-// `in_degree(u)` return what a full scan of u would examine.
+// Both fields read in-neighbours through ScanInSpans, so a graph type may
+// hold a vertex's in-list as several spans (UnionView, graph/union_view.h).
 #ifndef PATHENUM_GRAPH_BFS_H_
 #define PATHENUM_GRAPH_BFS_H_
 
@@ -30,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -50,6 +48,15 @@ enum class Direction {
 /// Receives the edge in graph orientation (u -> v) and its edge id; returns
 /// false to make the edge invisible to the traversal.
 using EdgeFilter = std::function<bool(VertexId u, VertexId v, EdgeId e)>;
+
+/// Calls scan(nbrs) on the spans that together hold v's in-neighbours, in
+/// turn, until scan returns true; returns whether it did. A Graph or
+/// GraphView holds them as one sorted span, so this is one InNeighbors
+/// call; a graph type with split in-lists overloads it (UnionView).
+template <typename GraphT, typename Scan>
+bool ScanInSpans(const GraphT& g, VertexId v, Scan&& scan) {
+  return scan(g.InNeighbors(v));
+}
 
 /// Sentinel filter for ComputeWith/TwoSidedField::Compute: the compiler
 /// folds the always-true branch away, so the unfiltered traversal never
@@ -82,10 +89,11 @@ struct BfsOptions {
 /// Reusable BFS distance field.
 ///
 /// Traversals are templated over the graph type: anything exposing the
-/// Graph accessor contract (`num_vertices`, sorted `OutNeighbors` /
-/// `InNeighbors` spans, `OutEdgeId`, `FindEdge`) works — in practice the
-/// immutable `Graph` and the live subsystem's `GraphView` overlay snapshots
-/// (graph/view.h), each instantiating its own inlined relaxation loop.
+/// Graph accessor contract (`num_vertices`, sorted `OutNeighbors` spans,
+/// in-neighbours through ScanInSpans, `OutEdgeId`, `FindEdge`) works — the
+/// immutable `Graph`, the live subsystem's `GraphView` overlay snapshots
+/// (graph/view.h) and the shard router's `UnionView`, each instantiating
+/// its own inlined relaxation loop.
 class DistanceField {
  public:
   using Options = BfsOptions;
@@ -160,24 +168,30 @@ class DistanceField {
       }
       if (du >= opts.max_depth) continue;  // children would exceed the cap
       if (u == opts.blocked && u != source) continue;  // reached, unexpanded
-      const auto nbrs =
-          dir == Direction::kForward ? g.OutNeighbors(u) : g.InNeighbors(u);
-      edges_scanned_ += nbrs.size();
-      for (size_t j = 0; j < nbrs.size(); ++j) {
-        const VertexId v = nbrs[j];
-        if (stamp_[v] == epoch_) continue;
-        if constexpr (kHasFilter) {
-          // Present the edge in graph orientation regardless of direction.
-          const VertexId from = dir == Direction::kForward ? u : v;
-          const VertexId to = dir == Direction::kForward ? v : u;
-          const EdgeId e = dir == Direction::kForward ? g.OutEdgeId(u, j)
-                                                      : g.FindEdge(v, u);
-          if (!filter(from, to, e)) continue;
+      // Relaxes one span of u's neighbours; true once stop_at is reached.
+      const auto relax = [&](std::span<const VertexId> nbrs) {
+        edges_scanned_ += nbrs.size();
+        for (size_t j = 0; j < nbrs.size(); ++j) {
+          const VertexId v = nbrs[j];
+          if (stamp_[v] == epoch_) continue;
+          if constexpr (kHasFilter) {
+            // Present the edge in graph orientation regardless of direction.
+            const VertexId from = dir == Direction::kForward ? u : v;
+            const VertexId to = dir == Direction::kForward ? v : u;
+            const EdgeId e = dir == Direction::kForward ? g.OutEdgeId(u, j)
+                                                        : g.FindEdge(v, u);
+            if (!filter(from, to, e)) continue;
+          }
+          stamp_[v] = epoch_;
+          dist_[v] = du + 1;
+          reached_.push_back(v);
+          if (v == opts.stop_at) return true;
         }
-        stamp_[v] = epoch_;
-        dist_[v] = du + 1;
-        reached_.push_back(v);
-        if (v == opts.stop_at) return;
+        return false;
+      };
+      if (dir == Direction::kForward ? relax(g.OutNeighbors(u))
+                                     : ScanInSpans(g, u, relax)) {
+        return;
       }
     }
   }
@@ -255,10 +269,6 @@ class TwoSidedField {
     VertexId source = kInvalidVertex;
     VertexId target = kInvalidVertex;
     uint32_t hops = 0;
-    /// The index's semantics: the forward side reaches t but never expands
-    /// it, the backward side likewise s. The router's plan needs plain
-    /// distances and turns this off.
-    bool block_endpoints = true;
     const std::atomic<bool>* cancel = nullptr;
     Deadline deadline = Deadline::Unlimited();
   };
@@ -281,73 +291,26 @@ class TwoSidedField {
       return nbrs.size();
     };
     const auto in_edges = [&](VertexId u, const auto& visit) -> size_t {
-      const auto nbrs = g.InNeighbors(u);
-      for (size_t j = 0; j < nbrs.size(); ++j) {
-        if constexpr (kHasFilter) {
-          if (!filter(nbrs[j], u, g.FindEdge(nbrs[j], u))) continue;
+      size_t scanned = 0;
+      ScanInSpans(g, u, [&](std::span<const VertexId> nbrs) {
+        for (size_t j = 0; j < nbrs.size(); ++j) {
+          if constexpr (kHasFilter) {
+            if (!filter(nbrs[j], u, g.FindEdge(nbrs[j], u))) continue;
+          }
+          if (visit(nbrs[j])) {
+            scanned += j + 1;
+            return true;
+          }
         }
-        if (visit(nbrs[j])) return j + 1;
-      }
-      return nbrs.size();
+        scanned += nbrs.size();
+        return false;
+      });
+      return scanned;
     };
     ComputeWith(
         g.num_vertices(), opts, out_edges, in_edges,
         [&](VertexId u) -> size_t { return g.OutDegree(u); },
         [&](VertexId u) -> size_t { return g.InDegree(u); });
-  }
-
-  /// As Compute, over any adjacency (the callable contract in the file
-  /// header): `out_edges(u, visit)` calls visit(v) for every out-neighbour
-  /// v of u the traversal may use until visit returns true, and returns
-  /// the adjacency entries it examined up to there; `in_edges` likewise for
-  /// in-neighbours. `out_degree(u)` / `in_degree(u)` return the entries a
-  /// full scan of u examines; they price each X-only level's direction.
-  template <typename OutEdges, typename InEdges, typename OutDegree,
-            typename InDegree>
-  void ComputeWith(VertexId num_vertices, const Options& opts,
-                   const OutEdges& out_edges, const InEdges& in_edges,
-                   const OutDegree& out_degree, const InDegree& in_degree) {
-    PATHENUM_CHECK(opts.source < num_vertices && opts.target < num_vertices);
-    PATHENUM_CHECK(opts.source != opts.target && opts.hops < kUnset);
-    EnsureSize(num_vertices);
-    if (++epoch_ == 0) {  // stamp wrap-around: reset and restart epochs
-      std::fill(records_.begin(), records_.end(), Record{});
-      epoch_ = 1;
-    }
-    interrupted_ = Interrupt::kNone;
-    edges_scanned_ = 0;
-    waves_ = 0;
-    x_only_levels_ = 0;
-    bottom_up_levels_ = 0;
-    const uint32_t k = opts.hops;
-    const VertexId s = opts.source;
-    const VertexId t = opts.target;
-    from_s_.Start(s, opts.block_endpoints ? t : kInvalidVertex);
-    to_t_.Start(t, opts.block_endpoints ? s : kInvalidVertex);
-    records_[t] = {epoch_, kUnset, 0};
-    records_[s] = {epoch_, 0, kUnset};
-
-    const auto forward = [&](uint32_t admit_all_below) {
-      return ExpandLevel<true>(from_s_, to_t_, admit_all_below, k, out_edges,
-                               out_degree, in_edges, in_degree, opts);
-    };
-    const auto backward = [&](uint32_t admit_all_below) {
-      return ExpandLevel<false>(to_t_, from_s_, admit_all_below, k, in_edges,
-                                in_degree, out_edges, out_degree, opts);
-    };
-    const uint32_t b = k / 2;
-    const uint32_t a = k - b;
-    // Stage 1 admits all of depth b; stage 3 expands that level only
-    // through X.
-    while (to_t_.depth() < b && to_t_.frontier() != 0) {
-      if (!backward(b + 1)) return;
-    }
-    while (from_s_.depth() < k && from_s_.frontier() != 0) {
-      if (!forward(a)) return;
-    }
-    while (to_t_.depth() < k && to_t_.frontier() != 0) {
-      if (!backward(b)) return;
-    }
   }
 
   /// v.s, or kUnset.
@@ -388,6 +351,60 @@ class TwoSidedField {
   uint32_t bottom_up_levels() const { return bottom_up_levels_; }
 
  private:
+  /// Compute over the adjacency as callables: `out_edges(u, visit)` calls
+  /// visit(v) for every out-neighbour v of u the traversal may use until
+  /// visit returns true, and returns the adjacency entries it examined up
+  /// to there; `in_edges` likewise for in-neighbours. `out_degree(u)` /
+  /// `in_degree(u)` return the entries a full scan of u examines; they
+  /// price each X-only level's direction.
+  template <typename OutEdges, typename InEdges, typename OutDegree,
+            typename InDegree>
+  void ComputeWith(VertexId num_vertices, const Options& opts,
+                   const OutEdges& out_edges, const InEdges& in_edges,
+                   const OutDegree& out_degree, const InDegree& in_degree) {
+    PATHENUM_CHECK(opts.source < num_vertices && opts.target < num_vertices);
+    PATHENUM_CHECK(opts.source != opts.target && opts.hops < kUnset);
+    EnsureSize(num_vertices);
+    if (++epoch_ == 0) {  // stamp wrap-around: reset and restart epochs
+      std::fill(records_.begin(), records_.end(), Record{});
+      epoch_ = 1;
+    }
+    interrupted_ = Interrupt::kNone;
+    edges_scanned_ = 0;
+    waves_ = 0;
+    x_only_levels_ = 0;
+    bottom_up_levels_ = 0;
+    const uint32_t k = opts.hops;
+    const VertexId s = opts.source;
+    const VertexId t = opts.target;
+    from_s_.Start(s, t);
+    to_t_.Start(t, s);
+    records_[t] = {epoch_, kUnset, 0};
+    records_[s] = {epoch_, 0, kUnset};
+
+    const auto forward = [&](uint32_t admit_all_below) {
+      return ExpandLevel<true>(from_s_, to_t_, admit_all_below, k, out_edges,
+                               out_degree, in_edges, in_degree, opts);
+    };
+    const auto backward = [&](uint32_t admit_all_below) {
+      return ExpandLevel<false>(to_t_, from_s_, admit_all_below, k, in_edges,
+                                in_degree, out_edges, out_degree, opts);
+    };
+    const uint32_t b = k / 2;
+    const uint32_t a = k - b;
+    // Stage 1 admits all of depth b; stage 3 expands that level only
+    // through X.
+    while (to_t_.depth() < b && to_t_.frontier() != 0) {
+      if (!backward(b + 1)) return;
+    }
+    while (from_s_.depth() < k && from_s_.frontier() != 0) {
+      if (!forward(a)) return;
+    }
+    while (to_t_.depth() < k && to_t_.frontier() != 0) {
+      if (!backward(b)) return;
+    }
+  }
+
   struct Record {
     uint32_t stamp = 0;
     uint16_t ds = 0;

@@ -5,8 +5,9 @@
 // that owns u. Every shard graph spans the FULL global vertex-id space, so
 // no id translation exists anywhere in the system — a cut edge's head is
 // simply a vertex the owning shard has no out-edges for (a replicated
-// boundary "ghost"), and a stitched search's partial paths are plain global
-// vertex sequences. Two structural consequences the router builds on:
+// boundary "ghost"), and a query's index over the union holds plain global
+// vertex ids. Two structural consequences the router's union view
+// (graph/union_view.h) builds on:
 //
 //  * Out-adjacency of v is complete in shard ShardOf(v) and empty
 //    everywhere else, so expanding v forward reads exactly one shard.

@@ -3,196 +3,24 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <span>
 #include <utility>
 
-#include "core/control.h"
 #include "engine/query_context.h"
+#include "graph/union_view.h"
 #include "util/timer.h"
 
 namespace pathenum {
 
-namespace {
-
-/// Edges between control polls (cancel/deadline/work budget) of a stitched
-/// search, so a trip stops it within a bounded amount of work.
-constexpr uint32_t kPollIntervalEdges = 4096;
-
-/// One stitched query: an IDX-DFS from [s] over the union graph on the
-/// calling thread. Each endpoint's out-edges are read in its owner shard's
-/// pinned view, and a partial path of d edges extends to y only when
-/// d + 1 + dist(y, t) <= k on the plan's exact distances (DESIGN.md §14).
-class StitchedSearch {
- public:
-  StitchedSearch(const Query& q, const EnumOptions& opts,
-                 std::span<const std::shared_ptr<const GraphView>> views,
-                 const uint32_t* shard_map, const TwoSidedField& plan,
-                 PathSink& sink)
-      : q_(q),
-        views_(views),
-        shard_map_(shard_map),
-        plan_(plan),
-        control_{Deadline::AfterMs(opts.time_limit_ms), opts.cancel,
-                 opts.work_budget_edges} {
-    emitter_.Arm(&sink, &counters_, &timer_, opts.result_limit,
-                 opts.response_target);
-  }
-
-  /// Searches from [s] and, as DfsEnumerator::FinishRun does, delivers
-  /// the paths still pending when the search ends.
-  EnumCounters Run() {
-    path_[0] = q_.source;
-    counters_.partials = 1;  // M = (s)
-    if (!Tripped()) Expand(1);
-    emitter_.Flush();
-    return counters_;
-  }
-
-  uint64_t continuations() const { return continuations_; }
-  double elapsed_ms() const { return timer_.ElapsedMs(); }
-
- private:
-  /// Polls the query's control; a trip sets its counter flag and stops.
-  bool Tripped() {
-    switch (control_.Check(counters_.edges_accessed)) {
-      case QueryControl::Trip::kNone:
-        return false;
-      case QueryControl::Trip::kCancelled:
-        counters_.cancelled = true;
-        break;
-      case QueryControl::Trip::kDeadline:
-        counters_.timed_out = true;
-        break;
-      case QueryControl::Trip::kWorkBudget:
-        counters_.work_exceeded = true;
-        break;
-    }
-    stop_ = true;
-    return true;
-  }
-
-  /// Extends path_[0, len) by every feasible out-neighbour of its endpoint.
-  void Expand(uint32_t len) {
-    const VertexId x = path_[len - 1];
-    const uint32_t owner = shard_map_[x];
-    for (const VertexId y : views_[owner]->OutNeighbors(x)) {
-      ++counters_.edges_accessed;
-      if (++since_poll_ == kPollIntervalEdges) {
-        since_poll_ = 0;
-        if (Tripped()) return;
-      }
-      // Outside X, y's distance to t is unset (reading above any hop bound)
-      // or exact, and fails this bound either way: dist(s, y) <= len.
-      if (len + plan_.ToTarget(y) > q_.hops) continue;
-      path_[len] = y;
-      if (y == q_.target) {
-        // A simple s-t path contains t exactly once, at its end: emit,
-        // never recurse through t.
-        ++counters_.partials;
-        if (!Emit(len + 1)) return;
-        continue;
-      }
-      if (std::find(path_, path_ + len, y) != path_ + len) continue;
-      ++counters_.partials;
-      if (shard_map_[y] != owner) ++continuations_;
-      Expand(len + 1);
-      if (stop_) return;
+uint64_t ShardRouter::CrossShardEdges(const LightweightIndex& index) const {
+  uint64_t cross = 0;
+  for (uint32_t slot = 0; slot < index.num_vertices(); ++slot) {
+    if (slot == index.target_slot()) continue;  // its one entry is padding
+    const uint32_t owner = shard_map_[index.VertexAt(slot)];
+    for (const uint32_t w : index.OutSlotsWithin(slot, index.hops())) {
+      cross += shard_map_[index.VertexAt(w)] != owner;
     }
   }
-
-  /// Appends path_[0, len) to the pending block; false (and stop) once the
-  /// sink refused or the result limit is reached, with Flush's flag set.
-  bool Emit(uint32_t len) {
-    PathBlock& block = emitter_.block();
-    if (!block.HasRoomFor(len) && !emitter_.Flush()) {
-      stop_ = true;  // this path is dropped, as a per-path sink would
-      return false;
-    }
-    block.Append(std::span<const VertexId>(path_, len));
-    if (emitter_.AtResultLimit()) {
-      emitter_.Flush();
-      stop_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  const Query q_;
-  const std::span<const std::shared_ptr<const GraphView>> views_;
-  const uint32_t* const shard_map_;
-  const TwoSidedField& plan_;  // exact distances to t on X
-  const QueryControl control_;
-  Timer timer_;
-  EnumCounters counters_;
-  BlockEmitter emitter_;
-  uint32_t since_poll_ = 0;
-  bool stop_ = false;
-  uint64_t continuations_ = 0;
-  VertexId path_[kMaxHops + 1] = {};  // the partial path, <= k + 1 long
-};
-
-}  // namespace
-
-bool ShardRouter::ComputePlan(const Pinned& pin, const Query& q) {
-  // Out-adjacency of x is complete in its owning shard and empty
-  // everywhere else; in-adjacency of x in shard p is exactly the in-edges
-  // whose tail p owns, so the per-shard scans union disjointly into the
-  // global in-neighbourhood (see shard/partition.h), and x's in-degree is
-  // the sum of its per-shard in-degrees.
-  const auto out_edges = [&](VertexId x, const auto& visit) -> size_t {
-    const auto nbrs = pin.views[shard_map_[x]]->OutNeighbors(x);
-    for (size_t j = 0; j < nbrs.size(); ++j) {
-      if (visit(nbrs[j])) return j + 1;
-    }
-    return nbrs.size();
-  };
-  const auto in_edges = [&](VertexId x, const auto& visit) -> size_t {
-    size_t scanned = 0;
-    for (const auto& view : pin.views) {
-      const auto nbrs = view->InNeighbors(x);
-      for (size_t j = 0; j < nbrs.size(); ++j) {
-        if (visit(nbrs[j])) return scanned + j + 1;
-      }
-      scanned += nbrs.size();
-    }
-    return scanned;
-  };
-  const auto out_degree = [&](VertexId x) -> size_t {
-    return pin.views[shard_map_[x]]->OutDegree(x);
-  };
-  const auto in_degree = [&](VertexId x) -> size_t {
-    size_t degree = 0;
-    for (const auto& view : pin.views) degree += view->InDegree(x);
-    return degree;
-  };
-  TwoSidedField::Options fo;
-  fo.source = q.source;
-  fo.target = q.target;
-  fo.hops = q.hops;
-  fo.block_endpoints = false;
-  plan_.ComputeWith(num_vertices(), fo, out_edges, in_edges, out_degree,
-                    in_degree);
-  // s is in X exactly when dist(s, t) <= k.
-  return plan_.ToTarget(q.source) <= q.hops;
-}
-
-uint64_t ShardRouter::FeasibleCutEdges(const Pinned& pin, uint32_t k) const {
-  // Both ends of a feasible cut edge lie in X, and each reached list holds
-  // all of X.
-  const auto& from_s = plan_.ReachedFromSource();
-  const auto& to_t = plan_.ReachedToTarget();
-  uint64_t feasible = 0;
-  for (const VertexId u : from_s.size() <= to_t.size() ? from_s : to_t) {
-    const uint32_t ds = plan_.FromSource(u);
-    if (ds + plan_.ToTarget(u) > k) continue;  // u is not in X
-    const uint32_t owner = shard_map_[u];
-    for (const VertexId w : pin.views[owner]->OutNeighbors(u)) {
-      if (shard_map_[w] != owner && ds + 1 + plan_.ToTarget(w) <= k) {
-        ++feasible;
-      }
-    }
-  }
-  return feasible;
+  return cross;
 }
 
 ShardRouter::ShardRouter(const Graph& g, const RouterOptions& opts) {
@@ -226,8 +54,6 @@ ShardRouter::ShardRouter(const Graph& g, const RouterOptions& opts) {
                       &rejected_);
   reg.RegisterCounter(this, "pathenum_router_updates_total", metric_label_,
                       &updates_);
-  reg.RegisterCounter(this, "pathenum_router_continuations_sent_total",
-                      metric_label_, &continuations_sent_);
   reg.RegisterGauge(this, "pathenum_router_cut_edges", metric_label_,
                     [this] { return static_cast<double>(cut_size()); });
   plan_ms_hist_ = reg.GetHistogram("pathenum_router_plan_ms", metric_label_);
@@ -250,7 +76,6 @@ ShardRouter::Stats ShardRouter::stats() const {
   s.unsatisfiable = unsat_.Value();
   s.rejected = rejected_.Value();
   s.updates = updates_.Value();
-  s.continuations_sent = continuations_sent_.Value();
   return s;
 }
 
@@ -313,48 +138,47 @@ RouterResult ShardRouter::Run(const Query& q, PathSink& sink,
     }
   }
 
-  // The span covers the plan as index_acquire: it computes the stitched
-  // query's index set X. A delegated query is reported by its shard
-  // engine's own span, so this one is left unfinished.
+  // The span covers the index build as index_acquire. A delegated query
+  // is reported by its shard engine's own span, so this one is left
+  // unfinished.
   obs::QuerySpan span;
   span.Begin(q.source, q.target, q.hops);
   const Timer total;
   const Pinned pin = Pin();
   const Timer plan_timer;
-  const bool satisfiable = ComputePlan(pin, q);
-  const uint64_t feasible = satisfiable ? FeasibleCutEdges(pin, q.hops) : 0;
+  const LightweightIndex index =
+      builder_.Build(UnionView(pin.views, shard_map_), q,
+                     PathEnumerator::BuildOptionsFor(q, opts));
+  const bool interrupted = index.build_stats().interrupted;
+  const uint64_t cross = interrupted ? 0 : CrossShardEdges(index);
   plan_ms_hist_->Observe(plan_timer.ElapsedMs());
   span.Mark(obs::SpanStage::kIndexAcquire);
   const double dispatch_ms = total.ElapsedMs();
 
-  if (!satisfiable) {
-    // Exact global distance certifies dist(s, t) > k: the complete (empty)
-    // result set, no shard ever touched.
+  if (!interrupted && index.num_vertices() == 0) {
+    // X is empty exactly when dist(s, t) > k: the complete (empty) result
+    // set, no shard ever touched.
     unsat_.Inc();
     r.state = QueryState::kUnsatisfiable;
     r.stats.counters.oracle_rejected = true;
-    r.stats.total_ms = dispatch_ms;
-    r.stats.response_ms = dispatch_ms;
     span.Finish(r.state);
-    return r;
-  }
-
-  if (feasible == 0) {
-    // No cut edge fits inside the hop budget, so every feasible path lies
-    // wholly in owner(s)'s tail-owned subgraph (a cross-shard path must
-    // traverse a feasible cut edge): delegate to that shard's engine.
+  } else if (!interrupted && cross == 0) {
+    // Every feasible path lies wholly in owner(s)'s tail-owned subgraph:
+    // delegate to that shard's engine.
     r = RunDelegated(q, sink, opts, pin, ShardOf(q.source));
-    r.stats.total_ms = total.ElapsedMs();
-    r.stats.response_ms += dispatch_ms;
-    return r;
+  } else {
+    r = RunStitched(index, sink, opts, pin, span);
+    r.feasible_cut_edges = cross;
   }
-
-  r = RunStitched(q, sink, opts, pin, span);
-  r.feasible_cut_edges = feasible;
+  if (!r.delegated) {
+    r.stats.bfs_ms = index.build_stats().bfs_ms;
+    r.stats.index_ms = index.build_stats().total_ms;
+    r.stats.index_vertices = index.num_vertices();
+    r.stats.index_edges = index.num_edges();
+    r.stats.index_bytes = index.MemoryBytes();
+  }
   r.stats.total_ms = total.ElapsedMs();
-  r.stats.response_ms = r.stats.counters.response_ms >= 0.0
-                            ? dispatch_ms + r.stats.counters.response_ms
-                            : r.stats.total_ms;
+  r.stats.response_ms += dispatch_ms;
   return r;
 }
 
@@ -379,18 +203,23 @@ RouterResult ShardRouter::RunDelegated(const Query& q, PathSink& sink,
   return r;
 }
 
-RouterResult ShardRouter::RunStitched(const Query& q, PathSink& sink,
-                                      const EnumOptions& opts,
+RouterResult ShardRouter::RunStitched(const LightweightIndex& index,
+                                      PathSink& sink, const EnumOptions& opts,
                                       const Pinned& pin,
                                       obs::QuerySpan& span) {
   stitched_.Inc();
   RouterResult r;
   try {
-    StitchedSearch search(q, opts, pin.views, shard_map_.data(), plan_, sink);
-    r.stats.counters = search.Run();
-    r.stats.enumerate_ms = search.elapsed_ms();
+    if (index.build_stats().interrupted) {
+      // A trip, not a verdict: the interrupted build's empty index proves
+      // nothing about the query.
+      FinalizeInterruptedBuild(r.stats, index, 0.0);
+    } else {
+      enumerator_.Rebind(*pin.views[0]);
+      r.stats = enumerator_.RunWithIndex(index, sink, opts);
+      span.SetPlan(r.stats);
+    }
     r.state = r.stats.counters.TerminalState();
-    continuations_sent_.Inc(search.continuations());
   } catch (const std::exception& e) {
     // A throwing sink fails the query the way a delegated query's failure
     // does in its shard engine: the state and message, not an exception.
@@ -398,7 +227,6 @@ RouterResult ShardRouter::RunStitched(const Query& q, PathSink& sink,
     r.state = FailedRunState(e);
     r.error = e.what();
   }
-  r.stats.method = Method::kDfs;
   span.Mark(obs::SpanStage::kEnumerate);
   span.Finish(r.state);
   return r;

@@ -1,44 +1,34 @@
 // The cross-shard query front-end (DESIGN.md §14). A ShardRouter owns a
 // GraphPartition's shard engines and serves hop-constrained (s, t, k)
-// queries over the union graph:
+// queries over the union graph through the paper's own pipeline:
 //
-//  1. *Plan*: the index builder's meet-in-the-middle field (TwoSidedField,
-//     graph/bfs.h), run with no blocked endpoints over the pinned per-shard
-//     snapshots, gives every vertex of the paper's index set
-//     X = {v : dist(s, v) + dist(v, t) <= k} its exact global distances.
-//     The backward side from t (each shard contributes exactly the in-edges
-//     it owns) runs ⌊k/2⌋ levels, the forward side from s (each vertex's
-//     out-edges live in its owner shard) the other k - ⌊k/2⌋, and then each
-//     side extends only through X, each level top-down or bottom-up,
-//     whichever its degree sums price lower. The field is epoch-stamped, so
-//     the plan costs the two half-depth balls plus what those levels scan,
-//     never O(|V|), and reads no cut list. If dist(s, t) > k the query is
-//     kUnsatisfiable before any per-shard work (the same soundness argument
-//     as the live oracle's lower-bound rejection, §13, with an exact
-//     distance).
-//  2. *Delegate or stitch*: a cut edge (u, w) is feasible iff
-//     dist(s, u) + 1 + dist(w, t) <= k, which puts both u and w in X, so
-//     the feasible cut edges are counted on X's own out-edges. When NO cut
-//     edge is feasible, every feasible path provably stays inside owner(s)'s
-//     tail-owned subgraph, and the whole query is delegated to that shard's
-//     QueryEngine — full index/result-cache reuse, identical semantics to
-//     the unsharded engine. Otherwise the query runs *stitched*: one
-//     depth-first search from [s] that reads each endpoint's out-edges in
-//     its owner shard's pinned view, pruned by depth + 1 + dist(y, t) > k
-//     (a vertex outside X, having no stamped distance, always fails it).
-//  3. *Emit*: the stitched search emits through one BlockEmitter straight
-//     into the caller's sink and checks the query's control before its
-//     first expansion and then every 4,096 edge reads, so result limit,
-//     sink stop and control trips behave as in a serial IDX-DFS: the
-//     result's num_results is what the sink consumed, never above the
-//     limit.
+//  1. *Index*: IndexBuilder builds the query's light-weight index over a
+//     UnionView (graph/union_view.h) of the pinned per-shard snapshots,
+//     under the serving build options (PathEnumerator::BuildOptionsFor).
+//     Each vertex's out-edges come from its owner shard, its in-edges from
+//     every shard's in-span in turn, so X, every I_t list and the level
+//     stats are those of the materialized union graph.
+//  2. *Decide*: an empty X means dist(s, t) > k, so the query is
+//     kUnsatisfiable before any shard does work. Every simple s-t path of
+//     at most k hops uses only index edges, so an index with no edge
+//     between two owners proves that every such path stays inside
+//     owner(s)'s tail-owned subgraph: the whole query is delegated to that
+//     shard's QueryEngine, with its index and result caches. Every other
+//     query is stitched.
+//  3. *Stitch*: PathEnumerator::RunWithIndex runs the index on the calling
+//     thread — Eq. 5's estimate, the method choice, IDX-DFS or IDX-JOIN,
+//     block emission and control polling — so a stitched query returns the
+//     ordered paths, edge reads, method and terminal state that
+//     PathEnumerator::Run returns on the materialized graph. A build
+//     tripped by cancel or deadline leaves an empty index that proves
+//     nothing; the query reports its trip.
 //
 // Updates route through the partition map: SubmitUpdate splits a
 // GraphDelta by the owner of each edge's tail and every touched shard
 // publishes its own snapshot epoch (ShardEngine::SubmitLocalDelta) under
 // the lock queries pin their per-shard views under — a query always
-// observes one consistent frontier of per-shard views, and the plan reads
-// cut edges straight from those views.
+// observes one consistent frontier of per-shard views, and its index reads
+// those views.
 //
 // Threading: Run and SubmitUpdate may each be called from one thread at a
 // time, and may run concurrently with each other. The router starts no
@@ -53,10 +43,11 @@
 #include <string>
 #include <vector>
 
+#include "core/index.h"
 #include "core/options.h"
+#include "core/path_enum.h"
 #include "core/query.h"
 #include "core/sink.h"
-#include "graph/bfs.h"
 #include "graph/graph.h"
 #include "graph/view.h"
 #include "obs/metrics.h"
@@ -79,11 +70,12 @@ struct RouterResult {
   QueryStats stats;
   QueryState state = QueryState::kOk;
   std::string error;
-  /// True when the query ran wholly on one shard's QueryEngine (no
-  /// feasible cut edge); false for stitched cross-shard execution.
+  /// True when the query ran wholly on one shard's QueryEngine (its index
+  /// has no edge between two owners); false for stitched execution.
   bool delegated = false;
   uint32_t delegate_shard = 0;
-  /// Cut edges feasible for this query at plan time (0 when delegated).
+  /// Edges of the query's index whose ends have different owners (0 when
+  /// delegated or unsatisfiable).
   uint64_t feasible_cut_edges = 0;
 };
 
@@ -130,8 +122,8 @@ class ShardRouter {
     /// Always 0: stitched queries send no frames. Kept because the
     /// serving benchmark reads it.
     uint64_t frames_sent = 0;
-    /// Partial paths continued in another shard: extended across a cut
-    /// edge to a vertex other than t.
+    /// Always 0: stitched queries send no partial paths. Kept because the
+    /// serving benchmark reads it.
     uint64_t continuations_sent = 0;
   };
   Stats stats() const;
@@ -142,18 +134,15 @@ class ShardRouter {
   };
 
   Pinned Pin() const;
-  /// Runs the plan's field for `q` over the pinned views; returns whether
-  /// dist(s, t) <= k.
-  bool ComputePlan(const Pinned& pin, const Query& q);
-  /// Cut edges (u, w) with dist(s, u) + 1 + dist(w, t) <= k, counted on
-  /// X's own out-edges (both ends of such an edge lie in X).
-  uint64_t FeasibleCutEdges(const Pinned& pin, uint32_t k) const;
+  /// Edges of `index` whose ends have different owners.
+  uint64_t CrossShardEdges(const LightweightIndex& index) const;
 
   RouterResult RunDelegated(const Query& q, PathSink& sink,
                             const EnumOptions& opts, const Pinned& pin,
                             uint32_t shard);
-  /// Runs the stitched search on the calling thread and finishes `span`.
-  RouterResult RunStitched(const Query& q, PathSink& sink,
+  /// Enumerates `index` on the calling thread, or reports its build's
+  /// trip, and finishes `span`.
+  RouterResult RunStitched(const LightweightIndex& index, PathSink& sink,
                            const EnumOptions& opts, const Pinned& pin,
                            obs::QuerySpan& span);
 
@@ -166,9 +155,12 @@ class ShardRouter {
   mutable std::mutex state_mutex_;
   size_t cut_edges_ = 0;
 
-  /// The plan's distances from s and to t, exact on X; reused across Run
-  /// calls (Run is serialized; a stitched query's search reads them).
-  TwoSidedField plan_;
+  /// The union index's builder and enumerator, their scratch reused across
+  /// Run calls (Run is serialized). The enumerator is rebound to a pinned
+  /// shard view per query: RunWithIndex reads its view only to validate
+  /// the query, and every shard view spans the union's vertex space.
+  IndexBuilder builder_;
+  PathEnumerator enumerator_{GraphView{}};
 
   obs::ShardedCounter queries_;
   obs::ShardedCounter delegated_;
@@ -176,7 +168,6 @@ class ShardRouter {
   obs::ShardedCounter unsat_;
   obs::ShardedCounter rejected_;
   obs::ShardedCounter updates_;
-  obs::ShardedCounter continuations_sent_;
   obs::RegHistogram* plan_ms_hist_ = nullptr;
   std::string metric_label_;
 };

@@ -6,11 +6,12 @@
 // predicate → Publish), so each shard publishes its own snapshot epoch
 // stream.
 //
-// Queries whose feasible paths provably stay inside this shard are served
-// by the wrapped engine directly (full index/result-cache reuse); the
-// router's stitched search reads the shard's pinned snapshot view without
-// going through the engine. Every shard's engine owns its own IndexCache,
-// so no two shards' cache keys ever meet.
+// The router builds every query's index over all shards' pinned snapshot
+// views without going through the engines, and hands a query to this
+// shard's engine (with its index and result caches) when that index
+// proves every path stays inside this shard; it runs every other query on
+// its own thread. Every shard's engine owns its own IndexCache, so no two
+// shards' cache keys ever meet.
 #ifndef PATHENUM_SHARD_SHARD_ENGINE_H_
 #define PATHENUM_SHARD_SHARD_ENGINE_H_
 

@@ -423,16 +423,19 @@ TEST(FusedIndexTest, SlabAccountsForEveryArray) {
   const LightweightIndex idx = builder.Build(g, q);
   const uint32_t n = idx.num_vertices();
   const uint32_t k = q.hops;
-  // Lower bound from the always-present parts (vertices, vertex -> slot
-  // pairs, cells, begins, adjacency, u16 ends, distance bytes).
-  const size_t lower =
-      n * sizeof(VertexId)                         // x_vertices
-      + n * sizeof(LightweightIndex::VertexSlot)   // vertex_slots
+  // Every part of a default build (edge ids and level stats included), with
+  // the adjacency's entries counting t's padding entry.
+  const size_t entries = idx.num_edges() + 1;
+  const size_t exact =
+      (n + 1) * sizeof(uint64_t)                   // out_begin
+      + entries * sizeof(EdgeId)                   // out_edge_ids
+      + k * (sizeof(double) + sizeof(uint64_t))    // level_it_sum, count
+      + n * sizeof(VertexId)                       // x_vertices
       + ((k + 1) * (k + 1) + 1) * sizeof(uint32_t) // cell_offsets
-      + (n + 1) * sizeof(uint64_t)                 // out_begin
+      + entries * sizeof(uint32_t)                 // out_slots
       + static_cast<size_t>(n) * (k + 1) * sizeof(uint16_t)  // out_ends16
       + 2 * n;                                     // slot_ds + slot_dt
-  EXPECT_GE(idx.slab_bytes(), lower);
+  EXPECT_EQ(idx.slab_bytes(), exact);
   // A build without level stats must be strictly smaller.
   IndexBuildOptions lean;
   lean.collect_level_stats = false;

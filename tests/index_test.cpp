@@ -4,17 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
 #include <tuple>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "core/index.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
+#include "graph/union_view.h"
 #include "graph/view.h"
+#include "shard/partition.h"
 #include "test_util.h"
 #include "workload/query_gen.h"
 
@@ -275,7 +279,7 @@ void ExpectOrderedAdjacency(const GraphT& g, const LightweightIndex& idx,
         want_vertices.push_back(w);
         want_edges.push_back(e);
       }
-      EXPECT_EQ(idx.OutVerticesWithin(v, b), want_vertices)
+      EXPECT_EQ(testing::OutVertices(idx, slot, b), want_vertices)
           << at << " v=" << v << " b=" << b;
       const auto edges = idx.OutEdgeIdsWithin(slot, b);
       EXPECT_EQ(std::vector<EdgeId>(edges.begin(), edges.end()), want_edges)
@@ -453,6 +457,92 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
   EXPECT_GT(top_down, 0u);
   EXPECT_GT(bottom_up_rows, 0u);
   EXPECT_GT(top_down_rows, 0u);
+}
+
+TEST(IndexTest, UnionOfShardViewsMatchesTheMaterializedGraph) {
+  // The shard router's build: each vertex's out-list from its owner's
+  // view, its in-list as every view's in-span in turn, over overlay views
+  // after churn. Both the meet-in-the-middle build and the two-full-ball
+  // reference over the union build the materialized graph's index, with
+  // each slot's adjacency in (v'.t, vertex id) order and no edge ids.
+  const Graph graphs[] = {
+      testing::WithDeadEnds(ErdosRenyi(60, 200, /*seed=*/71)),
+      testing::WithDeadEnds(
+          BarabasiAlbert(60, 2, /*back_prob=*/0.3, /*seed=*/73)),
+      // Hub-heavy: most X-only levels run bottom-up from their candidates.
+      testing::WithDeadEnds(
+          RMat(/*scale=*/7, /*num_edges=*/1200, /*seed=*/75)),
+  };
+  IndexBuilder builder;
+  IndexBuilder reference_builder;
+  uint64_t bottom_up = 0, bottom_up_rows = 0;
+  for (size_t gi = 0; gi < std::size(graphs); ++gi) {
+    const Graph& g = graphs[gi];
+    const VertexId n = g.num_vertices();
+    const VertexId dead = n - 3, fresh = n - 2, pendant = n - 1;
+    for (const uint32_t shards : {2u, 4u, 8u}) {
+      PartitionOptions popts;
+      popts.num_shards = shards;
+      GraphPartition part = GraphPartitioner::Partition(g, popts);
+      std::mt19937_64 rng(10 * gi + shards);
+      std::uniform_int_distribution<VertexId> pick(0, dead - 1);
+      GraphDelta delta;
+      std::vector<GraphDelta> per_shard(shards);
+      for (int i = 0; i < 16; ++i) {
+        const VertexId u = pick(rng);
+        const VertexId v = pick(rng);
+        if (u == v) continue;
+        if (i % 2 == 0) {
+          delta.Insert(u, v);
+          per_shard[part.ShardOf(u)].Insert(u, v);
+        } else {
+          delta.Delete(u, v);
+          per_shard[part.ShardOf(u)].Delete(u, v);
+        }
+      }
+      std::vector<std::shared_ptr<const GraphView>> views;
+      for (uint32_t p = 0; p < shards; ++p) {
+        const GraphView view(
+            std::make_shared<const Graph>(part.TakeShardGraph(p)), nullptr, 0);
+        views.push_back(
+            std::make_shared<const GraphView>(view.Apply(per_shard[p], 1)));
+      }
+      const UnionView both(views, part.shard_map());
+      const Graph materialized = GraphView(g).Apply(delta, 1).Materialize();
+
+      for (uint32_t k = 1; k <= 6; ++k) {
+        std::vector<Query> queries = {
+            {pendant, dead, k}, {fresh, dead, k},   {fresh, pendant, k},
+            {dead, pick(rng), k}, {pick(rng), fresh, k},
+        };
+        for (int i = 0; i < 6; ++i) queries.push_back({pick(rng), pick(rng), k});
+        for (const Query& q : queries) {
+          if (q.source == q.target) continue;
+          const std::string at = "graph " + std::to_string(gi) + " shards " +
+                                 std::to_string(shards) + " q(" +
+                                 std::to_string(q.source) + "," +
+                                 std::to_string(q.target) + "," +
+                                 std::to_string(k) + ")";
+          const LightweightIndex want = reference_builder.Build(materialized, q);
+          const LightweightIndex got = builder.Build(both, q);
+          bottom_up += got.build_stats().bottom_up_levels;
+          bottom_up_rows += got.build_stats().bottom_up_rows;
+          testing::ExpectSameIndex(got, want, at);
+          ExpectOrderedAdjacency(both, got, nullptr, at);
+          for (uint32_t j = 0; j < k; ++j) {
+            EXPECT_EQ(got.LevelCount(j), want.LevelCount(j)) << at;
+            EXPECT_EQ(got.LevelItSum(j), want.LevelItSum(j)) << at;
+          }
+          IndexBuildOptions full_balls;
+          full_balls.prune_forward_bfs = false;
+          testing::ExpectSameIndex(builder.Build(both, q, full_balls), want,
+                                   at + " full balls");
+        }
+      }
+    }
+  }
+  EXPECT_GT(bottom_up, 0u);
+  EXPECT_GT(bottom_up_rows, 0u);
 }
 
 TEST(IndexTest, SlabSizeIsIndependentOfTheVertexCount) {

@@ -1,9 +1,10 @@
 // The sharded serving tier (DESIGN.md §14): partition invariants,
 // randomized sharded-vs-unsharded differentials — static and under update
 // churn — asserting identical result sets and exact limit accounting, the
-// router's plan (unsatisfiable, delegated, feasible cut count) against brute
-// force, the live cut count under churn, and the stitched search's stops
-// and span.
+// router's decision (unsatisfiable, delegated, the index's cross-shard edge
+// count) against brute force, the live cut count under churn, stitched
+// queries against the serial pipeline on the materialized graph, in order,
+// and the stitched span.
 #include <algorithm>
 #include <cstdlib>
 #include <iterator>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/path_enum.h"
 #include "core/reference.h"
 #include "graph/generators.h"
 #include "graph/view.h"
@@ -276,19 +278,23 @@ TEST(ShardRouter, UnsatisfiableAndRejectedQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan exactness: the unsatisfiable verdict, the delegate decision and the
-// feasible cut count against a brute force over the materialized graph
+// Decision exactness: the unsatisfiable verdict, the delegate decision and
+// the index's cross-shard edge count against a brute force over the
+// materialized graph
 // ---------------------------------------------------------------------------
 
 /// Unbounded BFS distances from `root` along out-edges (forward) or
-/// in-edges (backward); kInfDistance where unreachable.
+/// in-edges (backward) that reach `blocked` but never leave it;
+/// kInfDistance where unreachable.
 std::vector<uint32_t> BfsDistances(const Graph& g, VertexId root,
-                                   bool forward) {
+                                   bool forward,
+                                   VertexId blocked = kInvalidVertex) {
   std::vector<uint32_t> dist(g.num_vertices(), kInfDistance);
   std::vector<VertexId> queue{root};
   dist[root] = 0;
   for (size_t head = 0; head < queue.size(); ++head) {
     const VertexId x = queue[head];
+    if (x == blocked) continue;
     for (const VertexId y : forward ? g.OutNeighbors(x) : g.InNeighbors(x)) {
       if (dist[y] == kInfDistance) {
         dist[y] = dist[x] + 1;
@@ -299,21 +305,23 @@ std::vector<uint32_t> BfsDistances(const Graph& g, VertexId root,
   return dist;
 }
 
-/// Runs q through the router and checks its plan against brute force on
-/// `g`, the graph the router currently serves: kUnsatisfiable iff
-/// dist(s, t) > k; otherwise the feasible cut edges are the edges (u, w)
-/// with owner(u) != owner(w) and dist(s, u) + 1 + dist(w, t) <= k, and the
-/// query is delegated to owner(s) iff there are none.
+/// Runs q through the router and checks its decision against brute force
+/// on `g`, the graph the router currently serves: kUnsatisfiable iff
+/// dist(s, t) > k; otherwise the index's cross-shard edges are the edges
+/// (u, w) with owner(u) != owner(w), u != t, w != s and
+/// v.s(u) + 1 + v.t(w) <= k, on the index's distances (v.s avoids t
+/// inside, v.t avoids s), and the query is delegated to owner(s) iff there
+/// are none.
 void ExpectExactPlan(ShardRouter& router, const Graph& g, const Query& q,
                      const std::string& where) {
-  const std::vector<uint32_t> ds = BfsDistances(g, q.source, true);
-  const std::vector<uint32_t> dt = BfsDistances(g, q.target, false);
+  const std::vector<uint32_t> ds = BfsDistances(g, q.source, true, q.target);
+  const std::vector<uint32_t> dt = BfsDistances(g, q.target, false, q.source);
   uint64_t feasible = 0;
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    if (ds[u] == kInfDistance) continue;
+    if (u == q.target || ds[u] == kInfDistance) continue;
     for (const VertexId w : g.OutNeighbors(u)) {
-      if (router.ShardOf(u) != router.ShardOf(w) && dt[w] != kInfDistance &&
-          ds[u] + 1 + dt[w] <= q.hops) {
+      if (w != q.source && router.ShardOf(u) != router.ShardOf(w) &&
+          dt[w] != kInfDistance && ds[u] + 1 + dt[w] <= q.hops) {
         ++feasible;
       }
     }
@@ -443,9 +451,10 @@ std::pair<uint64_t, double> StageHistogram(const char* stage) {
 
 TEST(ShardRouter, DelegatedTimesStartBeforeThePlan) {
   if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
-  // A one-hop query over an edge inside one shard has no feasible cut edge,
-  // so it delegates; its total and response times start at Pin(), like a
-  // stitched or unsatisfiable result's, and so cover the plan.
+  // A one-hop query over an edge inside one shard has that edge as its
+  // whole index, so it delegates; its total and response times start at
+  // Pin(), like a stitched or unsatisfiable result's, and so cover the
+  // union build.
   const Graph g = ErdosRenyi(2000, 16000, /*seed=*/61);
   RouterOptions opts;
   opts.partition.num_shards = 4;
@@ -508,20 +517,21 @@ TEST(ShardRouter, StitchedWorkShowsUpInShardAndRouterStats) {
     CountingSink sink;
     const RouterResult r = router.Run(q, sink);
     EXPECT_EQ(sink.count(), r.stats.counters.num_results);
+    if (!r.delegated && r.state != QueryState::kUnsatisfiable) {
+      EXPECT_GT(r.feasible_cut_edges, 0u);
+    }
   }
   const ShardRouter::Stats rs = router.stats();
   EXPECT_GT(rs.queries, 0u);
   EXPECT_EQ(rs.queries, rs.delegated + rs.stitched + rs.unsatisfiable);
-  if (rs.stitched > 0) {
-    EXPECT_GT(rs.continuations_sent, 0u);
-  }
 }
 
 TEST(ShardRouter, StitchedSpanCoversThePlanAsIndexAcquire) {
   if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
-  // A stitched query's span begins before Pin(), and the plan (it computes
-  // the query's index set X) is its index_acquire stage, so that stage is
-  // at least as long as the plan's own histogram observation.
+  // A stitched query's span begins before Pin(), and the union build with
+  // its cross-shard count (pathenum_router_plan_ms) is its index_acquire
+  // stage, so that stage is at least as long as the histogram's own
+  // observation.
   const Graph g = ErdosRenyi(120, 1100, /*seed=*/41);
   RouterOptions opts;
   opts.partition.num_shards = 4;
@@ -549,6 +559,48 @@ TEST(ShardRouter, StitchedSpanCoversThePlanAsIndexAcquire) {
     ++stitched;
   }
   EXPECT_EQ(stitched, 30);
+}
+
+TEST(ShardRouter, StitchedSpanRecordsTheMethodThatRan) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  // A stitched span records the plan that ran (QuerySpan::SetPlan), so
+  // each stitched query counts once in pathenum_query_method_total under
+  // the method its result reports: IDX-DFS under kAuto at k = 4, IDX-JOIN
+  // when forced.
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  const auto ran = [&reg](Method method) {
+    const std::string label = "method=\"" + std::string(MethodName(method)) +
+                              "\"";
+    return reg.GetCounter("pathenum_query_method_total", label)->Value();
+  };
+  const Graph g = ErdosRenyi(120, 1100, /*seed=*/41);
+  RouterOptions opts;
+  opts.partition.num_shards = 4;
+  ShardRouter router(g, opts);
+  std::mt19937_64 rng(80);
+  std::uniform_int_distribution<VertexId> pick(0, g.num_vertices() - 1);
+  for (const Method method : {Method::kAuto, Method::kJoin}) {
+    EnumOptions eopts;
+    eopts.method = method;
+    eopts.result_limit = 64;
+    int stitched = 0;
+    for (int i = 0; i < 300 && stitched < 10; ++i) {
+      const Query q{pick(rng), pick(rng), 4};
+      if (q.source == q.target) continue;
+      const uint64_t dfs_before = ran(Method::kDfs);
+      const uint64_t join_before = ran(Method::kJoin);
+      CountingSink sink;
+      const RouterResult r = router.Run(q, sink, eopts);
+      if (r.delegated || r.state == QueryState::kUnsatisfiable) continue;
+      const Method want = method == Method::kJoin ? Method::kJoin : Method::kDfs;
+      EXPECT_EQ(r.stats.method, want);
+      EXPECT_EQ(ran(Method::kDfs) - dfs_before, want == Method::kDfs ? 1u : 0u);
+      EXPECT_EQ(ran(Method::kJoin) - join_before,
+                want == Method::kJoin ? 1u : 0u);
+      ++stitched;
+    }
+    EXPECT_EQ(stitched, 10);
+  }
 }
 
 TEST(ShardRouter, ThrowingSinkFailsTheQueryNotTheRouter) {
@@ -586,8 +638,8 @@ TEST(ShardRouter, ThrowingSinkFailsTheQueryNotTheRouter) {
   }
   EXPECT_EQ(stitched, 3);
 
-  // A one-hop query over an edge inside one shard has no feasible cut
-  // edge, so it delegates, and its one path reaches the sink.
+  // A one-hop query over an edge inside one shard has that edge as its
+  // whole index, so it delegates, and its one path reaches the sink.
   int delegated = 0;
   for (VertexId u = 0; u < g.num_vertices() && delegated < 3; u += 17) {
     for (const VertexId w : g.OutNeighbors(u)) {
@@ -600,68 +652,119 @@ TEST(ShardRouter, ThrowingSinkFailsTheQueryNotTheRouter) {
   EXPECT_EQ(delegated, 3);
 }
 
-TEST(ShardRouter, StitchedStopsMatchASerialDfs) {
-  // Over stitched queries only: a work budget below the query's edge reads,
-  // a deadline already expired, and a sink refusing its 7th path each stop
-  // the search with a serial IDX-DFS's state and flags.
-  const Graph g = ErdosRenyi(300, 4500, /*seed=*/43);
-  RouterOptions opts;
-  opts.partition.num_shards = 4;
-  ShardRouter router(g, opts);
-  std::mt19937_64 rng(79);
-  std::uniform_int_distribution<VertexId> pick(0, g.num_vertices() - 1);
-
-  class RefuseSeventh : public PathSink {
-   public:
-    bool OnPath(std::span<const VertexId>) override { return ++calls < 7; }
-    int calls = 0;
-  };
-
-  int checked = 0;
-  for (int i = 0; i < 100 && checked < 10; ++i) {
-    const Query q{pick(rng), pick(rng), 5};
-    if (q.source == q.target) continue;
-    CountingSink full_sink;
-    const RouterResult full = router.Run(q, full_sink);
-    if (full.delegated || full.state == QueryState::kUnsatisfiable) continue;
-    ASSERT_EQ(full.state, QueryState::kOk);
-    // Control is polled every 4,096 edge reads: with 16 polls or more, a
-    // budget of half the reads runs out well before the search ends.
-    const uint64_t reads = full.stats.counters.edges_accessed;
-    if (reads < 16 * 4096 || full_sink.count() < 7) continue;
-    const std::string at = "q(" + std::to_string(q.source) + "," +
-                           std::to_string(q.target) + ")";
-
-    EnumOptions budget;
-    budget.work_budget_edges = reads / 2;
-    RouterResult r;
-    CollectingSink collected;
-    r = router.Run(q, collected, budget);
-    EXPECT_EQ(r.state, QueryState::kTruncated) << at;
-    EXPECT_TRUE(r.stats.counters.work_exceeded) << at;
-    EXPECT_EQ(r.stats.counters.num_results, collected.paths().size()) << at;
-    const PathSet want = ToSet(BruteForcePaths(g, q));
-    for (const auto& path : collected.paths()) {
-      EXPECT_TRUE(want.count(path)) << at;
-    }
-
-    EnumOptions expired;
-    expired.time_limit_ms = 0;
-    CountingSink none;
-    r = router.Run(q, none, expired);
-    EXPECT_EQ(r.state, QueryState::kDeadlineExceeded) << at;
-    EXPECT_EQ(none.count(), 0u) << at;
-    EXPECT_EQ(r.stats.counters.num_results, 0u) << at;
-
-    RefuseSeventh refuse;
-    r = router.Run(q, refuse);
-    EXPECT_EQ(refuse.calls, 7) << at;
-    EXPECT_TRUE(r.stats.counters.stopped_by_sink) << at;
-    EXPECT_FALSE(r.stats.counters.hit_result_limit) << at;
-    EXPECT_EQ(r.state, QueryState::kTruncated) << at;
-    ++checked;
+/// Keeps, in order, every path it accepts; refuses its `refuse_at`-th
+/// call (0: none).
+class OrderedSink : public PathSink {
+ public:
+  explicit OrderedSink(uint64_t refuse_at) : refuse_at_(refuse_at) {}
+  bool OnPath(std::span<const VertexId> path) override {
+    if (++calls_ == refuse_at_) return false;
+    paths.emplace_back(path.begin(), path.end());
+    return true;
   }
-  EXPECT_EQ(checked, 10);
+  std::vector<std::vector<VertexId>> paths;
+
+ private:
+  const uint64_t refuse_at_;
+  uint64_t calls_ = 0;
+};
+
+TEST(ShardRouter, StitchedQueriesMatchTheSerialPipelineInOrder) {
+  // Every stitched query returns what PathEnumerator::Run returns on the
+  // materialized graph: the same paths in the same order, the same edge
+  // reads, method, terminal state and index size. Unlimited; limits 7 and
+  // 100; a work budget of half the serial run's reads; an expired
+  // deadline; a sink refusing its 7th path.
+  const Graph graphs[] = {
+      ErdosRenyi(90, 500, /*seed=*/47),
+      BarabasiAlbert(90, 3, /*back_prob=*/0.4, /*seed=*/53),
+  };
+  uint64_t stitched = 0, limited = 0;
+  for (size_t gi = 0; gi < std::size(graphs); ++gi) {
+    const Graph& base = graphs[gi];
+    for (const uint32_t shards : {2u, 4u, 8u}) {
+      RouterOptions opts;
+      opts.partition.num_shards = shards;
+      ShardRouter router(base, opts);
+      GraphView reference(base);
+      std::mt19937_64 rng(100 * gi + shards);
+      std::uniform_int_distribution<VertexId> pick(0, base.num_vertices() - 1);
+      for (uint32_t round = 0; round <= 2; ++round) {
+        if (round > 0) {
+          GraphDelta delta;
+          for (int i = 0; i < 12; ++i) {
+            const VertexId u = pick(rng);
+            const VertexId v = pick(rng);
+            if (u == v) continue;
+            if (rng() % 2 == 0) {
+              delta.Insert(u, v);
+            } else {
+              delta.Delete(u, v);
+            }
+          }
+          ASSERT_TRUE(router.SubmitUpdate(delta).ok());
+          reference = reference.Apply(delta, round);
+        }
+        const Graph g = reference.Materialize();
+        PathEnumerator serial(g);
+        for (uint32_t k = 3; k <= 6; ++k) {
+          for (int i = 0; i < 4; ++i) {
+            const Query q{pick(rng), pick(rng), k};
+            if (q.source == q.target) continue;
+            CountingSink probe;
+            const RouterResult decided = router.Run(q, probe);
+            if (decided.delegated ||
+                decided.state == QueryState::kUnsatisfiable) {
+              continue;
+            }
+            ++stitched;
+            CountingSink all;
+            const uint64_t reads = serial.Run(q, all).counters.edges_accessed;
+            EnumOptions limit7, limit100, budget, expired;
+            limit7.result_limit = 7;
+            limit100.result_limit = 100;
+            budget.work_budget_edges = reads / 2;
+            expired.time_limit_ms = 0;
+            const struct {
+              const char* name;
+              EnumOptions opts;
+              uint64_t refuse_at;
+            } cases[] = {
+                {"unlimited", {}, 0},      {"limit 7", limit7, 0},
+                {"limit 100", limit100, 0}, {"budget", budget, 0},
+                {"expired", expired, 0},   {"refuse 7th", {}, 7},
+            };
+            for (const auto& c : cases) {
+              const std::string at =
+                  std::string(c.name) + " graph " + std::to_string(gi) +
+                  " shards " + std::to_string(shards) + " round " +
+                  std::to_string(round) + " q(" + std::to_string(q.source) +
+                  "," + std::to_string(q.target) + "," + std::to_string(k) +
+                  ")";
+              OrderedSink got_sink(c.refuse_at), want_sink(c.refuse_at);
+              const RouterResult got = router.Run(q, got_sink, c.opts);
+              const QueryStats want = serial.Run(q, want_sink, c.opts);
+              EXPECT_FALSE(got.delegated) << at;
+              EXPECT_EQ(got_sink.paths, want_sink.paths) << at;
+              EXPECT_EQ(got.stats.counters.num_results,
+                        want.counters.num_results)
+                  << at;
+              EXPECT_EQ(got.stats.counters.edges_accessed,
+                        want.counters.edges_accessed)
+                  << at;
+              EXPECT_EQ(got.stats.method, want.method) << at;
+              EXPECT_EQ(got.state, want.counters.TerminalState()) << at;
+              EXPECT_EQ(got.stats.index_vertices, want.index_vertices) << at;
+              EXPECT_EQ(got.stats.index_edges, want.index_edges) << at;
+              limited += got.stats.counters.hit_result_limit;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(stitched, 100u);
+  EXPECT_GT(limited, 100u);
 }
 
 TEST(ShardRouter, CutSizeTracksTheLiveCutUnderChurn) {
