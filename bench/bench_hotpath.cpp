@@ -21,8 +21,10 @@
 //   PATHENUM_HOTPATH_REPS    measured repetitions          (default 3)
 //   PATHENUM_BENCH_JSON      output path ("" disables;
 //                            default "BENCH_hotpath.json")
-//   PATHENUM_BENCH_MERGE     existing BENCH_throughput.json to splice the
-//                            "hotpath" object into (optional)
+//
+// Exit status is 1 when the configurations disagree on the paths (count
+// or checksum) or an enumerator's scratch grew across the measured runs
+// (`scratch_stable`).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -200,38 +202,6 @@ std::string JsonObject(const std::vector<Row>& rows, uint32_t width,
   return out.str();
 }
 
-/// Splices `"hotpath": obj` into the top level of an existing JSON file
-/// (replacing a previous "hotpath" object when present). Conservative
-/// text-level edit: the file is only touched when its shape is recognized.
-bool MergeIntoJson(const std::string& path, const std::string& obj) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-  const std::string key = "\"hotpath\":";
-  const size_t at = text.find(key);
-  if (at != std::string::npos) {
-    const size_t open = text.find('{', at);
-    if (open == std::string::npos) return false;
-    int depth = 0;
-    size_t end = open;
-    for (; end < text.size(); ++end) {
-      if (text[end] == '{') ++depth;
-      if (text[end] == '}' && --depth == 0) break;
-    }
-    if (end >= text.size()) return false;
-    text.replace(at, end - at + 1, key + " " + obj);
-  } else {
-    const size_t brace = text.find('{');
-    if (brace == std::string::npos) return false;
-    text.insert(brace + 1, "\n  " + key + " " + obj + ",");
-  }
-  std::ofstream out(path);
-  out << text;
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -362,14 +332,6 @@ int main() {
         << "\n}\n";
     std::fprintf(stderr, "[bench] wrote %s\n", json_path.c_str());
   }
-  const char* merge = std::getenv("PATHENUM_BENCH_MERGE");
-  if (merge != nullptr && merge[0] != '\0') {
-    if (MergeIntoJson(merge, obj)) {
-      std::fprintf(stderr, "[bench] merged hotpath section into %s\n", merge);
-    } else {
-      std::fprintf(stderr, "[bench] could not merge into %s\n", merge);
-    }
-  }
-  return checksum_ok && (limit < total_paths || rows[0].results == limit) ? 0
-                                                                          : 1;
+  const bool complete = limit < total_paths || rows[0].results == limit;
+  return checksum_ok && complete && scratch_stable ? 0 : 1;
 }

@@ -38,8 +38,6 @@
 //   PATHENUM_OBS_TRACE_OUT     file for the Chrome trace ("" disables)
 //   PATHENUM_BENCH_JSON        output path ("" disables;
 //                              default "BENCH_robustness.json")
-//   PATHENUM_BENCH_MERGE       existing BENCH_throughput.json to splice the
-//                              "robustness" and "obs" objects into
 //
 // Exit status is nonzero when any overhead gate exceeds the tolerance —
 // the regression gates the perf trajectory tracks.
@@ -173,39 +171,6 @@ OverloadRow RunOverload(const Graph& g, AsyncEngineOptions::ShedPolicy policy,
     }
   }
   return row;
-}
-
-/// Splices `"<key_name>": obj` into the top level of an existing JSON file
-/// (replacing a previous object under that key when present). Same
-/// conservative text-level edit as bench_hotpath's merge.
-bool MergeIntoJson(const std::string& path, const std::string& key_name,
-                   const std::string& obj) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-  const std::string key = "\"" + key_name + "\":";
-  const size_t at = text.find(key);
-  if (at != std::string::npos) {
-    const size_t open = text.find('{', at);
-    if (open == std::string::npos) return false;
-    int depth = 0;
-    size_t end = open;
-    for (; end < text.size(); ++end) {
-      if (text[end] == '{') ++depth;
-      if (text[end] == '}' && --depth == 0) break;
-    }
-    if (end >= text.size()) return false;
-    text.replace(at, end - at + 1, key + " " + obj);
-  } else {
-    const size_t brace = text.find('{');
-    if (brace == std::string::npos) return false;
-    text.insert(brace + 1, "\n  " + key + " " + obj + ",");
-  }
-  std::ofstream out(path);
-  out << text;
-  return true;
 }
 
 /// Best-of-reps paths/sec for a burst of span-instrumented AsyncEngine
@@ -387,14 +352,6 @@ int main() {
     out << "{\n  \"bench\": \"bench_robustness\",\n  \"robustness\": "
         << obj.str() << ",\n  \"obs\": " << obs_obj.str() << "\n}\n";
     std::printf("  wrote %s\n", json_path.c_str());
-  }
-  if (const char* merge = std::getenv("PATHENUM_BENCH_MERGE")) {
-    if (MergeIntoJson(merge, "robustness", obj.str())) {
-      std::printf("  merged \"robustness\" into %s\n", merge);
-    }
-    if (MergeIntoJson(merge, "obs", obs_obj.str())) {
-      std::printf("  merged \"obs\" into %s\n", merge);
-    }
   }
   return pass && obs_pass ? 0 : 1;
 }

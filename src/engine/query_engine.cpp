@@ -97,8 +97,6 @@ QueryEngine::QueryEngine(const GraphView& view, const EngineOptions& opts)
       "engine=\"" + std::to_string(reg.NextInstanceId()) + "\"";
   reg.RegisterCounter(this, "pathenum_engine_batches_total", label,
                       &batches_run_);
-  reg.RegisterCounter(this, "pathenum_engine_oracle_rejects_total", label,
-                      &oracle_rejects_);
   reg.RegisterGauge(this, "pathenum_engine_workers", label,
                     [this] { return static_cast<double>(num_workers()); });
   // Context-derived gauge: reading races a running batch exactly like
@@ -123,9 +121,6 @@ void QueryEngine::InvalidateCaches() {
 
 void QueryEngine::RebindGraph(const Graph& g) {
   view_ = GraphView(g);
-  // A live oracle stays attached: its epochs are keyed on snapshot version
-  // AND base identity, so against an unrelated graph it simply never
-  // matches (no claims) until the engine returns to the oracle's stream.
   InvalidateCaches();
 }
 
@@ -160,8 +155,7 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   result.errors.resize(queries.size());
   result.states.resize(queries.size(), QueryState::kOk);
   batches_run_.Inc();
-  IndexCache* cache =
-      (opts.use_cache && cache_ != nullptr) ? cache_.get() : nullptr;
+  IndexCache* cache = cache_.get();
   if (cache != nullptr && view_.version() > cache->version()) {
     // The snapshot advanced past the cache without an epoch invalidation
     // (IndexCache::BeginEpoch) — an epoch-unaware caller. Degrade to a
@@ -174,55 +168,39 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   Timer wall;
 
   // Admission pre-pass, shared by both modes and run before grouping and
-  // queueing. Queries are untrusted input: an invalid one is
-  // rejected with a message and never reaches the enumerator. A query the
-  // live oracle certifies unsatisfiable gets the complete empty result with
-  // no per-query work. The epoch is pinned for exactly the bound snapshot:
-  // the ValidFor gate (exact version + base uid) turns every mismatch into
-  // "no claims", so a racing publish can never cause a wrong rejection.
-  // Each query stopped here finishes its own zero-width span, like an async
-  // ticket shed at admission. An admitted query's span begins here, so its
-  // wait behind earlier queries of the batch is its queue_wait stage. With
-  // dedup_identical, identical (s, t, k) queries collapse into one group:
-  // the representative runs once (one span) and fans its paths out to
-  // every duplicate.
-  LiveDistanceOracle::EpochRef epoch =
-      live_oracle_ != nullptr ? live_oracle_->ForVersion(view_.version())
-                              : LiveDistanceOracle::EpochRef();
-  if (!epoch.ValidFor(view_)) epoch = LiveDistanceOracle::EpochRef();
+  // queueing. Queries are untrusted input: an invalid one is rejected with
+  // a message, never reaches the enumerator, and finishes its own
+  // zero-width span, like an async ticket refused at admission. An
+  // admitted query's span begins here, so its wait behind earlier queries
+  // of the batch is its queue_wait stage. With dedup_identical, identical
+  // (s, t, k) queries collapse into one group: the representative runs
+  // once (one span) and fans its paths out to every duplicate.
   std::vector<TaskGroup> groups;
   groups.reserve(queries.size());
   std::unordered_map<CacheKey, size_t, CacheKeyHash> group_of;
   for (size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
     const Status st = CheckQuery(view_, q);
-    if (st.ok() && !epoch.Rejects(q.source, q.target, q.hops)) {
-      if (opts.dedup_identical) {
-        const CacheKey key{q.source, q.target, q.hops, 0};
-        const auto [it, inserted] = group_of.emplace(key, groups.size());
-        if (!inserted) {
-          groups[it->second].members.push_back(i);
-          continue;
-        }
-      }
-      TaskGroup& group = groups.emplace_back();
-      group.members.push_back(i);
-      group.span.Begin(q.source, q.target, q.hops);
-      continue;
-    }
-    obs::QuerySpan span;
-    span.Begin(q.source, q.target, q.hops);
-    span.Mark(obs::SpanStage::kQueueWait);
     if (!st.ok()) {
+      obs::QuerySpan span;
+      span.Begin(q.source, q.target, q.hops);
+      span.Mark(obs::SpanStage::kQueueWait);
       result.errors[i] = std::string(st.message());
       result.states[i] = QueryState::kRejected;
-    } else {
-      result.stats[i].counters.oracle_rejected = true;
-      result.states[i] = QueryState::kUnsatisfiable;
-      oracle_rejects_.Inc();
-      span.Mark(obs::SpanStage::kIndexAcquire);
+      span.Finish(QueryState::kRejected);
+      continue;
     }
-    span.Finish(result.states[i]);
+    if (opts.dedup_identical) {
+      const CacheKey key{q.source, q.target, q.hops, 0};
+      const auto [it, inserted] = group_of.emplace(key, groups.size());
+      if (!inserted) {
+        groups[it->second].members.push_back(i);
+        continue;
+      }
+    }
+    TaskGroup& group = groups.emplace_back();
+    group.members.push_back(i);
+    group.span.Begin(q.source, q.target, q.hops);
   }
 
   // Cache-aware queueing: replayable results first, then cached indexes,
@@ -323,7 +301,6 @@ QueryEngine::EngineStats QueryEngine::Stats() const {
   s.scratch_bytes = queue_.ScratchBytes();
   s.queries_run = queries_run_.Value();
   s.batches_run = batches_run_.Value();
-  s.oracle_rejects = oracle_rejects_.Value();
   return s;
 }
 

@@ -18,9 +18,9 @@
 // Every cache miss is one solo build on the worker that runs the query.
 //
 // Every batch passes one admission pre-pass before grouping and
-// queueing, in both modes: invalid queries are rejected, and with a live
-// oracle attached (SetLiveOracle) queries it certifies unsatisfiable
-// (dist(s,t) > k) complete as kUnsatisfiable without any per-query work.
+// queueing, in both modes: invalid queries are rejected there. Shedding
+// oracle-certified unsatisfiable queries is AsyncEngine's admission step
+// (live/async_engine.h), not the batch engine's.
 #ifndef PATHENUM_ENGINE_QUERY_ENGINE_H_
 #define PATHENUM_ENGINE_QUERY_ENGINE_H_
 
@@ -35,7 +35,6 @@
 #include "engine/index_cache.h"
 #include "engine/query_queue.h"
 #include "graph/view.h"
-#include "live/live_oracle.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -69,13 +68,11 @@ struct BatchOptions {
   /// each query runs entirely on the one worker that claims it.
   bool split_branches = false;
 
-  /// Consult/populate the engine's cross-query cache (no-op when the
-  /// engine was constructed without one).
-  bool use_cache = true;
-
   /// Collapse identical (s, t, k) queries within the batch: the group runs
   /// once and the paths fan out to every duplicate's sink (each sink may
   /// still stop independently). Duplicates report the shared run's stats.
+  /// Only tests turn it off, to run identical queries of one batch
+  /// separately: one span each, or two workers racing one cache key.
   bool dedup_identical = true;
 };
 
@@ -94,9 +91,6 @@ struct BatchOptions {
 ///    `errors[i]` says why.
 ///  - kError: the run threw; delivered paths up to that point are valid
 ///    but the set is not a guaranteed prefix of any complete enumeration.
-///  - kUnsatisfiable: the live oracle certified dist(s,t) > k at
-///    admission; the complete (empty) result set was delivered without
-///    touching the sink.
 struct BatchResult {
   std::vector<QueryStats> stats;
   std::vector<std::string> errors;
@@ -137,8 +131,8 @@ struct BatchResult {
 };
 
 /// Thread-pooled batch query engine. One instance per graph/session; the
-/// bound graph/view (and an attached live oracle) must outlive it. RunBatch
-/// may be called any number of times, from one thread at a time.
+/// bound graph/view must outlive it. RunBatch may be called any number of
+/// times, from one thread at a time.
 class QueryEngine {
  public:
   /// Accepts a plain `Graph` (implicit borrowing view, version 0) or a live
@@ -178,19 +172,6 @@ class QueryEngine {
   BatchResult CountBatch(std::span<const Query> queries,
                          const BatchOptions& opts = {});
 
-  /// Connects the live oracle (borrowed; null detaches) — the engine's only
-  /// oracle. A static graph gets one by building a LiveDistanceOracle over
-  /// it and publishing no updates. Each batch's admission pre-pass pins the
-  /// epoch for the bound view, gated by EpochRef::ValidFor (exact snapshot
-  /// version and base uid), and rejects unsatisfiable queries in
-  /// O(|label| + |C|²) before any per-query work, across overlay rebinds
-  /// and publishes alike; any mismatch (racing publish, re-label, unrelated
-  /// graph) degrades to "no claim", never to a wrong rejection. Must not
-  /// race RunBatch.
-  void SetLiveOracle(const LiveDistanceOracle* oracle) {
-    live_oracle_ = oracle;
-  }
-
   /// The cross-query cache, or null when not enabled.
   IndexCache* cache() { return cache_.get(); }
 
@@ -215,21 +196,16 @@ class QueryEngine {
     /// from. Kept only because the serving benchmark (servebench/) still
     /// reads it.
     uint64_t steals = 0;
-    /// Queries shed as kUnsatisfiable by the live oracle at admission,
-    /// duplicates included.
-    uint64_t oracle_rejects = 0;
   };
   EngineStats Stats() const;
 
  private:
   GraphView view_;
-  const LiveDistanceOracle* live_oracle_ = nullptr;  // see SetLiveOracle
   std::unique_ptr<IndexCache> cache_;  // null unless opts.enable_cache
   /// ShardedCounter storage (DESIGN.md §12): Stats() and the registry's
   /// `pathenum_engine_*` metrics read the same slots.
   obs::ShardedCounter batches_run_;
   obs::ShardedCounter queries_run_;  // duplicates served by a fan-out count
-  obs::ShardedCounter oracle_rejects_;
   QueryQueue queue_;  // last: its workers stop before the cache goes
 };
 

@@ -52,6 +52,8 @@ ShardRouter::ShardRouter(const Graph& g, const RouterOptions& opts) {
                       metric_label_, &unsat_);
   reg.RegisterCounter(this, "pathenum_router_rejected_total", metric_label_,
                       &rejected_);
+  reg.RegisterCounter(this, "pathenum_router_failed_total", metric_label_,
+                      &failed_);
   reg.RegisterCounter(this, "pathenum_router_updates_total", metric_label_,
                       &updates_);
   reg.RegisterGauge(this, "pathenum_router_cut_edges", metric_label_,
@@ -75,6 +77,7 @@ ShardRouter::Stats ShardRouter::stats() const {
   s.stitched = stitched_.Value();
   s.unsatisfiable = unsat_.Value();
   s.rejected = rejected_.Value();
+  s.failed = failed_.Value();
   s.updates = updates_.Value();
   return s;
 }
@@ -146,9 +149,21 @@ RouterResult ShardRouter::Run(const Query& q, PathSink& sink,
   const Timer total;
   const Pinned pin = Pin();
   const Timer plan_timer;
-  const LightweightIndex index =
-      builder_.Build(UnionView(pin.views, shard_map_), q,
-                     PathEnumerator::BuildOptionsFor(q, opts));
+  LightweightIndex index;
+  try {
+    index = builder_.Build(UnionView(pin.views, shard_map_), q,
+                           PathEnumerator::BuildOptionsFor(q, opts));
+  } catch (const std::exception& e) {
+    // A failed build fails only this query, as a failed build in a shard
+    // engine does: the state and message, not an exception.
+    failed_.Inc();
+    r.state = FailedRunState(e);
+    r.error = e.what();
+    span.Mark(obs::SpanStage::kIndexAcquire);
+    span.Finish(r.state);
+    r.stats.total_ms = total.ElapsedMs();
+    return r;
+  }
   const bool interrupted = index.build_stats().interrupted;
   const uint64_t cross = interrupted ? 0 : CrossShardEdges(index);
   plan_ms_hist_->Observe(plan_timer.ElapsedMs());

@@ -21,7 +21,9 @@
 //     ordered paths, edge reads, method and terminal state that
 //     PathEnumerator::Run returns on the materialized graph. A build
 //     tripped by cancel or deadline leaves an empty index that proves
-//     nothing; the query reports its trip.
+//     nothing; the query reports its trip. A build that throws fails only
+//     its query, with the exception's message, as a failed build in a
+//     shard engine does.
 //
 // Updates route through the partition map: SubmitUpdate splits a
 // GraphDelta by the owner of each edge's tail and every touched shard
@@ -118,6 +120,10 @@ class ShardRouter {
     uint64_t stitched = 0;
     uint64_t unsatisfiable = 0;
     uint64_t rejected = 0;
+    /// Queries whose union-index build threw: each fails alone, as kError
+    /// (or kRejected for a logic_error), so queries == delegated + stitched
+    /// + unsatisfiable + rejected + failed.
+    uint64_t failed = 0;
     uint64_t updates = 0;
     /// Always 0: stitched queries send no frames. Kept because the
     /// serving benchmark reads it.
@@ -167,6 +173,7 @@ class ShardRouter {
   obs::ShardedCounter stitched_;
   obs::ShardedCounter unsat_;
   obs::ShardedCounter rejected_;
+  obs::ShardedCounter failed_;
   obs::ShardedCounter updates_;
   obs::RegHistogram* plan_ms_hist_ = nullptr;
   std::string metric_label_;

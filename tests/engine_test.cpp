@@ -12,11 +12,8 @@
 #include "core/path_enum.h"
 #include "engine/query_engine.h"
 #include "graph/generators.h"
-#include "live/live_oracle.h"
-#include "live/snapshot.h"
 #include "test_util.h"
 #include "util/memory.h"
-#include "util/rng.h"
 #include "workload/query_gen.h"
 
 namespace pathenum {
@@ -478,212 +475,6 @@ TEST(PathEnumeratorTest, SequentialScratchStableAcrossRepeats) {
     EXPECT_EQ(sink.count(), first_counts[i++]);
   }
   EXPECT_EQ(pe.ScratchBytes(), warm);
-}
-
-// ---------------------------------------------------------------------------
-// Oracle rejection in the sync engine: terminal-state reporting and the
-// ValidFor gate (exact snapshot version + base-graph uid) across rebinds.
-// ---------------------------------------------------------------------------
-
-// Two disconnected path components: 0..9 and 10..19.
-Graph TwoComponentGraph() {
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  for (VertexId v = 0; v < 9; ++v) edges.push_back({v, v + 1});
-  for (VertexId v = 10; v < 19; ++v) edges.push_back({v, v + 1});
-  return Graph::FromEdges(20, edges);
-}
-
-TEST(EngineOracleTest, UnsatisfiableQueriesReportTerminalStateInAllModes) {
-  // A static graph's oracle is a LiveDistanceOracle that never sees an
-  // update.
-  const Graph g = TwoComponentGraph();
-  const LiveDistanceOracle oracle(g);
-  const Query unsat{0, 15, 6};   // cross-component
-  const Query unsat_dup = unsat; // dedup group member
-  const Query sat{0, 5, 6};
-  for (const bool split : {false, true}) {
-    QueryEngine engine(g, {.num_workers = 2});
-    engine.SetLiveOracle(&oracle);
-    const std::vector<Query> queries{unsat, sat, unsat_dup};
-    std::vector<CountingSink> sinks(queries.size());
-    std::vector<PathSink*> sink_ptrs;
-    for (auto& s : sinks) sink_ptrs.push_back(&s);
-    BatchOptions opts;
-    opts.split_branches = split;
-    const BatchResult r = engine.RunBatch(queries, sink_ptrs, opts);
-    ASSERT_TRUE(r.ok());
-    // The observability contract for a shed query: a distinct terminal
-    // state, the oracle_rejected flag, and an empty-but-delivered result.
-    EXPECT_EQ(r.states[0], QueryState::kUnsatisfiable) << "split=" << split;
-    EXPECT_EQ(r.states[2], QueryState::kUnsatisfiable) << "split=" << split;
-    EXPECT_TRUE(r.stats[0].counters.oracle_rejected);
-    EXPECT_TRUE(DeliveredResults(r.states[0]));
-    EXPECT_EQ(r.stats[0].counters.num_results, 0u);
-    EXPECT_EQ(sinks[0].count(), 0u);
-    EXPECT_EQ(r.states[1], QueryState::kOk);
-    EXPECT_EQ(sinks[1].count(), 1u);  // the one 6-hop-bounded 0..5 path
-    EXPECT_EQ(engine.Stats().oracle_rejects, 2u) << "split=" << split;
-  }
-}
-
-TEST(EngineOracleTest, CachedBatchMixesSatisfiableAndShedQueries) {
-  // A cached batch interleaving satisfiable and oracle-certified-
-  // unsatisfiable queries: the admission pre-pass sheds the unsatisfiable
-  // ones before grouping, so they finish as kUnsatisfiable, and every
-  // satisfiable query still builds and finds its one path.
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  for (VertexId v = 0; v < 19; ++v) edges.push_back({v, v + 1});
-  for (VertexId v = 20; v < 39; ++v) edges.push_back({v, v + 1});
-  const Graph g = Graph::FromEdges(40, edges);
-  const LiveDistanceOracle oracle(g);
-
-  std::vector<Query> queries;
-  for (VertexId s = 0; s < 4; ++s) {
-    queries.push_back(Query{s, static_cast<VertexId>(s + 5), 6});   // sat
-    queries.push_back(Query{s, static_cast<VertexId>(s + 25), 6});  // unsat
-  }
-  EngineOptions opts;
-  opts.num_workers = 2;
-  opts.enable_cache = true;
-  QueryEngine engine(g, opts);
-  engine.SetLiveOracle(&oracle);
-  const BatchResult r = engine.CountBatch(queries);
-  ASSERT_TRUE(r.ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (i % 2 == 0) {
-      EXPECT_EQ(r.states[i], QueryState::kOk) << "query " << i;
-      EXPECT_EQ(r.stats[i].counters.num_results, 1u) << "query " << i;
-    } else {
-      EXPECT_EQ(r.states[i], QueryState::kUnsatisfiable) << "query " << i;
-      EXPECT_EQ(r.stats[i].counters.num_results, 0u) << "query " << i;
-    }
-  }
-}
-
-TEST(EngineOracleTest, OracleRearmIsKeyedOnGraphIdentityNotAddress) {
-  // Across RunBatch(view) rebinds the oracle's claims follow Graph::uid and
-  // the exact snapshot version (EpochRef::ValidFor), never an address: a
-  // copied Graph (same topology lineage, different address) keeps them; an
-  // unrelated Graph (same shape, same version, possibly a recycled address)
-  // must not get them.
-  const Graph g = TwoComponentGraph();
-  const LiveDistanceOracle oracle(g);
-  QueryEngine engine(g, {.num_workers = 1});
-  engine.SetLiveOracle(&oracle);
-  const std::vector<Query> queries{Query{0, 15, 6}};
-  const auto run = [&](const GraphView& view) {
-    std::vector<CountingSink> sinks(1);
-    std::vector<PathSink*> sink_ptrs{&sinks[0]};
-    return engine.RunBatch(view, queries, sink_ptrs, {});
-  };
-
-  // Same-uid copy: the oracle keeps rejecting.
-  const Graph copy = g;
-  ASSERT_EQ(copy.uid(), g.uid());
-  const BatchResult on_copy = run(GraphView(copy));
-  ASSERT_TRUE(on_copy.ok());
-  EXPECT_EQ(on_copy.states[0], QueryState::kUnsatisfiable);
-  EXPECT_EQ(engine.Stats().oracle_rejects, 1u);
-
-  // A freshly built graph with identical shape at the same version: a
-  // different identity, so the oracle claims nothing — the query runs the
-  // full pipeline (and correctly finds nothing).
-  const Graph unrelated = TwoComponentGraph();
-  ASSERT_NE(unrelated.uid(), g.uid());
-  const BatchResult on_unrelated = run(GraphView(unrelated));
-  ASSERT_TRUE(on_unrelated.ok());
-  EXPECT_EQ(on_unrelated.states[0], QueryState::kOk);
-  EXPECT_EQ(on_unrelated.stats[0].counters.num_results, 0u);
-  EXPECT_EQ(engine.Stats().oracle_rejects, 1u);  // unchanged
-
-  // An overlay over the original base is a version the oracle has no epoch
-  // for: no claims for that batch (the inserted bridge must not be wrongly
-  // rejected) ...
-  const GraphView bridged =
-      GraphView(g).Apply(GraphDelta{}.Insert(5, 15), 1);
-  const BatchResult on_overlay = run(bridged);
-  ASSERT_TRUE(on_overlay.ok());
-  EXPECT_EQ(on_overlay.states[0], QueryState::kOk);
-  EXPECT_EQ(on_overlay.stats[0].counters.num_results, 1u);
-  // ... and claims again the moment the engine returns to the base
-  // snapshot.
-  const BatchResult back = run(GraphView(g));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.states[0], QueryState::kUnsatisfiable);
-  EXPECT_EQ(engine.Stats().oracle_rejects, 2u);
-}
-
-TEST(EngineOracleTest, LiveOracleRejectionsMatchOracleOffUnderRebinds) {
-  // Differential: one engine consults a LiveDistanceOracle across a churn
-  // of overlay rebinds, the other runs bare. Same per-query answers,
-  // always; the oracle only changes *how* unsatisfiable queries finish.
-  // Both scheduling modes pass the same admission gate, with and without a
-  // cache.
-  const VertexId n = 20;
-  const Graph base = ErdosRenyi(n, 30, /*seed=*/17);
-  std::vector<Query> queries;
-  for (VertexId s = 0; s < n; s += 3) {
-    queries.push_back(Query{s, static_cast<VertexId>(n - 1 - s), 4});
-  }
-  for (const bool split : {false, true}) {
-    for (const bool cached : {false, true}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "split=" << split << " cached=" << cached);
-      Rng rng(321);
-      SnapshotManager mgr(base);
-      LiveOracleOptions oracle_opts;
-      oracle_opts.background_relabel = false;
-      oracle_opts.relabel_budget = 6;
-      LiveDistanceOracle oracle(mgr.Current()->base(), oracle_opts);
-      mgr.AttachOracle(&oracle);
-
-      const EngineOptions eopts{.num_workers = 2, .enable_cache = cached};
-      QueryEngine with_oracle(*mgr.Current(), eopts);
-      with_oracle.SetLiveOracle(&oracle);
-      QueryEngine without(*mgr.Current(), eopts);
-      BatchOptions bopts;
-      bopts.split_branches = split;
-
-      for (uint64_t epoch = 1; epoch <= 8; ++epoch) {
-        GraphDelta delta;
-        for (int i = 0; i < 4; ++i) {
-          const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
-          const VertexId v = static_cast<VertexId>(rng.NextBounded(n));
-          if (rng.NextBounded(3) == 0) {
-            delta.Delete(u, v);
-          } else {
-            delta.Insert(u, v);
-          }
-        }
-        mgr.Apply(delta);
-        const SnapshotManager::Published pub = mgr.CurrentPublished();
-        std::vector<CountingSink> sinks_on(queries.size());
-        std::vector<CountingSink> sinks_off(queries.size());
-        std::vector<PathSink*> ptrs_on, ptrs_off;
-        for (size_t i = 0; i < queries.size(); ++i) {
-          ptrs_on.push_back(&sinks_on[i]);
-          ptrs_off.push_back(&sinks_off[i]);
-        }
-        const BatchResult r_on =
-            with_oracle.RunBatch(*pub.snapshot, queries, ptrs_on, bopts);
-        const BatchResult r_off =
-            without.RunBatch(*pub.snapshot, queries, ptrs_off, bopts);
-        ASSERT_TRUE(r_on.ok());
-        ASSERT_TRUE(r_off.ok());
-        for (size_t i = 0; i < queries.size(); ++i) {
-          ASSERT_EQ(r_on.stats[i].counters.num_results,
-                    r_off.stats[i].counters.num_results)
-              << "epoch " << epoch << " query " << i;
-          if (r_on.states[i] == QueryState::kUnsatisfiable) {
-            ASSERT_EQ(r_off.stats[i].counters.num_results, 0u)
-                << "epoch " << epoch << " query " << i << " wrongly rejected";
-          }
-        }
-      }
-      EXPECT_GT(with_oracle.Stats().oracle_rejects, 0u);
-      EXPECT_EQ(without.Stats().oracle_rejects, 0u);
-    }
-  }
 }
 
 }  // namespace

@@ -4,14 +4,18 @@
 // router's decision (unsatisfiable, delegated, the index's cross-shard edge
 // count) against brute force, the live cut count under churn, stitched
 // queries against the serial pipeline on the materialized graph, in order,
-// and the stitched span.
+// the stitched span, a failing union-index build, and Run racing
+// SubmitUpdate.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <iterator>
 #include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "shard/router.h"
 #include "shard/shard_engine.h"
 #include "test_util.h"
+#include "util/fault_injection.h"
 
 namespace pathenum {
 namespace {
@@ -219,6 +224,85 @@ TEST(ShardRouter, UpdateChurnDifferential) {
       }
     }
     EXPECT_EQ(router.stats().updates, 8u);
+  }
+}
+
+TEST(ShardRouter, RunRacingSubmitUpdateAnswersOnePublishedVersion) {
+  // Run and SubmitUpdate may run concurrently (router.h). One thread
+  // submits 30 random deltas while this one runs queries; every answer
+  // must be the brute-force answer of one version current while its Run
+  // was in flight: at least the version published before Run began, at
+  // most the last one whose SubmitUpdate had begun when Run returned.
+  const Graph base = ErdosRenyi(40, 160, /*seed=*/61);
+  constexpr int kUpdates = 30;
+  std::mt19937_64 rng(97);
+  std::uniform_int_distribution<VertexId> pick(0, base.num_vertices() - 1);
+  std::vector<GraphDelta> deltas(kUpdates);
+  std::vector<Graph> versions{base};  // versions[v]: after v deltas
+  GraphView reference(base);
+  for (int i = 0; i < kUpdates; ++i) {
+    for (int op = 0; op < 6; ++op) {
+      const VertexId u = pick(rng);
+      const VertexId v = pick(rng);
+      if (u == v) continue;
+      if (rng() % 2 == 0) {
+        deltas[i].Insert(u, v);
+      } else {
+        deltas[i].Delete(u, v);
+      }
+    }
+    reference = reference.Apply(deltas[i], i + 1);
+    versions.push_back(reference.Materialize());
+  }
+
+  struct Answer {
+    Query q;
+    int lo = 0;
+    int hi = 0;
+    RouterResult result;
+    PathSet paths;
+  };
+  for (const uint32_t shards : {2u, 4u}) {
+    RouterOptions opts;
+    opts.partition.num_shards = shards;
+    ShardRouter router(base, opts);
+    std::atomic<int> begun{0};      // SubmitUpdate calls begun
+    std::atomic<int> published{0};  // SubmitUpdate calls returned
+    std::thread updater([&] {
+      for (int i = 0; i < kUpdates; ++i) {
+        begun.store(i + 1);
+        EXPECT_TRUE(router.SubmitUpdate(deltas[i]).ok());
+        published.store(i + 1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+    std::vector<Answer> answers;
+    for (uint32_t i = 0; published.load() < kUpdates || i < 60; ++i) {
+      const Query q{pick(rng), pick(rng), 3 + i % 3};
+      if (q.source == q.target) continue;
+      Answer a;
+      a.q = q;
+      a.lo = published.load();
+      a.paths = RouterCollect(router, q, {}, &a.result);
+      a.hi = begun.load();
+      answers.push_back(std::move(a));
+    }
+    updater.join();
+
+    for (const Answer& a : answers) {
+      const Query& q = a.q;
+      bool matched = false;
+      for (int v = a.lo; v <= a.hi && !matched; ++v) {
+        matched = a.paths == ToSet(BruteForcePaths(versions[v], q));
+      }
+      EXPECT_TRUE(matched) << "shards " << shards << " q(" << q.source << ","
+                           << q.target << "," << q.hops << ") in flight over "
+                           << "versions " << a.lo << ".." << a.hi;
+      EXPECT_TRUE(a.result.state == QueryState::kOk ||
+                  a.result.state == QueryState::kUnsatisfiable);
+      EXPECT_EQ(a.result.stats.counters.num_results, a.paths.size());
+    }
+    EXPECT_EQ(router.stats().updates, static_cast<uint64_t>(kUpdates));
   }
 }
 
@@ -650,6 +734,46 @@ TEST(ShardRouter, ThrowingSinkFailsTheQueryNotTheRouter) {
     }
   }
   EXPECT_EQ(delegated, 3);
+}
+
+TEST(ShardRouter, ThrowingIndexBuildFailsOnlyItsQuery) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault sites compiled out";
+  // A fault thrown in the router's own union-index build, in a distance
+  // pass or in the assembly, fails that query as kError with the hook's
+  // message: its span finishes with that state, it counts once in
+  // Stats::failed, and the next run of the query answers it.
+  const Graph g = BarabasiAlbert(400, 3, /*back_prob=*/0.5, /*seed=*/7);
+  RouterOptions opts;
+  opts.partition.num_shards = 4;
+  ShardRouter router(g, opts);
+  const Query q{1, 9, 4};
+  const PathSet want = ToSet(BruteForcePaths(g, q));
+  ASSERT_FALSE(want.empty());
+  obs::RegCounter* error_spans = obs::MetricRegistry::Global().GetCounter(
+      "pathenum_query_finished_total", "state=\"Error\"");
+  for (const fault::Site site :
+       {fault::Site::kIndexBuildWave, fault::Site::kIndexAdjacency}) {
+    const uint64_t error_spans_before = error_spans->Value();
+    {
+      const fault::ScopedFault boom(site, [] {
+        throw std::runtime_error("injected: union build failed");
+      });
+      CollectingSink sink;
+      const RouterResult r = router.Run(q, sink);
+      EXPECT_GT(fault::HitCount(site), 0u);
+      EXPECT_EQ(r.state, QueryState::kError);
+      EXPECT_EQ(r.error, "injected: union build failed");
+      EXPECT_TRUE(sink.paths().empty());
+    }
+    if (obs::kEnabled) {
+      EXPECT_EQ(error_spans->Value(), error_spans_before + 1);
+    }
+    EXPECT_EQ(RouterCollect(router, q), want);
+  }
+  const ShardRouter::Stats rs = router.stats();
+  EXPECT_EQ(rs.failed, 2u);
+  EXPECT_EQ(rs.queries, rs.delegated + rs.stitched + rs.unsatisfiable +
+                            rs.rejected + rs.failed);
 }
 
 /// Keeps, in order, every path it accepts; refuses its `refuse_at`-th
