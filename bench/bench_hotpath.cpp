@@ -21,6 +21,8 @@
 //   PATHENUM_HOTPATH_REPS    measured repetitions          (default 3)
 //   PATHENUM_BENCH_JSON      output path ("" disables;
 //                            default "BENCH_hotpath.json")
+//                            The record opens with the host (CPU model,
+//                            hardware threads) and the repetition count.
 //
 // Exit status is 1 when the configurations disagree on the paths (count
 // or checksum) or an enumerator's scratch grew across the measured runs
@@ -34,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bench_util.h"
 #include "core/dfs_enumerator.h"
 #include "core/join_enumerator.h"
 #include "graph/builder.h"
@@ -328,8 +331,8 @@ int main() {
       json_env != nullptr ? json_env : "BENCH_hotpath.json";
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"bench_hotpath\",\n  \"hotpath\": " << obj
-        << "\n}\n";
+    out << "{\n" << bench::RecordHeaderJson("bench_hotpath", reps)
+        << ",\n  \"hotpath\": " << obj << "\n}\n";
     std::fprintf(stderr, "[bench] wrote %s\n", json_path.c_str());
   }
   const bool complete = limit < total_paths || rows[0].results == limit;

@@ -38,6 +38,8 @@
 //   PATHENUM_OBS_TRACE_OUT     file for the Chrome trace ("" disables)
 //   PATHENUM_BENCH_JSON        output path ("" disables;
 //                              default "BENCH_robustness.json")
+//                              The record opens with the host (CPU model,
+//                              hardware threads) and the repetition count.
 //
 // Exit status is nonzero when any overhead gate exceeds the tolerance —
 // the regression gates the perf trajectory tracks.
@@ -50,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bench_util.h"
 #include "core/control.h"
 #include "core/dfs_enumerator.h"
 #include "core/index.h"
@@ -349,8 +352,9 @@ int main() {
       json_env != nullptr ? json_env : "BENCH_robustness.json";
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"bench_robustness\",\n  \"robustness\": "
-        << obj.str() << ",\n  \"obs\": " << obs_obj.str() << "\n}\n";
+    out << "{\n" << bench::RecordHeaderJson("bench_robustness", reps)
+        << ",\n  \"robustness\": " << obj.str() << ",\n  \"obs\": "
+        << obs_obj.str() << "\n}\n";
     std::printf("  wrote %s\n", json_path.c_str());
   }
   return pass && obs_pass ? 0 : 1;

@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include "graph/io.h"
 #include "util/rng.h"
@@ -143,6 +145,33 @@ void PrintBanner(const std::string& experiment, const std::string& paper_ref,
 
 void PrintShapeNote(const std::string& note) {
   std::cout << "\n[shape-vs-paper] " << note << "\n\n";
+}
+
+std::string RecordHeaderJson(const std::string& bench, int reps) {
+  // The first "model name" line of /proc/cpuinfo, or "unknown" where there
+  // is none (non-Linux hosts, some ARM kernels).
+  std::string model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const size_t begin = line.find_first_not_of(" \t", colon + 1);
+    if (begin != std::string::npos) model = line.substr(begin);
+    break;
+  }
+  std::string escaped;
+  for (const char c : model) {
+    if (c == '"' || c == '\\') escaped += '\\';
+    escaped += c;
+  }
+  std::ostringstream out;
+  out << "  \"bench\": \"" << bench << "\",\n"
+      << "  \"machine\": {\"cpu_model\": \"" << escaped
+      << "\", \"hardware_concurrency\": "
+      << std::thread::hardware_concurrency() << "},\n"
+      << "  \"reps\": " << reps;
+  return out.str();
 }
 
 }  // namespace pathenum::bench

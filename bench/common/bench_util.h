@@ -75,6 +75,15 @@ void PrintBanner(const std::string& experiment, const std::string& paper_ref,
 /// Prints the "expected shape vs paper" footnote.
 void PrintShapeNote(const std::string& note);
 
+/// The fields a micro benchmark's JSON record opens with, so the record
+/// says which host and how many runs its numbers came from:
+///   "bench": "<bench>",
+///   "machine": {"cpu_model": "<model name from /proc/cpuinfo>",
+///               "hardware_concurrency": <std::thread count>},
+///   "reps": <measured repetitions per configuration>
+/// One field per line, each indented by two spaces, no trailing comma.
+std::string RecordHeaderJson(const std::string& bench, int reps);
+
 }  // namespace pathenum::bench
 
 #endif  // PATHENUM_BENCH_COMMON_BENCH_UTIL_H_

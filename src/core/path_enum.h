@@ -101,7 +101,8 @@ class PathEnumerator {
   /// Builds and returns just the index (tooling/benchmark hook). Overlay-
   /// free views dispatch to the Build<Graph> instantiation so the static
   /// hot path keeps its branch-free adjacency loops (overlay views pay one
-  /// predictable overlay check per access).
+  /// touched-bit test per access, and a hash lookup only for a vertex an
+  /// update touched).
   LightweightIndex BuildIndex(const Query& q,
                               const IndexBuilder::Options& opts = {}) {
     return view_.has_overlay() ? builder_.Build(view_, q, opts)

@@ -8,20 +8,18 @@ namespace pathenum {
 
 namespace {
 
-/// Sorted-vector insert; returns true if the edge was actually added.
-bool SortedInsert(std::vector<VertexId>& adj, VertexId v) {
-  const auto it = std::lower_bound(adj.begin(), adj.end(), v);
-  if (it != adj.end() && *it == v) return false;
-  adj.insert(it, v);
-  return true;
+/// Inserts `v`, known to be absent, into the sorted `adj`.
+void SortedInsert(std::vector<VertexId>& adj, VertexId v) {
+  adj.insert(std::lower_bound(adj.begin(), adj.end(), v), v);
 }
 
-/// Sorted-vector erase; returns true if the edge was actually removed.
-bool SortedErase(std::vector<VertexId>& adj, VertexId v) {
-  const auto it = std::lower_bound(adj.begin(), adj.end(), v);
-  if (it == adj.end() || *it != v) return false;
-  adj.erase(it);
-  return true;
+/// Erases `v`, known to be present, from the sorted `adj`.
+void SortedErase(std::vector<VertexId>& adj, VertexId v) {
+  adj.erase(std::lower_bound(adj.begin(), adj.end(), v));
+}
+
+void Mark(std::vector<uint64_t>& bits, VertexId v) {
+  bits[v >> 6] |= uint64_t{1} << (v & 63);
 }
 
 }  // namespace
@@ -36,6 +34,8 @@ size_t EdgeOverlay::MemoryBytes() const {
   for (const auto& [v, adj] : in_) {
     bytes += kMapEntryOverhead + adj.capacity() * sizeof(VertexId);
   }
+  bytes += (out_touched_.capacity() + in_touched_.capacity()) *
+           sizeof(uint64_t);
   return bytes;
 }
 
@@ -52,22 +52,35 @@ GraphView GraphView::Apply(const GraphDelta& delta,
                            uint64_t new_version) const {
   PATHENUM_CHECK_MSG(base_ != nullptr, "cannot apply a delta to an empty view");
   const VertexId n = num_vertices();
-  auto overlay = std::make_shared<EdgeOverlay>();
+  std::shared_ptr<EdgeOverlay> overlay;
   if (overlay_ != nullptr) {
-    // Overlays compose by copying the previous touched-vertex tables: cost
-    // proportional to the touched set, bounded by the compaction budget.
-    overlay->out_ = overlay_->out_;
-    overlay->in_ = overlay_->in_;
-    overlay->edge_delta_ = overlay_->edge_delta_;
+    // Overlays compose by copying the previous touched-vertex tables (cost
+    // proportional to the touched set, bounded by the compaction budget)
+    // and bitsets.
+    overlay = std::make_shared<EdgeOverlay>(*overlay_);
+  } else {
+    overlay = std::make_shared<EdgeOverlay>();
+    overlay->out_touched_.assign((size_t{n} + 63) / 64, 0);
+    overlay->in_touched_.assign((size_t{n} + 63) / 64, 0);
   }
 
-  // Copy-on-write per vertex: the first time a delta touches a vertex, its
-  // full adjacency is materialized from this view (base or prior overlay).
+  // Whether (u, v) is in the snapshot built so far: u's current out-list is
+  // its overlay entry if it has one (the copied tables included), else the
+  // base span.
+  const auto has_edge = [&](VertexId u, VertexId v) {
+    const std::vector<VertexId>* adj = overlay->OutOf(u);
+    return adj != nullptr ? std::binary_search(adj->begin(), adj->end(), v)
+                          : base_->HasEdge(u, v);
+  };
+  // Copy-on-write per vertex: the first time a delta changes a vertex's
+  // list, its full adjacency is materialized from this view (base or prior
+  // overlay) and its touched bit is set.
   const auto out_of = [&](VertexId v) -> std::vector<VertexId>& {
     const auto [it, inserted] = overlay->out_.try_emplace(v);
     if (inserted) {
       const auto span = OutNeighbors(v);
       it->second.assign(span.begin(), span.end());
+      Mark(overlay->out_touched_, v);
     }
     return it->second;
   };
@@ -76,25 +89,27 @@ GraphView GraphView::Apply(const GraphDelta& delta,
     if (inserted) {
       const auto span = InNeighbors(v);
       it->second.assign(span.begin(), span.end());
+      Mark(overlay->in_touched_, v);
     }
     return it->second;
   };
 
+  // Membership is tested before any copy, so a no-op operation (an edge
+  // already present, an absent deletion, a self-loop, which is dropped as
+  // GraphBuilder drops it) touches no vertex.
   for (const auto& [u, v] : delta.insertions) {
     PATHENUM_CHECK_MSG(u < n && v < n, "delta endpoint out of range");
-    if (u == v) continue;  // self-loops are dropped, like GraphBuilder
-    if (SortedInsert(out_of(u), v)) {
-      SortedInsert(in_of(v), u);
-      ++overlay->edge_delta_;
-    }
+    if (u == v || has_edge(u, v)) continue;
+    SortedInsert(out_of(u), v);
+    SortedInsert(in_of(v), u);
+    ++overlay->edge_delta_;
   }
   for (const auto& [u, v] : delta.deletions) {
     PATHENUM_CHECK_MSG(u < n && v < n, "delta endpoint out of range");
-    if (u == v) continue;
-    if (SortedErase(out_of(u), v)) {
-      SortedErase(in_of(v), u);
-      --overlay->edge_delta_;
-    }
+    if (u == v || !has_edge(u, v)) continue;
+    SortedErase(out_of(u), v);
+    SortedErase(in_of(v), u);
+    --overlay->edge_delta_;
   }
 
   GraphView next;

@@ -3,16 +3,20 @@
 //
 // A `GraphView` is (base Graph, optional EdgeOverlay, version). The overlay
 // holds fully materialized sorted adjacency for exactly the vertices an
-// update batch touched; every other vertex resolves to the base CSR spans,
-// so a view preserves the Graph accessor contract (sorted ascending
-// neighbor spans, O(log deg) HasEdge) that BFS and the index builder are
-// templated over. Applying a `GraphDelta` produces a *new* view at a higher
-// version — existing views are never mutated, so in-flight queries keep
-// enumerating their own snapshot while updates land (MVCC). Overlays
-// compose: each Apply copies the previous overlay's touched-vertex tables
-// (cost proportional to the touched set, not |V|), and `Materialize` folds
-// base + overlay back into a standalone CSR Graph when the overlay
-// outgrows its budget (see live/SnapshotManager::Compact).
+// update batch touched, in a hash map per direction, plus one touched bit
+// per base vertex and direction. A read tests the bit first: an untouched
+// vertex resolves to the base CSR span with that one bit test and no hash
+// lookup, and only a touched vertex goes on to its map entry. So a view
+// preserves the Graph accessor contract (sorted ascending neighbor spans,
+// O(log deg) HasEdge) that BFS and the index builder are templated over.
+// Applying a `GraphDelta` produces a *new* view at a higher version —
+// existing views are never mutated, so in-flight queries keep enumerating
+// their own snapshot while updates land (MVCC). Overlays compose: each
+// Apply copies the previous overlay's touched-vertex tables (cost
+// proportional to the touched set) and its two bitsets (|V| / 8 bytes
+// each), and `Materialize` folds base + overlay back into a standalone CSR
+// Graph when the overlay outgrows its budget (see
+// live/SnapshotManager::Prepare).
 //
 // Limitations, by design: the vertex id space is fixed by the base graph,
 // and edge ids are only stable for vertices untouched by the overlay
@@ -22,6 +26,7 @@
 #ifndef PATHENUM_GRAPH_VIEW_H_
 #define PATHENUM_GRAPH_VIEW_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -89,15 +94,13 @@ inline Status CheckDelta(const GraphDelta& delta, VertexId num_vertices) {
 class EdgeOverlay {
  public:
   /// Overlay out-adjacency of `v`, or nullptr when `v` falls through to the
-  /// base graph. Sorted ascending.
+  /// base graph. Sorted ascending. An untouched `v` costs one bit test.
   const std::vector<VertexId>* OutOf(VertexId v) const {
-    const auto it = out_.find(v);
-    return it != out_.end() ? &it->second : nullptr;
+    return Marked(out_touched_, v) ? &out_.find(v)->second : nullptr;
   }
 
   const std::vector<VertexId>* InOf(VertexId v) const {
-    const auto it = in_.find(v);
-    return it != in_.end() ? &it->second : nullptr;
+    return Marked(in_touched_, v) ? &in_.find(v)->second : nullptr;
   }
 
   /// Signed edge-count difference vs. the base graph.
@@ -112,8 +115,16 @@ class EdgeOverlay {
  private:
   friend class GraphView;
 
+  static bool Marked(const std::vector<uint64_t>& bits, VertexId v) {
+    return (bits[v >> 6] >> (v & 63)) & 1;
+  }
+
   std::unordered_map<VertexId, std::vector<VertexId>> out_;
   std::unordered_map<VertexId, std::vector<VertexId>> in_;
+  // Bit v is set iff out_ (in_) has an entry for v; one word per 64 base
+  // vertices.
+  std::vector<uint64_t> out_touched_;
+  std::vector<uint64_t> in_touched_;
   int64_t edge_delta_ = 0;
 };
 

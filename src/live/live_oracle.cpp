@@ -11,8 +11,6 @@ namespace pathenum {
 
 namespace {
 
-constexpr size_t kRecentEpochs = 8;
-
 uint32_t SatAdd(uint32_t a, uint32_t b) {
   if (a == kInfDistance || b == kInfDistance) return kInfDistance;
   const uint64_t sum = uint64_t{a} + b;
@@ -259,7 +257,7 @@ LiveDistanceOracle::LiveDistanceOracle(const Graph& base,
   st->comp_link.resize(num_comps);
   std::iota(st->comp_link.begin(), st->comp_link.end(), VertexId{0});
   st->metrics = metrics_;
-  recent_.push_back(std::move(st));
+  current_ = std::move(st);
 #if PATHENUM_OBS
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
   const std::string label =
@@ -276,11 +274,11 @@ LiveDistanceOracle::LiveDistanceOracle(const Graph& base,
                       &relabels_);
   reg.RegisterGauge(this, "pathenum_live_oracle_corrections", label, [this] {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<double>(recent_.front()->inserts.size());
+    return static_cast<double>(current_->inserts.size());
   });
   reg.RegisterGauge(this, "pathenum_live_oracle_label_version", label, [this] {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<double>(recent_.front()->label_version);
+    return static_cast<double>(current_->label_version);
   });
 #endif
 }
@@ -304,7 +302,7 @@ LiveDistanceOracle::EpochRef LiveDistanceOracle::PrepareEpoch(
   uint64_t staged_version = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    prev = recent_.front();
+    prev = current_;
     if (staged_labels_ != nullptr) {
       staged = staged_labels_;
       staged_comp = staged_comp_;
@@ -423,10 +421,9 @@ void LiveDistanceOracle::PublishEpoch(const EpochRef& epoch) {
   std::shared_ptr<const EpochState> st = epoch.state_;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    PATHENUM_CHECK_MSG(st->version == recent_.front()->version + 1,
+    PATHENUM_CHECK_MSG(st->version == current_->version + 1,
                        "oracle epochs must publish in order");
-    recent_.insert(recent_.begin(), st);
-    if (recent_.size() > kRecentEpochs) recent_.pop_back();
+    current_ = st;
     if (staged_labels_ != nullptr &&
         st->label_version >= staged_label_version_) {
       staged_labels_ = nullptr;  // folded into this epoch
@@ -439,16 +436,7 @@ void LiveDistanceOracle::PublishEpoch(const EpochRef& epoch) {
 
 LiveDistanceOracle::EpochRef LiveDistanceOracle::Current() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return EpochRef(recent_.front());
-}
-
-LiveDistanceOracle::EpochRef LiveDistanceOracle::ForVersion(
-    uint64_t version) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::shared_ptr<const EpochState>& st : recent_) {
-    if (st->version == version) return EpochRef(st);
-  }
-  return EpochRef();
+  return EpochRef(current_);
 }
 
 void LiveDistanceOracle::WaitForRelabel() {
@@ -501,7 +489,7 @@ void LiveDistanceOracle::Relabel(uint64_t version,
 
 LiveDistanceOracle::Stats LiveDistanceOracle::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const EpochState& front = *recent_.front();
+  const EpochState& front = *current_;
   Stats s;
   s.epochs = epochs_.Value();
   s.relabels = relabels_.Value();

@@ -35,8 +35,10 @@
 //
 //  * Version gating: an epoch's claims are valid ONLY for the exact
 //    snapshot version (and base-graph identity) it was prepared for.
-//    ForVersion() returns an empty ref on any mismatch, so every
-//    publish / re-label / rebind race degrades to a sound "no claim".
+//    The oracle keeps only its current epoch; a caller takes the epoch
+//    paired with its snapshot from SnapshotManager::CurrentPublished, or
+//    gates a ref on EpochRef::ValidFor, so every publish / re-label /
+//    rebind race degrades to a sound "no claim".
 //
 //  * Background re-labeling: when |C| outgrows `relabel_budget` the oracle
 //    rebuilds exact labels from a materialized snapshot on a dedicated
@@ -157,12 +159,6 @@ class LiveDistanceOracle {
   /// The newest published epoch.
   EpochRef Current() const;
 
-  /// The epoch for exactly `version`, or an empty ref if it is not the
-  /// current epoch nor in the small ring of recent ones. Engines pin the
-  /// ref for the snapshot they run on; the version gate makes a miss
-  /// harmless (no claims).
-  EpochRef ForVersion(uint64_t version) const;
-
   /// Blocks until no background re-label is in flight. The rebuilt labels
   /// fold in at the NEXT published epoch; tests publish one more (possibly
   /// empty) delta after this to observe the fold.
@@ -197,9 +193,9 @@ class LiveDistanceOracle {
 
   mutable std::mutex mutex_;
   std::condition_variable relabel_done_;
-  /// Newest first; front() is the current epoch. Bounded ring so queries
-  /// pinned a few versions back still get claims.
-  std::vector<std::shared_ptr<const EpochState>> recent_;
+  /// The newest published epoch. Older epochs live on only in the
+  /// EpochRefs callers still hold.
+  std::shared_ptr<const EpochState> current_;
   /// A completed re-label waiting to fold into the next prepared epoch
   /// (labels plus the weak-component map of the same folded graph).
   std::shared_ptr<const PrunedLandmarkIndex> staged_labels_;

@@ -406,6 +406,7 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
       }
     }
     const GraphView view = GraphView(g).Apply(delta, 1);
+    const Graph folded = view.Materialize();
 
     for (uint32_t k = 1; k <= 6; ++k) {
       std::vector<Query> queries = {
@@ -448,6 +449,9 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
           testing::ExpectSameIndex(
               overlay, reference_builder.Build(view, q, ref_opts),
               at + " view");
+          testing::ExpectSameIndex(overlay,
+                                   reference_builder.Build(folded, q, opts),
+                                   at + " view vs materialized");
           ExpectOrderedAdjacency(view, overlay, opts.filter, at + " view");
         }
       }

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +101,28 @@ TEST(GraphViewTest, NoOpAndDuplicateDeltasAreIgnored) {
   const GraphView v1 = GraphView(g).Apply(delta, 1);
   EXPECT_EQ(v1.num_edges(), g.num_edges() + 1);
   EXPECT_TRUE(v1.HasEdge(3, 1));
+  // Only the one real insertion touches lists: 3's out-list and 1's
+  // in-list. Vertex 0 keeps its base list and its edge ids.
+  EXPECT_EQ(v1.overlay()->num_touched(), 2u);
+  EXPECT_EQ(v1.FindEdge(0, 1), g.FindEdge(0, 1));
+  EXPECT_EQ(v1.OutEdgeId(0, 0), g.OutEdgeId(0, 0));
+
+  // An all-no-op delta touches no vertex, on a plain view and on an
+  // overlay view, and every edge keeps its base id.
+  const GraphView v2 =
+      GraphView(g).Apply(GraphDelta{}.Insert(0, 1).Delete(2, 3), 1);
+  EXPECT_EQ(v2.num_edges(), g.num_edges());
+  EXPECT_EQ(v2.overlay()->num_touched(), 0u);
+  EXPECT_EQ(v2.OutEdgeId(0, 0), g.OutEdgeId(0, 0));
+  EXPECT_EQ(v2.FindEdge(0, 1), g.FindEdge(0, 1));
+  EXPECT_EQ(v2.FindEdge(1, 2), g.FindEdge(1, 2));
+  EXPECT_NE(v2.FindEdge(0, 1), kInvalidEdge);
+  const GraphView v3 =
+      v1.Apply(GraphDelta{}.Insert(3, 1).Insert(1, 2).Delete(0, 2), 2);
+  EXPECT_EQ(v3.num_edges(), v1.num_edges());
+  EXPECT_EQ(v3.overlay()->num_touched(), 2u);
+  EXPECT_EQ(v3.FindEdge(1, 2), g.FindEdge(1, 2));
+  EXPECT_EQ(v3.FindEdge(0, 1), g.FindEdge(0, 1));
 }
 
 TEST(GraphViewTest, DeltaIsASetDeletionsWin) {
@@ -161,32 +185,158 @@ TEST(GraphViewTest, OverlaysComposeAcrossEpochs) {
 }
 
 TEST(GraphViewTest, MaterializeFoldsOverlayExactly) {
-  Rng rng(42);
-  const Graph g = ErdosRenyi(40, 160, /*seed=*/7);
-  GraphView view(g);
-  GraphDelta delta;
-  for (int i = 0; i < 30; ++i) {
-    const VertexId u = static_cast<VertexId>(rng.NextBounded(40));
-    const VertexId v = static_cast<VertexId>(rng.NextBounded(40));
-    if (i % 3 == 0) {
-      delta.Delete(u, v);
-    } else {
-      delta.Insert(u, v);
+  // Vertex counts on both sides of the touched bitsets' 64-bit word
+  // boundaries, each over 24 composed epochs of mixed inserts and deletes.
+  // Every view is checked against its Materialize()d graph, which is
+  // checked against an edge set kept apart from the views. A vertex is
+  // touched on a side iff some epoch changed that list: no delta here
+  // inserts and deletes the same edge, so a real operation always leaves
+  // its lists changed.
+  using Edge = std::pair<VertexId, VertexId>;
+  for (const VertexId n : {40u, 63u, 64u, 65u, 130u}) {
+    const Graph g = ErdosRenyi(n, 4 * n, /*seed=*/7 + n);
+    const VertexId last = n - 1;
+    const VertexId in_only = n / 2;  // its out-list never changes
+    Rng rng(42 + n);
+    const auto pick = [&] {
+      return static_cast<VertexId>(rng.NextBounded(n));
+    };
+
+    struct Epoch {
+      GraphView view;
+      Graph folded;
+      std::vector<bool> out_changed, in_changed;
+    };
+    std::vector<Epoch> epochs;
+    epochs.push_back({GraphView(g), g, std::vector<bool>(n),
+                      std::vector<bool>(n)});
+    std::set<Edge> truth;
+    for (VertexId u = 0; u < n; ++u) {
+      for (const VertexId v : g.OutNeighbors(u)) truth.emplace(u, v);
     }
-  }
-  const GraphView v1 = view.Apply(delta, 1);
-  const Graph folded = v1.Materialize();
-  ASSERT_EQ(folded.num_vertices(), v1.num_vertices());
-  ASSERT_EQ(folded.num_edges(), v1.num_edges());
-  for (VertexId v = 0; v < folded.num_vertices(); ++v) {
-    const auto a = folded.OutNeighbors(v);
-    const auto b = v1.OutNeighbors(v);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << "out-adjacency mismatch at " << v;
-    const auto ai = folded.InNeighbors(v);
-    const auto bi = v1.InNeighbors(v);
-    ASSERT_TRUE(std::equal(ai.begin(), ai.end(), bi.begin(), bi.end()))
-        << "in-adjacency mismatch at " << v;
+    std::vector<Edge> deleted;  // re-inserted by later epochs
+
+    const auto check = [&](const Epoch& e, const std::string& at) {
+      const GraphView& view = e.view;
+      ASSERT_EQ(view.num_edges(), e.folded.num_edges()) << at;
+      size_t touched = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        const auto a = e.folded.OutNeighbors(v);
+        const auto b = view.OutNeighbors(v);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << at << " out-adjacency mismatch at " << v;
+        const auto ai = e.folded.InNeighbors(v);
+        const auto bi = view.InNeighbors(v);
+        ASSERT_TRUE(std::equal(ai.begin(), ai.end(), bi.begin(), bi.end()))
+            << at << " in-adjacency mismatch at " << v;
+        ASSERT_EQ(view.OutDegree(v), e.folded.OutDegree(v)) << at << " " << v;
+        ASSERT_EQ(view.InDegree(v), e.folded.InDegree(v)) << at << " " << v;
+        const bool out_touched =
+            view.has_overlay() && view.overlay()->OutOf(v) != nullptr;
+        const bool in_touched =
+            view.has_overlay() && view.overlay()->InOf(v) != nullptr;
+        ASSERT_EQ(out_touched, e.out_changed[v]) << at << " out " << v;
+        ASSERT_EQ(in_touched, e.in_changed[v]) << at << " in " << v;
+        touched += out_touched + in_touched;
+        // Base ids exactly where the out-list is the base's.
+        for (size_t j = 0; j < b.size(); ++j) {
+          const EdgeId want = out_touched ? kInvalidEdge : g.OutEdgeId(v, j);
+          ASSERT_EQ(view.OutEdgeId(v, j), want) << at << " " << v << "#" << j;
+          ASSERT_EQ(view.FindEdge(v, b[j]), want) << at << " " << v;
+          ASSERT_TRUE(view.HasEdge(v, b[j])) << at << " " << v;
+        }
+      }
+      if (view.has_overlay()) {
+        EXPECT_EQ(view.overlay()->num_touched(), touched) << at;
+      }
+      for (int i = 0; i < 4 * static_cast<int>(n); ++i) {
+        const VertexId u = pick(), v = pick();
+        ASSERT_EQ(view.HasEdge(u, v), e.folded.HasEdge(u, v))
+            << at << " (" << u << "," << v << ")";
+      }
+    };
+
+    for (int epoch = 1; epoch <= 24; ++epoch) {
+      const Epoch& prev = epochs.back();
+      GraphDelta delta;
+      std::set<Edge> inserted, removed;
+      const auto insert = [&](VertexId u, VertexId v) {
+        if (u == in_only || removed.count({u, v}) > 0) return;
+        delta.Insert(u, v);
+        inserted.emplace(u, v);
+      };
+      const auto erase = [&](VertexId u, VertexId v) {
+        if (u == in_only || inserted.count({u, v}) > 0) return;
+        delta.Delete(u, v);
+        removed.emplace(u, v);
+      };
+      for (int i = 0; i < 6; ++i) {
+        const VertexId u = pick();
+        if (i % 2 == 0) {
+          insert(u, pick());  // mostly new edges, now and then present
+        } else if (const auto out = prev.folded.OutNeighbors(u);
+                   !out.empty()) {
+          erase(u, out[rng.NextBounded(out.size())]);  // a present edge
+        } else {
+          erase(u, pick());  // absent: a no-op
+        }
+      }
+      erase(pick(), pick());  // usually absent: a no-op
+      if (!deleted.empty()) {
+        const Edge back = deleted[rng.NextBounded(deleted.size())];
+        insert(back.first, back.second);
+      }
+      insert(pick(), in_only);
+      if (epoch % 2 == 0) {
+        insert(pick(), last);
+      } else {
+        insert(last, pick());
+      }
+
+      // The delta's set semantics: every insertion, then every deletion.
+      for (const auto& [u, v] : delta.insertions) {
+        if (u != v) truth.emplace(u, v);
+      }
+      for (const auto& [u, v] : delta.deletions) {
+        if (truth.erase({u, v}) > 0) deleted.emplace_back(u, v);
+      }
+      Epoch next{prev.view.Apply(delta, epoch), Graph(),
+                 prev.out_changed, prev.in_changed};
+      next.folded = next.view.Materialize();
+      const Graph want =
+          Graph::FromEdges(n, std::vector<Edge>(truth.begin(), truth.end()));
+      for (VertexId v = 0; v < n; ++v) {
+        const auto a = want.OutNeighbors(v);
+        const auto b = next.folded.OutNeighbors(v);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "n=" << n << " epoch " << epoch << " folded out at " << v;
+        const auto pa = prev.folded.OutNeighbors(v);
+        if (!std::equal(a.begin(), a.end(), pa.begin(), pa.end())) {
+          next.out_changed[v] = true;
+        }
+        const auto ai = want.InNeighbors(v);
+        const auto pai = prev.folded.InNeighbors(v);
+        if (!std::equal(ai.begin(), ai.end(), pai.begin(), pai.end())) {
+          next.in_changed[v] = true;
+        }
+      }
+      epochs.push_back(std::move(next));
+      check(epochs.back(),
+            "n=" + std::to_string(n) + " epoch " + std::to_string(epoch));
+    }
+    // The inputs reached what they are meant to: the last vertex and a
+    // vertex touched on the in side only.
+    const Epoch& final_epoch = epochs.back();
+    EXPECT_TRUE(final_epoch.out_changed[last]) << "n=" << n;
+    EXPECT_TRUE(final_epoch.in_changed[last]) << "n=" << n;
+    EXPECT_TRUE(final_epoch.in_changed[in_only]) << "n=" << n;
+    EXPECT_FALSE(final_epoch.out_changed[in_only]) << "n=" << n;
+    // No view was changed by a later Apply: each still reads its own epoch,
+    // touched sets included.
+    for (size_t e = 0; e < epochs.size(); ++e) {
+      check(epochs[e],
+            "n=" + std::to_string(n) + " revisited epoch " + std::to_string(e));
+    }
   }
 }
 
@@ -649,27 +799,28 @@ TEST(LiveOracleTest, VersionGatingAnswersOnlyForMatchingSnapshots) {
   LiveDistanceOracle oracle(mgr.Current()->base(), SyncOracleOptions());
   mgr.AttachOracle(&oracle);
 
-  std::vector<std::shared_ptr<const GraphView>> snaps{mgr.Current()};
+  // Each epoch as it publishes, paired with its snapshot; the refs stay
+  // consultable after later publishes replace them as current.
+  std::vector<SnapshotManager::Published> pubs{mgr.CurrentPublished()};
   for (int e = 1; e <= 4; ++e) {
     mgr.Apply(GraphDelta{}.Insert(0, static_cast<VertexId>(e + 1)));
-    snaps.push_back(mgr.Current());
+    pubs.push_back(mgr.CurrentPublished());
   }
   for (uint64_t v = 0; v <= 4; ++v) {
-    const LiveDistanceOracle::EpochRef ref = oracle.ForVersion(v);
+    const LiveDistanceOracle::EpochRef& ref = pubs[v].oracle;
     ASSERT_TRUE(ref.valid()) << "version " << v;
     EXPECT_EQ(ref.version(), v);
-    EXPECT_TRUE(ref.ValidFor(*snaps[v]));
-    EXPECT_FALSE(ref.ValidFor(*snaps[(v + 1) % snaps.size()]));
+    EXPECT_TRUE(ref.ValidFor(*pubs[v].snapshot));
+    EXPECT_FALSE(ref.ValidFor(*pubs[(v + 1) % pubs.size()].snapshot));
   }
-  EXPECT_FALSE(oracle.ForVersion(99).valid());
   // A same-version view over a DIFFERENT base graph is refused: version
   // numbers alone do not identify a topology.
   const Graph other = PathGraph(6);
-  EXPECT_FALSE(oracle.ForVersion(0).ValidFor(GraphView(other)));
+  EXPECT_FALSE(pubs[0].oracle.ValidFor(GraphView(other)));
   // A copy carries the base's uid (same topology lineage), so its view is
   // accepted at that version.
   const Graph copy = g;
-  EXPECT_TRUE(oracle.ForVersion(0).ValidFor(GraphView(copy)));
+  EXPECT_TRUE(pubs[0].oracle.ValidFor(GraphView(copy)));
 }
 
 TEST(LiveOracleTest, SynchronousRelabelFoldsCorrectionsAtBudget) {
