@@ -96,7 +96,9 @@ int RunQuery(int argc, char** argv) {
     // One split query: its claiming worker builds the index and plans, an
     // IDX-DFS plan fans its first-level branches out over the idle workers,
     // an IDX-JOIN plan runs on the claiming worker. Sink calls are
-    // serialized, so the printing sink needs no lock.
+    // serialized, so the printing sink needs no lock; a worker whose block
+    // finds another printing defers it and keeps enumerating. Each branch's
+    // paths print in serial order, different branches' interleaved.
     QueryEngine engine(graph, {.num_workers = threads});
     BatchOptions batch;
     batch.query = opts;

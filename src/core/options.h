@@ -81,6 +81,9 @@ struct EnumCounters {
   double response_ms = -1.0;
   /// Peak bytes of materialized intermediate tuples (join methods only).
   size_t peak_partial_bytes = 0;
+  /// Blocks a split query's participants deferred because another one was
+  /// delivering into the sink (DESIGN.md §8); 0 for a serial run.
+  uint64_t deferred_blocks = 0;
   bool timed_out = false;
   bool hit_result_limit = false;
   bool stopped_by_sink = false;

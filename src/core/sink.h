@@ -12,8 +12,10 @@
 #include <functional>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/control.h"
 #include "core/options.h"
 #include "util/common.h"
 #include "util/timer.h"
@@ -286,8 +288,10 @@ class BlockEmitter {
 /// enumeration (DESIGN.md §8). The gate owns the query-wide state the
 /// branch units must agree on: the result-limit reservation counter, the
 /// response-target record, the count of paths actually handed to the inner
-/// sink, the mutex that serializes it, and the stop latch. Exactly one gate
-/// exists per fanned-out query; the BranchSink adapters below share it.
+/// sink, the mutex that serializes it, the stop latch, the query's deadline
+/// and cancel token, and the count of deferred blocks. Exactly one gate
+/// exists per fanned-out query; the participants' BranchSink adapters below
+/// share it.
 ///
 /// Delivery is reservation-based, so `delivered()` is structurally capped
 /// at `result_limit`: paths are only handed to the inner sink after winning
@@ -300,12 +304,14 @@ class BlockEmitter {
 class BranchGate {
  public:
   /// `timer` is the enumeration stopwatch response_ms is measured against;
-  /// it must outlive the gate.
+  /// it must outlive the gate. `control` carries the query's deadline and
+  /// cancel token, which deferred blocks are delivered under.
   BranchGate(uint64_t result_limit, uint64_t response_target,
-             const Timer& timer)
+             const Timer& timer, QueryControl control = {})
       : limit_(result_limit),
         response_target_(response_target),
-        timer_(timer) {}
+        timer_(timer),
+        control_(std::move(control)) {}
 
   BranchGate(const BranchGate&) = delete;
   BranchGate& operator=(const BranchGate&) = delete;
@@ -315,8 +321,9 @@ class BranchGate {
     return delivered_.load(std::memory_order_relaxed);
   }
 
-  /// Elapsed ms at the reservation that crossed response_target; negative
-  /// if the target was never reached.
+  /// Elapsed ms when the inner sink had received response_target paths (at
+  /// the delivery that crossed it, as a serial run stamps it); negative if
+  /// it never did.
   double response_ms() const {
     return response_ms_.load(std::memory_order_relaxed);
   }
@@ -329,41 +336,153 @@ class BranchGate {
   /// through any adapter on this gate.
   void Stop() { stopped_.store(true, std::memory_order_relaxed); }
 
+  /// Blocks the adapters deferred because another participant held the
+  /// gate (each counted once, whether later delivered or dropped).
+  uint64_t deferred_blocks() const {
+    return deferred_.load(std::memory_order_relaxed);
+  }
+
+  /// The control trip (cancel or deadline) that made an adapter drop its
+  /// deferred blocks instead of delivering them; kNone if none did.
+  QueryControl::Trip dropped_by() const {
+    return dropped_by_.load(std::memory_order_relaxed);
+  }
+
  private:
   friend class BranchSink;
 
   const uint64_t limit_;
   const uint64_t response_target_;
   const Timer& timer_;
+  const QueryControl control_;
   std::mutex mutex_;  // serializes the inner sink
   std::atomic<uint64_t> emitted_{0};    // reservations attempted
   std::atomic<uint64_t> delivered_{0};  // inner OnPath/OnBlock deliveries
+  std::atomic<uint64_t> deferred_{0};   // blocks copied into a buffer
   std::atomic<bool> stopped_{false};
-  std::atomic<bool> response_recorded_{false};
   std::atomic<double> response_ms_{-1.0};
+  std::atomic<QueryControl::Trip> dropped_by_{QueryControl::Trip::kNone};
 };
 
-/// The branch fan-out sink adapter (DESIGN.md §8): every participant of a
-/// split query shares one adapter over the one caller-owned sink.
-/// Deliveries serialize under the gate's mutex, and the stop latch
-/// guarantees the inner sink is never called again after it returns false
-/// or throws (it may tear down on that signal).
+/// One split participant's deferred blocks (DESIGN.md §8): the granted
+/// block prefixes its BranchSink copied, in order, while another
+/// participant held the gate. A block is copied compactly — its entries and
+/// only the suffix vertices they use. The capacities are fixed: 128 KiB of
+/// entries, 128 KiB of vertices and 16 KiB of block headers, reserved at
+/// the first deferral and reused by every later query, so a context that
+/// never defers allocates nothing. Single-owner: only its participant's
+/// thread touches it (each worker's QueryContext owns one).
+class DeferredBlocks {
+ public:
+  static constexpr uint32_t kMaxEntries = 32 * 1024;
+  static constexpr uint32_t kMaxVerts = 32 * 1024;
+  static constexpr uint32_t kMaxBlocks = 1024;
+  static_assert(kMaxEntries >= PathBlock::kMaxPaths &&
+                    kMaxVerts >= PathBlock::kMaxVerts,
+                "an empty buffer must hold any block");
+
+  /// Copies `block`; false (and nothing copied) when it does not fit.
+  bool TryAppend(const PathBlockView& block);
+
+  bool empty() const { return blocks_.empty(); }
+  size_t size() const { return blocks_.size(); }
+
+  /// Calls `fn(const PathBlockView&)` on each held block in append order
+  /// until it returns false.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    size_t entry = 0, vert = 0;
+    for (const Header& h : blocks_) {
+      if (!fn(PathBlockView(entries_.data() + entry, verts_.data() + vert,
+                            h.count, h.total_path_vertices))) {
+        return;
+      }
+      entry += h.count;
+      vert += h.num_verts;
+    }
+  }
+
+  /// Drops every held block (the capacity stays).
+  void Clear() {
+    entries_.clear();
+    verts_.clear();
+    blocks_.clear();
+  }
+
+  /// Bytes reserved (0 until the first deferral).
+  size_t CapacityBytes() const;
+
+ private:
+  struct Header {
+    uint32_t count;
+    uint32_t num_verts;
+    uint64_t total_path_vertices;
+  };
+
+  std::vector<PathBlock::Entry> entries_;
+  std::vector<VertexId> verts_;
+  std::vector<Header> blocks_;
+};
+
+/// The branch fan-out sink adapter (DESIGN.md §8): each participant of a
+/// split query delivers through its own adapter over the query's one gate
+/// and the one caller-owned sink. Deliveries into the inner sink serialize
+/// under the gate's mutex, but a block that finds the gate busy is copied
+/// into the participant's DeferredBlocks and OnBlock returns at once. The
+/// next time the participant takes the gate it delivers its deferred blocks
+/// in order, then its current one, so each participant's (hence each
+/// branch's) paths reach the inner sink in the order it produced them. It
+/// waits for the gate only when its buffer is full, and in Flush, which it
+/// calls before leaving the fan-out.
 ///
-/// The adapter also signals stop once the shared result limit is reached,
-/// which the enumerators report as a sink stop; the split executor rebuilds
-/// the exact hit_result_limit/stopped_by_sink flags from the gate when it
-/// merges. Blocks reserve, truncate to the granted share, and deliver in
-/// one inner OnBlock call.
+/// The stop latch guarantees the inner sink is never called again after it
+/// returns false or throws (it may tear down on that signal); deferred
+/// blocks behind the latch are dropped. A serial run stops within a block
+/// of a deadline or cancel, so deferred blocks are delivered only while
+/// neither has tripped: a trip found before a deferred block drops it, the
+/// rest and the current block, and stops this participant. The adapter
+/// also signals stop once the shared result limit is reached, which the
+/// enumerators report as a sink stop; the split executor rebuilds the
+/// exact flags from the gate when it merges. A block reserves its granted
+/// share before it is delivered or deferred, so `delivered()` reaches the
+/// limit once every participant has flushed.
+///
+/// Not thread-safe: one adapter per participant thread.
 class BranchSink : public PathSink {
  public:
-  BranchSink(BranchGate& gate, PathSink& inner) : gate_(gate), inner_(inner) {}
+  /// `deferred` is the participant's buffer; the adapter clears it on
+  /// construction and destruction, and it must outlive the adapter.
+  BranchSink(BranchGate& gate, PathSink& inner, DeferredBlocks& deferred);
+  /// Drops blocks never flushed (a failed participant's).
+  ~BranchSink() override;
 
+  BranchSink(const BranchSink&) = delete;
+  BranchSink& operator=(const BranchSink&) = delete;
+
+  /// Per-path delivery always waits for the gate (after the participant's
+  /// deferred blocks).
   bool OnPath(std::span<const VertexId> path) override;
   BlockResult OnBlock(const PathBlockView& block) override;
 
+  /// Delivers every deferred block, waiting for the gate, or drops them if
+  /// the latch trips first. Throws what the inner sink throws.
+  void Flush();
+
  private:
+  /// Under the gate's mutex: counts `n` more paths delivered, stamping the
+  /// response time when they cross the response target.
+  void CountDeliveredLocked(uint64_t n);
+  /// Under the gate's mutex: one block into the inner sink, tripping the
+  /// latch if the sink refuses or throws; nothing once the latch tripped.
+  BlockResult DeliverLocked(const PathBlockView& block);
+  /// Under the gate's mutex: the deferred blocks in order, then clears
+  /// them. False once the latch or a control trip stopped the delivery (the
+  /// rest are dropped).
+  bool DeliverDeferredLocked();
+
   BranchGate& gate_;
   PathSink& inner_;
+  DeferredBlocks& deferred_;
 };
 
 }  // namespace pathenum

@@ -11,6 +11,7 @@
 #include <exception>
 
 #include "core/path_enum.h"
+#include "core/sink.h"
 #include "engine/index_cache.h"
 #include "obs/span.h"
 
@@ -63,14 +64,22 @@ class QueryContext {
   /// Single-owner like everything else here.
   DfsEnumerator& split_dfs() { return enumerator_.dfs_; }
 
+  /// The buffer a split participant on this context defers its blocks
+  /// into while another participant delivers (DESIGN.md §8): bounded,
+  /// reserved at its first deferral and reused by every later split query.
+  DeferredBlocks& split_deferred() { return split_deferred_; }
+
   PathEnumerator& enumerator() { return enumerator_; }
 
   /// Bytes of reusable scratch currently held (see
-  /// PathEnumerator::ScratchBytes).
-  size_t ScratchBytes() const { return enumerator_.ScratchBytes(); }
+  /// PathEnumerator::ScratchBytes), the deferral buffer included.
+  size_t ScratchBytes() const {
+    return enumerator_.ScratchBytes() + split_deferred_.CapacityBytes();
+  }
 
  private:
   PathEnumerator enumerator_;
+  DeferredBlocks split_deferred_;
 };
 
 }  // namespace pathenum

@@ -64,8 +64,11 @@ struct BatchOptions {
   /// sink calls per query): its claiming worker plans like the serial path
   /// (the same PlanExecution decision), and an IDX-DFS plan's first-level
   /// branches fan out with idle workers helping, while an IDX-JOIN plan
-  /// runs on the claiming worker (DESIGN.md §8). When false (default),
-  /// each query runs entirely on the one worker that claims it.
+  /// runs on the claiming worker (DESIGN.md §8). A helper whose block finds
+  /// another inside the sink defers it into its bounded buffer rather than
+  /// wait; each branch's paths still arrive in their serial order. When
+  /// false (default), each query runs entirely on the one worker that
+  /// claims it.
   bool split_branches = false;
 
   /// Collapse identical (s, t, k) queries within the batch: the group runs

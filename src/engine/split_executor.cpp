@@ -50,11 +50,13 @@ SplitPhase::SplitPhase(const LightweightIndex& index, PathSink& sink,
       branches_(index.OutSlotsWithin(index.source_slot(), index.hops() - 1)),
       opts_(opts),
       deadline_(Deadline::AfterMs(opts.time_limit_ms)),
-      gate_(opts.result_limit, opts.response_target, timer),
-      sink_(gate_, sink) {}
+      sink_(sink),
+      gate_(opts.result_limit, opts.response_target, timer,
+            {.deadline = deadline_, .cancel = opts.cancel}) {}
 
 void SplitPhase::Drain(QueryContext& ctx) {
   try {
+    BranchSink sink(gate_, sink_, ctx.split_deferred());
     DfsEnumerator& dfs = ctx.split_dfs();
     EnumCounters mine;
     while (!stop_.load(std::memory_order_relaxed)) {
@@ -75,7 +77,7 @@ void SplitPhase::Drain(QueryContext& ctx) {
         // the root frame's job in the sequential code; RunBranch handles
         // them.
         c = dfs.RunBranch(
-            index_, branches_[b], sink_,
+            index_, branches_[b], sink,
             BranchOptions(opts_, deadline_, opts_.work_budget_edges - spent));
         spent_edges_.fetch_add(c.edges_accessed, std::memory_order_relaxed);
         // RunBranch charges both partials of its chain, (s) and
@@ -90,6 +92,10 @@ void SplitPhase::Drain(QueryContext& ctx) {
         break;
       }
     }
+    // Before the barrier: what this participant deferred holds granted
+    // reservations, so delivered() reaches its final count only once every
+    // participant has flushed.
+    sink.Flush();
     const std::lock_guard<std::mutex> lock(mutex_);
     AccumulateBranch(total_, mine);
   } catch (...) {
@@ -115,11 +121,20 @@ EnumCounters SplitPhase::Result() {
   // the limit, so a branch hitting the limit right at the barrier never
   // reads as limit + 1.
   out.num_results = gate_.delivered();
-  if (out.num_results >= opts_.result_limit) {
-    out.hit_result_limit = true;
-    out.stopped_by_sink = false;
+  // A branch reads as stopped by its sink whenever its adapter signalled
+  // stop: at the limit, at the latch, or when a trip dropped its deferred
+  // blocks. The gate tells them apart. The sink's refusal may also first
+  // show at a participant's final flush, which no branch counter records;
+  // a latch tripped by a failure rethrew above.
+  out.hit_result_limit = out.num_results >= opts_.result_limit;
+  out.stopped_by_sink = !out.hit_result_limit && gate_.stopped();
+  switch (gate_.dropped_by()) {
+    case QueryControl::Trip::kCancelled: out.cancelled = true; break;
+    case QueryControl::Trip::kDeadline: out.timed_out = true; break;
+    default: break;
   }
   out.response_ms = gate_.response_ms();
+  out.deferred_blocks = gate_.deferred_blocks();
   return out;
 }
 

@@ -30,9 +30,13 @@ class QueryQueue;
 /// One split query's IDX-DFS fan-out: one unit per first-level branch of
 /// the index, claimed off one atomic cursor by every participant the queue
 /// recruits, each running on its own context's DFS scratch and delivering
-/// through one serialized BranchSink over the caller's sink. Participants
-/// enter through Drain; the fan-out ends when every Drain call has returned
-/// (the leader's barrier).
+/// through its own BranchSink over the query's one gate and the caller's
+/// sink. A participant whose block finds another inside the sink defers it
+/// into its context's buffer and keeps enumerating; each participant's
+/// blocks, and so each branch's paths, reach the sink in the order it
+/// produced them. Participants enter through Drain, which flushes what they
+/// deferred before it returns; the fan-out ends when every Drain call has
+/// returned (the leader's barrier).
 class SplitPhase {
  public:
   /// Fans out the branches of `index` (whose source slot must be valid)
@@ -48,15 +52,17 @@ class SplitPhase {
            cursor_.load(std::memory_order_relaxed) < branches_.size();
   }
 
-  /// One participant's share: claims and runs branches on `ctx` until the
-  /// phase is drained or stopped, then folds its counters into the phase
-  /// total. Never throws: a failure stops the branches and the gate, and
-  /// the first one is rethrown by Result after the barrier.
+  /// One participant's share: claims and runs branches on `ctx`, through
+  /// an adapter deferring into `ctx`'s buffer, until the phase is drained
+  /// or stopped; then delivers what it deferred and folds its counters into
+  /// the phase total. Never throws: a failure stops the branches and the
+  /// gate, and the first one is rethrown by Result after the barrier.
   void Drain(QueryContext& ctx);
 
   /// After the barrier: rethrows the first participant failure, else
   /// returns the merged counters of the whole enumeration — the shared root
-  /// charged once, results and truncation flags rebuilt from the gate.
+  /// charged once, results, truncation flags and the deferred-block count
+  /// rebuilt from the gate.
   EnumCounters Result();
 
  private:
@@ -64,8 +70,8 @@ class SplitPhase {
   const std::span<const uint32_t> branches_;
   const EnumOptions& opts_;
   const Deadline deadline_;  // the query's one end instant
+  PathSink& sink_;  // the caller's
   BranchGate gate_;
-  BranchSink sink_;
   std::atomic<uint32_t> cursor_{0};
   std::atomic<bool> stop_{false};
   // Edges the finished branches examined, against the query's
@@ -84,9 +90,9 @@ class SplitPhase {
 /// (QueryQueue::RecruitIdleWorkers); an IDX-JOIN plan runs the serial join
 /// on the leader through PathEnumerator::Enumerate. The span gets the split
 /// flag and its index_acquire / enumerate / merge marks (the caller begins
-/// and finishes it). Delivery into `sink` is serialized. Throws what
-/// ValidateQuery throws, and rethrows a failed participant's first
-/// exception after the barrier.
+/// and finishes it). Delivery into `sink` is serialized, each first-level
+/// branch's paths in their serial order. Throws what ValidateQuery throws,
+/// and rethrows a failed participant's first exception after the barrier.
 QueryStats RunSplitQuery(QueryQueue& queue, uint32_t leader, const Query& q,
                          PathSink& sink, const EnumOptions& opts,
                          IndexCache* cache, obs::QuerySpan& span);

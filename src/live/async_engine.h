@@ -17,12 +17,16 @@
 // any thread (updates serialize internally). A plain query's sink is
 // invoked from exactly one worker thread for the duration of that query; a
 // split query's sink (SubmitOptions::split_branches) may be invoked from
-// several workers but calls are serialized through the shared BranchSink
-// with its per-ticket stop latch (DESIGN.md §8), so plain sinks stay safe.
-// Paths stream as delta-encoded blocks (DESIGN.md §9): a sink overriding
-// OnBlock consumes whole blocks — one serialized delivery per ~256 paths
-// on a split ticket — while OnPath-only sinks transparently receive the
-// decoded per-path sequence.
+// several workers, but its participants' BranchSink adapters serialize the
+// calls under one gate with a per-ticket stop latch (DESIGN.md §8), so
+// plain sinks stay safe. Paths stream as delta-encoded blocks (DESIGN.md
+// §9): a sink overriding OnBlock consumes whole blocks — on a split ticket
+// one serialized delivery per block of at most 256 paths, each first-level
+// branch's blocks in serial order, different branches' interleaved — while
+// OnPath-only sinks transparently receive the decoded per-path sequence. A
+// participant that finds another inside the sink defers its block into a
+// bounded per-worker buffer, so a slow sink parks a worker only when that
+// buffer is full.
 // The ticket's Wait() synchronizes with the query's completion. Shutdown
 // drains the admission queue before stopping the workers; the destructor
 // shuts down.

@@ -92,6 +92,9 @@ void QuerySpan::SetPlan(const QueryStats& stats) {
   data_.estimate = stats.preliminary_estimate;
   data_.dfs_price = stats.t_dfs_cost;
   data_.join_price = kJoinTupleCost * stats.t_join_cost;
+  data_.results = stats.counters.num_results;
+  data_.edges_accessed = stats.counters.edges_accessed;
+  data_.deferred_blocks = stats.counters.deferred_blocks;
 }
 
 void QuerySpan::Finish(QueryState state) {

@@ -79,6 +79,13 @@ struct QuerySpanData {
   double estimate = 0.0;
   double dfs_price = 0.0;
   double join_price = 0.0;
+  /// The enumeration work (EnumCounters), 0 unless a method ran: the paths
+  /// delivered to the sink, the index edges examined (0 for a replay) and,
+  /// on a split span, the blocks its participants deferred because another
+  /// was delivering (DESIGN.md §8).
+  uint64_t results = 0;
+  uint64_t edges_accessed = 0;
+  uint64_t deferred_blocks = 0;
   uint32_t num_segments = 0;
   Segment segments[kMaxSegments] = {};
   double total_ms = 0.0;     // admit → Finish wall time (== segment sum)
@@ -122,7 +129,8 @@ class QuerySpan {
 
   void SetSplit() { data_.split = true; }
 
-  /// Records the plan of a query that ran (or replayed) into the span.
+  /// Records the plan and the enumeration work of a query that ran (or
+  /// replayed) into the span.
   void SetPlan(const QueryStats& stats);
 
   /// Ends the span: the trailing segment becomes kSinkComplete, the stage

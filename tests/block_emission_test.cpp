@@ -203,7 +203,7 @@ TEST(BlockEmissionTest, SplitEngineDeliversExactlyTheLimit) {
 }
 
 TEST(BlockEmissionTest, SplitDfsBlockDeliveryMatchesSequential) {
-  // Branch units deliver blocks through the serialized BranchSink; the
+  // Branch units deliver blocks through their BranchSink adapters; the
   // merged counters must equal the sequential run's, the root partial and
   // its branch scan charged exactly once.
   const Graph g = RandomGraph(50, 5, 23);
@@ -365,7 +365,8 @@ TEST(BranchSinkBlockTest, BlockReservationPinsDeliveredToLimit) {
   Timer timer;
   BranchGate gate(/*result_limit=*/5, /*response_target=*/3, timer);
   CountingSink inner;
-  BranchSink sink(gate, inner);
+  DeferredBlocks deferred;
+  BranchSink sink(gate, inner, deferred);
   PathBlock block;
   for (uint32_t i = 0; i < 8; ++i) {
     const uint32_t path[] = {0, i + 1, 9};
@@ -387,7 +388,8 @@ TEST(BranchSinkBlockTest, SerializedLatchStopsBlockDelivery) {
   Timer timer;
   BranchGate gate(100, 0, timer);
   CollectingSink inner(3);
-  BranchSink sink(gate, inner);
+  DeferredBlocks deferred;
+  BranchSink sink(gate, inner, deferred);
   PathBlock block;
   for (uint32_t i = 0; i < 8; ++i) {
     const uint32_t path[] = {0, i + 1, 9};

@@ -303,6 +303,47 @@ TEST(QuerySpanTest, SpanCarriesThePlanThatRan) {
   EXPECT_EQ(ran(Method::kJoin) - join_before, serial_joined ? 4u : 1u);
 }
 
+// The span carries the enumeration work (ROADMAP item 1(c)): the paths the
+// sink received and the index edges examined, for a serial query, a
+// result-cache replay (nothing examined) and a split query (the serial
+// counts, plus the blocks its participants deferred).
+TEST(QuerySpanTest, SpanRecordsTheEnumerationWork) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  AsyncEngineOptions opts;
+  opts.num_workers = 4;
+  AsyncEngine engine(LayeredGraph(4, 6), opts);  // 6^4 = 1296 paths
+  const Query q{0, 4 * 6 + 1, 5};
+  const auto run = [&](const SubmitOptions& submit) {
+    CountingSink sink;
+    QueryTicket ticket = engine.Submit(q, sink, submit);
+    const QueryStats stats = ticket.Wait();
+    EXPECT_TRUE(ticket.ok()) << ticket.error();
+    EXPECT_EQ(sink.count(), 1296u);
+    const obs::QuerySpanData span = ticket.span();
+    EXPECT_EQ(span.results, sink.count());
+    EXPECT_EQ(span.edges_accessed, stats.counters.edges_accessed);
+    EXPECT_EQ(span.deferred_blocks, stats.counters.deferred_blocks);
+    return span;
+  };
+
+  const obs::QuerySpanData serial = run({});
+  EXPECT_FALSE(serial.result_cache_hit);
+  EXPECT_GT(serial.edges_accessed, 0u);
+  EXPECT_EQ(serial.deferred_blocks, 0u) << "a serial run defers nothing";
+
+  const obs::QuerySpanData replay = run({});
+  EXPECT_TRUE(replay.result_cache_hit);
+  EXPECT_EQ(replay.edges_accessed, 0u) << "a replay examines no index edge";
+  EXPECT_EQ(replay.deferred_blocks, 0u);
+
+  SubmitOptions split_submit;
+  split_submit.split_branches = true;
+  const obs::QuerySpanData split = run(split_submit);
+  EXPECT_TRUE(split.split);
+  EXPECT_EQ(split.edges_accessed, serial.edges_accessed)
+      << "the fan-out examines what the serial IDX-DFS does";
+}
+
 // Every meet-in-the-middle build counts its X-only levels by direction in
 // pathenum_build_levels_total (DESIGN.md §1, §12), as its stats report
 // them.

@@ -3,7 +3,13 @@
 // drained by every worker of the engine — and the triggered-cycle API.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cycles.h"
@@ -20,11 +26,9 @@ namespace {
 using testing::PathSet;
 using testing::ToSet;
 
-/// Runs `q` as one split IDX-DFS query on a `workers`-worker engine (the
-/// engine caps the count at the host's cores) into `sink`.
-QueryStats RunSplitDfs(const Graph& g, const Query& q, uint32_t workers,
-                       PathSink& sink, const EnumOptions& opts = {}) {
-  QueryEngine engine(g, {.num_workers = workers});
+/// Runs `q` as one split IDX-DFS query on `engine` into `sink`.
+QueryStats RunSplitDfs(QueryEngine& engine, const Query& q, PathSink& sink,
+                       const EnumOptions& opts = {}) {
   BatchOptions batch;
   batch.query = opts;
   batch.query.method = Method::kDfs;  // the branch fan-out under test
@@ -35,6 +39,14 @@ QueryStats RunSplitDfs(const Graph& g, const Query& q, uint32_t workers,
   EXPECT_TRUE(result.ok()) << result.errors[0];
   EXPECT_EQ(result.stats[0].method, Method::kDfs);
   return result.stats[0];
+}
+
+/// Runs `q` as one split IDX-DFS query on a `workers`-worker engine (the
+/// engine caps the count at the host's cores) into `sink`.
+QueryStats RunSplitDfs(const Graph& g, const Query& q, uint32_t workers,
+                       PathSink& sink, const EnumOptions& opts = {}) {
+  QueryEngine engine(g, {.num_workers = workers});
+  return RunSplitDfs(engine, q, sink, opts);
 }
 
 /// The split run's paths as a set; every path is delivered exactly once.
@@ -199,6 +211,182 @@ TEST(SplitDfsTest, DirectEdgeBranchHandled) {
   // t itself is a first-level branch when the edge (s, t) exists.
   const Graph g = Graph::FromEdges(3, {{0, 2}, {0, 1}, {1, 2}});
   EXPECT_EQ(SplitCollect(g, {0, 2, 2}, 2), (PathSet{{0, 2}, {0, 1, 2}}));
+}
+
+// --- Deferral under forced contention ------------------------------------------
+
+/// The caller's sink for the contention differential: collects every path
+/// in arrival order, but burns about 20 us per block, so a split query's
+/// participants find one another inside it and defer their blocks. It
+/// refuses its `refuse_at`-th path when that is non-zero, and notes any call
+/// after the refusal.
+class SlowCollectingSink : public PathSink {
+ public:
+  explicit SlowCollectingSink(uint64_t refuse_at = 0)
+      : refuse_at_(refuse_at) {}
+
+  bool OnPath(std::span<const VertexId> path) override {
+    if (refused_) called_after_refusal = true;
+    paths.emplace_back(path.begin(), path.end());
+    refused_ = paths.size() == refuse_at_;
+    return !refused_;
+  }
+
+  BlockResult OnBlock(const PathBlockView& block) override {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    return ForEachPathInBlock(block, [this](std::span<const VertexId> p) {
+      return SlowCollectingSink::OnPath(p);
+    });
+  }
+
+  std::vector<std::vector<VertexId>> paths;
+  bool called_after_refusal = false;
+
+ private:
+  const uint64_t refuse_at_;
+  bool refused_ = false;
+};
+
+/// `got` interleaves per-branch prefixes of the serial IDX-DFS output
+/// `serial`: grouped by first-level branch (a path's second vertex), each
+/// branch's paths arrive in serial order, all of them when `complete`.
+void ExpectSerialOrderPerBranch(
+    const std::vector<std::vector<VertexId>>& serial,
+    const std::vector<std::vector<VertexId>>& got, bool complete,
+    const std::string& at) {
+  std::map<VertexId, std::vector<const std::vector<VertexId>*>> by_branch;
+  for (const std::vector<VertexId>& p : serial) by_branch[p[1]].push_back(&p);
+  std::map<VertexId, size_t> next;
+  for (const std::vector<VertexId>& p : got) {
+    ASSERT_GE(p.size(), 2u) << at;
+    const auto& expected = by_branch[p[1]];
+    size_t& i = next[p[1]];
+    ASSERT_LT(i, expected.size()) << at << ": extra path on branch " << p[1];
+    ASSERT_EQ(p, *expected[i]) << at << ": branch " << p[1]
+                               << " left serial order at its path " << i;
+    ++i;
+  }
+  if (!complete) return;
+  for (const auto& [branch, paths] : by_branch) {
+    EXPECT_EQ(next[branch], paths.size()) << at << ": branch " << branch;
+  }
+}
+
+/// The first query at `k` on `g`, in a fixed scan order, whose complete
+/// answer has 2,000 to 40,000 paths: several blocks, and more paths than
+/// the largest tested limit.
+std::optional<Query> HeavyQuery(const Graph& g, uint32_t k) {
+  constexpr uint64_t kMin = 2000, kMax = 40000;
+  PathEnumerator pe(g);
+  const VertexId n = g.num_vertices();
+  for (VertexId i = 0; i < n * n; ++i) {
+    const Query q{i % n, (i / n * 7 + i) % n, k};
+    if (q.source == q.target) continue;
+    CountingSink count;
+    EnumOptions opts;
+    opts.result_limit = kMax + 1;
+    pe.Run(q, count, opts);
+    if (count.count() >= kMin && count.count() <= kMax) return q;
+  }
+  return std::nullopt;
+}
+
+TEST(SplitDfsTest, DeferralUnderContentionKeepsSerialSemantics) {
+  // Four workers split each query into a sink slow enough that a block
+  // usually finds another participant inside it: the deferral path runs,
+  // and the answers, per-branch orders, counters, limits and refusals must
+  // still be the serial IDX-DFS's.
+  struct Case {
+    const char* name;
+    Graph g;
+    std::vector<uint32_t> ks;  // denser graphs for shorter bounds
+  };
+  const Case cases[] = {
+      {"er dense", ErdosRenyi(60, 1200, 5), {4}},
+      {"er sparse", ErdosRenyi(120, 1500, 5), {5, 6}},
+      {"ba dense", BarabasiAlbert(80, 12, 7, /*back_prob=*/0.5), {4}},
+      {"ba sparse", BarabasiAlbert(150, 6, 7, /*back_prob=*/0.5), {5, 6}}};
+  EngineOptions four_workers;
+  four_workers.num_workers = 4;
+  uint64_t deferred = 0;
+  uint32_t workers = 0;
+  for (const Case& c : cases) {
+    const Graph& g = c.g;
+    QueryEngine engine(g, four_workers);
+    workers = engine.num_workers();
+    for (const uint32_t k : c.ks) {
+      const std::optional<Query> heavy = HeavyQuery(g, k);
+      ASSERT_TRUE(heavy.has_value()) << c.name << " k=" << k;
+      const Query q = *heavy;
+      const std::string at = std::string(c.name) + " " +
+                             std::to_string(q.source) + "->" +
+                             std::to_string(q.target) + " k=" +
+                             std::to_string(k);
+      EnumOptions dfs;
+      dfs.method = Method::kDfs;
+      PathEnumerator serial_pe(g);
+      CollectingSink serial_sink;
+      const EnumCounters serial =
+          serial_pe.Run(q, serial_sink, dfs).counters;
+      const std::vector<std::vector<VertexId>>& serial_paths =
+          serial_sink.paths();
+
+      SlowCollectingSink all;
+      const EnumCounters split = RunSplitDfs(engine, q, all).counters;
+      EXPECT_EQ(split.TerminalState(), QueryState::kOk) << at;
+      EXPECT_EQ(all.paths.size(), serial_paths.size()) << at;
+      EXPECT_EQ(ToSet(all.paths), ToSet(serial_paths)) << at;
+      ExpectSerialOrderPerBranch(serial_paths, all.paths, true, at);
+      EXPECT_EQ(split.num_results, serial.num_results) << at;
+      EXPECT_EQ(split.partials, serial.partials) << at;
+      EXPECT_EQ(split.edges_accessed, serial.edges_accessed) << at;
+      deferred += split.deferred_blocks;
+
+      for (const uint64_t limit : {255u, 256u, 257u, 1000u}) {
+        EnumOptions opts;
+        opts.result_limit = limit;
+        SlowCollectingSink sink;
+        const EnumCounters c = RunSplitDfs(engine, q, sink, opts).counters;
+        const std::string at_limit = at + " limit=" + std::to_string(limit);
+        EXPECT_EQ(sink.paths.size(), limit) << at_limit;
+        EXPECT_EQ(c.num_results, limit) << at_limit;
+        EXPECT_TRUE(c.hit_result_limit) << at_limit;
+        EXPECT_FALSE(c.stopped_by_sink) << at_limit;
+        EXPECT_EQ(c.TerminalState(), QueryState::kTruncated) << at_limit;
+        ExpectSerialOrderPerBranch(serial_paths, sink.paths, false, at_limit);
+        deferred += c.deferred_blocks;
+      }
+
+      // Refusing the last path is a refusal all the same; it is often seen
+      // only at a participant's final flush, after every branch has ended.
+      for (const uint64_t refuse_at :
+           {uint64_t{1}, uint64_t{300}, uint64_t{1000}, serial.num_results}) {
+        SlowCollectingSink sink(refuse_at);
+        const EnumCounters c = RunSplitDfs(engine, q, sink).counters;
+        const std::string at_refusal =
+            at + " refusing path " + std::to_string(refuse_at);
+        EXPECT_EQ(sink.paths.size(), refuse_at) << at_refusal;
+        EXPECT_FALSE(sink.called_after_refusal) << at_refusal;
+        EXPECT_EQ(c.num_results, refuse_at) << at_refusal;
+        EXPECT_TRUE(c.stopped_by_sink) << at_refusal;
+        EXPECT_FALSE(c.hit_result_limit) << at_refusal;
+        EXPECT_EQ(c.TerminalState(), QueryState::kTruncated) << at_refusal;
+        ExpectSerialOrderPerBranch(serial_paths, sink.paths, false,
+                                   at_refusal);
+        deferred += c.deferred_blocks;
+      }
+    }
+  }
+  // On a host with one core the engine runs one worker, which never finds
+  // the gate busy.
+  if (workers >= 2) {
+    EXPECT_GT(deferred, 0u) << "the contention never made a block defer";
+  }
+  std::printf("%llu blocks deferred over %u workers\n",
+              static_cast<unsigned long long>(deferred), workers);
 }
 
 // --- Triggered cycles ---------------------------------------------------------
