@@ -1,8 +1,14 @@
 // Batch QueryEngine walkthrough: serve a workload of hop-constrained
 // queries through the pooled engine instead of one-at-a-time
-// PathEnumerator::Run calls.
+// PathEnumerator::Run calls, with the cross-query cache on.
 //
 //   ./batch_engine [num_workers]   # default: hardware concurrency
+//
+// Runs the batch three times. The cache admits a key on its second miss
+// (DESIGN.md §6), so round 1 publishes nothing, round 2 publishes every
+// index and round 3 hits them. Exits 1 if any query's count differs
+// between rounds or round 3 has no cache hit.
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -31,19 +37,44 @@ int main(int argc, char** argv) {
   std::cout << "workload: " << queries.size() << " queries over "
             << graph.num_vertices() << " vertices\n";
 
-  QueryEngine engine(graph, {.num_workers = workers});
+  QueryEngine engine(graph, {.num_workers = workers, .enable_cache = true});
   std::cout << "engine: " << engine.num_workers() << " pooled workers\n";
 
   BatchOptions opts;
   opts.query.result_limit = 10000;  // cap heavy hubs per query
 
-  // First batch pays the warm-up (scratch growth); repeat batches reuse
-  // every buffer.
-  for (int round = 0; round < 2; ++round) {
+  // The first batch also pays the warm-up (scratch growth); repeat batches
+  // reuse every buffer.
+  std::vector<uint64_t> first_counts;
+  uint64_t last_round_hits = 0;
+  for (int round = 1; round <= 3; ++round) {
     const BatchResult result = engine.CountBatch(queries, opts);
-    std::cout << (round == 0 ? "cold" : "warm") << " batch: "
-              << result.TotalResults() << " paths in " << result.wall_ms
-              << " ms (" << result.QueriesPerSec() << " queries/s)\n";
+    if (!result.ok()) {
+      std::cerr << "round " << round << ": a query failed\n";
+      return 1;
+    }
+    const IndexCacheStats& c = result.cache;
+    last_round_hits = c.index_hits + c.result_hits;
+    std::cout << "round " << round << ": " << result.TotalResults()
+              << " paths in " << result.wall_ms << " ms ("
+              << result.QueriesPerSec() << " queries/s); cache hits "
+              << last_round_hits << ", misses "
+              << c.index_misses + c.result_misses << ", unadmitted "
+              << c.index_unadmitted + c.result_unadmitted << "\n";
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const uint64_t count = result.stats[i].counters.num_results;
+      if (round == 1) {
+        first_counts.push_back(count);
+      } else if (count != first_counts[i]) {
+        std::cerr << "query " << i << " counted " << count << " paths in round "
+                  << round << ", " << first_counts[i] << " in round 1\n";
+        return 1;
+      }
+    }
+  }
+  if (last_round_hits == 0) {
+    std::cerr << "round 3 had no cache hit\n";
+    return 1;
   }
 
   const auto stats = engine.Stats();

@@ -1,6 +1,7 @@
 #include "engine/index_cache.h"
 
 #include <algorithm>
+#include <array>
 
 #include "graph/view.h"
 #include "util/fault_injection.h"
@@ -12,6 +13,12 @@ namespace {
 
 /// Fixed per-entry bookkeeping charge (list node, map slot, control block).
 constexpr size_t kEntryOverheadBytes = 128;
+
+/// Slots of each shard's admission table (DESIGN.md §6): 32 KiB a shard.
+/// A constant, not an option: the table only has to remember a key from
+/// its first miss to its second, and a collision only delays admission.
+constexpr size_t kAdmissionSlots = 4096;
+static_assert((kAdmissionSlots & (kAdmissionSlots - 1)) == 0);
 
 uint32_t RoundUpPow2(uint32_t v) {
   uint32_t p = 1;
@@ -82,6 +89,24 @@ struct IndexCache::Shard {
   std::unordered_map<CacheKey, std::list<ResultEntry>::iterator, CacheKeyHash>
       result_map;
   size_t result_bytes = 0;
+
+  /// The admission table: per slot, the mixed hash of the last key that
+  /// missed there (0: none).
+  std::array<uint64_t, kAdmissionSlots> seen{};
+
+  /// Called on a miss with `mutex` held: true when `key` missed before
+  /// (its hash still holds its slot), else remembers it and returns false.
+  bool Admit(const CacheKey& key) {
+    // CacheKeyHash's low bits chose this shard, so mix before taking the
+    // slot. Keys sharing a slot agree on bit 0, so setting it (to keep a
+    // stored hash nonzero) loses nothing.
+    const uint64_t mixed = SplitMix64(CacheKeyHash{}(key)).Next();
+    uint64_t& slot = seen[mixed & (kAdmissionSlots - 1)];
+    const uint64_t tag = mixed | 1;
+    if (slot == tag) return true;
+    slot = tag;
+    return false;
+  }
 };
 
 IndexCache::IndexCache(const IndexCacheOptions& opts) : opts_(opts) {
@@ -109,6 +134,8 @@ IndexCache::IndexCache(const IndexCacheOptions& opts) : opts_(opts) {
   counter("pathenum_cache_result_rejects_total", result_rejects_);
   counter("pathenum_cache_invalidation_evictions_total",
           invalidation_evictions_);
+  counter("pathenum_cache_index_unadmitted_total", index_unadmitted_);
+  counter("pathenum_cache_result_unadmitted_total", result_unadmitted_);
   reg.RegisterGauge(this, "pathenum_cache_index_bytes", label, [this] {
     return static_cast<double>(index_bytes_.load(std::memory_order_relaxed));
   });
@@ -130,6 +157,7 @@ std::shared_ptr<const LightweightIndex> IndexCache::GetOrBuild(
     bool* was_hit, uint64_t view_version) {
   Shard& shard = ShardFor(key);
   std::shared_ptr<Shard::Inflight> inflight;
+  bool admitted = false;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
     while (true) {
@@ -163,6 +191,8 @@ std::shared_ptr<const LightweightIndex> IndexCache::GetOrBuild(
       // The build this thread piggybacked on threw; retry from scratch.
     }
     index_misses_.Inc();
+    admitted = shard.Admit(key);
+    if (!admitted) index_unadmitted_.Inc();
     inflight = std::make_shared<Shard::Inflight>();
     inflight->generation = generation_.load(std::memory_order_relaxed);
     inflight->view_version = view_version;
@@ -215,13 +245,14 @@ std::shared_ptr<const LightweightIndex> IndexCache::GetOrBuild(
     erase_own_registration();
     inflight->index = index;
     inflight->done = true;
-    // Skip publication when Clear() ran mid-build (the index describes a
-    // graph that may have been swapped away), when an epoch advanced past
-    // the builder's snapshot (BeginEpoch stores the new version before
-    // sweeping, so a stale build can never slip in behind the sweep), or
-    // when a newer entry already occupies the slot — waiters still get the
-    // index.
-    if (inflight->generation == generation_.load(std::memory_order_relaxed) &&
+    // Skip publication on the key's first miss (admission), when Clear()
+    // ran mid-build (the index describes a graph that may have been swapped
+    // away), when an epoch advanced past the builder's snapshot (BeginEpoch
+    // stores the new version before sweeping, so a stale build can never
+    // slip in behind the sweep), or when a newer entry already occupies the
+    // slot — waiters still get the index.
+    if (admitted &&
+        inflight->generation == generation_.load(std::memory_order_relaxed) &&
         view_version == version_.load(std::memory_order_acquire) &&
         shard.map.find(key) == shard.map.end()) {
       const size_t bytes = index->MemoryBytes() + kEntryOverheadBytes;
@@ -257,15 +288,19 @@ std::shared_ptr<const LightweightIndex> IndexCache::PeekIndex(
 }
 
 std::shared_ptr<const CachedResultSet> IndexCache::GetResult(
-    const CacheKey& key, uint64_t view_version) {
+    const CacheKey& key, uint64_t view_version, bool* record) {
   Shard& shard = ShardFor(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.result_map.find(key);
   if (it == shard.result_map.end() ||
       it->second->first_version > view_version) {
     result_misses_.Inc();
+    const bool admitted = shard.Admit(key);
+    if (!admitted) result_unadmitted_.Inc();
+    if (record != nullptr) *record = admitted;
     return nullptr;
   }
+  if (record != nullptr) *record = false;
   shard.result_lru.splice(shard.result_lru.begin(), shard.result_lru,
                           it->second);
   result_hits_.Inc();
@@ -391,6 +426,8 @@ IndexCacheStats IndexCache::Stats() const {
   s.result_inserts = result_inserts_.Value();
   s.result_rejects = result_rejects_.Value();
   s.invalidation_evictions = invalidation_evictions_.Value();
+  s.index_unadmitted = index_unadmitted_.Value();
+  s.result_unadmitted = result_unadmitted_.Value();
   s.index_bytes = index_bytes_.load(std::memory_order_relaxed);
   s.result_bytes = result_bytes_.load(std::memory_order_relaxed);
   return s;

@@ -14,6 +14,14 @@
 // full path set, and identical later queries replay it without touching the
 // enumerator. Truncated runs never enter the result cache.
 //
+// Admission (TinyLFU's doorkeeper): a key is published — its index cached,
+// its completed run recorded — only on a miss after its first. A per-shard
+// direct-mapped table remembers the hashes of keys that missed; a miss whose
+// hash is absent stores it and is *unadmitted*: its build still coalesces
+// with concurrent callers but publishes nothing, and its run is not recorded.
+// So one-hit keys never evict a hot key, and a hot key is cached from its
+// second miss on.
+//
 // Invalidation is generation-stamped: Clear() (e.g. on graph rebind) bumps
 // the generation, so an index whose build straddles the swap is handed to
 // its waiters but never published into the cache.
@@ -47,6 +55,7 @@
 #include "core/options.h"
 #include "core/sink.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace pathenum {
 
@@ -64,15 +73,15 @@ struct CacheKey {
   bool operator==(const CacheKey&) const = default;
 };
 
+/// One SplitMix64 step per field. Each step is a bijection, so two keys
+/// of one hop bound and fingerprint never share a hash, and every bit of
+/// the result depends on every field: the shard takes its low bits, and
+/// the admission table compares whole hashes.
 struct CacheKeyHash {
   size_t operator()(const CacheKey& k) const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ k.fingerprint;
-    const auto mix = [&h](uint64_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
-    mix(k.source);
-    mix(k.target);
-    mix(k.hops);
+    uint64_t h = SplitMix64(k.fingerprint).Next();
+    h = SplitMix64(h ^ (uint64_t{k.source} << 32 | k.target)).Next();
+    h = SplitMix64(h ^ k.hops).Next();
     return static_cast<size_t>(h);
   }
 };
@@ -119,6 +128,11 @@ struct IndexCacheStats {
   uint64_t result_rejects = 0;
   /// Entries (index + result) dropped selectively by BeginEpoch.
   uint64_t invalidation_evictions = 0;
+  /// Misses on a key the admission table had not seen (a subset of the
+  /// misses): the index was built but not published, or the run was not
+  /// recorded.
+  uint64_t index_unadmitted = 0;
+  uint64_t result_unadmitted = 0;
   size_t index_bytes = 0;   // gauge: bytes currently cached
   size_t result_bytes = 0;  // gauge
 
@@ -135,6 +149,8 @@ struct IndexCacheStats {
     d.result_inserts -= o.result_inserts;
     d.result_rejects -= o.result_rejects;
     d.invalidation_evictions -= o.invalidation_evictions;
+    d.index_unadmitted -= o.index_unadmitted;
+    d.result_unadmitted -= o.result_unadmitted;
     return d;
   }
 };
@@ -170,7 +186,9 @@ class IndexCache {
   IndexCache& operator=(const IndexCache&) = delete;
 
   /// Returns the cached index for `key` valid at snapshot `view_version`,
-  /// or runs `build` (outside any lock) and publishes the result.
+  /// or runs `build` (outside any lock) and publishes the result — unless
+  /// this is the key's first miss (admission, see above), whose index goes
+  /// only to its caller and coalesced waiters.
   /// Concurrent same-version callers on the same missing key coalesce onto
   /// one build. A throwing build propagates to the builder and wakes the
   /// waiters, which retry (one becomes the next builder); a build whose own
@@ -192,9 +210,12 @@ class IndexCache {
   std::shared_ptr<const LightweightIndex> PeekIndex(
       const CacheKey& key, uint64_t view_version = 0) const;
 
-  /// Result-cache lookup; counts a hit/miss and touches the LRU.
+  /// Result-cache lookup; counts a hit/miss and touches the LRU. On a
+  /// miss, `record` (optional) tells the caller whether to record its run
+  /// for PutResult: false on the key's first miss (admission, see above).
   std::shared_ptr<const CachedResultSet> GetResult(const CacheKey& key,
-                                                   uint64_t view_version = 0);
+                                                   uint64_t view_version = 0,
+                                                   bool* record = nullptr);
 
   /// Non-mutating result probe for scheduling.
   bool HasResult(const CacheKey& key, uint64_t view_version = 0) const;
@@ -208,10 +229,12 @@ class IndexCache {
 
   /// Drops every cached entry and bumps the
   /// generation, so in-flight builds finish for their waiters but are not
-  /// published. Call on full graph swap (RebindGraph). `new_version` resets
-  /// the snapshot version to whatever the caller is about to serve — 0
-  /// matches a freshly bound graph; a live engine passes its current view
-  /// version so post-clear publications are not rejected as stale.
+  /// published. The admission table is kept: a key's popularity outlives
+  /// the graph it was cached on. Call on full graph swap (RebindGraph).
+  /// `new_version` resets the snapshot version to whatever the caller is
+  /// about to serve — 0 matches a freshly bound graph; a live engine passes
+  /// its current view version so post-clear publications are not rejected
+  /// as stale.
   void Clear(uint64_t new_version = 0);
 
   /// Incremental invalidation (DESIGN.md §7): advances the cache to
@@ -224,7 +247,8 @@ class IndexCache {
   /// Passing an always-true predicate degrades to a versioned full clear
   /// (the baseline the update-heavy bench compares against). Returns the
   /// number of evicted entries. `new_version` must be greater than every
-  /// previously seen version; the caller serializes epochs.
+  /// previously seen version; the caller serializes epochs. An evicted key
+  /// keeps its admission: its next miss publishes again.
   size_t BeginEpoch(uint64_t new_version,
                     const std::function<bool(VertexId source, VertexId target,
                                              uint32_t hops)>& affects);
@@ -263,6 +287,8 @@ class IndexCache {
   mutable obs::ShardedCounter result_inserts_;
   mutable obs::ShardedCounter result_rejects_;
   mutable obs::ShardedCounter invalidation_evictions_;
+  mutable obs::ShardedCounter index_unadmitted_;
+  mutable obs::ShardedCounter result_unadmitted_;
   std::atomic<size_t> index_bytes_{0};
   std::atomic<size_t> result_bytes_{0};
 };

@@ -24,8 +24,12 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
       cache != nullptr && cache->options().max_result_bytes > 0;
   const CacheKey result_key{q.source, q.target, q.hops,
                             ResultOptionsFingerprint(opts)};
+  // Whether the cache admits this run's paths; false on the key's first
+  // miss (DESIGN.md §6), which runs straight into `sink`.
+  bool record = false;
   if (result_cache_on) {
-    if (const auto cached = cache->GetResult(result_key, view_version)) {
+    if (const auto cached =
+            cache->GetResult(result_key, view_version, &record)) {
       if (span != nullptr) {
         span->SetIndexOutcome(false, /*result_cache_hit=*/true);
         span->Mark(obs::SpanStage::kIndexAcquire);
@@ -55,7 +59,7 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
   }
 
   QueryStats stats;
-  if (result_cache_on) {
+  if (record) {
     RecordingSink recorder(sink, cache->options().max_result_entry_bytes);
     stats = enumerator_.RunWithIndex(*index, recorder, opts);
     // Only complete runs enter the result cache: a truncated path set

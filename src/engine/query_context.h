@@ -38,9 +38,10 @@ class QueryContext {
   /// stop) is re-armed from `opts`, so a limit hit by one query can never
   /// leak into the next one on the same context. Cache-aware (DESIGN.md
   /// §6): consults `cache` for a replayable result set first, then for a
-  /// shared prebuilt index (building and publishing on miss, coalescing
-  /// with concurrent builders of the same key), and records completed runs
-  /// back into the result cache. Without a cache it builds and runs like
+  /// shared prebuilt index (building on miss, coalescing with concurrent
+  /// builders of the same key), and records completed runs back into the
+  /// result cache when the cache admits the key (its second miss on).
+  /// Without a cache it builds and runs like
   /// PathEnumerator::Run. The cache may be shared across
   /// contexts/threads; everything else in the context stays single-owner.
   /// `span` (optional) gets the index-acquire/enumerate stage marks, the

@@ -154,6 +154,7 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
   result.stats.resize(queries.size());
   result.errors.resize(queries.size());
   result.states.resize(queries.size(), QueryState::kOk);
+  result.spans.resize(queries.size());
   batches_run_.Inc();
   IndexCache* cache = cache_.get();
   if (cache != nullptr && view_.version() > cache->version()) {
@@ -188,6 +189,7 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
       result.errors[i] = std::string(st.message());
       result.states[i] = QueryState::kRejected;
       span.Finish(QueryState::kRejected);
+      result.spans[i] = span.data();
       continue;
     }
     if (opts.dedup_identical) {
@@ -262,10 +264,12 @@ BatchResult QueryEngine::RunBatch(std::span<const Query> queries,
     const QueryStats& stats = tickets[g].Wait();
     const std::string& error = tickets[g].error();
     const QueryState state = tickets[g].state();
+    const obs::QuerySpanData span = tickets[g].span();
     for (size_t m = 0; m < members.size(); ++m) {
       const size_t qi = members[m];
       result.errors[qi] = error;
       result.states[qi] = state;
+      result.spans[qi] = span;
       if (!error.empty()) continue;
       result.stats[qi] = stats;
       if (fans[g] != nullptr) {

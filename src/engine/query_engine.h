@@ -79,9 +79,10 @@ struct BatchOptions {
   bool dedup_identical = true;
 };
 
-/// Outcome of RunBatch. `stats[i]`/`errors[i]`/`states[i]` belong to
-/// `queries[i]`; a non-empty error string means the query did not run
-/// (its stats are default) — other queries of the batch are unaffected.
+/// Outcome of RunBatch. `stats[i]`/`errors[i]`/`states[i]`/`spans[i]`
+/// belong to `queries[i]`; a non-empty error string means the query did
+/// not run (its stats are default) — other queries of the batch are
+/// unaffected.
 ///
 /// `states[i]` is the query's terminal state (DESIGN.md §10):
 ///  - kOk: complete result set delivered.
@@ -98,6 +99,11 @@ struct BatchResult {
   std::vector<QueryStats> stats;
   std::vector<std::string> errors;
   std::vector<QueryState> states;
+  /// Each query's finished span (DESIGN.md §12): its stages, plan, cache
+  /// outcome and enumeration work. A duplicate carries its representative's
+  /// span, a query rejected at admission its zero-width one. Zeroed under
+  /// PATHENUM_OBS=0.
+  std::vector<obs::QuerySpanData> spans;
   double wall_ms = 0.0;
   /// Workers that could claim the batch's queries: min(pool, queries after
   /// dedup). Idle workers helping a split query are not counted.

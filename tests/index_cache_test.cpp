@@ -1,8 +1,9 @@
 // Tests for the cross-query cache subsystem (DESIGN.md §6): cached-vs-fresh
 // result equivalence (bit-identical paths), LRU eviction under a byte
 // budget, cross-thread single-flight builds on concurrent identical
-// queries, invalidation on graph rebind, the never-cache-truncated-results
-// rule, batch dedup fanout, and the active-worker clamp.
+// queries, admission on a key's second miss, invalidation on graph rebind,
+// the never-cache-truncated-results rule, batch dedup fanout, and the
+// active-worker clamp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <future>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/path_enum.h"
@@ -51,6 +53,11 @@ TEST(IndexCacheTest, ConcurrentIdenticalQueriesBuildOnce) {
   opts.shards = 4;
   IndexCache cache(opts);
   const CacheKey key{q.source, q.target, q.hops, 0};
+  // The key's first miss is unadmitted; the racing threads below miss it
+  // a second time, so their one build publishes.
+  cache.GetOrBuild(key, [&] { return IndexBuilder().Build(g, q); });
+  ASSERT_EQ(cache.PeekIndex(key), nullptr);
+  const IndexCacheStats before = cache.Stats();
 
   std::atomic<int> builds{0};
   constexpr int kThreads = 8;
@@ -71,8 +78,9 @@ TEST(IndexCacheTest, ConcurrentIdenticalQueriesBuildOnce) {
   for (int i = 1; i < kThreads; ++i) {
     EXPECT_EQ(results[i].get(), results[0].get());
   }
-  const IndexCacheStats stats = cache.Stats();
+  const IndexCacheStats stats = cache.Stats() - before;
   EXPECT_EQ(stats.index_misses, 1u);
+  EXPECT_EQ(stats.index_unadmitted, 0u);
   EXPECT_EQ(stats.index_hits + stats.coalesced_builds,
             static_cast<uint64_t>(kThreads - 1));
   EXPECT_GT(stats.index_bytes, 0u);
@@ -96,8 +104,12 @@ TEST(IndexCacheTest, EvictsLeastRecentlyUsedUnderTightByteBudget) {
     IndexBuilder b;
     return b.Build(g, q);
   };
+  // Each key publishes on its second miss (the first is unadmitted).
   for (uint64_t fp = 0; fp < 3; ++fp) {
-    cache.GetOrBuild({q.source, q.target, q.hops, fp}, build);
+    const CacheKey key{q.source, q.target, q.hops, fp};
+    cache.GetOrBuild(key, build);
+    cache.GetOrBuild(key, build);
+    ASSERT_NE(cache.PeekIndex(key), nullptr) << "fingerprint " << fp;
   }
 
   const IndexCacheStats stats = cache.Stats();
@@ -133,6 +145,7 @@ TEST(IndexCacheTest, ClearDuringInflightBuildIsNotJoinedAndNotPublished) {
 
   // A post-Clear lookup of the same key must NOT wait for the stale build;
   // it builds fresh and completes while the stale build is still stuck.
+  // Clear keeps the admission table, so this is the key's second miss.
   bool hit = true;
   const auto fresh = cache.GetOrBuild(
       key,
@@ -175,6 +188,180 @@ TEST(IndexCacheTest, BuildFailurePropagatesAndDoesNotPoisonTheKey) {
 }
 
 // ---------------------------------------------------------------------------
+// Admission: a key is published on its second miss
+// ---------------------------------------------------------------------------
+
+// The admission table tells keys apart by their whole hash, so distinct
+// endpoint pairs of one hop bound must never share one, dense small vertex
+// ids included.
+TEST(IndexCacheAdmissionTest, DistinctEndpointPairsNeverShareAHash) {
+  constexpr VertexId kIds = 512;
+  std::unordered_set<size_t> hashes;
+  for (VertexId s = 0; s < kIds; ++s) {
+    for (VertexId t = 0; t < kIds; ++t) {
+      hashes.insert(CacheKeyHash{}({s, t, 4, 0}));
+    }
+  }
+  EXPECT_EQ(hashes.size(), size_t{kIds} * kIds);
+}
+
+TEST(IndexCacheAdmissionTest, FirstMissBuildsWithoutPublishing) {
+  const Graph g = ErdosRenyi(60, 600, 4);
+  const Query q{0, 10, 4};
+  IndexCache cache;
+  const CacheKey key{q.source, q.target, q.hops, 0};
+  int builds = 0;
+  const auto build = [&] {
+    ++builds;
+    return IndexBuilder().Build(g, q);
+  };
+
+  bool hit = true;
+  const auto first = cache.GetOrBuild(key, build, &hit);
+  ASSERT_NE(first, nullptr);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cache.PeekIndex(key), nullptr) << "a first miss published";
+  IndexCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.index_misses, 1u);
+  EXPECT_EQ(stats.index_unadmitted, 1u);
+  EXPECT_EQ(stats.index_bytes, 0u);
+
+  const auto second = cache.GetOrBuild(key, build, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(cache.PeekIndex(key).get(), second.get());
+  stats = cache.Stats();
+  EXPECT_EQ(stats.index_misses, 2u);
+  EXPECT_EQ(stats.index_unadmitted, 1u);
+  EXPECT_GT(stats.index_bytes, 0u);
+
+  const auto third = cache.GetOrBuild(key, build, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(third.get(), second.get());
+  EXPECT_EQ(cache.Stats().index_hits, 1u);
+}
+
+TEST(IndexCacheAdmissionTest, RacersOnAnUnseenKeyShareOneBuild) {
+  const Graph g = ErdosRenyi(60, 600, 4);
+  const Query q{0, 10, 4};
+  IndexCache cache;
+  const CacheKey key{q.source, q.target, q.hops, 0};
+
+  // The builder holds its build until the other seven wait on its latch,
+  // so every thread takes part in the key's first, unadmitted miss.
+  constexpr int kThreads = 8;
+  std::atomic<int> builds{0};
+  std::vector<std::shared_ptr<const LightweightIndex>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      results[i] = cache.GetOrBuild(key, [&] {
+        builds.fetch_add(1);
+        while (cache.Stats().coalesced_builds <
+               static_cast<uint64_t>(kThreads - 1)) {
+          std::this_thread::yield();
+        }
+        return IndexBuilder().Build(g, q);
+      });
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(builds.load(), 1);
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_NE(results[i], nullptr);
+    EXPECT_EQ(results[i].get(), results[0].get());
+  }
+  const IndexCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.index_misses, 1u);
+  EXPECT_EQ(stats.index_unadmitted, 1u);
+  EXPECT_EQ(stats.coalesced_builds, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(stats.index_bytes, 0u);
+  EXPECT_EQ(cache.PeekIndex(key), nullptr);
+}
+
+TEST(IndexCacheAdmissionTest, OneHitKeysNeverEvictAnAdmittedHotKey) {
+  const Graph g = ErdosRenyi(60, 600, 4);
+  const Query q{0, 10, 4};
+  const size_t one_index_bytes = IndexBuilder().Build(g, q).MemoryBytes();
+  const auto build = [&] { return IndexBuilder().Build(g, q); };
+
+  // One shard with room for two entries, as in the LRU test above.
+  IndexCacheOptions opts;
+  opts.shards = 1;
+  opts.max_index_bytes = 2 * (one_index_bytes + 1024);
+  IndexCache cache(opts);
+  const CacheKey hot{q.source, q.target, q.hops, 0};
+  cache.GetOrBuild(hot, build);
+  cache.GetOrBuild(hot, build);
+  ASSERT_NE(cache.PeekIndex(hot), nullptr);
+
+  // A scan: 1,000 distinct keys, each missing once.
+  for (uint64_t fp = 1; fp <= 1000; ++fp) {
+    cache.GetOrBuild({q.source, q.target, q.hops, fp}, build);
+  }
+  bool hit = false;
+  cache.GetOrBuild(hot, build, &hit);
+  EXPECT_TRUE(hit) << "one-hit keys evicted the hot key";
+  const IndexCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.index_evictions, 0u);
+  EXPECT_EQ(stats.index_unadmitted, 1001u);  // the scan and the hot key's first
+}
+
+TEST(IndexCacheAdmissionTest, EpochEvictedHotKeyRepublishesOnItsNextMiss) {
+  const Graph g = ErdosRenyi(60, 600, 4);
+  const Query q{0, 10, 4};
+  IndexCache cache;
+  const CacheKey key{q.source, q.target, q.hops, 0};
+  const auto build = [&] { return IndexBuilder().Build(g, q); };
+  cache.GetOrBuild(key, build, nullptr, 0);
+  cache.GetOrBuild(key, build, nullptr, 0);
+  ASSERT_NE(cache.PeekIndex(key, 0), nullptr);
+
+  ASSERT_EQ(cache.BeginEpoch(1, [](VertexId, VertexId, uint32_t) {
+    return true;
+  }), 1u);
+  ASSERT_EQ(cache.PeekIndex(key, 1), nullptr);
+  const IndexCacheStats before = cache.Stats();
+
+  // The evicted key kept its admission: one miss republishes it.
+  bool hit = true;
+  const auto rebuilt = cache.GetOrBuild(key, build, &hit, 1);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.PeekIndex(key, 1).get(), rebuilt.get());
+  const IndexCacheStats delta = cache.Stats() - before;
+  EXPECT_EQ(delta.index_misses, 1u);
+  EXPECT_EQ(delta.index_unadmitted, 0u);
+  cache.GetOrBuild(key, build, &hit, 1);
+  EXPECT_TRUE(hit);
+}
+
+TEST(EngineCacheTest, CompletedQueryRecordsOnItsSecondRunAndReplaysOnItsThird) {
+  const Graph g = ErdosRenyi(60, 600, 4);
+  const Query q{0, 20, 4};
+  CollectingSink fresh;
+  PathEnumerator(g).Run(q, fresh);
+  ASSERT_FALSE(fresh.paths().empty());
+
+  QueryEngine engine(g, CachedEngineOptions(1));
+  const std::vector<Query> queries = {q};
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE(::testing::Message() << "run " << run);
+    CollectingSink sink;
+    PathSink* sinks[] = {&sink};
+    const BatchResult r = engine.RunBatch(queries, sinks);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(sink.paths(), fresh.paths());  // bit-identical, every run
+    EXPECT_EQ(r.cache.result_inserts, run == 1 ? 1u : 0u);
+    EXPECT_EQ(r.cache.result_unadmitted, run == 0 ? 1u : 0u);
+    EXPECT_EQ(r.cache.result_hits, run == 2 ? 1u : 0u);
+    EXPECT_EQ(r.stats[0].result_cache_hit, run == 2);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Engine integration: equivalence
 // ---------------------------------------------------------------------------
 
@@ -192,7 +379,7 @@ TEST(EngineCacheTest, CachedResultsBitIdenticalToFresh) {
   }
 
   QueryEngine engine(g, CachedEngineOptions(1));
-  for (int round = 0; round < 3; ++round) {
+  for (int round = 0; round < 4; ++round) {
     std::vector<CollectingSink> collected(queries.size());
     std::vector<PathSink*> sinks;
     for (auto& c : collected) sinks.push_back(&c);
@@ -203,7 +390,20 @@ TEST(EngineCacheTest, CachedResultsBitIdenticalToFresh) {
       EXPECT_EQ(collected[i].paths(), expected[i])
           << "query " << i << " round " << round;
     }
-    if (round > 0) {
+    if (round == 0) {
+      // First misses: nothing recorded.
+      EXPECT_EQ(result.cache.result_unadmitted, queries.size());
+      EXPECT_EQ(result.cache.result_inserts, 0u);
+    }
+    if (round == 1) {
+      // Second misses: every complete run is recorded.
+      ASSERT_EQ(result.cache.result_inserts, queries.size());
+      for (const Query& q : queries) {
+        ASSERT_TRUE(engine.cache()->HasResult(
+            {q.source, q.target, q.hops, ResultOptionsFingerprint({})}));
+      }
+    }
+    if (round > 1) {
       // Steady state: every query replays from the result cache.
       EXPECT_EQ(result.cache.result_hits, queries.size());
       uint64_t replayed = 0;
@@ -227,6 +427,17 @@ TEST(EngineCacheTest, IndexOnlyCacheMatchesFreshCounts) {
   ASSERT_TRUE(first.ok());
   EXPECT_GT(first.cache.index_misses, 0u);
   EXPECT_EQ(first.cache.result_hits, 0u);
+  // The second misses publish every index.
+  const BatchResult admitted = engine.CountBatch(queries);
+  ASSERT_TRUE(admitted.ok());
+  EXPECT_EQ(admitted.cache.index_unadmitted, 0u);
+  for (const Query& q : queries) {
+    ASSERT_NE(engine.cache()->PeekIndex(
+                  {q.source, q.target, q.hops,
+                   IndexOptionsFingerprint(
+                       PathEnumerator::BuildOptionsFor(q, {}))}),
+              nullptr);
+  }
 
   const BatchResult second = engine.CountBatch(queries);
   ASSERT_TRUE(second.ok());
@@ -268,6 +479,8 @@ TEST(EngineCacheTest, TruncatedRunsNeverEnterResultCache) {
     EXPECT_FALSE(r.stats[0].result_cache_hit);
     EXPECT_EQ(r.cache.result_inserts, 0u)
         << "a limit-truncated run was recorded";
+    // From the key's second miss on the run records, and is refused.
+    EXPECT_EQ(r.cache.result_unadmitted, round == 0 ? 1u : 0u);
   }
 
   // An untruncated batch on the same key does get cached — and replay under
@@ -296,8 +509,12 @@ TEST(EngineCacheTest, SinkStoppedRunsNeverEnterResultCache) {
   Quitting sink;
   PathSink* sinks[] = {&sink};
   const std::vector<Query> queries = {heavy};
+  // A first miss is never recorded; the stopped run below is the key's
+  // second, so it records and must be refused.
+  ASSERT_EQ(engine.CountBatch(queries).cache.result_unadmitted, 1u);
   const BatchResult r = engine.RunBatch(queries, sinks);
   ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.cache.result_unadmitted, 0u);
   EXPECT_TRUE(r.stats[0].counters.stopped_by_sink);
   EXPECT_EQ(r.cache.result_inserts, 0u);
   EXPECT_EQ(engine.cache()->Stats().result_inserts, 0u);
@@ -313,9 +530,12 @@ TEST(EngineCacheTest, RebindToNewGraphInvalidatesCaches) {
   const std::vector<Query> queries = SmallMixedQueries(a);
 
   QueryEngine engine(a, CachedEngineOptions(2));
+  // Two batches: the second misses publish.
+  ASSERT_TRUE(engine.CountBatch(queries).ok());
   const BatchResult on_a = engine.CountBatch(queries);
   ASSERT_TRUE(on_a.ok());
   ASSERT_GT(engine.cache()->Stats().index_bytes, 0u);
+  ASSERT_GT(engine.cache()->Stats().result_bytes, 0u);
 
   engine.RebindGraph(b);
   EXPECT_EQ(engine.cache()->Stats().index_bytes, 0u);

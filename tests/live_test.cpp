@@ -538,8 +538,12 @@ TEST(CacheEpochTest, BeginEpochEvictsSelectively) {
   IndexCache cache{IndexCacheOptions{}};
   const Query near{0, 4, 6};    // close to the update below
   const Query far{30, 36, 6};   // far from it
-  cache.GetOrBuild(KeyFor(near), [&] { return BuildFor(v0, near); });
-  cache.GetOrBuild(KeyFor(far), [&] { return BuildFor(v0, far); });
+  // Each key publishes on its second miss.
+  for (const Query& q : {near, far}) {
+    cache.GetOrBuild(KeyFor(q), [&] { return BuildFor(v0, q); });
+    cache.GetOrBuild(KeyFor(q), [&] { return BuildFor(v0, q); });
+    ASSERT_NE(cache.PeekIndex(KeyFor(q), 0), nullptr);
+  }
 
   const GraphDelta delta = GraphDelta{}.Insert(2, 4);
   const GraphView v1 = v0.Apply(delta, 1);
@@ -563,11 +567,12 @@ TEST(CacheEpochTest, OldSnapshotNeverSeesNewerEntries) {
   IndexCache cache{IndexCacheOptions{}};
   cache.BeginEpoch(1, [](VertexId, VertexId, uint32_t) { return true; });
 
-  // Published at version 1.
+  // Published at version 1, on the key's second miss.
   const Query q{0, 5, 6};
   const GraphView v1 = v0.Apply(GraphDelta{}, 1);
   cache.GetOrBuild(KeyFor(q), [&] { return BuildFor(v1, q); }, nullptr, 1);
-  EXPECT_NE(cache.PeekIndex(KeyFor(q), 1), nullptr);
+  cache.GetOrBuild(KeyFor(q), [&] { return BuildFor(v1, q); }, nullptr, 1);
+  ASSERT_NE(cache.PeekIndex(KeyFor(q), 1), nullptr);
 
   // A version-0 straggler must miss it (the entry may describe topology
   // the old snapshot does not have) and must not publish its own build.
@@ -606,8 +611,13 @@ TEST(CacheEpochTest, ClearAfterEpochRealignsVersionSoPublicationResumes) {
   bool hit = true;
   cache.GetOrBuild(KeyFor(q), [&] { return BuildFor(v0, q); }, &hit, 0);
   EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.Stats().index_unadmitted, 1u);
   cache.GetOrBuild(KeyFor(q), [&] { return BuildFor(v0, q); }, &hit, 0);
-  EXPECT_TRUE(hit);  // the first build published despite the earlier epoch
+  EXPECT_FALSE(hit);
+  // The admitted build published despite the earlier epoch.
+  ASSERT_NE(cache.PeekIndex(KeyFor(q), 0), nullptr);
+  cache.GetOrBuild(KeyFor(q), [&] { return BuildFor(v0, q); }, &hit, 0);
+  EXPECT_TRUE(hit);
 
   // The live-engine form: InvalidateCaches keeps the current view version.
   QueryEngine engine(v0, {.num_workers = 1, .enable_cache = true});
@@ -622,7 +632,10 @@ TEST(CacheEpochTest, ClearAfterEpochRealignsVersionSoPublicationResumes) {
   const IndexCacheStats before = engine.cache()->Stats();
   std::vector<CountingSink> sinks2(1);
   std::vector<PathSink*> sink_ptrs2{&sinks2[0]};
-  engine.RunBatch(v7, queries, sink_ptrs2, {});  // publishes at version 7
+  // The key's second miss (Clear keeps admission): publishes at version 7.
+  const BatchResult published = engine.RunBatch(v7, queries, sink_ptrs2, {});
+  ASSERT_EQ(published.cache.result_inserts, 1u);
+  ASSERT_GT(published.cache.index_bytes, 0u);
   std::vector<CountingSink> sinks3(1);
   std::vector<PathSink*> sink_ptrs3{&sinks3[0]};
   engine.RunBatch(v7, queries, sink_ptrs3, {});
@@ -641,7 +654,9 @@ TEST(EngineViewTest, RunBatchOnViewObservesExactlyThatSnapshot) {
 
   const GraphView v0(g);
   const std::vector<Query> queries{q};
+  engine.CountBatch(queries, {});  // the key's first miss: nothing cached
   const BatchResult r0 = engine.CountBatch(queries, {});
+  ASSERT_EQ(r0.cache.result_inserts, 1u);  // the epoch below has entries
   const uint64_t base_count = r0.stats[0].counters.num_results;
 
   const GraphView v1 =
@@ -671,7 +686,11 @@ TEST(EngineViewTest, EpochUnawareViewAdvanceNeverReplaysStaleResults) {
   const Query q = PaperExampleQuery();
   QueryEngine engine(g, {.num_workers = 1, .enable_cache = true});
   const std::vector<Query> queries{q};
-  engine.CountBatch(queries, {});  // warms the result cache at version 0
+  // Warms the result cache at version 0: the second miss records.
+  engine.CountBatch(queries, {});
+  ASSERT_EQ(engine.CountBatch(queries, {}).cache.result_inserts, 1u);
+  ASSERT_TRUE(engine.cache()->HasResult(
+      {q.source, q.target, q.hops, ResultOptionsFingerprint({})}, 0));
 
   const GraphView v1 =
       GraphView(g).Apply(GraphDelta{}.Delete(testing::kV0, testing::kT), 1);
@@ -1383,8 +1402,10 @@ TEST(AsyncEngineTest, UnaffectedKeysKeepCacheHitsAcrossUpdates) {
   const Query hot{0, 6, 6};  // in the first component
 
   CountingSink warm1, warm2;
-  engine.Submit(hot, warm1).Wait();
-  engine.Submit(hot, warm2).Wait();  // now cached (admission default is 1)
+  engine.Submit(hot, warm1).Wait();  // the key's first miss: not recorded
+  engine.Submit(hot, warm2).Wait();  // its second: recorded and published
+  ASSERT_EQ(engine.stats().cache.result_inserts, 1u);
+  ASSERT_GT(engine.stats().cache.index_bytes, 0u);
 
   for (int e = 0; e < 5; ++e) {
     // Churn strictly inside the second component.

@@ -239,8 +239,6 @@ TEST(QuerySpanTest, SpanCarriesThePlanThatRan) {
     label += '"';
     return reg.GetCounter("pathenum_query_method_total", label)->Value();
   };
-  const uint64_t dfs_before = ran(Method::kDfs);
-  const uint64_t join_before = ran(Method::kJoin);
 
   AsyncEngineOptions opts;
   opts.num_workers = 2;
@@ -257,7 +255,14 @@ TEST(QuerySpanTest, SpanCarriesThePlanThatRan) {
     return std::make_pair(stats, ticket.span());
   };
 
+  // The key's first miss is not recorded; the serial run below is its
+  // second, which records the replayed set.
+  run(SubmitOptions{.query = priced});
+  const uint64_t dfs_before = ran(Method::kDfs);
+  const uint64_t join_before = ran(Method::kJoin);
+
   const auto [serial, serial_span] = run(SubmitOptions{.query = priced});
+  ASSERT_EQ(engine.stats().cache.result_inserts, 1u);
   EXPECT_FALSE(serial_span.result_cache_hit);
   EXPECT_FALSE(serial_span.split);
   EXPECT_EQ(serial_span.method, serial.method);
@@ -326,7 +331,9 @@ TEST(QuerySpanTest, SpanRecordsTheEnumerationWork) {
     return span;
   };
 
+  run({});  // the key's first miss: not recorded
   const obs::QuerySpanData serial = run({});
+  ASSERT_EQ(engine.stats().cache.result_inserts, 1u);
   EXPECT_FALSE(serial.result_cache_hit);
   EXPECT_GT(serial.edges_accessed, 0u);
   EXPECT_EQ(serial.deferred_blocks, 0u) << "a serial run defers nothing";
@@ -340,6 +347,72 @@ TEST(QuerySpanTest, SpanRecordsTheEnumerationWork) {
   split_submit.split_branches = true;
   const obs::QuerySpanData split = run(split_submit);
   EXPECT_TRUE(split.split);
+  EXPECT_EQ(split.edges_accessed, serial.edges_accessed)
+      << "the fan-out examines what the serial IDX-DFS does";
+}
+
+// A RunBatch caller reads each query's span from BatchResult::spans, as an
+// AsyncEngine caller reads it from its ticket: for a serial query, a
+// result-cache replay and a split query. A duplicate carries its
+// representative's span, and a query rejected at admission its own
+// zero-width span.
+TEST(QuerySpanTest, BatchResultCarriesEachQuerySpan) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PATHENUM_OBS=0";
+  const Graph g = LayeredGraph(4, 6);  // 6^4 = 1296 paths
+  QueryEngine engine(g, {.num_workers = 4, .enable_cache = true});
+  const Query q{0, 4 * 6 + 1, 5};
+  const Query invalid{0, g.num_vertices(), 5};
+  const std::vector<Query> queries = {q, q, invalid};
+  const auto run = [&](const BatchOptions& opts) {
+    std::vector<CountingSink> sinks(queries.size());
+    std::vector<PathSink*> ptrs;
+    for (CountingSink& sink : sinks) ptrs.push_back(&sink);
+    const BatchResult r = engine.RunBatch(queries, ptrs, opts);
+    EXPECT_EQ(r.spans.size(), queries.size());
+    EXPECT_EQ(sinks[0].count(), 1296u);
+
+    const obs::QuerySpanData& span = r.spans[0];
+    EXPECT_EQ(span.state, QueryState::kOk);
+    EXPECT_EQ(span.source, q.source);
+    EXPECT_EQ(span.target, q.target);
+    EXPECT_EQ(span.method, r.stats[0].method);
+    EXPECT_EQ(span.results, sinks[0].count());
+    EXPECT_EQ(span.edges_accessed, r.stats[0].counters.edges_accessed);
+    EXPECT_EQ(span.deferred_blocks, r.stats[0].counters.deferred_blocks);
+    EXPECT_EQ(span.result_cache_hit, r.stats[0].result_cache_hit);
+    EXPECT_EQ(r.spans[1].id, span.id)
+        << "a duplicate carries its representative's span";
+
+    const obs::QuerySpanData& rejected = r.spans[2];
+    EXPECT_EQ(r.states[2], QueryState::kRejected);
+    EXPECT_EQ(rejected.state, QueryState::kRejected);
+    EXPECT_NE(rejected.id, span.id);
+    EXPECT_EQ(rejected.target, invalid.target);
+    EXPECT_EQ(rejected.method, Method::kAuto) << "nothing ran";
+    EXPECT_EQ(rejected.results, 0u);
+    EXPECT_DOUBLE_EQ(rejected.StageMs(obs::SpanStage::kIndexAcquire), 0.0);
+    EXPECT_DOUBLE_EQ(rejected.StageMs(obs::SpanStage::kEnumerate), 0.0);
+    return span;
+  };
+
+  run({});  // the key's first miss: not recorded
+  const obs::QuerySpanData serial = run({});
+  ASSERT_EQ(engine.cache()->Stats().result_inserts, 1u);
+  EXPECT_FALSE(serial.result_cache_hit);
+  EXPECT_FALSE(serial.split);
+  EXPECT_GT(serial.edges_accessed, 0u);
+  EXPECT_EQ(serial.deferred_blocks, 0u);
+
+  const obs::QuerySpanData replay = run({});
+  EXPECT_TRUE(replay.result_cache_hit);
+  EXPECT_EQ(replay.method, serial.method);
+  EXPECT_EQ(replay.edges_accessed, 0u) << "a replay examines no index edge";
+
+  BatchOptions split_opts;
+  split_opts.split_branches = true;
+  const obs::QuerySpanData split = run(split_opts);
+  EXPECT_TRUE(split.split);
+  EXPECT_TRUE(split.index_cache_hit);
   EXPECT_EQ(split.edges_accessed, serial.edges_accessed)
       << "the fan-out examines what the serial IDX-DFS does";
 }

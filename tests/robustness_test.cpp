@@ -598,6 +598,9 @@ TEST_F(RobustnessTest, InterruptedCachedBuildIsNotPublished) {
   QueryEngine engine(g, {.num_workers = 1, .enable_cache = true});
   const Query q = PaperExampleQuery();
   std::vector<Query> queries = {q};
+  // A key's first miss publishes nothing anyway; this run makes the
+  // interrupted one below the key's second, admitted miss.
+  ASSERT_EQ(engine.CountBatch(queries).cache.index_unadmitted, 1u);
   CollectingSink first;
   std::vector<PathSink*> sinks = {&first};
 
@@ -610,6 +613,8 @@ TEST_F(RobustnessTest, InterruptedCachedBuildIsNotPublished) {
     const BatchResult result = engine.RunBatch(queries, sinks, opts);
     EXPECT_EQ(result.states[0], QueryState::kDeadlineExceeded);
     EXPECT_TRUE(first.paths().empty());
+    EXPECT_EQ(result.cache.index_unadmitted, 0u);
+    EXPECT_EQ(result.cache.index_bytes, 0u) << "the stub was published";
   }
 
   CollectingSink second;
