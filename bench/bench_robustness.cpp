@@ -6,9 +6,12 @@
 //  1. Cancellation-check overhead on the *unstopped* hot path: the same
 //     canned layered-DAG enumeration as bench_hotpath, run plain vs. with
 //     the full control bundle armed but never firing (a cancellable token,
-//     a far-future deadline, a huge work budget). The guarded/plain
-//     paths/sec ratio is the price every production query pays for
-//     cancellability; the acceptance bar is <= 2% regression.
+//     a far-future deadline, a huge work budget). Each rep times plain and
+//     guarded back to back, alternating which runs first, and the gate
+//     reads the median of the per-rep guarded/plain paths/sec ratios: a
+//     change in the shared host's speed between reps cancels instead of
+//     landing in the ratio. That ratio is the price every production query
+//     pays for cancellability; the acceptance bar is <= 2% regression.
 //
 //  2. Deadline-miss/shed behavior under overload: an AsyncEngine sized to
 //     be overrun (few workers, short admission queue) takes a burst of
@@ -17,19 +20,20 @@
 //     queries that ran, and terminal-state counts — the service-level
 //     picture of graceful degradation.
 //
-//  3. Observability overhead: an AsyncEngine burst of span-instrumented
-//     queries with trace sampling off vs. sampling every query — the
-//     runtime price of the span/trace layer, gated at the same tolerance.
-//     When PATHENUM_OBS_BASELINE_PPS carries section 1's plain paths/sec
-//     from a PATHENUM_OBS=0 build, the cross-build comparison (the cost
-//     of compiling obs in at all) is gated too. Optionally dumps the
-//     metrics exposition and the sampled run's Chrome trace to files so
-//     CI can archive them.
+//  3. Observability overhead: bursts of span-instrumented queries on one
+//     AsyncEngine, alternating trace sampling off and sampling every query
+//     (each pair alternates which runs first) — the runtime price of the
+//     span/trace layer, gated as the median of the per-pair on/off ratios
+//     at the same tolerance. When PATHENUM_OBS_BASELINE_PPS carries
+//     section 1's best-of-reps plain paths/sec from a PATHENUM_OBS=0
+//     build, the cross-build comparison (the cost of compiling obs in at
+//     all) is gated too. Optionally dumps the metrics exposition and the
+//     sampled bursts' Chrome trace to files so CI can archive them.
 //
 // Environment:
 //   PATHENUM_ROBUST_WIDTH      vertices per inner layer      (default 32)
 //   PATHENUM_ROBUST_LAYERS     inner layers                  (default 4)
-//   PATHENUM_ROBUST_REPS       measured repetitions          (default 5)
+//   PATHENUM_ROBUST_REPS       measured pairs per gate       (default 5)
 //   PATHENUM_ROBUST_BURST      overload burst size           (default 64)
 //   PATHENUM_ROBUST_TOLERANCE  max allowed overhead fraction (default 0.02)
 //   PATHENUM_OBS_BASELINE_PPS  plain paths/sec from an PATHENUM_OBS=0
@@ -99,23 +103,56 @@ Graph LayeredDag(uint32_t width, uint32_t layers) {
   return builder.Build();
 }
 
-/// Best-of-reps paths/sec for one options configuration — best-of, not
-/// mean, so scheduler noise cannot fake a regression.
-double MeasurePathsPerSec(DfsEnumerator& dfs, const LightweightIndex& index,
-                          const EnumOptions& opts, int reps,
-                          uint64_t* results_out) {
-  CountingSink warm;
-  dfs.Run(index, warm, opts);  // scratch reaches steady state
-  double best = 0.0;
+/// Median of a non-empty sample (mean of the middle two for an even size).
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2.0;
+}
+
+/// One A/B comparison measured in back-to-back pairs: `best_a`/`best_b`
+/// are each side's best-of-pairs rate, `ratio` the median of the per-pair
+/// b/a ratios, which is what the gates read.
+struct PairedRates {
+  double best_a = 0.0;
+  double best_b = 0.0;
+  double ratio = 0.0;
+};
+
+/// Calls `rate(false)` (side a) and `rate(true)` (side b) back to back in
+/// each of `reps` pairs, alternating which side runs first, so drift in
+/// the host's speed hits both sides of a pair alike.
+template <typename Rate>
+PairedRates MeasurePaired(int reps, Rate&& rate) {
+  PairedRates out;
+  std::vector<double> ratios;
   for (int r = 0; r < reps; ++r) {
-    CountingSink sink;
-    Timer t;
-    dfs.Run(index, sink, opts);
-    const double ms = t.ElapsedMs();
-    if (results_out != nullptr) *results_out = sink.count();
-    if (ms > 0.0) best = std::max(best, sink.count() / (ms / 1e3));
+    double a = 0.0;
+    double b = 0.0;
+    if (r % 2 == 0) {
+      a = rate(false);
+      b = rate(true);
+    } else {
+      b = rate(true);
+      a = rate(false);
+    }
+    out.best_a = std::max(out.best_a, a);
+    out.best_b = std::max(out.best_b, b);
+    ratios.push_back(a > 0.0 ? b / a : 0.0);
   }
-  return best;
+  if (!ratios.empty()) out.ratio = Median(std::move(ratios));
+  return out;
+}
+
+/// Paths/sec of one timed enumeration; `*results_out` gets its count.
+double RunPathsPerSec(DfsEnumerator& dfs, const LightweightIndex& index,
+                      const EnumOptions& opts, uint64_t* results_out) {
+  CountingSink sink;
+  Timer t;
+  dfs.Run(index, sink, opts);
+  const double ms = t.ElapsedMs();
+  *results_out = sink.count();
+  return ms > 0.0 ? sink.count() / (ms / 1e3) : 0.0;
 }
 
 struct OverloadRow {
@@ -176,35 +213,28 @@ OverloadRow RunOverload(const Graph& g, AsyncEngineOptions::ShedPolicy policy,
   return row;
 }
 
-/// Best-of-reps paths/sec for a burst of span-instrumented AsyncEngine
-/// queries at the given trace-sampling rate. Identical queries after the
-/// first hit the index cache, so the measurement is enumeration plus the
-/// span/counter instrumentation itself.
-double MeasureObsBurst(const Graph& g, const Query& q, uint32_t burst,
-                       int reps, uint32_t sample_every) {
+/// Paths/sec of one burst of span-instrumented AsyncEngine queries at the
+/// given trace-sampling rate. Identical queries after the first hit the
+/// cache, so a warm burst measures enumeration plus the span/counter
+/// instrumentation itself.
+double RunObsBurst(AsyncEngine& engine, const Query& q, uint32_t burst,
+                   uint32_t sample_every) {
   obs::TraceRecorder::SetSampleEvery(sample_every);
-  AsyncEngineOptions eopts;
-  eopts.num_workers = 2;
-  AsyncEngine engine(Graph(g), eopts);
-  double best = 0.0;
-  for (int r = 0; r <= reps; ++r) {  // rep 0 warms cache + scratch
-    std::vector<CountingSink> sinks(burst);
-    std::vector<QueryTicket> tickets;
-    tickets.reserve(burst);
-    Timer wall;
-    for (uint32_t i = 0; i < burst; ++i) {
-      tickets.push_back(engine.Submit(q, sinks[i]));
-    }
-    uint64_t paths = 0;
-    for (uint32_t i = 0; i < burst; ++i) {
-      tickets[i].Wait();
-      paths += sinks[i].count();
-    }
-    const double ms = wall.ElapsedMs();
-    if (r > 0 && ms > 0.0) best = std::max(best, paths / (ms / 1e3));
+  std::vector<CountingSink> sinks(burst);
+  std::vector<QueryTicket> tickets;
+  tickets.reserve(burst);
+  Timer wall;
+  for (uint32_t i = 0; i < burst; ++i) {
+    tickets.push_back(engine.Submit(q, sinks[i]));
   }
+  uint64_t paths = 0;
+  for (uint32_t i = 0; i < burst; ++i) {
+    tickets[i].Wait();
+    paths += sinks[i].count();
+  }
+  const double ms = wall.ElapsedMs();
   obs::TraceRecorder::SetSampleEvery(0);
-  return best;
+  return ms > 0.0 ? paths / (ms / 1e3) : 0.0;
 }
 
 }  // namespace
@@ -228,24 +258,30 @@ int main() {
   const LightweightIndex index = index_builder.Build(g, q);
 
   DfsEnumerator dfs;
-  EnumOptions plain;
-  uint64_t plain_results = 0;
-  const double plain_pps =
-      MeasurePathsPerSec(dfs, index, plain, reps, &plain_results);
-
+  const EnumOptions plain;
   EnumOptions guarded;
   guarded.cancel = CancelToken::Cancellable();  // armed, never fired
   guarded.time_limit_ms = 1e9;                  // real deadline, far away
   guarded.work_budget_edges = uint64_t{1} << 62;
+  uint64_t plain_results = 0;
   uint64_t guarded_results = 0;
-  const double guarded_pps =
-      MeasurePathsPerSec(dfs, index, guarded, reps, &guarded_results);
-
-  const double ratio = plain_pps > 0.0 ? guarded_pps / plain_pps : 0.0;
+  // Scratch reaches steady state for both configurations.
+  RunPathsPerSec(dfs, index, plain, &plain_results);
+  RunPathsPerSec(dfs, index, guarded, &guarded_results);
+  const PairedRates checks = MeasurePaired(reps, [&](bool is_guarded) {
+    return is_guarded ? RunPathsPerSec(dfs, index, guarded, &guarded_results)
+                      : RunPathsPerSec(dfs, index, plain, &plain_results);
+  });
+  // The cross-build gate compares this across two processes, where no
+  // pairing is possible: best-of-reps, so scheduler noise cannot fake a
+  // regression.
+  const double plain_pps = checks.best_a;
+  const double guarded_pps = checks.best_b;
+  const double ratio = checks.ratio;
   const double overhead = 1.0 - ratio;
   const bool pass = guarded_results == plain_results && overhead <= tolerance;
   std::printf("  [checks] plain %.3fM paths/s, guarded %.3fM paths/s "
-              "(ratio %.4f, overhead %.2f%%) -> %s\n",
+              "(median paired ratio %.4f, overhead %.2f%%) -> %s\n",
               plain_pps / 1e6, guarded_pps / 1e6, ratio, overhead * 100.0,
               pass ? "PASS" : "FAIL");
 
@@ -268,15 +304,23 @@ int main() {
 
   // -- Section 3: observability overhead (DESIGN.md §12). -----------------
   const uint32_t obs_burst = 16;
-  const double obs_off_pps =
-      MeasureObsBurst(g, q, obs_burst, reps, /*sample_every=*/0);
-  obs::TraceRecorder::Global().Clear();
-  const double obs_on_pps =
-      MeasureObsBurst(g, q, obs_burst, reps, /*sample_every=*/1);
-  const double obs_ratio = obs_off_pps > 0.0 ? obs_on_pps / obs_off_pps : 0.0;
+  PairedRates sampling;
+  {
+    AsyncEngineOptions eopts;
+    eopts.num_workers = 2;
+    AsyncEngine engine(Graph(g), eopts);
+    RunObsBurst(engine, q, obs_burst, /*sample_every=*/0);  // warm-up
+    obs::TraceRecorder::Global().Clear();  // keep only the sampled bursts
+    sampling = MeasurePaired(reps, [&](bool sample_on) {
+      return RunObsBurst(engine, q, obs_burst, sample_on ? 1 : 0);
+    });
+  }
+  const double obs_off_pps = sampling.best_a;
+  const double obs_on_pps = sampling.best_b;
+  const double obs_ratio = sampling.ratio;
   bool obs_pass = 1.0 - obs_ratio <= tolerance;
   std::printf("  [obs] sampling off %.3fM paths/s, every-query tracing "
-              "%.3fM paths/s (ratio %.4f) -> %s\n",
+              "%.3fM paths/s (median paired ratio %.4f) -> %s\n",
               obs_off_pps / 1e6, obs_on_pps / 1e6, obs_ratio,
               obs_pass ? "PASS" : "FAIL");
 

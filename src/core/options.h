@@ -57,14 +57,12 @@ struct EnumOptions {
   uint64_t work_budget_edges = std::numeric_limits<uint64_t>::max();
 
   /// Preliminary-estimator threshold τ (paper §6.2; 1e5 in their setup).
+  /// kAuto runs the full-fledged estimator only when the preliminary
+  /// estimate exceeds it, so a negative τ always runs it (the ablation).
   double tau = 1e5;
 
   /// Strategy selection; kAuto runs the full two-phase optimizer.
   Method method = Method::kAuto;
-
-  /// Ablation knob: when false, kAuto skips the preliminary estimator and
-  /// always runs the full-fledged one.
-  bool use_preliminary_estimator = true;
 };
 
 /// Low-level counters produced by a single enumeration run.

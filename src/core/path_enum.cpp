@@ -88,8 +88,7 @@ PathEnumerator::ExecutionPlan PathEnumerator::PlanExecution(
     // Step 2 of Fig. 2: the O(k) preliminary estimate decides whether the
     // full optimizer is worth running at all.
     stats.preliminary_estimate = EstimateSearchSpace(index);
-    if (opts.use_preliminary_estimator &&
-        stats.preliminary_estimate <= opts.tau) {
+    if (stats.preliminary_estimate <= opts.tau) {
       chosen = Method::kDfs;
     } else {
       Timer opt_timer;

@@ -38,9 +38,8 @@ uint64_t IndexOptionsFingerprint(const IndexBuildOptions& opts) {
 
 uint64_t ResultOptionsFingerprint(const EnumOptions& opts) {
   // Method selection is what can reorder the emitted sequence; under kAuto
-  // the estimator inputs (tau, the ablation knob) decide which method runs.
-  uint64_t fp = 0x100 | static_cast<uint64_t>(opts.method);
-  fp |= opts.use_preliminary_estimator ? 0x200 : 0;
+  // the estimator threshold tau decides which method runs.
+  const uint64_t fp = 0x100 | static_cast<uint64_t>(opts.method);
   uint64_t tau_bits = 0;
   static_assert(sizeof(tau_bits) == sizeof(opts.tau));
   __builtin_memcpy(&tau_bits, &opts.tau, sizeof(tau_bits));

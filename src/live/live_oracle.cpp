@@ -5,8 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "live/impact.h"
-
 namespace pathenum {
 
 namespace {
@@ -59,7 +57,6 @@ std::shared_ptr<const std::vector<VertexId>> WeakComponents(
 struct LiveDistanceOracle::Metrics {
   obs::ShardedCounter consults;
   obs::ShardedCounter rejects;
-  obs::ShardedCounter ub_no_claims;
 };
 
 struct LiveDistanceOracle::EpochState {
@@ -69,13 +66,6 @@ struct LiveDistanceOracle::EpochState {
   struct Correction {
     VertexId tail = 0;
     VertexId head = 0;
-    uint64_t version = 0;
-  };
-
-  /// The deletion-impact balls of one deletion-bearing epoch, for the
-  /// upper-bound degradation check only (rejection never needs deletions).
-  struct DeleteRegion {
-    UpdateImpact impact;
     uint64_t version = 0;
   };
 
@@ -92,14 +82,10 @@ struct LiveDistanceOracle::EpochState {
   /// cross[i * inserts.size() + j] = labels-graph dist(inserts[i].head ->
   /// inserts[j].tail): the relaxation matrix of the correction Dijkstra.
   std::vector<uint32_t> cross;
-  std::vector<DeleteRegion> delete_regions;
   /// Version of the newest insert the correction set could NOT absorb
   /// (capacity overflow / out-of-range endpoint). While it exceeds
   /// label_version the set is incomplete and no rejection is claimed.
   uint64_t last_dropped_version = 0;
-  /// Version at which the delete-region set last overflowed and was
-  /// cleared. While it exceeds label_version every UpperBound degrades.
-  uint64_t ub_degraded_since = 0;
   /// Weak-connectivity fast path. `comp` maps each vertex to its dense
   /// weak-component id in the labels graph (computed once per label
   /// build); `comp_link` folds the recorded inserts in by unioning their
@@ -141,7 +127,7 @@ uint32_t LiveDistanceOracle::EpochState::LbDistance(VertexId s, VertexId t,
 
   // Dijkstra over the correction heads: cost[i] = shortest s -> head_i
   // walk in the LB graph whose last step is inserted edge i. n is budget-
-  // bounded (LiveOracleOptions::max_corrections), so linear min-extraction
+  // bounded (2 × LiveOracleOptions::relabel_budget), so linear min-extraction
   // beats a heap.
   std::vector<uint32_t> cost(n);
   std::vector<char> done(n, 0);
@@ -199,50 +185,6 @@ bool LiveDistanceOracle::EpochRef::Rejects(VertexId s, VertexId t,
   return reject;
 }
 
-uint32_t LiveDistanceOracle::EpochRef::LowerBound(VertexId s, VertexId t) const {
-  if (state_ == nullptr) return 0;
-  const EpochState& st = *state_;
-  if (st.RejectionDegraded() || s >= st.labels->num_vertices() ||
-      t >= st.labels->num_vertices()) {
-    return 0;
-  }
-  return st.LbDistance(s, t, kInfDistance);
-}
-
-uint32_t LiveDistanceOracle::EpochRef::UpperBound(VertexId s, VertexId t) const {
-  if (state_ == nullptr) return kInfDistance;
-  const EpochState& st = *state_;
-  if (s >= st.labels->num_vertices() || t >= st.labels->num_vertices()) {
-    return kInfDistance;
-  }
-  if (st.ub_degraded_since > st.label_version) {
-    st.metrics->ub_no_claims.Inc();
-    return kInfDistance;
-  }
-  if (st.delete_regions.empty()) {
-    // No deletion since label_version: the LB graph EQUALS the true graph
-    // and its distance is exact (labels-only when the correction set
-    // overflowed — still a valid, merely looser, witness).
-    return st.RejectionDegraded() ? st.labels->Distance(s, t)
-                                  : st.LbDistance(s, t, kInfDistance);
-  }
-  // With deletions in play only the labels-graph witness path is checkable:
-  // every edge on it existed at label_version, so by induction over the
-  // regions (in version order) the path survives iff no region's ball
-  // touches an s-t path of its length. Insert-bearing witnesses are NOT
-  // checkable this way (their prefixes need not exist in a region's
-  // pre-delete snapshot), so they claim nothing here.
-  const uint32_t ub = st.labels->Distance(s, t);
-  if (ub == kInfDistance) return kInfDistance;
-  for (const EpochState::DeleteRegion& region : st.delete_regions) {
-    if (region.impact.AffectsQuery(s, t, ub)) {
-      st.metrics->ub_no_claims.Inc();
-      return kInfDistance;
-    }
-  }
-  return ub;
-}
-
 LiveDistanceOracle::LiveDistanceOracle(const Graph& base,
                                        const LiveOracleOptions& opts)
     : opts_(opts), metrics_(std::make_shared<Metrics>()) {
@@ -266,8 +208,6 @@ LiveDistanceOracle::LiveDistanceOracle(const Graph& base,
                       &metrics_->consults);
   reg.RegisterCounter(this, "pathenum_live_oracle_rejects_total", label,
                       &metrics_->rejects);
-  reg.RegisterCounter(this, "pathenum_live_oracle_ub_no_claims_total", label,
-                      &metrics_->ub_no_claims);
   reg.RegisterCounter(this, "pathenum_live_oracle_epochs_total", label,
                       &epochs_);
   reg.RegisterCounter(this, "pathenum_live_oracle_relabels_total", label,
@@ -312,6 +252,9 @@ LiveDistanceOracle::EpochRef LiveDistanceOracle::PrepareEpoch(
   }
   PATHENUM_CHECK_MSG(version == prev->version + 1,
                      "oracle epochs must be prepared in publish order");
+  PATHENUM_CHECK_MSG(before.version() == prev->version &&
+                         before.base().uid() == prev->base_uid,
+                     "the delta must apply to the current epoch's snapshot");
 
   auto st = std::make_shared<EpochState>();
   st->version = version;
@@ -331,18 +274,13 @@ LiveDistanceOracle::EpochRef LiveDistanceOracle::PrepareEpoch(
   }
   std::iota(st->comp_link.begin(), st->comp_link.end(), VertexId{0});
   st->last_dropped_version = prev->last_dropped_version;
-  st->ub_degraded_since = prev->ub_degraded_since;
 
-  // Carry forward every record the new labels do not subsume.
+  // Carry forward every correction the new labels do not subsume.
   for (const EpochState::Correction& c : prev->inserts) {
     if (c.version > st->label_version) st->inserts.push_back(c);
   }
-  for (const EpochState::DeleteRegion& r : prev->delete_regions) {
-    if (r.version > st->label_version) st->delete_regions.push_back(r);
-  }
 
-  const size_t cap =
-      std::max<size_t>(opts_.relabel_budget, opts_.max_corrections);
+  const size_t cap = size_t{2} * opts_.relabel_budget;
   const VertexId num_vertices = st->labels->num_vertices();
   for (const auto& [u, v] : delta.insertions) {
     if (u >= num_vertices || v >= num_vertices) {
@@ -374,22 +312,6 @@ LiveDistanceOracle::EpochRef LiveDistanceOracle::PrepareEpoch(
     if (a != b) st->comp_link[b] = a;
   }
   for (VertexId& link : st->comp_link) link = st->CompRoot(link);
-
-  if (!delta.deletions.empty()) {
-    GraphDelta deletions_only;
-    deletions_only.deletions = delta.deletions;
-    EpochState::DeleteRegion region;
-    region.version = version;
-    // Only `before` is traversed (see live/impact.h); the delta's
-    // insertions are irrelevant to the upper-bound side.
-    region.impact =
-        UpdateImpact::Compute(before, before, deletions_only, opts_.max_hops);
-    st->delete_regions.push_back(std::move(region));
-    if (st->delete_regions.size() > opts_.max_delete_regions) {
-      st->delete_regions.clear();
-      st->ub_degraded_since = version;
-    }
-  }
 
   // (Re)build the relaxation matrix. When the labels survived from `prev`,
   // only rows/columns of fresh corrections need label queries.
@@ -447,9 +369,10 @@ void LiveDistanceOracle::WaitForRelabel() {
 void LiveDistanceOracle::MaybeStartRelabel(
     const std::shared_ptr<const EpochState>& epoch) {
   const bool over_budget = epoch->inserts.size() > opts_.relabel_budget;
-  const bool degraded = epoch->RejectionDegraded() ||
-                        epoch->ub_degraded_since > epoch->label_version;
-  if ((!over_budget && !degraded) || epoch->snapshot == nullptr) return;
+  if ((!over_budget && !epoch->RejectionDegraded()) ||
+      epoch->snapshot == nullptr) {
+    return;
+  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     // One rebuild in flight, and never stack a second behind unfolded
@@ -495,10 +418,8 @@ LiveDistanceOracle::Stats LiveDistanceOracle::stats() const {
   s.relabels = relabels_.Value();
   s.rejects = metrics_->rejects.Value();
   s.consults = metrics_->consults.Value();
-  s.ub_no_claims = metrics_->ub_no_claims.Value();
   s.label_version = front.label_version;
   s.corrections = front.inserts.size();
-  s.delete_regions = front.delete_regions.size();
   s.rejection_degraded = front.RejectionDegraded();
   return s;
 }

@@ -27,12 +27,6 @@
 //    runs a bounded Dijkstra over the ≤|C| correction heads (O(|C|²)
 //    scans, |C| is budget-bounded and tiny).
 //
-//  * Deletion impacts, for the UPPER-bound side only: UpperBound() answers
-//    with the LB-graph distance unless an accumulated deletion-only
-//    UpdateImpact ball could touch an s-t path of that length, in which
-//    case it degrades per-region to "no claim" (kInfDistance). Overflowing
-//    the region budget degrades every upper-bound claim until re-label.
-//
 //  * Version gating: an epoch's claims are valid ONLY for the exact
 //    snapshot version (and base-graph identity) it was prepared for.
 //    The oracle keeps only its current epoch; a caller takes the epoch
@@ -43,7 +37,7 @@
 //  * Background re-labeling: when |C| outgrows `relabel_budget` the oracle
 //    rebuilds exact labels from a materialized snapshot on a dedicated
 //    thread and folds them in at the next published epoch, pruning every
-//    correction and deletion region at or below the re-labeled version.
+//    correction at or below the re-labeled version.
 //
 // Epoch preparation/publication piggybacks on SnapshotManager's
 // Prepare/Publish (see AttachOracle); consultation (EpochRef) is lock-free
@@ -66,17 +60,11 @@
 namespace pathenum {
 
 struct LiveOracleOptions {
-  /// Re-label once the insert-correction set exceeds this many edges.
+  /// Re-label once the insert-correction set exceeds this many edges. The
+  /// set holds at most twice this many: past that cap the epoch stops
+  /// claiming rejections entirely (sound: every answer becomes "no claim")
+  /// until a re-label folds.
   uint32_t relabel_budget = 32;
-  /// Hard cap on tracked corrections: past it the epoch stops claiming
-  /// rejections entirely (sound: every answer becomes "no claim") until a
-  /// re-label folds. Effective cap is max(relabel_budget, max_corrections).
-  uint32_t max_corrections = 64;
-  /// Deletion regions tracked before UpperBound() degrades globally.
-  uint32_t max_delete_regions = 16;
-  /// Hop ceiling certified by the per-region deletion-impact balls
-  /// (mirrors SnapshotOptions::max_hops).
-  uint32_t max_hops = 8;
   /// Re-label on a dedicated background thread. Disable for deterministic
   /// tests/benches: the budget overflow then re-labels synchronously
   /// inside PublishEpoch.
@@ -113,19 +101,6 @@ class LiveDistanceOracle {
     /// out-of-range endpoints answer false. O(|label| + |C|²).
     bool Rejects(VertexId s, VertexId t, uint32_t k) const;
 
-    /// Exact distance over the LB graph: a lower bound on the true
-    /// distance at version(). kInfDistance when even the LB graph
-    /// disconnects the pair; 0 (no information) on an empty ref, overflow,
-    /// or out-of-range endpoints.
-    uint32_t LowerBound(VertexId s, VertexId t) const;
-
-    /// Upper-bound claim on the true distance at version(), or
-    /// kInfDistance for "no claim" — the LB-graph distance, degraded
-    /// whenever an accumulated deletion region could shorten-proof the
-    /// witness path (see file comment). Not consulted on the rejection hot
-    /// path; consumers use it to seed search bounds.
-    uint32_t UpperBound(VertexId s, VertexId t) const;
-
    private:
     friend class LiveDistanceOracle;
     explicit EpochRef(std::shared_ptr<const EpochState> state)
@@ -144,7 +119,8 @@ class LiveDistanceOracle {
   /// Computes the epoch for `delta` applied at `version` (= published
   /// version + 1) on top of the current epoch, WITHOUT publishing it: pure
   /// function of the current state, safe to drop. `before` is the snapshot
-  /// the delta applies to; `next` the resulting view (kept alive by the
+  /// the delta applies to, which must be the one the current epoch
+  /// describes (checked); `next` the resulting view (kept alive by the
   /// epoch for a potential re-label). SnapshotManager::Prepare drives this.
   EpochRef PrepareEpoch(const GraphDelta& delta, uint64_t version,
                         const GraphView& before,
@@ -165,15 +141,13 @@ class LiveDistanceOracle {
   void WaitForRelabel();
 
   struct Stats {
-    uint64_t epochs = 0;        // published epochs (excluding version 0)
-    uint64_t relabels = 0;      // completed label rebuilds
-    uint64_t rejects = 0;       // Rejects() == true answers
-    uint64_t consults = 0;      // Rejects() calls
-    uint64_t ub_no_claims = 0;  // UpperBound() deletion degradations
-    uint64_t label_version = 0;     // current epoch's labels-graph version
-    size_t corrections = 0;         // current epoch's |C|
-    size_t delete_regions = 0;      // current epoch's tracked regions
-    bool rejection_degraded = false;  // |C| overflowed max_corrections
+    uint64_t epochs = 0;    // published epochs (excluding version 0)
+    uint64_t relabels = 0;  // completed label rebuilds
+    uint64_t rejects = 0;   // Rejects() == true answers
+    uint64_t consults = 0;  // Rejects() calls
+    uint64_t label_version = 0;       // current epoch's labels-graph version
+    size_t corrections = 0;           // current epoch's |C|
+    bool rejection_degraded = false;  // |C| overflowed 2 × relabel_budget
   };
   Stats stats() const;
 

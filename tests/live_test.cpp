@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -759,15 +760,10 @@ TEST(LiveOracleTest, BaseEpochClaimsMatchExactDistances) {
   EXPECT_TRUE(ref.Rejects(0, 9, 8));    // cross-component: unreachable
   EXPECT_TRUE(ref.Rejects(0, 4, 3));    // dist 4 > 3
   EXPECT_FALSE(ref.Rejects(0, 4, 4));   // satisfiable: never rejected
-  EXPECT_EQ(ref.LowerBound(0, 4), 4u);
-  EXPECT_EQ(ref.LowerBound(0, 9), kInfDistance);
-  EXPECT_EQ(ref.UpperBound(0, 4), 4u);  // no deletions yet: exact
 
   // Out-of-range endpoints and empty refs claim nothing.
   EXPECT_FALSE(ref.Rejects(0, 100, 3));
-  EXPECT_EQ(ref.LowerBound(0, 100), 0u);
   EXPECT_FALSE(LiveDistanceOracle::EpochRef().Rejects(0, 9, 1));
-  EXPECT_EQ(LiveDistanceOracle::EpochRef().UpperBound(0, 9), kInfDistance);
 }
 
 TEST(LiveOracleTest, ChainedInsertsNeverWronglyReject) {
@@ -784,32 +780,25 @@ TEST(LiveOracleTest, ChainedInsertsNeverWronglyReject) {
   const SnapshotManager::Published pub = mgr.CurrentPublished();
   ASSERT_TRUE(pub.oracle.valid());
   ASSERT_TRUE(pub.oracle.ValidFor(*pub.snapshot));
-  EXPECT_EQ(pub.oracle.LowerBound(0, 5), 5u);  // 0-1 →ins 2-3 →ins 4-5
-  EXPECT_FALSE(pub.oracle.Rejects(0, 5, 5));
+  EXPECT_FALSE(pub.oracle.Rejects(0, 5, 5));   // 0-1 →ins 2-3 →ins 4-5
   EXPECT_TRUE(pub.oracle.Rejects(0, 5, 4));    // still sound and sharp
   EXPECT_TRUE(pub.oracle.Rejects(5, 0, 8));    // reverse never connected
   EXPECT_EQ(oracle.stats().corrections, 2u);
 }
 
-TEST(LiveOracleTest, DeletionsDegradeUpperBoundsButNeverReject) {
+TEST(LiveOracleTest, RejectionKeepsDeletedEdges) {
   const Graph g = PathGraph(20);
   SnapshotManager mgr(g);
   LiveDistanceOracle oracle(mgr.Current()->base(), SyncOracleOptions());
   mgr.AttachOracle(&oracle);
-  EXPECT_EQ(oracle.Current().UpperBound(0, 12), 12u);
 
   mgr.Apply(GraphDelta{}.Delete(10, 11));
   const SnapshotManager::Published pub = mgr.CurrentPublished();
   // True dist(0, 19) is now infinite, but the oracle must only claim what
-  // its LB graph (which still has the edge) supports: no rejection, the
-  // old distance as a lower bound, and NO upper-bound claim across the
-  // deletion region.
+  // its LB graph (which still has the edge) supports: distance 19, so no
+  // rejection at k = 19 and a rejection below it.
   EXPECT_FALSE(pub.oracle.Rejects(0, 19, 19));
-  EXPECT_EQ(pub.oracle.LowerBound(0, 19), 19u);
-  EXPECT_EQ(pub.oracle.UpperBound(0, 12), kInfDistance);
-  // Far from the deleted edge's impact ball the upper bound survives.
-  EXPECT_EQ(pub.oracle.UpperBound(0, 3), 3u);
-  EXPECT_EQ(oracle.stats().delete_regions, 1u);
+  EXPECT_TRUE(pub.oracle.Rejects(0, 19, 18));
 }
 
 TEST(LiveOracleTest, VersionGatingAnswersOnlyForMatchingSnapshots) {
@@ -861,7 +850,6 @@ TEST(LiveOracleTest, SynchronousRelabelFoldsCorrectionsAtBudget) {
   EXPECT_EQ(st.label_version, 3u);
   // Claims after the fold are exact labels again.
   const SnapshotManager::Published pub = mgr.CurrentPublished();
-  EXPECT_EQ(pub.oracle.LowerBound(0, 7), 7u);
   EXPECT_FALSE(pub.oracle.Rejects(0, 7, 7));
   EXPECT_TRUE(pub.oracle.Rejects(0, 7, 6));
   EXPECT_TRUE(pub.oracle.Rejects(7, 0, 8));
@@ -869,8 +857,7 @@ TEST(LiveOracleTest, SynchronousRelabelFoldsCorrectionsAtBudget) {
 
 TEST(LiveOracleTest, CorrectionOverflowDegradesToNoClaimUntilRelabel) {
   LiveOracleOptions opts = SyncOracleOptions();
-  opts.relabel_budget = 1;
-  opts.max_corrections = 2;  // effective cap: max(1, 2) = 2
+  opts.relabel_budget = 1;  // cap: 2 × budget = 2 corrections
   const Graph g = Graph::FromEdges(10, {{0, 1}});
   SnapshotManager mgr(g);
   LiveDistanceOracle oracle(mgr.Current()->base(), opts);
@@ -883,13 +870,16 @@ TEST(LiveOracleTest, CorrectionOverflowDegradesToNoClaimUntilRelabel) {
   EXPECT_TRUE(oracle.stats().rejection_degraded);
   const SnapshotManager::Published degraded = mgr.CurrentPublished();
   EXPECT_FALSE(degraded.oracle.Rejects(8, 9, 8));  // truly disconnected
-  EXPECT_EQ(degraded.oracle.LowerBound(8, 9), 0u);
+  EXPECT_FALSE(degraded.oracle.Rejects(2, 3, 0));  // sound, yet unclaimed
 
   // The overflow triggered the (synchronous) re-label; the next epoch
   // folds it and sound rejection comes back.
   mgr.Apply(GraphDelta{});
   EXPECT_FALSE(oracle.stats().rejection_degraded);
-  EXPECT_TRUE(mgr.CurrentPublished().oracle.Rejects(8, 9, 8));
+  const SnapshotManager::Published folded = mgr.CurrentPublished();
+  EXPECT_TRUE(folded.oracle.Rejects(8, 9, 8));
+  EXPECT_FALSE(folded.oracle.Rejects(6, 7, 1));  // the dropped insert
+  EXPECT_TRUE(folded.oracle.Rejects(6, 7, 0));
 }
 
 /// One run of RandomizedChurnNeverWronglyRejects' churn stream.
@@ -930,10 +920,11 @@ void CheckChurnNeverWronglyRejects(bool background_relabel) {
       for (VertexId t = 0; t < n; ++t) {
         if (s == t) continue;
         const uint32_t true_dist = df.Distance(t);
-        ASSERT_LE(pub.oracle.LowerBound(s, t), true_dist)
-            << "epoch " << epoch << " lb(" << s << ", " << t << ")";
-        ASSERT_GE(pub.oracle.UpperBound(s, t), true_dist)
-            << "epoch " << epoch << " ub(" << s << ", " << t << ")";
+        if (true_dist != kInfDistance) {
+          ASSERT_FALSE(pub.oracle.Rejects(s, t, true_dist))
+              << "epoch " << epoch << " rejected q(" << s << ", " << t
+              << ") at its distance " << true_dist;
+        }
         for (const uint32_t k : {2u, 4u}) {
           if (pub.oracle.Rejects(s, t, k)) {
             ++rejects;
@@ -955,14 +946,58 @@ TEST(LiveOracleTest, RandomizedChurnNeverWronglyRejects) {
   // The core soundness contract, checked differentially against brute
   // force over a 12-epoch churn stream (inserts + deletes, folds included):
   // every Rejects() == true must correspond to a truly empty result set,
-  // every LowerBound must lower-bound the true BFS distance, and every
-  // finite UpperBound must upper-bound it. It runs with synchronous
+  // and no reachable pair is rejected at its true BFS distance (the LB
+  // graph's distance never exceeds it). It runs with synchronous
   // re-labels and with the default background re-label thread, which then
   // races the epochs' preparation and the claims checked here.
   for (const bool background : {false, true}) {
     SCOPED_TRACE(background ? "background re-label" : "synchronous re-label");
     CheckChurnNeverWronglyRejects(background);
   }
+}
+
+TEST(LiveOracleTest, DeletionOnlyEpochsNeverRelabel) {
+  // Rejection never reads deletions (the LB graph keeps every deleted
+  // edge), so a long stream of deletion-only epochs records nothing,
+  // starts no re-label under the default budget, and never rejects a
+  // pair at its true distance.
+  const VertexId n = 200;
+  const Graph g = ErdosRenyi(n, 800, /*seed=*/3);
+  SnapshotManager mgr(g);
+  LiveDistanceOracle oracle(mgr.Current()->base(), SyncOracleOptions());
+  mgr.AttachOracle(&oracle);
+
+  Rng rng(17);
+  constexpr uint64_t kEpochs = 20;
+  for (uint64_t epoch = 1; epoch <= kEpochs; ++epoch) {
+    const Graph before = mgr.Current()->Materialize();
+    GraphDelta delta;
+    while (delta.deletions.size() < 3) {
+      const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+      const std::span<const VertexId> out = before.OutNeighbors(u);
+      if (!out.empty()) delta.Delete(u, out[rng.NextBounded(out.size())]);
+    }
+    mgr.Apply(delta);
+    const SnapshotManager::Published pub = mgr.CurrentPublished();
+    ASSERT_TRUE(pub.oracle.ValidFor(*pub.snapshot));
+    const Graph after = pub.snapshot->Materialize();
+    for (VertexId s = 0; s < n; ++s) {
+      DistanceField df;
+      df.Compute(after, Direction::kForward, s, {});
+      for (VertexId t = 0; t < n; ++t) {
+        const uint32_t true_dist = df.Distance(t);
+        if (s == t || true_dist == kInfDistance) continue;
+        ASSERT_FALSE(pub.oracle.Rejects(s, t, true_dist))
+            << "epoch " << epoch << " rejected q(" << s << ", " << t
+            << ") at its distance " << true_dist;
+      }
+    }
+  }
+  const LiveDistanceOracle::Stats st = oracle.stats();
+  EXPECT_EQ(st.epochs, kEpochs);
+  EXPECT_EQ(st.relabels, 0u);
+  EXPECT_EQ(st.corrections, 0u);
+  EXPECT_FALSE(st.rejection_degraded);
 }
 
 // ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ TEST(PathEnumeratorTest, DisablingPreliminaryAlwaysOptimizes) {
   PathEnumerator pe(g);
   CountingSink sink;
   EnumOptions opts;
-  opts.use_preliminary_estimator = false;
+  opts.tau = -1.0;  // no estimate is <= -1: Alg. 5 always runs
   const QueryStats stats = pe.Run(testing::PaperExampleQuery(), sink, opts);
   EXPECT_GT(stats.t_dfs_cost, 0.0);
 }
