@@ -1,19 +1,19 @@
 // Ablation of the index build's meet-in-the-middle distance passes
-// (TwoSidedField, DESIGN.md §1): backward from t to depth ⌊k/2⌋, forward
-// from s to depth k through X beyond depth k - ⌊k/2⌋, then backward on
-// through X only — against the reference that runs the two full k-balls
-// (IndexBuildOptions::prune_forward_bfs = false). This harness measures
-// what meeting in the middle is worth on the representative graphs and
-// cross-checks that both variants build the same index: the same X, the
-// same (v.s, v.t) per vertex, the same edge count, and the same ordered
-// adjacency list per vertex. Slot numbers inside a cell differ between the
-// variants, so an adjacency order that leaks slot numbering fails the
-// check. It exits 1 on any mismatch. Besides the times it prints the mean
-// adjacency entries each variant's distance passes examined per build, the
-// share of X-only levels that ran bottom-up and the mean entries the
-// adjacency assembly examined (each row from its cheaper side): all exact
-// counts that repeat on any host, so they show the scan reductions without
-// a timing gate.
+// (TwoSidedField, DESIGN.md §1): two balls whose depths sum to k - 1, each
+// level on the side whose frontier scans less, then forward from s to
+// depth k and backward on from t through X only — against the reference
+// that runs the two full k-balls (IndexBuildOptions::prune_forward_bfs =
+// false). This harness measures what meeting in the middle is worth on
+// ep, gg and the hub-heavy up, and cross-checks that both variants build
+// the same index: the same X, the same (v.s, v.t) per vertex, the same
+// edge count, and the same ordered adjacency list per vertex. Slot numbers
+// inside a cell differ between the variants, so an adjacency order that
+// leaks slot numbering fails the check. It exits 1 on any mismatch.
+// Besides the times it prints the mean adjacency entries each variant's
+// distance passes examined per build, the share of X-only levels that ran
+// bottom-up and the mean entries the adjacency assembly examined (each row
+// from its cheaper side): all exact counts that repeat on any host, so
+// they show the scan reductions without a timing gate.
 #include <iostream>
 #include <unordered_map>
 
@@ -63,7 +63,7 @@ int main() {
               "implementation design choice (DESIGN.md §1)", env);
 
   bool all_identical = true;
-  for (const std::string name : {"ep", "gg"}) {
+  for (const std::string name : {"ep", "gg", "up"}) {
     const Graph g = CachedDataset(name, env.scale);
     std::cout << "\nDataset " << name
               << " (mean ms and adjacency entries examined per index build; "
@@ -119,7 +119,7 @@ int main() {
       "X, and both directions of an X-only level admit the same set; both "
       "directions of an assembly row write the same (v'.t, id)-ordered "
       "lists), with build speedups and smaller scans wherever the full "
-      "k-balls outgrow the two half-depth balls plus X's levels.");
+      "k-balls outgrow the two cheaper-side balls plus X's levels.");
   if (!all_identical) {
     std::cerr << "bench_ablation_bfsprune: meet-in-the-middle and full-ball "
                  "builds differ\n";

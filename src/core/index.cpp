@@ -221,9 +221,10 @@ LightweightIndex IndexBuilder::Build(const GraphT& g, const Query& q,
   Timer total_timer;
 
   // --- Line 1 of Alg. 3: v.s and v.t on X. -------------------------------
-  // Meeting in the middle touches two half-depth balls, then only X's
-  // levels from their cheaper side (DESIGN.md §1); the reference runs the
-  // two full k-balls, backward from t first, then forward from s.
+  // Meeting in the middle touches two balls whose depths sum to k - 1,
+  // then only X's levels from their cheaper side (DESIGN.md §1); the
+  // reference runs the two full k-balls, backward from t first, then
+  // forward from s.
   DistanceField::Interrupt trip = DistanceField::Interrupt::kNone;
   if (opts.prune_forward_bfs) {
     TwoSidedField::Options fo;

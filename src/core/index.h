@@ -18,9 +18,10 @@
 // and only translate back to vertex ids when emitting results.
 //
 // v.s and v.t come from meeting in the middle (TwoSidedField, DESIGN.md
-// §1): two half-depth BFS balls, then levels that admit only X, each run
-// from whichever side of it is cheaper — never the whole k-ball around s
-// or t. H_t is then assembled one row (the slots of one v.s) at a time,
+// §1): two BFS balls whose depths sum to k - 1, each level on the side
+// whose frontier scans less, then levels that admit only X, each run from
+// whichever side of it is cheaper — never the whole k-ball around s or t.
+// H_t is then assembled one row (the slots of one v.s) at a time,
 // each from its cheaper side: top-down from the row's out-lists, or
 // bottom-up from its admissible destinations' in-lists in two passes
 // (DESIGN.md §1). Both leave the same bytes.
@@ -257,10 +258,10 @@ struct IndexBuildOptions {
   bool build_edge_ids = true;
   /// Level statistics feed the preliminary estimator.
   bool collect_level_stats = true;
-  /// Meet in the middle (TwoSidedField: two half-depth balls, then each
-  /// side only through X; exact, see DESIGN.md §1). Off runs the two full
-  /// k-balls, the reference the ablation bench and the differential
-  /// tests compare against.
+  /// Meet in the middle (TwoSidedField: two balls whose depths sum to
+  /// k - 1, then each side only through X; exact, see DESIGN.md §1). Off
+  /// runs the two full k-balls, the reference the ablation bench and the
+  /// differential tests compare against.
   bool prune_forward_bfs = true;
   /// Cooperative build control (DESIGN.md §10), polled once per expanded
   /// BFS level, then during the assembly at every 4,096th slot of a

@@ -6,8 +6,9 @@
 // query endpoint, but only on X = {v : v.s + v.t <= k}. `DistanceField` is
 // one bounded BFS with a "blocked" vertex that is assigned a distance when
 // reached but never expanded. `TwoSidedField` gets both distances on X by
-// meeting in the middle — two half-depth balls, then levels that admit
-// only X, each run top-down from its frontier or bottom-up from its known
+// meeting in the middle — two balls whose depths sum to k - 1, each level
+// on the side whose frontier scans less, then levels that admit only X,
+// each run top-down from its frontier or bottom-up from its known
 // candidates, whichever its degree sums price lower — and is what
 // IndexBuilder runs.
 //
@@ -227,18 +228,23 @@ class DistanceField {
 };
 
 /// Exact v.s and v.t on X = {v : v.s + v.t <= k} for one query (s, t, k),
-/// by meeting in the middle (DESIGN.md §1). With b = ⌊k/2⌋ and a = k - b:
-///   1. backward from t to depth b, admitting every vertex;
-///   2. forward from s to depth k, admitting every vertex below depth a and
-///      beyond it only X (d + v.t <= k, v.t from stage 1);
-///   3. backward on from t's depth-b level to depth k, through X only
+/// by meeting in the middle (DESIGN.md §1):
+///   1. levels that admit every vertex, each expanded on the side whose
+///      frontier scans fewer entries (out-degrees from s, in-degrees to t,
+///      the blocked endpoint's excluded), until the two depths sum to
+///      k - 1 or a frontier empties; b is then t's depth and a = k - b;
+///   2. forward from s to depth k, admitting from depth a on only X
+///      (d + v.t <= k, v.t from stage 1);
+///   3. backward on from t's deepest level to depth k, through X only
 ///      (v.s from stage 2).
 /// A vertex of X at depth d >= a from s has v.t <= k - d <= b, so stage 1
 /// already holds its exact v.t (symmetrically for stage 3), and every
 /// vertex on a shortest path to a vertex of X is itself in X, so each
-/// X-only level is exact on X. A stamped distance is always exact; a
-/// vertex outside X may stay unset. The split is fixed: a side whose
-/// frontier empties early does not change the other side's stages.
+/// X-only level is exact on X, for any a + b = k. A side whose frontier
+/// empties holds all its distances, so it counts as depth k: the other
+/// side admits only X from its next level on. A stamped distance is
+/// always exact; a vertex outside X may stay unset. The split moves only
+/// which levels admit every vertex, not X or its distances.
 ///
 /// An X-only level at depth d knows its candidates before it runs: the
 /// other side's reached vertices within k - d of the other root, a prefix
@@ -250,7 +256,7 @@ class DistanceField {
 /// the reached list differs.
 ///
 /// Each vertex has one epoch-stamped 8-byte record (stamp, v.s, v.t), so a
-/// query touches two half-depth balls plus what its X-only levels scan and
+/// query touches stage 1's two balls plus what its X-only levels scan and
 /// never pays O(|V|). An unset distance reads as kUnset — above any hop
 /// bound — without a branch, so `FromSource(v) + ToTarget(v) <= k` alone
 /// tests membership in X.
@@ -390,13 +396,33 @@ class TwoSidedField {
       return ExpandLevel<false>(to_t_, from_s_, admit_all_below, k, in_edges,
                                 in_degree, out_edges, out_degree, opts);
     };
-    const uint32_t b = k / 2;
-    const uint32_t a = k - b;
-    // Stage 1 admits all of depth b; stage 3 expands that level only
-    // through X.
-    while (to_t_.depth() < b && to_t_.frontier() != 0) {
-      if (!backward(b + 1)) return;
+    // Entries an admit-all expansion of the side's frontier scans.
+    const auto frontier_scan = [&](const Side& side, const auto& degree) {
+      return TopDownScan(
+          side, side.level_starts.back(), side.reached.size(),
+          [&](VertexId u) { return u != side.blocked; }, degree);
+    };
+    // Stage 1: admit-all levels, each on the side whose frontier scans
+    // less, until the depths sum to k - 1 or a frontier empties.
+    uint64_t forward_scan = frontier_scan(from_s_, out_degree);
+    uint64_t backward_scan = frontier_scan(to_t_, in_degree);
+    while (from_s_.depth() + to_t_.depth() + 1 < k &&
+           from_s_.frontier() != 0 && to_t_.frontier() != 0) {
+      if (backward_scan <= forward_scan) {
+        if (!backward(kUnset)) return;
+        backward_scan = frontier_scan(to_t_, in_degree);
+      } else {
+        if (!forward(kUnset)) return;
+        forward_scan = frontier_scan(from_s_, out_degree);
+      }
     }
+    // A side whose frontier emptied holds all its distances, so it counts
+    // as depth k and the other side admits only X from its next level on.
+    // Stage 3 expands t's deepest level only through X.
+    const uint32_t b = to_t_.frontier() == 0     ? k
+                       : from_s_.frontier() == 0 ? 0
+                                                 : to_t_.depth();
+    const uint32_t a = k - b;
     while (from_s_.depth() < k && from_s_.frontier() != 0) {
       if (!forward(a)) return;
     }
@@ -534,11 +560,7 @@ class TwoSidedField {
                       size_t end, uint32_t other_depth,
                       const Expandable& expandable, const Degree& degree,
                       const ReverseDegree& reverse_degree) {
-    uint64_t top_down = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const VertexId u = side.reached[i];
-      if (expandable(u)) top_down += degree(u);
-    }
+    const uint64_t top_down = TopDownScan(side, begin, end, expandable, degree);
     pending_.clear();
     uint64_t bottom_up = 0;
     const size_t cand_end = other.PrefixEnd(other_depth);
@@ -549,6 +571,20 @@ class TwoSidedField {
       pending_.push_back(v);
     }
     return bottom_up < top_down;
+  }
+
+  /// Entries a top-down expansion of `side`'s level [begin, end) scans:
+  /// the degrees of its vertices that pass `expandable`.
+  template <typename Expandable, typename Degree>
+  static uint64_t TopDownScan(const Side& side, size_t begin, size_t end,
+                              const Expandable& expandable,
+                              const Degree& degree) {
+    uint64_t scan = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const VertexId u = side.reached[i];
+      if (expandable(u)) scan += degree(u);
+    }
+    return scan;
   }
 
   void EnsureSize(size_t n);

@@ -15,6 +15,7 @@
 
 #include "core/index.h"
 #include "graph/bfs.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/union_view.h"
 #include "graph/view.h"
@@ -408,7 +409,7 @@ TEST(IndexTest, MeetInTheMiddleMatchesTwoFullBalls) {
     const GraphView view = GraphView(g).Apply(delta, 1);
     const Graph folded = view.Materialize();
 
-    for (uint32_t k = 1; k <= 6; ++k) {
+    for (uint32_t k = 1; k <= 8; ++k) {
       std::vector<Query> queries = {
           {pendant, dead, k}, {fresh, dead, k},   {fresh, pendant, k},
           {dead, pick(rng), k}, {pick(rng), fresh, k},
@@ -514,7 +515,7 @@ TEST(IndexTest, UnionOfShardViewsMatchesTheMaterializedGraph) {
       const UnionView both(views, part.shard_map());
       const Graph materialized = GraphView(g).Apply(delta, 1).Materialize();
 
-      for (uint32_t k = 1; k <= 6; ++k) {
+      for (uint32_t k = 1; k <= 8; ++k) {
         std::vector<Query> queries = {
             {pendant, dead, k}, {fresh, dead, k},   {fresh, pendant, k},
             {dead, pick(rng), k}, {pick(rng), fresh, k},
@@ -547,6 +548,102 @@ TEST(IndexTest, UnionOfShardViewsMatchesTheMaterializedGraph) {
   }
   EXPECT_GT(bottom_up, 0u);
   EXPECT_GT(bottom_up_rows, 0u);
+}
+
+/// A thin out-path from vertex 0 and a wide two-level in-tree into
+/// vertex 1: 0 -> p0 -> ... -> p5, each p_i also into leaf i of hub i, and
+/// kHubs hubs into 1, each fed by kHubs leaves. `reversed` flips every
+/// edge, so the path leads into 0 and the tree fans out of 1.
+constexpr VertexId kPathLength = 6, kHubs = 12;
+constexpr VertexId kPath = 2, kHub = kPath + kPathLength,
+                   kLeaf = kHub + kHubs;
+
+Graph ThinPathIntoWideTree(bool reversed) {
+  GraphBuilder b(kLeaf + kHubs * kHubs);
+  const auto add = [&](VertexId u, VertexId v) {
+    reversed ? b.AddEdge(v, u) : b.AddEdge(u, v);
+  };
+  add(0, kPath);
+  for (VertexId i = 0; i < kPathLength; ++i) {
+    if (i + 1 < kPathLength) add(kPath + i, kPath + i + 1);
+    add(kPath + i, kLeaf + i * kHubs + i);
+  }
+  for (VertexId h = 0; h < kHubs; ++h) {
+    add(kHub + h, 1);
+    for (VertexId j = 0; j < kHubs; ++j) add(kLeaf + h * kHubs + j, kHub + h);
+  }
+  return b.Build();
+}
+
+/// Adjacency entries a fixed ⌊k/2⌋ split scans at least for k >= 4: it
+/// expands levels 0 and 1 of s's out-ball and of t's in-ball in full.
+uint64_t FixedSplitFloor(const Graph& g, VertexId s, VertexId t) {
+  uint64_t scan = g.OutDegree(s) + g.InDegree(t);
+  for (const VertexId v : g.OutNeighbors(s)) {
+    if (v != t) scan += g.OutDegree(v);
+  }
+  for (const VertexId v : g.InNeighbors(t)) {
+    if (v != s) scan += g.InDegree(v);
+  }
+  return scan;
+}
+
+TEST(IndexTest, AdmitAllLevelsGoToTheCheaperSide) {
+  // On the thin side each admit-all level scans a handful of entries, on
+  // the wide side the hubs' lists alone scan kHubs^2, so a cost-chosen
+  // split stays below what any fixed ⌊k/2⌋ split must scan, in either
+  // orientation, on a Graph, an overlay view after churn and a 2-shard
+  // union, and builds the two-full-ball reference's index.
+  IndexBuilder builder;
+  IndexBuilder reference_builder;
+  IndexBuildOptions full_balls;
+  full_balls.prune_forward_bfs = false;
+  for (const bool reversed : {false, true}) {
+    const Graph g = ThinPathIntoWideTree(reversed);
+    const VertexId s = reversed ? 1 : 0;
+    const VertexId t = reversed ? 0 : 1;
+    GraphDelta delta;
+    const auto churn = [&](VertexId u, VertexId v, bool insert) {
+      if (reversed) std::swap(u, v);
+      if (insert) {
+        delta.Insert(u, v);
+      } else {
+        delta.Delete(u, v);
+      }
+    };
+    churn(kPath + 3, kHub + 7, /*insert=*/true);
+    churn(kLeaf + 2 * kHubs, kHub + 2, /*insert=*/false);
+    churn(kPath + 1, kLeaf + kHubs + 1, /*insert=*/false);
+    const GraphView view = GraphView(g).Apply(delta, 1);
+    PartitionOptions popts;
+    popts.num_shards = 2;
+    GraphPartition part = GraphPartitioner::Partition(g, popts);
+    std::vector<std::shared_ptr<const GraphView>> views;
+    for (uint32_t p = 0; p < popts.num_shards; ++p) {
+      views.push_back(std::make_shared<const GraphView>(
+          std::make_shared<const Graph>(part.TakeShardGraph(p)), nullptr, 0));
+    }
+    const UnionView both(views, part.shard_map());
+
+    const auto check = [&](const auto& form, const Graph& materialized,
+                           const std::string& name) {
+      for (uint32_t k = 4; k <= 6; ++k) {
+        const Query q{s, t, k};
+        const std::string at = name + (reversed ? " reversed" : "") +
+                               " k=" + std::to_string(k);
+        const LightweightIndex idx = builder.Build(form, q);
+        EXPECT_GT(idx.num_vertices(), 0u) << at;
+        EXPECT_LT(idx.build_stats().edges_scanned,
+                  FixedSplitFloor(materialized, s, t))
+            << at;
+        testing::ExpectSameIndex(
+            idx, reference_builder.Build(form, q, full_balls), at);
+      }
+    };
+    check(g, g, "graph");
+    check(view, view.Materialize(), "view");
+    check(both, g, "union");
+  }
 }
 
 TEST(IndexTest, SlabSizeIsIndependentOfTheVertexCount) {
